@@ -1,4 +1,4 @@
-"""Replica batching: R-seed repeats as one lock-step batch.
+"""Replica batching: R-seed repeats folded onto one set of structures.
 
 Benchmarks the batch path the repeat loops use (``run_replicas`` /
 ``Point.make_seeded`` through the campaign executor) against the

@@ -6,9 +6,10 @@ needs:
 * **cache-first** — points whose content address is already in the run
   cache are returned instantly and never recomputed;
 * **replica batching** — points that differ only in their meta seed are
-  folded into one lock-step :class:`~repro.sim.batch.engine.ReplicaBatch`
-  per worker (scalar-bit-identical results, cached under their unchanged
-  per-point keys); ``REPRO_NO_BATCH=1`` disables the folding;
+  folded into one :class:`~repro.sim.batch.engine.ReplicaBatch` per
+  worker, built once on shared structures (scalar-bit-identical results,
+  cached under their unchanged per-point keys); ``REPRO_NO_BATCH=1``
+  disables the folding;
 * **fork prewarm** — before forking workers the parent derives the route
   tables for every distinct configuration once, so children inherit them
   copy-on-write instead of re-deriving per process;
@@ -46,7 +47,7 @@ from repro.campaign import cache as cache_mod
 from repro.campaign.worker import (execute_group, execute_point,
                                    failed_result, replica_signature)
 
-#: replicas per lock-step batch.  Bounds the memory footprint of one
+#: replicas per batch.  Bounds the memory footprint of one
 #: worker (R full networks) and keeps a crash/timeout from voiding too
 #: many points at once; larger seed sets split into several batches.
 BATCH_CAP = 16
@@ -82,7 +83,7 @@ class Progress:
 @dataclass
 class _Task:
     """One unit of worker execution: a single point, or a group of
-    seed replicas batched into one lock-step run."""
+    seed replicas folded into one batch."""
 
     items: list                # [(key, Point), ...]
     attempt: int = 0
@@ -158,12 +159,10 @@ class CampaignExecutor:
         self.processes = processes
         self.retry = retry or RetryPolicy()
         self.progress = progress
-        #: group points differing only in their meta seed into lock-step
-        #: replica batches (results stay bit-identical and individually
-        #: cached; REPRO_NO_BATCH=1 is the environment escape hatch).
-        #: SoA-engined points fold too: the batch runs them under the
-        #: fused multi-replica screen (repro.sim.soa.batch), so seeds
-        #: share one table build AND one numpy pass per cycle.
+        #: group points differing only in their meta seed into replica
+        #: batches (results stay bit-identical and individually cached;
+        #: REPRO_NO_BATCH=1 is the environment escape hatch).  SoA-engined
+        #: points fold too: their kernels share one dense-table build.
         self.auto_batch = auto_batch and \
             os.environ.get("REPRO_NO_BATCH") != "1"
         self.summary: dict = {}

@@ -101,26 +101,17 @@ def replica_signature(point: Point):
     must run scalar.
 
     Points that agree on everything except their ``meta`` seed are
-    replicas of one simulation and can share a lock-step batch.  Plain
-    synthetic patterns qualify, as do ``scenario:`` points whose spec is
-    chunk-aligned (every phase boundary on a multiple of the traffic
-    refill quantum — otherwise the phase-clamped fills desynchronise the
-    batch's ``(R, CHUNK)`` traffic matrix and those points must run
-    scalar).  Closed-loop (``app:``/``stress:``), ``trace:``/
+    replicas of one simulation and fold into one
+    :class:`~repro.sim.batch.engine.ReplicaBatch`, built on one set of
+    shared structures.  Plain synthetic patterns and ``scenario:``
+    points qualify.  Closed-loop (``app:``/``stress:``), ``trace:``/
     ``irregular:`` and selftest points have bespoke execution, and
     per-point metrics (or a fleet-wide ``REPRO_METRICS``) attach
-    observability, which the batch engine deliberately refuses to
-    fast-forward around — scalar execution keeps those runs on the exact
-    audited path.
+    observability and archive one artifact per point, which only the
+    scalar path does.
     """
     meta = dict(point.meta)
-    if point.pattern.startswith("scenario:"):
-        from repro.scenario.spec import ScenarioSpec
-        from repro.traffic.synthetic import SyntheticTraffic
-        spec = ScenarioSpec.from_token(meta["scenario"])
-        if not spec.chunk_aligned(SyntheticTraffic.CHUNK):
-            return None
-    elif ":" in point.pattern:
+    if ":" in point.pattern and not point.pattern.startswith("scenario:"):
         return None
     if meta.get("metrics") or int(os.environ.get("REPRO_METRICS", "0")
                                   or 0):
@@ -131,7 +122,7 @@ def replica_signature(point: Point):
 
 
 def execute_group(points: list[Point], cfg: SimConfig) -> list[RunResult]:
-    """Run seed-replica ``points`` as one lock-step batch.
+    """Run seed-replica ``points`` as one fold on shared structures.
 
     Every point must share a :func:`replica_signature`; results come
     back in input order and are bit-identical to what

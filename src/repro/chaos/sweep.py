@@ -1,7 +1,7 @@
 """Escalating chaos sweep: the fabric's survival certificate.
 
 ``repro-experiments chaos sweep --seed N`` runs one small *real*
-campaign (4x4 mesh points plus a lock-step replica batch) per chaos
+campaign (4x4 mesh points plus a seed-fold replica batch) per chaos
 level.  Level 0 is the control; each further level scales a
 :func:`~repro.chaos.plan.mild_chaos` plan up and re-runs the same
 points through a loopback fabric whose workers sabotage their own
@@ -42,8 +42,8 @@ LEASE_TTL_S = 12.0
 
 def sweep_points() -> list:
     """A fig-scale point set: four scalar points across two schemes and
-    two loads, plus three seed replicas that fold into one lock-step
-    batch task — every task shape the fabric knows."""
+    two loads, plus three seed replicas that fold into one batch
+    task — every task shape the fabric knows."""
     from repro.sim.parallel import Point, grid
     return grid([("escapevc", {}), ("fastpass", {"n_vcs": 2})],
                 ["uniform"], [0.02, 0.05]) + \

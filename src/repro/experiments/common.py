@@ -97,7 +97,7 @@ def cached_replicas(scheme_name: str, scheme_kwargs: dict, pattern: str,
     """Seed replicas of one synthetic point, cache-first.
 
     The points are built with :meth:`Point.make_seeded`, so the campaign
-    executor folds the uncached ones into a single lock-step
+    executor folds the uncached ones into a single
     :class:`~repro.sim.batch.engine.ReplicaBatch` per worker while every
     replica keeps its own cache key (bit-identical to running each seed
     scalar — see DESIGN §12).
@@ -148,7 +148,7 @@ def cached_sweep_latency(scheme_name: str, scheme_kwargs: dict,
     :func:`repro.sim.runner.sweep_latency` (stop past saturation).
 
     With ``seeds`` the sweep repeats every rate under each seed — the
-    repeats run as one lock-step replica batch per rate — and each
+    repeats fold into one replica batch per rate — and each
     returned result is the :func:`mean_result` over the replicas.
     """
     out = []

@@ -24,8 +24,8 @@ FULL_RATES = [round(0.02 * i, 2) for i in range(1, 16)]
 def run(quick: bool = True, patterns=PATTERNS, schemes=None,
         rates=None, seeds=None) -> dict:
     """``seeds`` repeats every point under those seeds (averaged curves);
-    the repeats of one point execute as a single lock-step replica batch
-    through the campaign layer instead of N separate simulations."""
+    the repeats of one point fold into a single replica batch through
+    the campaign layer, constructed once instead of N times."""
     cfg = synthetic_config(quick)
     rates = rates or (QUICK_RATES if quick else FULL_RATES)
     schemes = schemes or FIG7_SCHEMES

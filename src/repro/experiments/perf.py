@@ -16,13 +16,12 @@ Points run directly through :class:`repro.sim.engine.Simulation` — never
 through the campaign cache — so the measured wall time is always a real
 execution.
 
-``--soa`` adds the SoA-kernel A/B: the saturated :data:`SOA_POINTS`
-(uniform/transpose at 0.2 and 0.3 on 8x8 and 16x16 meshes) timed
-interleaved under the active-set engine and the ``engine="soa"``
-vectorized kernel, bit-identity checked every repeat (drift exits 2),
-with the gated blocked-regime points required to clear
-``--soa-fail-under`` (default 2x) and the record committed as
-``BENCH_soa.json``.
+Two A/Bs ride one interleaved driver (:func:`_run_ab`; result drift
+exits 2): ``--replicas R`` is R scalar runs against one R-replica seed
+fold on the micro-sweep points (``BENCH_batch.json``, low-load aggregate
+gated), ``--soa`` the active-set engine against the SoA kernel on the
+saturated :data:`SOA_POINTS` (``BENCH_soa.json``, blocked-regime points
+gated at 2x).
 """
 
 from __future__ import annotations
@@ -74,19 +73,6 @@ SOA_POINTS = [
 #: number, with the reference machine measuring 2.7-7.5x (BENCH_soa.json)
 DEFAULT_SOA_FAIL_UNDER = 2.0
 
-#: floor for the replica-batched SoA gate: one fused R-replica batch
-#: must never *materially* lose to R scalar-SoA runs on the gated
-#: saturated points.  The baseline here is already vectorized per seed,
-#: so the replica axis buys shared construction (large at 16x16, where
-#: per-run route warming + table builds are ~18% of a scalar run) and
-#: fused-screen dispatch — not another kernel-sized multiplier.  The
-#: committed BENCH_soa_batch.json measures ~1.05x at 16x16, ~0.9x at
-#: 8x8 (eight leased working sets exceed cache where one replica's
-#: fits) for a wall-weighted aggregate of ~1.01x; the floor sits at
-#: 0.9 so parity-within-noise passes on any machine, and bit-identity
-#: drift stays the real (exit-2) gate.
-DEFAULT_SOA_BATCH_FAIL_UNDER = 0.9
-
 #: rates whose aggregate batch-vs-scalar speedup the batch gate watches
 #: (low load is where R-replica sweeps spend their time)
 BATCH_GATE_RATES = (0.02, 0.05)
@@ -102,17 +88,15 @@ RESULT_FIELDS = ("injected", "ejected", "avg_latency", "p99_latency",
                  "deadlocked", "cycles")
 
 
-def snapshot_config(engine: str = "active") -> SimConfig:
-    return SimConfig(rows=8, cols=8, warmup_cycles=200,
-                     measure_cycles=1000, drain_cycles=1500,
-                     engine=engine)
-
-
 def soa_config(rows: int, cols: int, engine: str) -> SimConfig:
-    """Same protocol as :func:`snapshot_config` on a sized mesh."""
+    """The snapshot protocol (windows, seed) on a sized mesh."""
     return SimConfig(rows=rows, cols=cols, warmup_cycles=200,
                      measure_cycles=1000, drain_cycles=1500,
                      engine=engine)
+
+
+def snapshot_config(engine: str = "active") -> SimConfig:
+    return soa_config(8, 8, engine)
 
 
 def point_key(scheme: str, kwargs: dict, pattern: str, rate: float) -> str:
@@ -120,40 +104,55 @@ def point_key(scheme: str, kwargs: dict, pattern: str, rate: float) -> str:
     return f"{scheme}({kw})/{pattern}@{rate:g}"
 
 
-def _run_one(scheme_name: str, kwargs: dict, pattern: str, rate: float,
-             repeat: int, engine: str = "active") -> dict:
+def _point_info(scheme: str, kwargs: dict, pattern: str, rate: float,
+                suffix: str = "") -> dict:
+    return {"key": point_key(scheme, kwargs, pattern, rate) + suffix,
+            "scheme": scheme, "scheme_kwargs": kwargs,
+            "pattern": pattern, "rate": rate}
+
+
+def _timed(fn):
+    t0 = time.perf_counter()
+    out = fn()
+    return time.perf_counter() - t0, out
+
+
+def _timed_sim(cfg: SimConfig, scheme: str, kwargs: dict, pattern: str,
+               rate: float):
+    """Build one snapshot-seeded simulation and time its ``run`` alone
+    (construction excluded); returns ``(wall_s, result, engine_used)``."""
     from repro.schemes import get_scheme
     from repro.sim.engine import Simulation
     from repro.traffic.synthetic import SyntheticTraffic
 
+    sim = Simulation(cfg, get_scheme(scheme, **kwargs),
+                     SyntheticTraffic(pattern, rate, seed=SNAPSHOT_SEED))
+    wall, res = _timed(sim.run)
+    return wall, res, sim.engine_used
+
+
+def _run_one(scheme_name: str, kwargs: dict, pattern: str, rate: float,
+             repeat: int, engine: str = "active") -> dict:
     best = None
-    res = None
-    sim = None
     for _ in range(max(1, repeat)):
-        sim = Simulation(snapshot_config(engine),
-                         get_scheme(scheme_name, **kwargs),
-                         SyntheticTraffic(pattern, rate, seed=SNAPSHOT_SEED))
-        t0 = time.perf_counter()
-        res = sim.run()
-        wall = time.perf_counter() - t0
+        wall, res, used = _timed_sim(snapshot_config(engine), scheme_name,
+                                     kwargs, pattern, rate)
         if best is None or wall < best:
             best = wall
-    return {
-        "key": point_key(scheme_name, kwargs, pattern, rate),
-        "scheme": scheme_name,
-        "scheme_kwargs": kwargs,
-        "pattern": pattern,
-        "rate": rate,
-        "engine": sim.engine_used,
-        "cycles": res.cycles,
-        "wall_s": best,
-        "cycles_per_sec": res.cycles / best if best else float("inf"),
-        "injected": res.injected,
-        "ejected": res.ejected,
-        "avg_latency": res.avg_latency,
-        "p99_latency": res.p99_latency,
-        "deadlocked": res.deadlocked,
-    }
+    return dict(
+        _point_info(scheme_name, kwargs, pattern, rate),
+        engine=used, wall_s=best,
+        cycles_per_sec=res.cycles / best if best else float("inf"),
+        # the fields compare() cross-checks against the baseline
+        **{f: getattr(res, f) for f in RESULT_FIELDS})
+
+
+def _header(kind: str, repeat: int, **extra) -> dict:
+    return {"kind": kind,
+            "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
+            "python": sys.version.split()[0],
+            "machine": platform.machine(),
+            "seed": SNAPSHOT_SEED, "repeat": repeat, **extra}
 
 
 def run_snapshot(repeat: int = 1, label: str | None = None,
@@ -167,93 +166,94 @@ def run_snapshot(repeat: int = 1, label: str | None = None,
         points.append(pt)
     total_wall = sum(p["wall_s"] for p in points)
     total_cycles = sum(p["cycles"] for p in points)
-    return {
-        "kind": "repro-perf-snapshot",
-        "label": label,
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": sys.version.split()[0],
-        "machine": platform.machine(),
-        "seed": SNAPSHOT_SEED,
-        "repeat": repeat,
-        "engine": engine,
-        "total_wall_s": total_wall,
-        "total_cycles_per_sec": (total_cycles / total_wall
-                                 if total_wall else float("inf")),
-        "points": points,
-    }
+    return _header(
+        "repro-perf-snapshot", repeat, label=label, engine=engine,
+        total_wall_s=total_wall,
+        total_cycles_per_sec=(total_cycles / total_wall
+                              if total_wall else float("inf")),
+        points=points)
 
 
-# -- replica-batch A/B ---------------------------------------------------
+# -- interleaved A/B -----------------------------------------------------
 
-def _result_fields(res) -> dict:
-    return {f: getattr(res, f) for f in RESULT_FIELDS}
+class ResultDrift(RuntimeError):
+    """Two execution paths produced different simulation results for one
+    seed — the bit-identity contract is broken, which is always a hard
+    error (exit 2), never a perf number."""
+
+
+def _run_ab(points, names: tuple[str, str], repeat: int) -> list[dict]:
+    """The one interleaved A/B protocol behind every gate here.
+
+    ``points`` holds ``(info, side_a, side_b)``: ``info`` is the point's
+    record (with its ``key``), each side a callable returning ``(wall_s,
+    [RunResult, ...])`` — it times itself, so a side decides whether
+    construction counts.  Per repeat the process-level structure cache
+    is cleared (nothing leaks between sides), A then B run back to back
+    so machine noise hits both equally, and B's results must equal A's
+    field by field or :class:`ResultDrift` is raised.  Best-of-N wall
+    per side; ``speedup`` is A over B.
+    """
+    from repro.sim.batch.shared import clear_process_cache
+
+    a, b = names
+    out = []
+    for info, *sides in points:
+        key = info["key"]
+        best = dict.fromkeys(names)
+        for _ in range(max(1, repeat)):
+            clear_process_cache()
+            got = {}
+            for name, side in zip(names, sides):
+                wall, got[name] = side()
+                if best[name] is None or wall < best[name]:
+                    best[name] = wall
+            for i, (ra, rb) in enumerate(zip(got[a], got[b])):
+                fa = {f: getattr(ra, f) for f in RESULT_FIELDS}
+                fb = {f: getattr(rb, f) for f in RESULT_FIELDS}
+                if any(not _same(fa[f], fb[f]) for f in RESULT_FIELDS):
+                    raise ResultDrift(
+                        f"{b} drifted from {a} at {key} "
+                        f"(replica {i}): {fa} != {fb}")
+        cycles = sum(r.cycles for r in got[b])
+        pt = dict(info, cycles=cycles, speedup=best[a] / best[b],
+                  identical=True)
+        for name in names:
+            pt[f"{name}_wall_s"] = best[name]
+            pt[f"{name}_cycles_per_sec"] = cycles / best[name]
+        mark = "  [gate]" if info.get("gated") else ""
+        print(f"  {key:46s} {a} {best[a] * 1e3:8.1f} ms  "
+              f"{b} {best[b] * 1e3:8.1f} ms  {pt['speedup']:5.2f}x{mark}")
+        out.append(pt)
+    return out
 
 
 def run_batch_snapshot(replicas: int = 8, repeat: int = 3) -> dict:
-    """Interleaved A/B: R scalar ``run_point`` calls vs one R-replica
-    lock-step batch, per snapshot point.
+    """A/B: R scalar ``run_point`` calls vs one R-replica
+    :class:`~repro.sim.batch.engine.ReplicaBatch`, per snapshot point.
 
-    Both sides pay full, honest cost: every scalar run constructs its own
-    network (the per-process reality before this PR — the process-level
-    prewarm cache is cleared first so nothing leaks between sides), and
-    the batch side times construction *and* execution of the whole
-    batch.  A and B alternate within each repeat, best-of-N per side, so
-    machine noise hits both equally — same protocol as the PR-2 engine
-    gate.  Every repeat also cross-checks that each replica's result is
-    bit-identical to its scalar twin; any mismatch raises.
+    Both sides pay full, honest cost: every scalar run constructs its
+    own network, and the batch side times construction *and* execution
+    of the whole batch — shared construction is what the fold buys.
     """
     from repro.schemes import get_scheme
     from repro.sim.batch.engine import ReplicaBatch
-    from repro.sim.batch.shared import clear_process_cache
     from repro.sim.runner import run_point
 
     cfg = snapshot_config()
     seeds = [SNAPSHOT_SEED + i for i in range(replicas)]
-    points = []
-    for scheme, kwargs, pattern, rate in SNAPSHOT_POINTS:
-        key = point_key(scheme, kwargs, pattern, rate)
-        best_scalar = best_batch = None
-        cycles = 0
-        for _ in range(max(1, repeat)):
-            clear_process_cache()
-            t0 = time.perf_counter()
-            scalar = [run_point(get_scheme(scheme, **kwargs), pattern,
-                                rate, cfg, seed=s) for s in seeds]
-            wall_scalar = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            batch = ReplicaBatch(cfg, scheme, pattern, rate, seeds,
-                                 scheme_kwargs=kwargs)
-            batched = batch.run()
-            wall_batch = time.perf_counter() - t0
-            for s, a, b in zip(seeds, scalar, batched):
-                fa, fb = _result_fields(a), _result_fields(b)
-                if any(not _same(fa[f], fb[f]) for f in RESULT_FIELDS):
-                    raise RuntimeError(
-                        f"replica batch drifted from scalar at {key} "
-                        f"seed {s}: {fa} != {fb}")
-            cycles = sum(r.cycles for r in batched)
-            if best_scalar is None or wall_scalar < best_scalar:
-                best_scalar = wall_scalar
-            if best_batch is None or wall_batch < best_batch:
-                best_batch = wall_batch
-        pt = {
-            "key": key,
-            "scheme": scheme,
-            "scheme_kwargs": kwargs,
-            "pattern": pattern,
-            "rate": rate,
-            "cycles": cycles,
-            "scalar_wall_s": best_scalar,
-            "batch_wall_s": best_batch,
-            "scalar_cycles_per_sec": cycles / best_scalar,
-            "batch_cycles_per_sec": cycles / best_batch,
-            "speedup": best_scalar / best_batch,
-            "identical": True,
-        }
-        print(f"  {key:40s} scalar {best_scalar * 1e3:8.1f} ms  "
-              f"batch {best_batch * 1e3:8.1f} ms  "
-              f"{pt['speedup']:5.2f}x")
-        points.append(pt)
+
+    def ab_point(scheme, kwargs, pattern, rate):
+        return (_point_info(scheme, kwargs, pattern, rate),
+                lambda: _timed(lambda: [
+                    run_point(get_scheme(scheme, **kwargs), pattern, rate,
+                              cfg, seed=s) for s in seeds]),
+                lambda: _timed(lambda: ReplicaBatch(
+                    cfg, scheme, pattern, rate, seeds,
+                    scheme_kwargs=kwargs).run()))
+
+    points = _run_ab([ab_point(*p) for p in SNAPSHOT_POINTS],
+                     ("scalar", "batch"), repeat)
 
     def _agg(pts):
         s = sum(p["scalar_wall_s"] for p in pts)
@@ -261,30 +261,13 @@ def run_batch_snapshot(replicas: int = 8, repeat: int = 3) -> dict:
         return s / b if b else float("inf")
 
     lowload = [p for p in points if p["rate"] in BATCH_GATE_RATES]
-    snap = {
-        "kind": "repro-batch-snapshot",
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": sys.version.split()[0],
-        "machine": platform.machine(),
-        "seed": SNAPSHOT_SEED,
-        "replicas": replicas,
-        "repeat": repeat,
-        "points": points,
-        "lowload_speedup": _agg(lowload),
-        "overall_speedup": _agg(points),
-    }
+    snap = _header("repro-batch-snapshot", repeat, replicas=replicas,
+                   points=points, lowload_speedup=_agg(lowload),
+                   overall_speedup=_agg(points))
     print(f"  aggregate speedup: low-load {snap['lowload_speedup']:.2f}x "
           f"(rates {BATCH_GATE_RATES}), "
           f"overall {snap['overall_speedup']:.2f}x")
     return snap
-
-
-# -- SoA-kernel A/B ------------------------------------------------------
-
-class ResultDrift(RuntimeError):
-    """Two engines produced different simulation results for one seed —
-    the bit-identity contract is broken, which is always a hard error
-    (exit 2), never a perf number."""
 
 
 def _soa_gated(scheme: str, pattern: str) -> bool:
@@ -302,197 +285,42 @@ def _soa_gated(scheme: str, pattern: str) -> bool:
 
 
 def run_soa_snapshot(repeat: int = 3) -> dict:
-    """Interleaved A/B: active-set scalar engine vs the SoA kernel, per
-    saturated point.
+    """A/B: active-set scalar engine vs the SoA kernel, per saturated
+    point, timing ``Simulation.run`` only (construction excluded).
 
-    Same protocol as the batch gate: A and B alternate within each
-    repeat (best-of-N per side) so machine noise hits both equally, and
-    every repeat cross-checks the two engines' simulation results
-    field-by-field — any mismatch raises :class:`ResultDrift`.  The SoA
-    side must actually run on the kernel: a silent fallback to the
-    scalar path would make the A/B meaningless, so it raises too.
+    The SoA side must actually run on the kernel: a silent fallback to
+    the scalar path would make the A/B meaningless, so it raises.
     """
-    from repro.schemes import get_scheme
     from repro.sim import soa
-    from repro.sim.engine import Simulation
-    from repro.traffic.synthetic import SyntheticTraffic
 
     soa.require_numpy()
-    points = []
-    for scheme, kwargs, pattern, rate, rows, cols in SOA_POINTS:
-        key = (point_key(scheme, kwargs, pattern, rate)
-               + f"/{rows}x{cols}")
-        best = {"active": None, "soa": None}
-        cycles = 0
-        for _ in range(max(1, repeat)):
-            fields = {}
-            for engine in ("active", "soa"):
-                sim = Simulation(
-                    soa_config(rows, cols, engine),
-                    get_scheme(scheme, **kwargs),
-                    SyntheticTraffic(pattern, rate, seed=SNAPSHOT_SEED))
-                t0 = time.perf_counter()
-                res = sim.run()
-                wall = time.perf_counter() - t0
-                if engine == "soa" and sim.engine_used != "soa":
-                    raise RuntimeError(
-                        f"SoA side of {key} ran as "
-                        f"{sim.engine_used!r}; the A/B would compare "
-                        "the scalar engine against itself")
-                fields[engine] = _result_fields(res)
-                cycles = res.cycles
-                if best[engine] is None or wall < best[engine]:
-                    best[engine] = wall
-            if any(not _same(fields["active"][f], fields["soa"][f])
-                   for f in RESULT_FIELDS):
-                raise ResultDrift(
-                    f"SoA engine drifted from the active-set engine "
-                    f"at {key}: {fields['active']} != {fields['soa']}")
-        pt = {
-            "key": key,
-            "scheme": scheme,
-            "scheme_kwargs": kwargs,
-            "pattern": pattern,
-            "rate": rate,
-            "rows": rows,
-            "cols": cols,
-            "cycles": cycles,
-            "active_wall_s": best["active"],
-            "soa_wall_s": best["soa"],
-            "active_cycles_per_sec": cycles / best["active"],
-            "soa_cycles_per_sec": cycles / best["soa"],
-            "speedup": best["active"] / best["soa"],
-            "identical": True,
-            "gated": _soa_gated(scheme, pattern),
-        }
-        mark = "  [gate]" if pt["gated"] else ""
-        print(f"  {key:46s} active {best['active'] * 1e3:8.1f} ms  "
-              f"soa {best['soa'] * 1e3:8.1f} ms  "
-              f"{pt['speedup']:5.2f}x{mark}")
-        points.append(pt)
+
+    def ab_point(scheme, kwargs, pattern, rate, rows, cols):
+        info = _point_info(scheme, kwargs, pattern, rate,
+                           suffix=f"/{rows}x{cols}")
+        key = info["key"]
+
+        def side(engine):
+            wall, res, used = _timed_sim(soa_config(rows, cols, engine),
+                                         scheme, kwargs, pattern, rate)
+            if used != engine:
+                raise RuntimeError(
+                    f"{engine} side of {key} ran as {used!r}; the A/B "
+                    "would compare the scalar engine against itself")
+            return wall, [res]
+
+        return (dict(info, rows=rows, cols=cols,
+                     gated=_soa_gated(scheme, pattern)),
+                lambda: side("active"), lambda: side("soa"))
+
+    points = _run_ab([ab_point(*p) for p in SOA_POINTS],
+                     ("active", "soa"), repeat)
     gate_pts = [p for p in points if p["gated"]]
-    snap = {
-        "kind": "repro-soa-snapshot",
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": sys.version.split()[0],
-        "machine": platform.machine(),
-        "seed": SNAPSHOT_SEED,
-        "repeat": repeat,
-        "points": points,
-        "gate_points": [p["key"] for p in gate_pts],
-        "gate_speedup": min(p["speedup"] for p in gate_pts),
-    }
+    snap = _header("repro-soa-snapshot", repeat, points=points,
+                   gate_points=[p["key"] for p in gate_pts],
+                   gate_speedup=min(p["speedup"] for p in gate_pts))
     print(f"  gate speedup (worst gated point): "
           f"{snap['gate_speedup']:.2f}x")
-    return snap
-
-
-def run_soa_batch_snapshot(replicas: int = 8, repeat: int = 3) -> dict:
-    """Interleaved A/B: R scalar-SoA ``run_point`` calls vs one fused
-    R-replica SoA batch, per saturated point.
-
-    Both sides run the SoA kernel — the comparison isolates what the
-    *replica axis* buys (one table build, one route refresh, one fused
-    screen per cycle) on top of the kernel's own win over the scalar
-    engine.  Same protocol as the other gates: A and B alternate within
-    each repeat (best-of-N per side), both sides pay full construction
-    cost after a cleared prewarm cache, and every repeat cross-checks
-    each replica field-by-field against its scalar twin — any mismatch
-    raises :class:`ResultDrift`.  Both sides must actually run on the
-    kernel; a silent fallback raises.
-    """
-    from repro.schemes import get_scheme
-    from repro.sim import soa
-    from repro.sim.batch.engine import ReplicaBatch
-    from repro.sim.batch.shared import clear_process_cache
-    from repro.sim.runner import run_point
-
-    soa.require_numpy()
-    seeds = [SNAPSHOT_SEED + i for i in range(replicas)]
-    points = []
-    for scheme, kwargs, pattern, rate, rows, cols in SOA_POINTS:
-        key = (point_key(scheme, kwargs, pattern, rate)
-               + f"/{rows}x{cols}")
-        cfg = soa_config(rows, cols, "soa")
-        best_scalar = best_batch = None
-        cycles = 0
-        for _ in range(max(1, repeat)):
-            clear_process_cache()
-            t0 = time.perf_counter()
-            scalar = [run_point(get_scheme(scheme, **kwargs), pattern,
-                                rate, cfg, seed=s) for s in seeds]
-            wall_scalar = time.perf_counter() - t0
-            bad = [r.engine_used for r in scalar
-                   if r.engine_used != "soa"]
-            if bad:
-                raise RuntimeError(
-                    f"scalar side of {key} ran as {bad[0]!r}; the A/B "
-                    "would not be measuring the SoA kernel")
-            t0 = time.perf_counter()
-            batch = ReplicaBatch(cfg, scheme, pattern, rate, seeds,
-                                 scheme_kwargs=kwargs)
-            if batch.soa is None:
-                raise RuntimeError(
-                    f"batched side of {key} did not attach the fused "
-                    "SoA screen")
-            batched = batch.run()
-            wall_batch = time.perf_counter() - t0
-            if batch.soa.demoted:
-                raise RuntimeError(
-                    f"batched side of {key} demoted replicas "
-                    f"{batch.soa.demoted}; the A/B timing would mix "
-                    "engines")
-            for s, a, b in zip(seeds, scalar, batched):
-                fa, fb = _result_fields(a), _result_fields(b)
-                if any(not _same(fa[f], fb[f]) for f in RESULT_FIELDS):
-                    raise ResultDrift(
-                        f"batched SoA drifted from scalar SoA at {key} "
-                        f"seed {s}: {fa} != {fb}")
-            cycles = sum(r.cycles for r in batched)
-            if best_scalar is None or wall_scalar < best_scalar:
-                best_scalar = wall_scalar
-            if best_batch is None or wall_batch < best_batch:
-                best_batch = wall_batch
-        pt = {
-            "key": key,
-            "scheme": scheme,
-            "scheme_kwargs": kwargs,
-            "pattern": pattern,
-            "rate": rate,
-            "rows": rows,
-            "cols": cols,
-            "cycles": cycles,
-            "scalar_wall_s": best_scalar,
-            "batch_wall_s": best_batch,
-            "scalar_cycles_per_sec": cycles / best_scalar,
-            "batch_cycles_per_sec": cycles / best_batch,
-            "speedup": best_scalar / best_batch,
-            "identical": True,
-            "gated": _soa_gated(scheme, pattern),
-        }
-        mark = "  [gate]" if pt["gated"] else ""
-        print(f"  {key:46s} scalar {best_scalar * 1e3:8.1f} ms  "
-              f"batch {best_batch * 1e3:8.1f} ms  "
-              f"{pt['speedup']:5.2f}x{mark}")
-        points.append(pt)
-
-    gate_pts = [p for p in points if p["gated"]]
-    agg = (sum(p["scalar_wall_s"] for p in gate_pts)
-           / sum(p["batch_wall_s"] for p in gate_pts))
-    snap = {
-        "kind": "repro-soa-batch-snapshot",
-        "created": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "python": sys.version.split()[0],
-        "machine": platform.machine(),
-        "seed": SNAPSHOT_SEED,
-        "replicas": replicas,
-        "repeat": repeat,
-        "points": points,
-        "gate_points": [p["key"] for p in gate_pts],
-        "aggregate_speedup": agg,
-    }
-    print(f"  aggregate speedup over gated points: {agg:.2f}x "
-          f"({replicas} replicas)")
     return snap
 
 
@@ -517,13 +345,8 @@ def next_snapshot_path(directory: Path) -> Path:
 
 
 def write_snapshot(snap: dict, out: str | None) -> Path:
-    if out:
-        path = Path(out)
-        path.parent.mkdir(parents=True, exist_ok=True)
-    else:
-        directory = perf_dir()
-        directory.mkdir(parents=True, exist_ok=True)
-        path = next_snapshot_path(directory)
+    path = Path(out) if out else next_snapshot_path(perf_dir())
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(snap, indent=2) + "\n")
     return path
 
@@ -563,12 +386,8 @@ def load_history(path: Path | str | None = None) -> list[dict]:
     path = Path(path) if path is not None else history_path()
     if not path.exists():
         return []
-    out = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if line:
-            out.append(json.loads(line))
-    return out
+    return [json.loads(line) for line in path.read_text().splitlines()
+            if line.strip()]
 
 
 def print_trend(entries: list[dict], base: dict | None) -> None:
@@ -722,6 +541,27 @@ def compare(new: dict, base: dict, fail_under: float,
 
 # -- CLI -----------------------------------------------------------------
 
+def _gate(what: str, out: str | None, default_name: str, run,
+          metric: str, floor: float) -> int:
+    """Run one A/B, write its snapshot, apply its floor: 0 pass, 1 below
+    the floor, 2 result drift (nothing written)."""
+    tag = what.upper()
+    try:
+        snap = run()
+    except ResultDrift as exc:
+        print(f"\n  {tag} RESULT DRIFT: {exc}")
+        return 2
+    path = write_snapshot(snap, out or str(perf_dir() / default_name))
+    print(f"  {what} snapshot written to {path}")
+    if snap[metric] < floor:
+        on = snap.get("gate_points")
+        print(f"\n  {tag} REGRESSION: {metric.replace('_', ' ')} "
+              f"{snap[metric]:.2f}x < {floor:.2f}x"
+              + (f" on {', '.join(on)}" if on else ""))
+        return 1
+    return 0
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-experiments perf",
@@ -787,21 +627,6 @@ def main(argv: list[str]) -> int:
                         help="minimum SoA speedup on the gated "
                              "saturated points "
                              f"(default: {DEFAULT_SOA_FAIL_UNDER})")
-    p_snap.add_argument("--soa-replicas", type=int, default=0,
-                        metavar="R",
-                        help="also run the replica-batched SoA A/B (R "
-                             "scalar-SoA runs vs one fused R-replica "
-                             "batch per saturated point) and write "
-                             "BENCH_soa_batch.json")
-    p_snap.add_argument("--soa-batch-out", default=None, metavar="PATH",
-                        help="batched-SoA snapshot path (default: "
-                             "results/perf/BENCH_soa_batch.json)")
-    p_snap.add_argument("--soa-batch-fail-under", type=float,
-                        default=DEFAULT_SOA_BATCH_FAIL_UNDER,
-                        metavar="R",
-                        help="minimum aggregate batched-SoA speedup "
-                             "over scalar-SoA-per-seed (default: "
-                             f"{DEFAULT_SOA_BATCH_FAIL_UNDER})")
 
     p_trend = sub.add_parser("trend",
                              help="print the cycles/sec trajectory from "
@@ -876,59 +701,17 @@ def main(argv: list[str]) -> int:
     if args.replicas:
         print(f"batch A/B: {args.replicas} replicas, "
               f"best of {args.repeat + 2}")
-        batch_snap = run_batch_snapshot(replicas=args.replicas,
-                                        repeat=args.repeat + 2)
-        batch_path = Path(args.batch_out) if args.batch_out else \
-            perf_dir() / "BENCH_batch.json"
-        batch_path.parent.mkdir(parents=True, exist_ok=True)
-        batch_path.write_text(json.dumps(batch_snap, indent=2) + "\n")
-        print(f"  batch snapshot written to {batch_path}")
-        if batch_snap["lowload_speedup"] < args.batch_fail_under:
-            print(f"\n  BATCH REGRESSION: low-load speedup "
-                  f"{batch_snap['lowload_speedup']:.2f}x < "
-                  f"{args.batch_fail_under:.2f}x")
-            rc = 1
-    if args.soa:
+        rc = _gate("batch", args.batch_out, "BENCH_batch.json",
+                   lambda: run_batch_snapshot(replicas=args.replicas,
+                                              repeat=args.repeat + 2),
+                   "lowload_speedup", args.batch_fail_under)
+    if args.soa and rc != 2:
         print(f"SoA A/B: {len(SOA_POINTS)} saturated points, "
               f"best of {args.repeat + 2}")
-        try:
-            soa_snap = run_soa_snapshot(repeat=args.repeat + 2)
-        except ResultDrift as exc:
-            print(f"\n  SOA RESULT DRIFT: {exc}")
-            return 2
-        soa_path = Path(args.soa_out) if args.soa_out else \
-            perf_dir() / "BENCH_soa.json"
-        soa_path.parent.mkdir(parents=True, exist_ok=True)
-        soa_path.write_text(json.dumps(soa_snap, indent=2) + "\n")
-        print(f"  SoA snapshot written to {soa_path}")
-        if soa_snap["gate_speedup"] < args.soa_fail_under:
-            print(f"\n  SOA REGRESSION: gate speedup "
-                  f"{soa_snap['gate_speedup']:.2f}x < "
-                  f"{args.soa_fail_under:.2f}x on "
-                  f"{', '.join(soa_snap['gate_points'])}")
-            rc = 1
-    if args.soa_replicas:
-        print(f"batched-SoA A/B: {args.soa_replicas} replicas, "
-              f"{len(SOA_POINTS)} saturated points, "
-              f"best of {args.repeat + 2}")
-        try:
-            sb_snap = run_soa_batch_snapshot(
-                replicas=args.soa_replicas, repeat=args.repeat + 2)
-        except ResultDrift as exc:
-            print(f"\n  SOA BATCH RESULT DRIFT: {exc}")
-            return 2
-        sb_path = Path(args.soa_batch_out) if args.soa_batch_out else \
-            perf_dir() / "BENCH_soa_batch.json"
-        sb_path.parent.mkdir(parents=True, exist_ok=True)
-        sb_path.write_text(json.dumps(sb_snap, indent=2) + "\n")
-        print(f"  batched-SoA snapshot written to {sb_path}")
-        if sb_snap["aggregate_speedup"] < args.soa_batch_fail_under:
-            print(f"\n  SOA BATCH REGRESSION: aggregate speedup "
-                  f"{sb_snap['aggregate_speedup']:.2f}x < "
-                  f"{args.soa_batch_fail_under:.2f}x on "
-                  f"{', '.join(sb_snap['gate_points'])}")
-            rc = 1
-    if not args.compare:
+        rc = max(rc, _gate("SoA", args.soa_out, "BENCH_soa.json",
+                           lambda: run_soa_snapshot(repeat=args.repeat + 2),
+                           "gate_speedup", args.soa_fail_under))
+    if rc == 2 or not args.compare:
         return rc
     base = json.loads(Path(args.compare).read_text())
     return compare(snap, base, args.fail_under,

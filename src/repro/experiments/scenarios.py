@@ -6,8 +6,8 @@ free):
 
 * **scenario points** — every built-in :data:`~repro.scenario.spec.
   SCENARIOS` spec (bursty/MMPP, shifting hotspots, mixed lanes, ramp)
-  under each scheme, seed-replicated; chunk-aligned specs fold into
-  lock-step replica batches exactly like plain synthetic points.
+  under each scheme, seed-replicated; the seeds of one spec fold into
+  one replica batch exactly like plain synthetic points.
 * **irregular points** — the §III-F Eulerian-circuit partition sweep:
   ring/star/torus/hypercube families plus 16x16 and 32x32 mesh graphs,
   across partition counts, each point deriving, verifying and
@@ -57,7 +57,6 @@ def run(quick: bool = True, scenarios=None, topologies=None,
             rows.append({
                 "scenario": spec.name, "scheme": label,
                 "mean_rate": spec.mean_rate(), "phases": len(spec.phases),
-                "aligned": spec.chunk_aligned(256),
                 "avg_latency": res.avg_latency,
                 "p99_latency": res.p99_latency,
                 "throughput": res.throughput,

@@ -3,7 +3,7 @@ workers, and an HTTP results service.
 
 The campaign subsystem made every sweep point content-addressed,
 cached, and resumable; replica batching made the unit of execution a
-deterministic task (one point or one lock-step seed batch).  This
+deterministic task (one point or one seed fold).  This
 package adds the network layer that lets those tasks run *anywhere*:
 
 * :mod:`~repro.fabric.queue` — the leased work queue (at-least-once

@@ -157,8 +157,8 @@ class FabricExecutor:
         self.workers = workers
         self.retry = retry or RetryPolicy()
         self.progress = progress
-        # SoA points fold like any others — ReplicaBatch runs them under
-        # the fused multi-replica screen (repro.sim.soa.batch).
+        # SoA points fold like any others: the replicas' kernels share
+        # one dense-table build through SharedStructures.
         self.auto_batch = auto_batch and \
             os.environ.get("REPRO_NO_BATCH") != "1"
         self.session = session

@@ -1,9 +1,9 @@
 """Scenario-level runners: scalar runs, trace recording, trace replay.
 
 These mirror :func:`repro.sim.runner.run_point` exactly — same
-construction order, same ``extra`` keys — because the replica batch's
-``_finish`` reconstructs those extras from the traffic source and the
-results must be bit-identical whichever execution path a campaign picks.
+construction order, same ``extra`` keys — because ``ReplicaBatch.run``
+reconstructs those extras from the traffic source and the results must
+be bit-identical whichever execution path a campaign picks.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ def run_scenario(scheme: Scheme | str, spec: ScenarioSpec, cfg: SimConfig,
     """One (scheme, scenario) simulation on the standard seam.
 
     Only ``extra["rate"]``/``extra["pattern"]`` are added (mirroring
-    ``run_point`` and ``ReplicaBatch._finish``) so scalar and batched
+    ``run_point`` and ``ReplicaBatch.run``) so scalar and batched
     executions of the same scenario point produce identical payloads.
     """
     if isinstance(scheme, str):

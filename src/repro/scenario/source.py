@@ -5,17 +5,13 @@ overrides only construction, ``bind`` and ``_fill`` — the inlined
 ``generate`` fast path (NI pending queue, obs ``generated`` emit,
 injection active-set bookkeeping) is inherited verbatim, so scenario
 sources ride the exact seam every engine (naive/active/soa) and the
-replica batch already consume: ``_chunk_start``/``_chunk_counts``/
-``_chunk_end`` keep their contract, and the ``(R, CHUNK)`` traffic
-matrix can stack scenario replicas like plain synthetic ones.
+seed fold already consume.
 
 The one structural difference is that fills are **phase-clamped**: a
 fill starting at cycle ``s`` spans ``min(CHUNK, occ_end - s)`` cycles,
 never crossing a phase boundary.  That keeps every generated cycle
 governed by exactly one :class:`PhaseSpec` (the partition-exactness
-property) and makes the refill clock a pure function of the spec — the
-alignment precondition the replica-batch fold checks via
-``spec.chunk_aligned(CHUNK)``.
+property) and makes the refill clock a pure function of the spec.
 
 RNG draw order within one fill is fixed and documented (burst chain if
 the phase bursts; the hit matrix; class picks; uniform destinations if
@@ -41,7 +37,7 @@ class ScenarioTraffic(SyntheticTraffic):
         super().__init__("uniform", spec.mean_rate(), seed=seed, stop=stop)
         self.spec = spec
         # The pattern string is the point identity the campaign layer and
-        # ReplicaBatch._finish record in extras; rate stays the long-run
+        # ReplicaBatch.run record in extras; rate stays the long-run
         # mean so saturation helpers keep a meaningful x-axis.
         self.pattern = f"scenario:{spec.name}"
         self._phase_dst: list = []   # per phase: fixed-dst table or None
@@ -121,7 +117,6 @@ class ScenarioTraffic(SyntheticTraffic):
 
         cyc_idx, src_idx = np.nonzero(hits)
         k = len(cyc_idx)
-        counts = np.bincount(cyc_idx, minlength=chunk)
         if k:
             # Draw 3: message classes.
             cls_pick = np.searchsorted(_MIX_CUM, self.rng.random(k))
@@ -148,11 +143,8 @@ class ScenarioTraffic(SyntheticTraffic):
                 d = int(dsts[i])
                 dst = d if d < src else d + 1
             if dst == src:
-                counts[cyc_idx[i]] -= 1
                 continue  # self-traffic does not inject
             cls = _MIX_CLASSES[min(int(cls_pick[i]), 5)]
             cycle = start + int(cyc_idx[i])
             by_cycle.setdefault(cycle, []).append((src, dst, int(cls)))
-        self._chunk_start = start
-        self._chunk_counts = counts
         self._chunk_end = start + chunk

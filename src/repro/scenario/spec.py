@@ -208,15 +208,6 @@ class ScenarioSpec:
     def phase_at(self, cycle: int) -> PhaseSpec:
         return self.phases[self.window_at(cycle)[0]]
 
-    def chunk_aligned(self, chunk: int) -> bool:
-        """True when every phase boundary (and the period itself) lands
-        on a multiple of ``chunk`` — the traffic source's refill quantum.
-        Only then do the source's phase-clamped fills all span exactly
-        ``chunk`` cycles, which is the shared refill clock the lock-step
-        replica batch's ``(R, CHUNK)`` traffic matrix assumes (DESIGN
-        §16); misaligned specs must run scalar."""
-        return all(b % chunk == 0 for b in self.boundaries())
-
     def mean_rate(self) -> float:
         """Duration-weighted long-run offered rate of the scenario."""
         total = self.total_cycles
@@ -260,10 +251,8 @@ class ScenarioSpec:
 
 
 # ----------------------------------------------------------------------
-# Built-in scenario library.  Phase boundaries are multiples of the
-# 256-cycle refill quantum, so seed replicas of these specs fold into
-# lock-step batches (see ScenarioSpec.chunk_aligned); hotspot ids stay
-# below 16 so every spec binds on a 4x4 mesh and larger.
+# Built-in scenario library.  Hotspot ids stay below 16 so every spec
+# binds on a 4x4 mesh and larger.
 
 SCENARIOS: dict[str, ScenarioSpec] = {
     "bursty": ScenarioSpec("bursty", (

@@ -95,14 +95,6 @@ class Scheme:
     pre_cycle_every: int | None = None
     post_cycle_every: int | None = None
 
-    #: True when the scheme's hooks are provable no-ops on an *empty*
-    #: network (no packet buffered, queued, or in transit) — they read
-    #: state but mutate nothing.  The replica-batch scheduler only
-    #: fast-forwards an idle replica across cycles whose hooks either
-    #: never run (cadence 0) or carry this declaration; a scheme whose
-    #: hook ticks internal state every cycle must leave it False.
-    idle_hooks_noop = False
-
     def pre_cycle(self, net, now: int) -> None:
         pass
 

@@ -21,10 +21,6 @@ class FastPass(Scheme):
     fault_caps = FaultCaps(reroute=True, lane_skip=True)
     n_vns = 1
     n_vcs = 4   # the paper evaluates 1, 2 and 4 VCs per input buffer
-    #: ``FastPassManager.step`` returns before touching any state when no
-    #: packet is queued or buffered (its first two early-outs), so an
-    #: idle replica may be fast-forwarded across its per-cycle hook.
-    idle_hooks_noop = True
 
     table1 = Table1Row(
         no_detection=True,

@@ -1,27 +1,23 @@
-"""Replica batching: run R seed replicas of one point in one process.
+"""Seed folding: run R seed replicas of one point in one process.
 
-See :mod:`repro.sim.batch.engine` for the lock-step engine,
+See :mod:`repro.sim.batch.engine` for :class:`ReplicaBatch` and
 :mod:`repro.sim.batch.shared` for the shared immutable structures (and
-the fork-prewarm process cache), and :mod:`repro.sim.batch.traffic` for
-the cross-replica traffic matrix.
+the fork-prewarm process cache).
 """
 
 from repro.sim.batch.shared import (SharedStructures, clear_process_cache,
                                     default_workers, process_shared,
                                     structures_key, warm_process_cache)
 
-__all__ = ["SharedStructures", "ReplicaBatch", "TrafficMatrix",
+__all__ = ["SharedStructures", "ReplicaBatch",
            "clear_process_cache", "default_workers", "process_shared",
            "structures_key", "warm_process_cache"]
 
 
 def __getattr__(name):
-    # ReplicaBatch/TrafficMatrix import the Simulation engine; loading
-    # them lazily keeps `engine.build_network -> batch.shared` cycle-free.
+    # ReplicaBatch imports the Simulation engine; loading it lazily
+    # keeps `engine.build_network -> batch.shared` cycle-free.
     if name == "ReplicaBatch":
         from repro.sim.batch.engine import ReplicaBatch
         return ReplicaBatch
-    if name == "TrafficMatrix":
-        from repro.sim.batch.traffic import TrafficMatrix
-        return TrafficMatrix
     raise AttributeError(name)

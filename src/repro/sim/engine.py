@@ -17,8 +17,7 @@ from repro.network.routing import ROUTERS
 from repro.network.topology import Mesh
 
 
-def build_network(cfg: SimConfig, scheme, shared=None,
-                  defer_soa: bool = False) -> Network:
+def build_network(cfg: SimConfig, scheme, shared=None) -> Network:
     """Construct a network configured for ``scheme``.
 
     ``shared`` is a :class:`repro.sim.batch.shared.SharedStructures`:
@@ -28,11 +27,6 @@ def build_network(cfg: SimConfig, scheme, shared=None,
     workers whose parent prewarmed the structures inherit them
     copy-on-write instead of re-deriving (and a cold process, where the
     cache is empty, builds exactly as before).
-
-    ``defer_soa`` keeps an ``engine="soa"`` network's router hook and
-    fallback decision but skips the kernel attach — for
-    :class:`~repro.sim.soa.batch.SoABatch`, which leases the state
-    arrays of every replica and attaches the kernels itself.
     """
     cfg = scheme.configure(cfg)
     router_cls = scheme.router_cls
@@ -60,10 +54,8 @@ def build_network(cfg: SimConfig, scheme, shared=None,
                   shared=shared)
     #: why an engine="soa" request fell back to scalar (None otherwise)
     net.soa_fallback = soa_fallback
-    #: why an attached kernel detached mid-run (None otherwise)
-    net.soa_demoted = None
     scheme.build(net)
-    if use_soa and not defer_soa:
+    if use_soa:
         from repro.sim.soa import attach
         attach(net)
     return net
@@ -72,11 +64,9 @@ def build_network(cfg: SimConfig, scheme, shared=None,
 class Simulation:
     """One (scheme, traffic, config) run."""
 
-    def __init__(self, cfg: SimConfig, scheme, traffic, shared=None,
-                 defer_soa: bool = False):
+    def __init__(self, cfg: SimConfig, scheme, traffic, shared=None):
         self.scheme = scheme
-        self.net = build_network(cfg, scheme, shared=shared,
-                                 defer_soa=defer_soa)
+        self.net = build_network(cfg, scheme, shared=shared)
         self.cfg = self.net.cfg
         net = self.net
         if self.cfg.engine == "naive":
@@ -87,30 +77,30 @@ class Simulation:
 
     @property
     def engine_used(self) -> str:
-        """Which cycle engine actually drives this run.
+        """Which cycle engine drives this run: ``naive``, ``active``,
+        ``soa`` or ``active (soa fallback: <reason>)``.
 
         Deliberately a property over live network state, not a RunResult
         field: every engine is bit-identical, so results (and the
-        campaign cache keys) must not depend on engine ids.  Evaluated
-        late so mid-run demotions (batched replicas leaving the kernel's
-        envelope) are reported truthfully.
+        campaign cache keys) must not depend on engine ids.
         """
         net = self.net
         if net.soa is not None:
             return "soa"
         if net.force_naive_step:
             return "naive"
-        if self.cfg.engine == "soa":
-            if net.soa_fallback is not None:
-                return f"active (soa fallback: {net.soa_fallback})"
-            if net.soa_demoted is not None:
-                return f"active (soa demoted: {net.soa_demoted})"
-            return "active"
+        if net.soa_fallback is not None:
+            return f"active (soa fallback: {net.soa_fallback})"
         return "active"
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         """Open-loop run: warmup, measure, drain; aggregate statistics."""
+        return self._run_open_loop()
+
+    def _run_open_loop(self) -> RunResult:
+        # The body of :meth:`run`, entered directly by ReplicaBatch so a
+        # profiler wrapping the public method sees each replica once.
         cfg = self.cfg
         net = self.net
         stats = net.stats

@@ -15,8 +15,8 @@ Two batching layers keep the pool from re-deriving identical immutable
 state: under fork start methods the executor warms the route tables for
 every distinct configuration on the parent side before the first worker
 starts (children inherit them copy-on-write), and points that differ
-only in their seed (:meth:`Point.make_seeded`) run as one lock-step
-replica batch per worker instead of R separate simulations.
+only in their seed (:meth:`Point.make_seeded`) fold into one replica
+batch per worker, built once on shared structures.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class Point:
         """A synthetic point pinned to a seed.
 
         Seed replicas of one (scheme, pattern, rate) built this way are
-        folded into a single lock-step batch by the campaign executor
+        folded into a single replica batch by the campaign executor
         while keeping their individual cache keys.
         """
         return Point(scheme, tuple(sorted(scheme_kwargs.items())),
@@ -110,9 +110,8 @@ class Point:
         The spec's full canonical token rides in ``meta``, so the
         campaign cache keys on the scenario *content* — edit any phase
         and every cached point misses; the name alone never collides.
-        Seed replicas of a chunk-aligned spec fold into lock-step
-        batches like plain synthetic points (``replica_signature``
-        checks the alignment).
+        Seed replicas of one spec fold into replica batches like plain
+        synthetic points.
         """
         meta = [("scenario", spec.token())]
         if seed is not None:

@@ -54,30 +54,27 @@ def run_point(scheme: Scheme | str, pattern: str, rate: float,
 def run_replicas(scheme: str, pattern: str, rate: float, cfg: SimConfig,
                  seeds, scheme_kwargs: dict | None = None,
                  traffic_stop: int | None = None,
-                 naive: bool = False, spec=None) -> list[RunResult]:
-    """Run one point under several seeds as a lock-step replica batch.
+                 spec=None) -> list[RunResult]:
+    """Run one point under several seeds as one seed fold.
 
     Semantically ``[run_point(scheme, pattern, rate, cfg, seed=s) for s
     in seeds]`` — each returned :class:`RunResult` is bit-identical to
     the scalar run with that seed (proven by the differential tests) —
     but the replicas share one set of immutable structures (mesh, route
-    tables, FastPass geometry) and advance together, so R seeds cost far
-    less than R scalar runs.  ``scheme`` is a registry name: every
-    replica needs its own scheme instance, so an already-built
-    :class:`Scheme` object cannot be shared the way ``run_point``
-    accepts one.
+    tables, FastPass geometry), so R seeds pay for one construction.
+    ``scheme`` is a registry name: every replica needs its own scheme
+    instance, so an already-built :class:`Scheme` object cannot be
+    shared the way ``run_point`` accepts one.
 
     Pass a :class:`~repro.scenario.spec.ScenarioSpec` as ``spec`` to
-    batch scenario replicas instead of plain synthetic ones (``pattern``
-    and ``rate`` are then taken from the spec); the batch refuses specs
-    whose phase boundaries are not aligned to the traffic refill
-    quantum — those points must run scalar.
+    fold scenario replicas instead of plain synthetic ones (``pattern``
+    and ``rate`` are then taken from the spec).
     """
     from repro.sim.batch.engine import ReplicaBatch
     batch = ReplicaBatch(cfg, scheme, pattern, rate,
                          [cfg.seed if s is None else s for s in seeds],
                          scheme_kwargs=scheme_kwargs,
-                         traffic_stop=traffic_stop, naive=naive, spec=spec)
+                         traffic_stop=traffic_stop, spec=spec)
     return batch.run()
 
 

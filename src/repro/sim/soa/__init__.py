@@ -89,13 +89,8 @@ def hooked_router_cls(cls: type) -> type:
     return sub
 
 
-def attach(net, lease=None, ri: int = 0):
-    """Build and install the kernel on ``net`` (once, before cycle 0).
-
-    With ``lease``/``ri`` the kernel's state arrays are views into row
-    ``ri`` of a :class:`~repro.sim.soa.batch.SoALease`, so a
-    :class:`~repro.sim.soa.batch.SoABatch` can screen every replica in
-    one fused pass."""
+def attach(net):
+    """Build and install the kernel on ``net`` (once, before cycle 0)."""
     from repro.sim.soa.kernel import SoAKernel
 
     require_numpy()
@@ -103,5 +98,5 @@ def attach(net, lease=None, ri: int = 0):
         raise RuntimeError("SoA kernel must attach to a fresh network")
     if net.faults is not None:
         raise RuntimeError("SoA kernel cannot drive fault-injected runs")
-    net.soa = SoAKernel(net, lease=lease, ri=ri)
+    net.soa = SoAKernel(net)
     return net.soa

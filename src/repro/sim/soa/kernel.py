@@ -67,16 +67,6 @@ version):
 The kernel never parks routers and never writes retry memos — both are
 scalar-engine skip optimizations whose skipped work is provably a no-op,
 so dropping them cannot change any observable result.
-
-Replica batching (:mod:`repro.sim.soa.batch`) stacks R of these kernels
-on one set of ``(R, ...)`` parent arrays: each kernel's state arrays are
-then numpy *views* of its replica's row, its route rows are stored with
-the replica's global offset baked in, and the per-cycle screen runs as
-one fused pass over every replica at once.  The scalar phases of the
-cycle (:meth:`SoAKernel.begin_cycle` / :meth:`SoAKernel.finish_cycle`)
-and the exact apply (:meth:`SoAKernel._apply_routers`) are unchanged —
-the batch only replaces *who computes the screen*, so per-replica
-bit-identity is inherited, not re-proven.
 """
 
 from __future__ import annotations
@@ -96,7 +86,7 @@ class SoAKernel:
     keeps its arrays coherent via write-through from that point on.
     """
 
-    def __init__(self, net, lease=None, ri: int = 0):
+    def __init__(self, net):
         from repro.sim.soa.tables import build_tables
 
         self.net = net
@@ -109,8 +99,8 @@ class SoAKernel:
         if shared is not None:
             # The dense tables are a pure function of the route memos and
             # the wiring — both already donated through SharedStructures —
-            # so one build serves every replica of a batch (the identity
-            # pin in ``claim`` keeps the reuse honest).
+            # so one build serves every replica of a seed fold (the
+            # identity pin in ``claim`` keeps the reuse honest).
             self.tables = shared.get_or_build(
                 "soa_tables", lambda: build_tables(net))
         else:
@@ -118,64 +108,31 @@ class SoAKernel:
         self._esc_stride = net.routers[0]._esc_stride
         self._inj_cap = cfg.inj_queue_pkts
 
-        #: batch lease (replica-axis parent arrays) or None standalone
-        self._lease = lease
-        if lease is None:
-            self._goff = 0          # global flat-slot offset of replica 0
-            self._loff = 0          # global (router, port) offset
-            # Per-slot state, flat-indexed g = (rid*5 + port)*V + vc.
-            self.s_has = np.zeros(N, dtype=bool)
-            self.s_ready = np.zeros(N, dtype=np.int64)
-            self.s_free = np.zeros(N, dtype=np.int64)
-            self.s_dst = np.zeros(N, dtype=np.int64)
-            self.s_vn = np.zeros(N, dtype=np.int64)
-            self.s_esc = np.zeros(N, dtype=np.int64)
-            # Persistent per-slot route rows (refreshed by _refresh_routes
-            # for slots whose packet changed; garbage — but in-bounds — for
-            # empty slots, which the ready mask excludes).
-            self.h_mo = np.full((N, 4), -1, dtype=np.int64)
-            self.h_plo = np.zeros((N, 4), dtype=np.int64)
-            self.h_phi = np.zeros((N, 4), dtype=np.int64)
-            self.h_lidx = np.zeros((N, 4), dtype=np.int64)
-            self.h_valid = np.zeros((N, 4), dtype=bool)
-            self.h_ej = np.zeros(N, dtype=bool)
-            #: reusable credit prefix-sum buffer (screen scratch)
-            self._pref = np.empty(N + 1, dtype=np.int64)
-            self._pref[0] = 0
-            # Per-(router, port) timer mirrors consulted by the screen.
-            self.in_busy = np.zeros((R, 5), dtype=np.int64)
-            self.link_busy = np.zeros((R, 5), dtype=np.int64)
-            self.dport_l = self.tables.dport_l
-        else:
-            # Views into the batch-owned parents: every scalar
-            # write-through below lands in the fused arrays for free.
-            # Route rows (and link indices) are stored with this
-            # replica's global offset baked in, so the fused screen
-            # gathers without per-cycle index arithmetic, and the apply
-            # loop scans the batch's *global* free list directly.
-            self._goff = ri * N
-            self._loff = ri * R * 5
-            self.s_has = lease.s_has[ri]
-            self.s_ready = lease.s_ready[ri]
-            self.s_free = lease.s_free[ri]
-            self.s_dst = lease.s_dst[ri]
-            self.s_vn = lease.s_vn[ri]
-            self.s_esc = lease.s_esc[ri]
-            self.h_mo = lease.h_mo[ri]
-            self.h_plo = lease.h_plo[ri]
-            self.h_phi = lease.h_phi[ri]
-            self.h_lidx = lease.h_lidx[ri]
-            self.h_valid = lease.h_valid[ri]
-            self.h_ej = lease.h_ej[ri]
-            self._pref = None       # the batch owns the fused prefix sum
-            self.in_busy = lease.in_busy[ri]
-            self.link_busy = lease.link_busy[ri]
-            goff = self._goff
-            self.dport_l = [[d + goff if d >= 0 else -1 for d in row]
-                            for row in self.tables.dport_l]
+        # Per-slot state, flat-indexed g = (rid*5 + port)*V + vc.
+        self.s_has = np.zeros(N, dtype=bool)
+        self.s_ready = np.zeros(N, dtype=np.int64)
+        self.s_free = np.zeros(N, dtype=np.int64)
+        self.s_dst = np.zeros(N, dtype=np.int64)
+        self.s_vn = np.zeros(N, dtype=np.int64)
+        self.s_esc = np.zeros(N, dtype=np.int64)
         self.s_pkt: list = [None] * N
+        # Persistent per-slot route rows (refreshed by _refresh_routes
+        # for slots whose packet changed; garbage — but in-bounds — for
+        # empty slots, which the ready mask excludes).
+        self.h_mo = np.full((N, 4), -1, dtype=np.int64)
+        self.h_plo = np.zeros((N, 4), dtype=np.int64)
+        self.h_phi = np.zeros((N, 4), dtype=np.int64)
+        self.h_lidx = np.zeros((N, 4), dtype=np.int64)
+        self.h_valid = np.zeros((N, 4), dtype=bool)
+        self.h_ej = np.zeros(N, dtype=bool)
+        #: reusable credit prefix-sum buffer (screen scratch)
+        self._pref = np.empty(N + 1, dtype=np.int64)
+        self._pref[0] = 0
         #: slots whose route rows are stale (packet changed)
         self._route_dirty: list[int] = []
+        # Per-(router, port) timer mirrors consulted by the screen.
+        self.in_busy = np.zeros((R, 5), dtype=np.int64)
+        self.link_busy = np.zeros((R, 5), dtype=np.int64)
         #: FastFlow-window presence per output port — only read by the
         #: apply loop, so a plain nested list beats an array here
         self.fp_any = [[False] * 5 for _ in range(R)]
@@ -261,18 +218,10 @@ class SoAKernel:
             vb = t.vn_base[self.s_vn[g]][:, None]
             plo = plo + vb
             phi = phi + vb
-        lidx = t.mv_lidx[rid, dst, esc]
-        if self._goff:
-            # Batched replica: bake the replica offset into the stored
-            # rows once, at refresh time, so the fused screen and the
-            # apply loop index the batch-global arrays directly.
-            plo = plo + self._goff
-            phi = phi + self._goff
-            lidx = lidx + self._loff
         self.h_mo[g] = t.mv_out[rid, dst, esc]
         self.h_plo[g] = plo
         self.h_phi[g] = phi
-        self.h_lidx[g] = lidx
+        self.h_lidx[g] = t.mv_lidx[rid, dst, esc]
         self.h_valid[g] = t.mv_valid[rid, dst, esc]
         self.h_ej[g] = t.mv_ej[rid, dst, esc]
 
@@ -325,42 +274,9 @@ class SoAKernel:
             act.add(rid)
         self._sync_slot(rid, slot)
 
-    # -- demotion --------------------------------------------------------
-    def detach(self, reason: str) -> None:
-        """Hand the network back to the scalar engine mid-run.
-
-        Flushes the deferred-rotation backlog (every skipped scalar step
-        was arbitration-only, so replaying the rotations restores the
-        exact round-robin state the scalar engine would hold), restores
-        the out-of-band sinks, and clears ``net.soa``.  Safe at any
-        cycle boundary: kernel-driven routers never park, so no replay
-        of parked state is needed.
-        """
-        net = self.net
-        S = net.switch_cycles
-        for rid, router in enumerate(net.routers):
-            k = S - self.defer[rid]
-            self.defer[rid] = S
-            occ = router.occupied
-            if k > 0 and occ:
-                rot, router.rr = skipped_rotation(router.rr, len(occ), k)
-                if rot:
-                    router.occupied = occ[rot:] + occ[:rot]
-        for link in net.links:
-            link.dirty_sink = None
-        if self._mgr is not None:
-            self._mgr.slot_sink = None
-        net.soa = None
-        net.soa_demoted = reason
-
     # -- the fused cycle -------------------------------------------------
     def step(self) -> None:
-        """One full cycle, standalone (a batched replica is stepped by
-        its :class:`~repro.sim.soa.batch.SoABatch` instead)."""
-        if self._lease is not None:
-            raise RuntimeError(
-                "batched SoA replica must be stepped by its SoABatch "
-                "(its screen scratch lives in the batch)")
+        """One full cycle."""
         now = self.begin_cycle()
         if self.net._r_active or self._force:
             self._router_phase(now)
@@ -370,14 +286,6 @@ class SoAKernel:
         """The pre-switch phases of one cycle: scheme pre-hook, events,
         out-of-band absorption, traffic, the screened injection pass, and
         the switch-cycle advance.  Returns ``now``."""
-        now = self.begin_pre()
-        self.begin_inject(now)
-        return now
-
-    def begin_pre(self) -> int:
-        """Scheme pre-hook, events, dirty drain, and traffic — every
-        pre-switch phase that precedes the injection screen.  Returns
-        ``now``."""
         net = self.net
         now = net.cycle
         if net.suspended:
@@ -394,21 +302,13 @@ class SoAKernel:
             self._drain_dirty()
         if net.traffic is not None:
             net.traffic.generate(net, now)
-        return now
-
-    def begin_inject(self, now: int, loc_free=None) -> None:
-        """The screened injection pass plus the switch-cycle advance.
-        ``loc_free`` (per-router "any claimable local-port VC") may be
-        precomputed by a batch's fused pass; standalone it is derived
-        from this kernel's own mirrors."""
-        net = self.net
         if net._inj_active:
             nis = net.nis
             cap = self._inj_cap
-            if loc_free is None:
-                loc_free = ((~self.s_has & (self.s_free <= now))
-                            .reshape(self.R, 5, self.V)[:, 0, :]
-                            .any(axis=1).tolist())
+            # Per-router "any claimable local-port VC" from the mirrors.
+            loc_free = ((~self.s_has & (self.s_free <= now))
+                        .reshape(self.R, 5, self.V)[:, 0, :]
+                        .any(axis=1).tolist())
             for nid in sorted(net._inj_active):
                 ni = nis[nid]
                 if now < ni._inj_skip:
@@ -489,11 +389,9 @@ class SoAKernel:
     def _apply_routers(self, now: int, mat_list, feas, free_l, cnt) -> None:
         """Exact scalar arbitration for the screened candidate routers.
 
-        ``mat_list``/``feas``/``free_l``/``cnt`` come from the screen —
-        either this kernel's own :meth:`_router_phase` or a fused
-        multi-replica screen (:class:`repro.sim.soa.batch.SoABatch`)
-        that built them from this replica's lease views. ``feas`` keys
-        are replica-local slot indices (``slot.gidx``).
+        ``mat_list``/``feas``/``free_l``/``cnt`` come from the screen in
+        :meth:`_router_phase`; ``feas`` keys are flat slot indices
+        (``slot.gidx``).
         """
         net = self.net
         force = self._force
@@ -597,7 +495,7 @@ class SoAKernel:
         size = pkt.size
         links_out = router.links_out
         fp_row = self.fp_any[rid]
-        dp_row = self.dport_l[rid]
+        dp_row = self.tables.dport_l[rid]
         for ki in range(4):
             out = mo_r[ki]
             if out < 0:

@@ -39,24 +39,21 @@ from repro.network.topology import PORT_LOCAL
 MAX_MOVES = 4
 
 
-def flat_index_bound(R: int, V: int, replicas: int = 1) -> int:
-    """Largest flat slot index the ``(replica, router, port, vc)``
-    coordinate system can produce, with a loud guard against int64
-    overflow.
+def flat_index_bound(R: int, V: int) -> int:
+    """Largest flat slot index the ``(router, port, vc)`` coordinate
+    system can produce, with a loud guard against int64 overflow.
 
-    The kernel's flat index is ``(((ri * R) + rid) * 5 + port) * V + vc``
-    and every derived table (``dport_base``, ``mv_plo/mv_phi``, the
-    replica offsets baked into lease-kernel route rows) lives in the same
-    int64 space.  The bound is checked eagerly so a pathological
-    ``mesh x replicas`` product fails at build time with the computed
-    value instead of silently wrapping inside a gather.
+    The kernel's flat index is ``(rid * 5 + port) * V + vc`` and every
+    derived table (``dport_base``, ``mv_plo/mv_phi``) lives in the same
+    int64 space.  The bound is checked eagerly so a pathological mesh
+    fails at build time with the computed value instead of silently
+    wrapping inside a gather.
     """
-    bound = replicas * R * 5 * V
+    bound = R * 5 * V
     if bound >= np.iinfo(np.int64).max:
         raise OverflowError(
-            f"flat SoA slot index space {bound} (replicas={replicas}, "
-            f"R={R}, V={V}) overflows int64 "
-            f"(max {np.iinfo(np.int64).max})")
+            f"flat SoA slot index space {bound} (R={R}, V={V}) "
+            f"overflows int64 (max {np.iinfo(np.int64).max})")
     return bound
 
 

@@ -101,13 +101,6 @@ class SyntheticTraffic:
         self.measured_generated = 0
         self._by_cycle: dict[int, list] = {}
         self._chunk_end = 0
-        #: start cycle of the current chunk and the per-cycle event counts
-        #: within it (exact, post src==dst filtering).  The replica-batch
-        #: scheduler reads these to prove a cycle is event-free — and so
-        #: that skipping a replica's ``generate`` call on such a cycle is
-        #: a no-op by construction.
-        self._chunk_start = 0
-        self._chunk_counts = None
         self._net = None
         self._fixed_dst: list[int] | None = None
 
@@ -139,7 +132,6 @@ class SyntheticTraffic:
         hits = self.rng.random((chunk, n)) < self.rate
         cyc_idx, src_idx = np.nonzero(hits)
         k = len(cyc_idx)
-        counts = np.bincount(cyc_idx, minlength=chunk)
         if k:
             cls_pick = np.searchsorted(_MIX_CUM, self.rng.random(k))
             if self.pattern == "uniform":
@@ -153,13 +145,10 @@ class SyntheticTraffic:
                 d = int(dsts[i])
                 dst = d if d < src else d + 1
             if dst == src:
-                counts[cyc_idx[i]] -= 1
                 continue  # fixed-pattern fixed points do not inject
             cls = _MIX_CLASSES[min(int(cls_pick[i]), 5)]
             cycle = start + int(cyc_idx[i])
             by_cycle.setdefault(cycle, []).append((src, dst, int(cls)))
-        self._chunk_start = start
-        self._chunk_counts = counts
         self._chunk_end = start + chunk
 
     def generate(self, net, now: int) -> None:

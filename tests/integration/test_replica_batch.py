@@ -1,15 +1,14 @@
-"""Differential proof that lock-step replica batching is bit-identical
-to scalar execution.
+"""Differential proof that seed folding is bit-identical to scalar
+execution.
 
 Every replica of a :class:`~repro.sim.batch.engine.ReplicaBatch` must
 return exactly the :class:`~repro.config.RunResult` that a scalar
 ``run_point`` with the same seed produces — every dataclass field plus
 the ``extra`` dict — on all three step engines (active-set, naive and
-the fused replica-batched SoA kernel), with FastPass bounces occurring,
-under transient faults, mid-run per-replica demotion, and while the
-whole-replica parking fast-path is engaging.  The paranoia audit stays
-on for the plain runs, so structural corruption introduced by structure
-sharing would be caught at its source.
+the SoA kernel), with FastPass bounces occurring and under transient
+faults, and must report the engine that actually drove it.  The paranoia
+audit stays on for the plain runs, so structural corruption introduced
+by structure sharing would be caught at its source.
 """
 
 import dataclasses
@@ -55,224 +54,91 @@ def assert_results_equal(scalar, batched, label):
             f"{label}: extra[{k!r}] differs"
 
 
-def _scalar(scheme, pattern, rate, cfg, seed, naive=False, **kwargs):
-    import repro.sim.runner as runner
-    if naive:
-        # run_point has no naive switch; pin the flag via Simulation.
-        from repro.sim.engine import Simulation
-        from repro.traffic.synthetic import SyntheticTraffic
-        sim = Simulation(cfg, get_scheme(scheme, **kwargs),
-                         SyntheticTraffic(pattern, rate, seed=seed))
-        sim.net.force_naive_step = True
-        res = sim.run()
-        res.extra["rate"] = rate
-        res.extra["pattern"] = pattern
-        return res
-    return runner.run_point(get_scheme(scheme, **kwargs), pattern, rate,
-                            cfg, seed=seed)
+ENGINES = pytest.mark.parametrize(
+    "engine", ["active", "naive", "soa"],
+    ids=["active-set", "naive", "soa"])
 
 
-@pytest.mark.parametrize("naive", [False, True],
-                         ids=["active-set", "naive"])
+def _check(cfg, scheme, kwargs, rate, seeds, batched, label,
+           engine_used=None, **run_kw):
+    """Each folded replica equals the scalar ``run_point`` on the same
+    config (same engine) — and, off the default engine, the active-set
+    reference too — and reports the engine that drove it."""
+    engine_used = engine_used or cfg.engine
+    for seed, res in zip(seeds, batched):
+        scalar = run_point(get_scheme(scheme, **kwargs), "uniform", rate,
+                           cfg, seed=seed, **run_kw)
+        assert scalar.engine_used == res.engine_used == engine_used
+        assert_results_equal(scalar, res, f"{label} seed={seed}")
+        if cfg.engine != "active":
+            active = run_point(get_scheme(scheme, **kwargs), "uniform",
+                               rate, cfg.with_(engine="active"),
+                               seed=seed, **run_kw)
+            assert_results_equal(active, res,
+                                 f"{label} vs active-set seed={seed}")
+
+
+@ENGINES
 @pytest.mark.parametrize("scheme,kwargs,rate", [
     ("fastpass", {"n_vcs": 2}, 0.30),
     ("escapevc", {}, 0.08),
 ])
-def test_batch_matches_scalar(scheme, kwargs, rate, naive):
-    cfg = _cfg()
-    batch = ReplicaBatch(cfg, scheme, "uniform", rate, SEEDS,
-                         scheme_kwargs=kwargs, naive=naive)
-    batched = batch.run()
-    for seed, res in zip(SEEDS, batched):
-        scalar = _scalar(scheme, "uniform", rate, cfg, seed,
-                         naive=naive, **kwargs)
-        assert_results_equal(scalar, res,
-                             f"{scheme}@{rate} seed={seed} naive={naive}")
-        assert res.ejected > 0
+def test_batch_matches_scalar(scheme, kwargs, rate, engine):
+    cfg = _cfg(engine=engine)
+    batched = ReplicaBatch(cfg, scheme, "uniform", rate, SEEDS,
+                           scheme_kwargs=kwargs).run()
+    _check(cfg, scheme, kwargs, rate, SEEDS, batched,
+           f"{scheme}@{rate} {engine}")
+    assert all(res.ejected > 0 for res in batched)
 
 
-@pytest.mark.parametrize("naive", [False, True],
-                         ids=["active-set", "naive"])
-def test_batch_matches_scalar_with_bounces(monkeypatch, naive):
+@ENGINES
+def test_batch_matches_scalar_with_bounces(monkeypatch, engine):
     """A FastPass run in which the bounce protocol demonstrably fires.
 
     Synthetic sinks normally drain too fast for ejection queues to fill,
     so throttle the NI consume bandwidth to zero (equally for both
     sides) with single-entry ejection queues: FastPass deliveries then
-    find full queues and must reserve-and-bounce — the scalar-fallback
-    corner the batch engine must reproduce exactly."""
+    find full queues and must reserve-and-bounce — on the SoA engine
+    inside the kernel, with no fallback."""
     from repro.network.ni import NetworkInterface
     monkeypatch.setattr(NetworkInterface, "CONSUME_RATE", 0)
-    cfg = _cfg(ej_queue_pkts=1)
+    cfg = _cfg(engine=engine, ej_queue_pkts=1)
     batch = ReplicaBatch(cfg, "fastpass", "uniform", 0.30, SEEDS,
-                         scheme_kwargs={"n_vcs": 2}, naive=naive)
+                         scheme_kwargs={"n_vcs": 2})
     batched = batch.run()
     assert sum(s.net.fastpass.engine.bounced
                for s in batch.sims) > 0, "no bounces provoked"
-    for seed, res in zip(SEEDS, batched):
-        scalar = _scalar("fastpass", "uniform", 0.30, cfg, seed,
-                         naive=naive, n_vcs=2)
-        assert_results_equal(scalar, res,
-                             f"bounces seed={seed} naive={naive}")
+    _check(cfg, "fastpass", {"n_vcs": 2}, 0.30, SEEDS, batched,
+           f"bounces {engine}")
 
 
+@ENGINES
 @pytest.mark.parametrize("scheme,kwargs", [("fastpass", {"n_vcs": 2}),
                                            ("escapevc", {})])
-def test_batch_matches_scalar_under_faults(scheme, kwargs):
-    """Transient faults force every replica onto the scalar step path
-    (no parking) and mutate routing state mid-run — results must still
-    match scalar runs field for field."""
+def test_batch_matches_scalar_under_faults(scheme, kwargs, engine):
+    """Transient faults mutate routing state mid-run — results must still
+    match scalar runs field for field.  The SoA kernel cannot screen
+    out-of-band timer and route mutations, so an ``engine="soa"`` fold
+    declines to vectorize (whole-run scalar fallback, reported as such)."""
     plan = FaultPlan(
         events=(FaultEvent(LINK_FLAP, at=150, router=5, port=2,
                            duration=120),),
         rate=0.002, start=100, stop=400, seed=3)
-    cfg = _cfg(paranoia=0).with_(fault_plan=plan)
+    cfg = _cfg(engine=engine, paranoia=0).with_(fault_plan=plan)
     seeds = SEEDS[:3]
     batched = run_replicas(scheme, "uniform", 0.08, cfg, seeds,
                            scheme_kwargs=kwargs, traffic_stop=500)
-    for seed, res in zip(seeds, batched):
-        scalar = run_point(get_scheme(scheme, **kwargs), "uniform", 0.08,
-                           cfg, seed=seed, traffic_stop=500)
-        assert_results_equal(scalar, res, f"{scheme} faults seed={seed}")
-        assert "faults" in res.extra
-
-
-def test_parking_engages_and_stays_bit_identical():
-    """At a very low rate whole replicas go idle for long stretches; the
-    batch must actually fast-forward them (the perf win) while staying
-    bit-identical to the scalar runs it skipped cycles of."""
-    cfg = _cfg(paranoia=0)
-    seeds = SEEDS
-    batch = ReplicaBatch(cfg, "fastpass", "uniform", 0.002, seeds,
-                         scheme_kwargs={"n_vcs": 2})
-    batched = batch.run()
-    assert batch.skipped_cycles > 0, "parking never engaged"
-    for seed, res in zip(seeds, batched):
-        scalar = run_point(get_scheme("fastpass", n_vcs=2), "uniform",
-                           0.002, cfg, seed=seed)
-        assert_results_equal(scalar, res, f"parked seed={seed}")
-
-
-def test_paranoia_disables_parking_but_not_batching():
-    """With the paranoia audit on, replicas are never quiet (the audit
-    is a per-cycle side effect the fast-forward cannot replay), yet the
-    batch still runs and matches scalar."""
-    cfg = _cfg(paranoia=50)
-    batch = ReplicaBatch(cfg, "escapevc", "uniform", 0.002, SEEDS[:2])
-    batched = batch.run()
-    assert batch.skipped_cycles == 0
-    for seed, res in zip(SEEDS[:2], batched):
-        scalar = run_point(get_scheme("escapevc"), "uniform", 0.002,
-                           cfg, seed=seed)
-        assert_results_equal(scalar, res, f"paranoia seed={seed}")
+    used = engine if engine != "soa" else (
+        "active (soa fallback: fault injection mutates timers and "
+        "routes out of band)")
+    _check(cfg, scheme, kwargs, 0.08, seeds, batched,
+           f"{scheme} faults {engine}", engine_used=used,
+           traffic_stop=500)
+    assert all("faults" in res.extra for res in batched)
 
 
 def test_run_replicas_defaults_seed_from_config():
     cfg = _cfg(seed=9, paranoia=0)
     batched = run_replicas("baseline", "uniform", 0.05, cfg, [None, 9])
     assert_results_equal(batched[0], batched[1], "default-seed")
-
-
-def test_aggregate_reduces_across_replicas():
-    cfg = _cfg(paranoia=0)
-    batch = ReplicaBatch(cfg, "escapevc", "uniform", 0.05, SEEDS[:3])
-    agg = batch.aggregate(batch.run())
-    assert agg["replicas"] == 3
-    assert agg["avg_latency_min"] <= agg["avg_latency_mean"] \
-        <= agg["avg_latency_max"]
-    assert agg["deadlocked"] == 0
-    assert agg["cycles_total"] > 0
-
-
-# ----------------------------------------------------------------------
-# Replica-batched SoA: one fused numpy screen across all seeds.
-
-@pytest.mark.parametrize("rate", [0.20, 0.30])
-def test_soa_batch_matches_scalar(rate):
-    """The fused replica-axis kernel must be bit-identical on both
-    differential axes: versus a scalar run with the standalone SoA
-    kernel, and versus the active-set reference engine."""
-    cfg = _cfg(engine="soa")
-    batch = ReplicaBatch(cfg, "fastpass", "uniform", rate, SEEDS,
-                         scheme_kwargs={"n_vcs": 2})
-    batched = batch.run()
-    assert batch.soa is not None, "batch never built a fused kernel"
-    assert batch.soa.demoted == {}
-    assert batch.soa.vectorized == list(range(len(SEEDS)))
-    for seed, res in zip(SEEDS, batched):
-        assert res.engine_used == "soa"
-        soa_scalar = run_point(get_scheme("fastpass", n_vcs=2),
-                               "uniform", rate, cfg, seed=seed)
-        assert soa_scalar.engine_used == "soa"
-        assert_results_equal(soa_scalar, res,
-                             f"vs scalar-soa @{rate} seed={seed}")
-        active = run_point(get_scheme("fastpass", n_vcs=2), "uniform",
-                           rate, _cfg(), seed=seed)
-        assert_results_equal(active, res,
-                             f"vs active-set @{rate} seed={seed}")
-        assert res.ejected > 0
-
-
-def test_soa_batch_matches_scalar_with_bounces(monkeypatch):
-    """Provoked FastPass bounces (zero NI consume bandwidth, one-entry
-    ejection queues) are handled inside the fused kernel — no replica
-    may silently demote, and every field must still match scalar."""
-    from repro.network.ni import NetworkInterface
-    monkeypatch.setattr(NetworkInterface, "CONSUME_RATE", 0)
-    cfg = _cfg(engine="soa", ej_queue_pkts=1)
-    batch = ReplicaBatch(cfg, "fastpass", "uniform", 0.30, SEEDS,
-                         scheme_kwargs={"n_vcs": 2})
-    batched = batch.run()
-    assert batch.soa is not None
-    assert batch.soa.demoted == {}
-    assert sum(s.net.fastpass.engine.bounced
-               for s in batch.sims) > 0, "no bounces provoked"
-    for seed, res in zip(SEEDS, batched):
-        assert res.engine_used == "soa"
-        scalar = run_point(get_scheme("fastpass", n_vcs=2), "uniform",
-                           0.30, cfg, seed=seed)
-        assert_results_equal(scalar, res, f"soa bounces seed={seed}")
-
-
-def test_soa_batch_demotes_one_replica_mid_run():
-    """A mid-run demotion drops exactly one replica to the scalar step
-    path while the rest of the batch stays vectorized — and every
-    replica, demoted or not, remains bit-identical to its scalar run."""
-    cfg = _cfg(engine="soa")
-    seeds = SEEDS[:3]
-    batch = ReplicaBatch(cfg, "fastpass", "uniform", 0.20, seeds,
-                         scheme_kwargs={"n_vcs": 2})
-    assert batch.soa is not None
-    batch.sims[1].net.schedule(
-        137, lambda now: batch.soa.demote(1, "test-demotion"))
-    batched = batch.run()
-    assert batch.soa.demoted == {1: "test-demotion"}
-    assert batch.soa.vectorized == [0, 2]
-    assert [r.engine_used for r in batched] == \
-        ["soa", "active (soa demoted: test-demotion)", "soa"]
-    for seed, res in zip(seeds, batched):
-        scalar = run_point(get_scheme("fastpass", n_vcs=2), "uniform",
-                           0.20, cfg, seed=seed)
-        assert_results_equal(scalar, res, f"demoted seed={seed}")
-
-
-def test_soa_batch_falls_back_under_faults():
-    """Transient faults mutate timers and routes out of band, which the
-    fused kernel cannot screen; the batch must decline to vectorize
-    (whole-run scalar fallback) and still match scalar bit for bit."""
-    plan = FaultPlan(
-        events=(FaultEvent(LINK_FLAP, at=150, router=5, port=2,
-                           duration=120),),
-        rate=0.002, start=100, stop=400, seed=3)
-    cfg = _cfg(engine="soa", paranoia=0).with_(fault_plan=plan)
-    seeds = SEEDS[:3]
-    batch = ReplicaBatch(cfg, "fastpass", "uniform", 0.08, seeds,
-                         scheme_kwargs={"n_vcs": 2},
-                         traffic_stop=500)
-    batched = batch.run()
-    assert batch.soa is None, "fused kernel must refuse fault plans"
-    for seed, res in zip(seeds, batched):
-        assert "fallback" in res.engine_used
-        scalar = run_point(get_scheme("fastpass", n_vcs=2), "uniform",
-                           0.08, cfg, seed=seed, traffic_stop=500)
-        assert_results_equal(scalar, res, f"soa faults seed={seed}")

@@ -1,18 +1,16 @@
 """Scenario points through the campaign layer: replica-fold safety,
 cache identity, and the CLI entry points.
 
-The replica batch advances all seeds in lock step against one shared
-256-cycle traffic refill clock, so a scenario whose phase boundaries do
-not land on that quantum *must not* fold — the clamped per-phase fills
-would desynchronise the shared matrix.  These tests provoke exactly
-that misalignment and pin the guard at every layer: the batch engine,
-the grouping signature, and the executor's auto-fold.
+Seed replicas of a scenario fold like plain synthetic points whatever
+their phase boundaries: each replica runs on its own refill clock, so a
+spec whose boundaries miss the 256-cycle refill quantum (phase-clamped,
+ragged fills) must fold *and* stay field-for-field equal to its scalar
+runs.  These tests provoke exactly that misalignment at every layer:
+the batch engine, the grouping signature, and the executor's auto-fold.
 """
 
 import dataclasses
 import math
-
-import pytest
 
 from repro.campaign.context import get_context
 from repro.campaign.executor import CampaignExecutor, group_items
@@ -23,7 +21,6 @@ from repro.scenario.runner import run_scenario
 from repro.scenario.spec import SCENARIOS, PhaseSpec, ScenarioSpec
 from repro.sim.parallel import Point
 from repro.sim.runner import run_replicas
-from repro.traffic.synthetic import SyntheticTraffic
 
 ALIGNED = SCENARIOS["bursty"]
 MISALIGNED = ScenarioSpec("offgrid", (PhaseSpec(duration=300, rate=0.05),
@@ -45,27 +42,25 @@ def _same_result(a, b, label):
 
 
 class TestReplicaFoldGuard:
-    def test_misaligned_spec_refused_by_batch(self):
-        assert not MISALIGNED.chunk_aligned(SyntheticTraffic.CHUNK)
-        with pytest.raises(ValueError, match="not aligned"):
-            run_replicas("fastpass", "x", 0.05, _cfg(), seeds=[1, 2],
-                         spec=MISALIGNED)
+    def test_misaligned_spec_folds_exactly(self):
+        """The regression the 256-cycle guard used to route around: a
+        misaligned spec through the fold, per seed against the scalar
+        worker path."""
+        pts = [Point.make_scenario("fastpass", MISALIGNED, seed=s)
+               for s in (1, 2, 3)]
+        assert any(b % 256 for b in MISALIGNED.boundaries())
+        grouped = execute_group(pts, _cfg())
+        for point, res in zip(pts, grouped):
+            assert res.ejected > 0
+            _same_result(res, execute_point(point, _cfg()), point.meta)
 
-    def test_replica_signature_gates_on_alignment(self):
-        ok = Point.make_scenario("fastpass", ALIGNED, seed=1)
-        bad = Point.make_scenario("fastpass", MISALIGNED, seed=1)
-        assert replica_signature(ok) is not None
-        assert replica_signature(bad) is None
-
-    def test_group_items_routes_misaligned_scalar(self):
-        pts = [(i, Point.make_scenario("fastpass", MISALIGNED, seed=s))
-               for i, s in enumerate([1, 2, 3])]
-        groups = group_items(pts, auto_batch=True)
-        assert all(len(g) == 1 for g in groups), \
-            "misaligned scenario replicas were folded into a batch"
-        aligned = [(i, Point.make_scenario("fastpass", ALIGNED, seed=s))
+    def test_group_items_folds_misaligned(self):
+        for spec in (ALIGNED, MISALIGNED):
+            pts = [(i, Point.make_scenario("fastpass", spec, seed=s))
                    for i, s in enumerate([1, 2, 3])]
-        assert [len(g) for g in group_items(aligned, True)] == [3]
+            assert len({replica_signature(p) for _, p in pts}) == 1
+            assert [len(g) for g in group_items(pts, True)] == [3], \
+                f"{spec.name} replicas were not folded into one batch"
 
     def test_aligned_fold_is_bit_identical_to_scalar(self):
         seeds = [3, 4, 5]
@@ -84,9 +79,8 @@ class TestReplicaFoldGuard:
 
     def test_executor_runs_misaligned_points_correctly(self):
         """End to end through the auto-batching executor: three
-        misaligned replicas must come back equal to their scalar runs
-        (the fold guard silently degrading results would pass a weaker
-        smoke test)."""
+        misaligned replicas (one folded task) must come back equal to
+        their scalar runs."""
         seeds = [1, 2, 3]
         pts = [Point.make_scenario("fastpass", MISALIGNED, seed=s)
                for s in seeds]

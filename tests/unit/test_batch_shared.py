@@ -1,6 +1,5 @@
 """Unit tests for the replica-batch sharing layer: SharedStructures,
-the process-level prewarm cache, the affinity-aware worker count, and
-the cross-replica TrafficMatrix."""
+the process-level prewarm cache and the affinity-aware worker count."""
 
 import os
 
@@ -16,9 +15,7 @@ from repro.sim.batch.shared import (
     structures_key,
     warm_process_cache,
 )
-from repro.sim.batch.traffic import _FAR, TrafficMatrix
 from repro.sim.engine import build_network
-from repro.traffic.synthetic import SyntheticTraffic
 
 
 @pytest.fixture(autouse=True)
@@ -134,69 +131,3 @@ class TestDefaultWorkers:
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert default_workers() == 1
-
-
-class _MeshOnly:
-    """The slice of Network that SyntheticTraffic.bind/_fill read."""
-
-    def __init__(self):
-        from repro.network.topology import Mesh
-        self.mesh = Mesh(4, 4)
-
-
-class TestTrafficMatrix:
-    def _traffics(self, n=2, rate=0.05, stop=None):
-        out = []
-        for i in range(n):
-            t = SyntheticTraffic("uniform", rate, seed=10 + i, stop=stop)
-            t.bind(_MeshOnly())
-            out.append(t)
-        return out
-
-    def test_counts_match_scalar_events(self):
-        ts = self._traffics()
-        m = TrafficMatrix(ts)
-        m.ensure(0, range(len(ts)))
-        for ri, t in enumerate(ts):
-            for c in range(t._chunk_start, t._chunk_end):
-                expected = len(t._by_cycle.get(c, ()))
-                assert m.quiet_at(ri, c) == (expected == 0)
-                assert m._counts[ri, c - t._chunk_start] == expected
-
-    def test_next_event_is_first_busy_cycle(self):
-        ts = self._traffics(n=1, rate=0.01)
-        m = TrafficMatrix(ts)
-        m.ensure(0, [0])
-        t = ts[0]
-        busy = sorted(t._by_cycle)
-        if busy:
-            assert m.next_event(0, 0) == busy[0]
-            # From just past the last event, the refill boundary is next.
-            assert m.next_event(0, busy[-1] + 1) == t._chunk_end
-        else:
-            assert m.next_event(0, 0) == t._chunk_end
-
-    def test_next_event_outside_chunk_is_conservative(self):
-        ts = self._traffics(n=1)
-        m = TrafficMatrix(ts)
-        m.ensure(0, [0])
-        end = ts[0]._chunk_end
-        assert m.next_event(0, end) == end  # unknown -> "busy now"
-
-    def test_stopped_source_is_far(self):
-        ts = self._traffics(n=1, rate=0.5, stop=10)
-        m = TrafficMatrix(ts)
-        m.ensure(0, [0])
-        assert m.next_event(0, 10) == _FAR
-        assert m.quiet_at(0, 10)
-
-    def test_ensure_refills_at_exact_boundary(self):
-        ts = self._traffics(n=1)
-        m = TrafficMatrix(ts)
-        m.ensure(0, [0])
-        end = ts[0]._chunk_end
-        m.ensure(end - 1, [0])
-        assert ts[0]._chunk_end == end      # not yet
-        m.ensure(end, [0])
-        assert ts[0]._chunk_start == end    # refilled exactly at end
-        assert ts[0]._chunk_end > end

@@ -307,9 +307,12 @@ class TestBatchSnapshot:
         assert rc == 1
         assert "BATCH REGRESSION" in capsys.readouterr().out
 
-    def test_drift_raises(self, tmp_path, monkeypatch):
+    def test_drift_raises(self, tmp_path, monkeypatch, capsys):
         """A batch result that diverges from its scalar twin is a hard
-        error, not a gate ratio."""
+        error, not a gate ratio: ``ResultDrift`` from the harness, exit
+        2 (no traceback, nothing written) from the CLI — the same
+        contract as the SoA A/B."""
+        from repro.experiments import cli
         self._shrink(monkeypatch, tmp_path)
         from repro.sim.batch.engine import ReplicaBatch
         orig = ReplicaBatch.run
@@ -320,8 +323,15 @@ class TestBatchSnapshot:
             return out
 
         monkeypatch.setattr(ReplicaBatch, "run", corrupt)
-        with pytest.raises(RuntimeError, match="drifted"):
+        with pytest.raises(perf.ResultDrift, match="drifted"):
             perf.run_batch_snapshot(replicas=2, repeat=1)
+        out = tmp_path / "batch.json"
+        rc = cli.main(["perf", "snapshot", "--replicas", "2",
+                       "--no-history", "--out", str(tmp_path / "n.json"),
+                       "--batch-out", str(out)])
+        assert rc == 2
+        assert "BATCH RESULT DRIFT" in capsys.readouterr().out
+        assert not out.exists()
 
 
 def _soa_snap(gate_speedup, points=()):

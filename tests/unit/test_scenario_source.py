@@ -49,13 +49,6 @@ class TestFillClamping:
             t._fill(start)
             assert t._chunk_end == start + 256
 
-    def test_counts_match_events(self):
-        t = bound(ScenarioSpec("c", (PhaseSpec(duration=256, rate=0.2),)))
-        t._fill(0)
-        for cyc in range(256):
-            staged = len(t._by_cycle.get(cyc, ()))
-            assert staged == t._chunk_counts[cyc]
-
 
 class TestPatternsAndHotspots:
     def test_phase_pattern_respected(self):

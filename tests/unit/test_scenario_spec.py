@@ -96,13 +96,6 @@ class TestPhaseClock:
         assert spec.phase_at(0).pattern == "uniform"
         assert spec.phase_at(300).pattern == "transpose"
 
-    def test_chunk_aligned(self):
-        assert two_phase().chunk_aligned(256)
-        mis = ScenarioSpec("mis", (PhaseSpec(duration=300),
-                                   PhaseSpec(duration=212)))
-        assert not mis.chunk_aligned(256)
-        assert mis.chunk_aligned(4)
-
 
 class TestRates:
     def test_mean_rate_duration_weighted(self):
@@ -161,10 +154,6 @@ class TestJson:
 
 
 class TestLibrary:
-    def test_library_specs_are_chunk_aligned(self):
-        for spec in SCENARIOS.values():
-            assert spec.chunk_aligned(256), spec.name
-
     def test_library_hotspots_fit_4x4(self):
         for spec in SCENARIOS.values():
             for phase in spec.phases:

@@ -5,8 +5,9 @@ The bit-identity differentials live in
 pieces around the kernel: availability gating (``EngineUnavailable``
 with the ``[soa]`` install hint), config validation, the dense route
 tables' full ``(dst, vn, esc)`` cross-check, the campaign executors'
-folding of SoA-engined points into fused replica batches, and the
-``run_soa_snapshot`` A/B harness including its drift hard-error.
+folding of SoA-engined points into replica batches that share one
+dense-table build, and the ``run_soa_snapshot`` A/B harness including
+its drift hard-error.
 """
 
 import pytest
@@ -112,18 +113,16 @@ class TestDenseTables:
             assert getattr(t, name).dtype == np.int64, name
 
     def test_flat_index_bound_at_int64_boundary(self):
-        """The guard trips exactly when ``replicas*R*5*V`` reaches
-        ``int64 max`` and returns the bound just below it."""
+        """The guard trips exactly when ``R*5*V`` reaches ``int64 max``
+        and returns the bound just below it."""
         import numpy as np
         from repro.sim.soa.tables import flat_index_bound
-        assert flat_index_bound(16, 3, replicas=8) == 8 * 16 * 5 * 3
+        assert flat_index_bound(16, 3) == 16 * 5 * 3
         lim = int(np.iinfo(np.int64).max)
-        r = lim // (5 * 7)          # replicas * R folded into one axis
+        r = lim // (5 * 7)
         assert flat_index_bound(r, 7) == r * 5 * 7
         with pytest.raises(OverflowError, match="overflows int64"):
             flat_index_bound(r + 1, 7)
-        with pytest.raises(OverflowError, match="replicas="):
-            flat_index_bound(r, 7, replicas=2)
 
 
 class TestCampaignIntegration:
@@ -137,30 +136,21 @@ class TestCampaignIntegration:
         assert FabricExecutor(_cfg(engine="soa")).auto_batch
         assert FabricExecutor(_cfg(engine="active")).auto_batch
 
-    def test_replica_batch_attaches_fused_kernels(self):
-        """Direct construction with engine="soa" leases every replica's
-        state into the batch-owned parents and screens them fused —
-        ``engine_used`` attributes each result to the kernel."""
+    def test_replica_batch_kernels_share_one_table_build(self):
+        """Direct construction with engine="soa" attaches a standalone
+        kernel per replica — private state arrays, one dense-table build
+        adopted through SharedStructures — and ``engine_used``
+        attributes each result to the kernel."""
         from repro.sim.batch.engine import ReplicaBatch
         batch = ReplicaBatch(_cfg(engine="soa"), "fastpass", "uniform",
                              0.05, [3, 5], scheme_kwargs={"n_vcs": 2})
-        assert batch.soa is not None
-        assert all(s.net.soa is not None for s in batch.sims)
-        assert all(s.cfg.engine == "soa" for s in batch.sims)
-        assert batch.soa.vectorized == [0, 1]
+        k0, k1 = (s.net.soa for s in batch.sims)
+        assert k0 is not None and k1 is not None and k0 is not k1
+        assert k0.tables is k1.tables
+        assert k0.s_has is not k1.s_has and k0.s_has.base is None
         results = batch.run()
         assert all(r.ejected > 0 for r in results)
         assert all(r.engine_used == "soa" for r in results)
-
-    def test_replica_batch_soa_respects_naive_flag(self):
-        """The differential ``naive`` batches must keep the scalar
-        datapath even when the config asks for SoA."""
-        from repro.sim.batch.engine import ReplicaBatch
-        batch = ReplicaBatch(_cfg(engine="soa"), "fastpass", "uniform",
-                             0.05, [3], naive=True,
-                             scheme_kwargs={"n_vcs": 2})
-        assert batch.soa is None
-        assert all(s.net.soa is None for s in batch.sims)
 
 
 class TestSoaSnapshotHarness:
@@ -210,33 +200,3 @@ class TestSoaSnapshotHarness:
                             [("spin", {}, "uniform", 0.1, 4, 4)])
         with pytest.raises(RuntimeError, match="ran as"):
             perf.run_soa_snapshot(repeat=1)
-
-    def test_batch_ab_runs_and_gates_structure(self, tmp_path,
-                                               monkeypatch):
-        perf = self._shrink(monkeypatch, tmp_path)
-        snap = perf.run_soa_batch_snapshot(replicas=3, repeat=1)
-        assert snap["kind"] == "repro-soa-batch-snapshot"
-        assert snap["replicas"] == 3
-        assert len(snap["points"]) == 2
-        assert all(p["identical"] for p in snap["points"])
-        gated = [p for p in snap["points"] if p["gated"]]
-        assert [p["key"] for p in gated] == snap["gate_points"]
-        assert snap["aggregate_speedup"] == (
-            sum(p["scalar_wall_s"] for p in gated)
-            / sum(p["batch_wall_s"] for p in gated))
-
-    def test_batch_drift_is_a_hard_error(self, tmp_path, monkeypatch):
-        """A batched replica that diverges from its scalar twin must
-        kill the snapshot, not quietly publish a timing."""
-        perf = self._shrink(monkeypatch, tmp_path)
-        from repro.sim.batch.engine import ReplicaBatch
-        orig = ReplicaBatch.run
-
-        def corrupt(self):
-            results = orig(self)
-            results[0].ejected += 1
-            return results
-
-        monkeypatch.setattr(ReplicaBatch, "run", corrupt)
-        with pytest.raises(perf.ResultDrift, match="drifted"):
-            perf.run_soa_batch_snapshot(replicas=2, repeat=1)
