@@ -7,12 +7,8 @@ needs:
   cache are returned instantly and never recomputed;
 * **replica batching** — points that differ only in their meta seed are
   folded into one :class:`~repro.sim.batch.engine.ReplicaBatch` per
-  worker, built once on shared structures (scalar-bit-identical results,
-  cached under their unchanged per-point keys); ``REPRO_NO_BATCH=1``
-  disables the folding;
-* **fork prewarm** — before forking workers the parent derives the route
-  tables for every distinct configuration once, so children inherit them
-  copy-on-write instead of re-deriving per process;
+  worker (scalar-bit-identical results, cached under their unchanged
+  per-point keys); ``REPRO_NO_BATCH=1`` disables the folding;
 * **crash isolation** — every task (point or batch) runs in its own
   worker process; a worker that dies (segfault, OOM-kill, ``os._exit``)
   fails only its task, never the campaign;
@@ -121,11 +117,24 @@ def group_items(pending: list, auto_batch: bool) -> list[list]:
     return out
 
 
+def default_workers() -> int:
+    """Worker-count ceiling that respects CPU affinity.
+
+    ``os.cpu_count()`` reports the machine, not the cgroup/affinity mask
+    a containerized CI run is pinned to; oversubscribing the mask makes
+    every worker slower.  Falls back to ``cpu_count`` where affinity is
+    unavailable (macOS, Windows).
+    """
+    try:
+        return len(os.sched_getaffinity(0)) or 1
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
 def _pool_size(requested: int | None, n_tasks: int) -> int:
     """Worker processes to launch: the request (default one per task),
-    never more than there are tasks, capped by the CPU-affinity mask —
-    ``os.cpu_count`` oversubscribes pinned/cgrouped CI runners."""
-    from repro.sim.batch.shared import default_workers
+    never more than there are tasks, capped by
+    :func:`default_workers`."""
     return max(1, min(requested or n_tasks, n_tasks, default_workers()))
 
 
@@ -293,17 +302,6 @@ class CampaignExecutor:
     def _run_parallel(self, tasks, results, state) -> None:
         ctx = pool_context()
         procs = _pool_size(self.processes, len(tasks))
-        if ctx.get_start_method() == "fork":
-            # Parent-side warm: derive the route tables (and scheme
-            # geometry) for every distinct configuration once, *before*
-            # forking — the children inherit the warmed pages
-            # copy-on-write and adopt them in build_network instead of
-            # re-deriving per worker.
-            from repro.sim.batch.shared import warm_process_cache
-            warm_process_cache(self.cfg, sorted(
-                {(p.scheme, p.scheme_kwargs)
-                 for t in tasks for _, p in t.items
-                 if ":" not in p.pattern}))
         queue: deque[_Task] = deque(tasks)
         active: dict[object, _Running] = {}
 

@@ -102,13 +102,12 @@ def replica_signature(point: Point):
 
     Points that agree on everything except their ``meta`` seed are
     replicas of one simulation and fold into one
-    :class:`~repro.sim.batch.engine.ReplicaBatch`, built on one set of
-    shared structures.  Plain synthetic patterns and ``scenario:``
-    points qualify.  Closed-loop (``app:``/``stress:``), ``trace:``/
-    ``irregular:`` and selftest points have bespoke execution, and
-    per-point metrics (or a fleet-wide ``REPRO_METRICS``) attach
-    observability and archive one artifact per point, which only the
-    scalar path does.
+    :class:`~repro.sim.batch.engine.ReplicaBatch`.  Plain synthetic
+    patterns and ``scenario:`` points qualify.  Closed-loop
+    (``app:``/``stress:``), ``trace:``/``irregular:`` and selftest
+    points have bespoke execution, and per-point metrics (or a
+    fleet-wide ``REPRO_METRICS``) attach observability and archive one
+    artifact per point, which only the scalar path does.
     """
     meta = dict(point.meta)
     if ":" in point.pattern and not point.pattern.startswith("scenario:"):
@@ -122,7 +121,7 @@ def replica_signature(point: Point):
 
 
 def execute_group(points: list[Point], cfg: SimConfig) -> list[RunResult]:
-    """Run seed-replica ``points`` as one fold on shared structures.
+    """Run seed-replica ``points`` as one fold.
 
     Every point must share a :func:`replica_signature`; results come
     back in input order and are bit-identical to what

@@ -16,8 +16,6 @@ cover every directed channel exactly once — the partitions.
 
 from __future__ import annotations
 
-import networkx as nx
-
 
 def holistic_path(graph: "nx.Graph") -> list[tuple[int, int]]:
     """The directed Eulerian circuit over both directions of every channel.
@@ -26,6 +24,8 @@ def holistic_path(graph: "nx.Graph") -> list[tuple[int, int]]:
     bidirectional channel).  Raises ``ValueError`` for graphs that are not
     connected.
     """
+    import networkx as nx    # ~170 ms: kept off every other start-up
+
     if graph.number_of_nodes() == 0:
         return []
     if not nx.is_connected(graph):

@@ -16,9 +16,24 @@ Implements Sec. III-C2 faithfully:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.core.fastflow import FastFlowEngine
 from repro.core.schedule import TdmSchedule
 from repro.network.packet import MessageClass
+from repro.network.topology import Mesh
+
+
+@lru_cache(maxsize=32)
+def _geometry(rows: int, cols: int, slot_cycles: int, slack: int) -> tuple:
+    """The TDM schedule and the hops-dependent round-trip table
+    (``rt[prime * n + dst]``): pure mesh/config geometry, so every
+    manager of one configuration in a process shares one copy."""
+    mesh = Mesh(rows, cols)
+    n = mesh.n_routers
+    return (TdmSchedule(rows, cols, slot_cycles),
+            tuple(2 * mesh.hops(p, d) + slack
+                  for p in range(n) for d in range(n)))
 
 
 class FastPassManager:
@@ -30,25 +45,9 @@ class FastPassManager:
         self.mesh = net.mesh
         self.engine = FastFlowEngine(net)
 
-        # The TDM schedule and the hops-dependent round-trip table are
-        # pure mesh/config geometry; replicas of a batch (and prewarmed
-        # fork workers) share one copy via the network's SharedStructures
-        # instead of recomputing them per manager.
-        def _geometry():
-            mesh = self.mesh
-            n = mesh.n_routers
-            slack = self.engine.RETURN_SLACK
-            schedule = TdmSchedule(cfg.rows, cfg.cols, cfg.fastpass_slot())
-            rt = [2 * mesh.hops(p, d) + slack
-                  for p in range(n) for d in range(n)]
-            return schedule, rt
-
-        shared = net.shared
-        if shared is not None:
-            self.schedule, self._rt = shared.get_or_build(
-                "fastpass_geometry", _geometry)
-        else:
-            self.schedule, self._rt = _geometry()
+        self.schedule, self._rt = _geometry(
+            cfg.rows, cfg.cols, cfg.fastpass_slot(),
+            self.engine.RETURN_SLACK)
         P = self.schedule.P
         self.lane_free_at = [0] * P
         self._min_free = 0     # min(lane_free_at): skip fully-busy cycles
@@ -71,8 +70,7 @@ class FastPassManager:
         self._cls_order = [MessageClass.REQUEST] + \
             [m for m in MessageClass if m != MessageClass.REQUEST]
         # Round-trip budget is ``2*hops + 2*size + RETURN_SLACK``; the
-        # hops-dependent part lives in the (possibly shared) ``_rt``
-        # table built above.
+        # hops-dependent part lives in the shared ``_rt`` table.
         self._nr = self.mesh.n_routers
         self._cols = self.mesh.cols
 

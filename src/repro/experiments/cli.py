@@ -18,7 +18,7 @@ Usage::
     repro-experiments scenarios replay trace.jsonl --scheme escapevc
     repro-experiments obs report --scheme fastpass --rate 0.1
     repro-experiments obs export --format prometheus --out metrics.prom
-    repro-experiments perf snapshot --replicas 8
+    repro-experiments perf snapshot --soa
     repro-experiments perf trend --baseline BENCH_baseline.json
     python -m repro.experiments.cli fig11
 

@@ -16,12 +16,10 @@ Points run directly through :class:`repro.sim.engine.Simulation` — never
 through the campaign cache — so the measured wall time is always a real
 execution.
 
-Two A/Bs ride one interleaved driver (:func:`_run_ab`; result drift
-exits 2): ``--replicas R`` is R scalar runs against one R-replica seed
-fold on the micro-sweep points (``BENCH_batch.json``, low-load aggregate
-gated), ``--soa`` the active-set engine against the SoA kernel on the
-saturated :data:`SOA_POINTS` (``BENCH_soa.json``, blocked-regime points
-gated at 2x).
+``--soa`` adds an interleaved A/B (:func:`_run_ab`; result drift exits
+2) of the active-set engine against the SoA kernel on the saturated
+:data:`SOA_POINTS` (``BENCH_soa.json``, blocked-regime points gated at
+2x).
 """
 
 from __future__ import annotations
@@ -73,14 +71,6 @@ SOA_POINTS = [
 #: number, with the reference machine measuring 2.7-7.5x (BENCH_soa.json)
 DEFAULT_SOA_FAIL_UNDER = 2.0
 
-#: rates whose aggregate batch-vs-scalar speedup the batch gate watches
-#: (low load is where R-replica sweeps spend their time)
-BATCH_GATE_RATES = (0.02, 0.05)
-#: default floor for the batch gate: the measured aggregate low-load
-#: speedup on the reference machine minus headroom for CI noise (see
-#: BENCH_batch.json and DESIGN §12 for the measured decomposition)
-DEFAULT_BATCH_FAIL_UNDER = 1.25
-
 #: RunResult fields that must be bit-identical run-to-run for a fixed
 #: seed — the differential proof that engine work changed speed, not
 #: behaviour.  (NaN != NaN, so the check treats two NaNs as equal.)
@@ -111,12 +101,6 @@ def _point_info(scheme: str, kwargs: dict, pattern: str, rate: float,
             "pattern": pattern, "rate": rate}
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return time.perf_counter() - t0, out
-
-
 def _timed_sim(cfg: SimConfig, scheme: str, kwargs: dict, pattern: str,
                rate: float):
     """Build one snapshot-seeded simulation and time its ``run`` alone
@@ -127,8 +111,9 @@ def _timed_sim(cfg: SimConfig, scheme: str, kwargs: dict, pattern: str,
 
     sim = Simulation(cfg, get_scheme(scheme, **kwargs),
                      SyntheticTraffic(pattern, rate, seed=SNAPSHOT_SEED))
-    wall, res = _timed(sim.run)
-    return wall, res, sim.engine_used
+    t0 = time.perf_counter()
+    res = sim.run()
+    return time.perf_counter() - t0, res, sim.engine_used
 
 
 def _run_one(scheme_name: str, kwargs: dict, pattern: str, rate: float,
@@ -188,21 +173,17 @@ def _run_ab(points, names: tuple[str, str], repeat: int) -> list[dict]:
     ``points`` holds ``(info, side_a, side_b)``: ``info`` is the point's
     record (with its ``key``), each side a callable returning ``(wall_s,
     [RunResult, ...])`` — it times itself, so a side decides whether
-    construction counts.  Per repeat the process-level structure cache
-    is cleared (nothing leaks between sides), A then B run back to back
-    so machine noise hits both equally, and B's results must equal A's
+    construction counts.  Per repeat A then B run back to back so
+    machine noise hits both equally, and B's results must equal A's
     field by field or :class:`ResultDrift` is raised.  Best-of-N wall
     per side; ``speedup`` is A over B.
     """
-    from repro.sim.batch.shared import clear_process_cache
-
     a, b = names
     out = []
     for info, *sides in points:
         key = info["key"]
         best = dict.fromkeys(names)
         for _ in range(max(1, repeat)):
-            clear_process_cache()
             got = {}
             for name, side in zip(names, sides):
                 wall, got[name] = side()
@@ -226,48 +207,6 @@ def _run_ab(points, names: tuple[str, str], repeat: int) -> list[dict]:
               f"{b} {best[b] * 1e3:8.1f} ms  {pt['speedup']:5.2f}x{mark}")
         out.append(pt)
     return out
-
-
-def run_batch_snapshot(replicas: int = 8, repeat: int = 3) -> dict:
-    """A/B: R scalar ``run_point`` calls vs one R-replica
-    :class:`~repro.sim.batch.engine.ReplicaBatch`, per snapshot point.
-
-    Both sides pay full, honest cost: every scalar run constructs its
-    own network, and the batch side times construction *and* execution
-    of the whole batch — shared construction is what the fold buys.
-    """
-    from repro.schemes import get_scheme
-    from repro.sim.batch.engine import ReplicaBatch
-    from repro.sim.runner import run_point
-
-    cfg = snapshot_config()
-    seeds = [SNAPSHOT_SEED + i for i in range(replicas)]
-
-    def ab_point(scheme, kwargs, pattern, rate):
-        return (_point_info(scheme, kwargs, pattern, rate),
-                lambda: _timed(lambda: [
-                    run_point(get_scheme(scheme, **kwargs), pattern, rate,
-                              cfg, seed=s) for s in seeds]),
-                lambda: _timed(lambda: ReplicaBatch(
-                    cfg, scheme, pattern, rate, seeds,
-                    scheme_kwargs=kwargs).run()))
-
-    points = _run_ab([ab_point(*p) for p in SNAPSHOT_POINTS],
-                     ("scalar", "batch"), repeat)
-
-    def _agg(pts):
-        s = sum(p["scalar_wall_s"] for p in pts)
-        b = sum(p["batch_wall_s"] for p in pts)
-        return s / b if b else float("inf")
-
-    lowload = [p for p in points if p["rate"] in BATCH_GATE_RATES]
-    snap = _header("repro-batch-snapshot", repeat, replicas=replicas,
-                   points=points, lowload_speedup=_agg(lowload),
-                   overall_speedup=_agg(points))
-    print(f"  aggregate speedup: low-load {snap['lowload_speedup']:.2f}x "
-          f"(rates {BATCH_GATE_RATES}), "
-          f"overall {snap['overall_speedup']:.2f}x")
-    return snap
 
 
 def _soa_gated(scheme: str, pattern: str) -> bool:
@@ -541,23 +480,20 @@ def compare(new: dict, base: dict, fail_under: float,
 
 # -- CLI -----------------------------------------------------------------
 
-def _gate(what: str, out: str | None, default_name: str, run,
-          metric: str, floor: float) -> int:
-    """Run one A/B, write its snapshot, apply its floor: 0 pass, 1 below
-    the floor, 2 result drift (nothing written)."""
-    tag = what.upper()
+def _soa_gate(out: str | None, repeat: int, floor: float) -> int:
+    """Run the SoA A/B, write its snapshot, apply its floor: 0 pass, 1
+    below the floor, 2 result drift (nothing written)."""
     try:
-        snap = run()
+        snap = run_soa_snapshot(repeat=repeat)
     except ResultDrift as exc:
-        print(f"\n  {tag} RESULT DRIFT: {exc}")
+        print(f"\n  SOA RESULT DRIFT: {exc}")
         return 2
-    path = write_snapshot(snap, out or str(perf_dir() / default_name))
-    print(f"  {what} snapshot written to {path}")
-    if snap[metric] < floor:
-        on = snap.get("gate_points")
-        print(f"\n  {tag} REGRESSION: {metric.replace('_', ' ')} "
-              f"{snap[metric]:.2f}x < {floor:.2f}x"
-              + (f" on {', '.join(on)}" if on else ""))
+    path = write_snapshot(snap, out or str(perf_dir() / "BENCH_soa.json"))
+    print(f"  SoA snapshot written to {path}")
+    if snap["gate_speedup"] < floor:
+        print(f"\n  SOA REGRESSION: gate speedup "
+              f"{snap['gate_speedup']:.2f}x < {floor:.2f}x on "
+              f"{', '.join(snap['gate_points'])}")
         return 1
     return 0
 
@@ -596,17 +532,6 @@ def main(argv: list[str]) -> int:
     p_snap.add_argument("--profile-top", type=int, default=30,
                         metavar="N", help="functions to keep in the "
                                           "profile text summary")
-    p_snap.add_argument("--replicas", type=int, default=0, metavar="R",
-                        help="also run the replica-batch A/B (R scalar "
-                             "runs vs one R-replica batch per point) and "
-                             "write BENCH_batch.json")
-    p_snap.add_argument("--batch-out", default=None, metavar="PATH",
-                        help="batch snapshot path (default: results/"
-                             "perf/BENCH_batch.json)")
-    p_snap.add_argument("--batch-fail-under", type=float,
-                        default=DEFAULT_BATCH_FAIL_UNDER, metavar="R",
-                        help="minimum aggregate low-load batch speedup "
-                             f"(default: {DEFAULT_BATCH_FAIL_UNDER})")
     p_snap.add_argument("--no-history", action="store_true",
                         help="do not append this snapshot to "
                              "results/perf/history.jsonl")
@@ -698,19 +623,10 @@ def main(argv: list[str]) -> int:
         print(f"  profile written to {prof_path} "
               f"(summary: {txt_path})")
     rc = 0
-    if args.replicas:
-        print(f"batch A/B: {args.replicas} replicas, "
-              f"best of {args.repeat + 2}")
-        rc = _gate("batch", args.batch_out, "BENCH_batch.json",
-                   lambda: run_batch_snapshot(replicas=args.replicas,
-                                              repeat=args.repeat + 2),
-                   "lowload_speedup", args.batch_fail_under)
-    if args.soa and rc != 2:
+    if args.soa:
         print(f"SoA A/B: {len(SOA_POINTS)} saturated points, "
               f"best of {args.repeat + 2}")
-        rc = max(rc, _gate("SoA", args.soa_out, "BENCH_soa.json",
-                           lambda: run_soa_snapshot(repeat=args.repeat + 2),
-                           "gate_speedup", args.soa_fail_under))
+        rc = _soa_gate(args.soa_out, args.repeat + 2, args.soa_fail_under)
     if rc == 2 or not args.compare:
         return rc
     base = json.loads(Path(args.compare).read_text())

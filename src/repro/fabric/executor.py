@@ -157,8 +157,6 @@ class FabricExecutor:
         self.workers = workers
         self.retry = retry or RetryPolicy()
         self.progress = progress
-        # SoA points fold like any others: the replicas' kernels share
-        # one dense-table build through SharedStructures.
         self.auto_batch = auto_batch and \
             os.environ.get("REPRO_NO_BATCH") != "1"
         self.session = session
@@ -220,7 +218,6 @@ class FabricExecutor:
                  "failed": 0, "running": 0, "t0": t0}
         self._report(state)
         if owns_session and grouped:
-            self._warm_fork_cache(grouped)
             session = FabricSession(cache=self.cache, retry=self.retry,
                                     lease_ttl_s=self.lease_ttl_s,
                                     workers=self.workers,
@@ -275,15 +272,6 @@ class FabricExecutor:
                 self._report(state)
             if pending_set:
                 time.sleep(_POLL_S)
-
-    def _warm_fork_cache(self, grouped: list) -> None:
-        if pool_context().get_start_method() != "fork":
-            return
-        from repro.sim.batch.shared import warm_process_cache
-        warm_process_cache(self.cfg, sorted(
-            {(p.scheme, p.scheme_kwargs)
-             for items in grouped for _, p in items
-             if ":" not in p.pattern}))
 
     def _report(self, state: dict) -> None:
         if self.progress is None:

@@ -14,8 +14,8 @@ costs nothing extra.
 A lease is ``(lease id, task, deadline)``: the unit of work plus the time
 by which the worker must have completed it.  Tasks mirror the campaign
 executor's units exactly — a single point, or a group of seed replicas
-that the worker runs as one fold on shared structures — so the fabric
-changes *who* executes, never *what* is executed.
+that the worker runs as one fold — so the fabric changes *who* executes,
+never *what* is executed.
 """
 
 from __future__ import annotations

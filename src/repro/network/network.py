@@ -19,6 +19,7 @@ from bisect import insort
 from repro.network.link import Link
 from repro.network.ni import NetworkInterface
 from repro.network.router import Router
+from repro.network.routing import route_table
 from repro.network.topology import OPPOSITE, PORT_LOCAL
 from repro.network.validate import check_invariants
 from repro.network.watchdog import Watchdog
@@ -50,17 +51,15 @@ class Network:
     the naive loop (hooks invoked unconditionally) bit-identical.
     """
 
-    def __init__(self, cfg, mesh, routing_fn, router_cls=Router, scheme=None,
-                 shared=None):
+    def __init__(self, cfg, mesh, routing_fn, router_cls=Router, scheme=None):
         self.cfg = cfg
         self.mesh = mesh
         self.routing_fn = routing_fn
         self.scheme = scheme
-        #: SharedStructures when this network is a replica of a batch (or
-        #: a fork-prewarmed worker build): route memos and scheme-side
-        #: geometry are adopted instead of re-derived.  None for a plain
-        #: standalone build.
-        self.shared = shared
+        #: candidate moves of every router (read by ``Router.moves``, the
+        #: inlined probe in ``Router.step`` and the SoA dense tables)
+        self.routes = route_table(router_cls.move_rule, routing_fn,
+                                  cfg.n_vns, cfg.n_vcs, mesh.rows, mesh.cols)
         self.cycle = 0
         self.last_progress = 0
         #: number of cycles in which the router (switch-allocation) phase
@@ -123,20 +122,6 @@ class Network:
                     for rid in range(mesh.n_routers)]
         self.links: list[Link] = []
         self._wire()
-        # Route tables: pure functions of (mesh, router, config), total
-        # after warm_routes and never written on the hot path — so a batch
-        # of seed replicas shares one set of memo dicts.  The first
-        # network built against a SharedStructures donates its tables;
-        # later ones adopt them and skip the warm pass entirely.
-        memos = shared.route_memos if shared is not None else None
-        if memos is None:
-            for router in self.routers:
-                router.warm_routes()
-            if shared is not None:
-                shared.route_memos = [r._mv_memo for r in self.routers]
-        else:
-            for router, memo in zip(self.routers, memos):
-                router._mv_memo = memo
         for router in self.routers:
             router._ni = self.nis[router.id]
         self.watchdog = Watchdog(

@@ -38,6 +38,7 @@ from bisect import insort
 
 from repro.network.arbiter import granted_order, skipped_rotation
 from repro.network.link import VCSlot
+from repro.network.routing import vn_vc_ranges
 from repro.network.topology import PORT_LOCAL
 
 INF = 1 << 60
@@ -45,12 +46,12 @@ INF = 1 << 60
 
 class Router:
     """Baseline router; schemes subclass and override the small hooks
-    (:meth:`moves`, :meth:`step` for radically different datapaths)."""
+    (:meth:`move_rule`, :meth:`step` for radically different datapaths)."""
 
     __slots__ = ("id", "mesh", "cfg", "net", "n_ports", "n_vcs_total",
                  "slots", "all_slots", "occupied", "links_out", "neighbors",
-                 "eject_busy_until", "in_busy", "rr", "routing_fn",
-                 "_vn_vcs", "_inj_vcs", "_mv_memo", "_wake_at", "_parked_sw",
+                 "eject_busy_until", "in_busy", "rr",
+                 "_vn_vcs", "_inj_vcs", "_row", "_mv", "_wake_at", "_parked_sw",
                  "_esc_stride", "_hop_latency", "_inline_xfer", "_ni")
 
     def __init__(self, rid: int, mesh, cfg, net):
@@ -79,13 +80,13 @@ class Router:
         # exempt.)
         self.in_busy = [0] * self.n_ports
         self.rr = rid  # rotating arbitration offset
-        self.routing_fn = net.routing_fn
-        #: memoised candidate moves keyed on ``(dst*6 + vn)*2 + escape`` —
-        #: minimal routing is a pure function of (mesh, rid, dst), so the
-        #: table is exact.  The escape bit is always 0 for the base router;
-        #: EscapeVC sets ``_esc_stride`` so :meth:`step` can key the
-        #: escape-subnetwork move set without a dynamic dispatch.
-        self._mv_memo: dict[int, tuple] = {}
+        #: this router's class row and the move list of ``net.routes``,
+        #: held for the inlined probe in :meth:`step`.  The escape bit is
+        #: always 0 for the base router; EscapeVC sets ``_esc_stride`` so
+        #: the probe can pick the escape-subnetwork move set without a
+        #: dynamic dispatch.
+        self._row = net.routes.rows[rid]
+        self._mv = net.routes.moves
         self._esc_stride = 0
         self._hop_latency = cfg.router_latency + cfg.link_latency
         #: True when this class inherits the base datapath: ``step`` may
@@ -98,63 +99,38 @@ class Router:
         # at park time so the skipped steps can be replayed in closed form.
         self._wake_at = 0
         self._parked_sw = -1
-        # Per-VN VC index ranges; a single "VN" (FastPass, Pitstop) shares
-        # all VCs among every message class.
-        if cfg.n_vns > 1:
-            self._vn_vcs = [
-                tuple(range(vn * cfg.n_vcs, (vn + 1) * cfg.n_vcs))
-                for vn in range(cfg.n_vns)
-            ]
-        else:
-            all_vcs = tuple(range(self.n_vcs_total))
-            self._vn_vcs = [all_vcs] * 6
+        self._vn_vcs = vn_vc_ranges(cfg.n_vns, cfg.n_vcs)
         #: injection VC preference order per VN (EscapeVC reorders it);
         #: the NI indexes this directly on the injection hot path
         self._inj_vcs = self._vn_vcs
 
     # -- hooks ----------------------------------------------------------
+    @staticmethod
+    def move_rule(routing_fn, mesh, rid: int, dst: int, vn: int,
+                  escape: int, n_vns: int, n_vcs: int) -> tuple:
+        """This router class's candidate moves for a VN-``vn`` packet at
+        ``rid`` headed to ``dst``: every port of ``routing_fn`` onto the
+        VN's VCs.  Must be a pure function of its arguments that reads
+        the position only through ``routing_fn`` —
+        :func:`repro.network.routing.route_table` evaluates it once per
+        direction class and serves every router from the result."""
+        vcs = vn_vc_ranges(n_vns, n_vcs)[vn]
+        return tuple((o, vcs) for o in routing_fn(mesh, rid, dst))
+
     def moves(self, pkt, slot=None) -> tuple:
         """Candidate moves for ``pkt`` at this router, as a tuple of
-        ``(out_port, downstream_vc_indices)`` pairs.  Minimal routing is a
-        pure function of (mesh, router, destination), so results are
-        memoised per (dst, VN) for the life of the router — except in
-        degraded (reroute) mode, where paths change as faults come and go
-        and every lookup goes to the live table."""
+        ``(out_port, downstream_vc_indices)`` pairs, read from the
+        network's route table — except in degraded (reroute) mode, where
+        paths change as faults come and go and every lookup goes to the
+        live reroute table."""
         if self.net.reroute is not None:
             outs = self.net.reroute.ports(self.id, pkt.dst)
             vcs = self._vn_vcs[pkt.vn]
             return tuple((o, vcs) for o in outs)
-        key = (pkt.dst * 6 + pkt.vn) * 2    # vn < 6 always; escape bit 0
-        mv = self._mv_memo.get(key)
-        if mv is None:
-            outs = self.routing_fn(self.mesh, self.id, pkt.dst)
-            vcs = self._vn_vcs[pkt.vn]
-            mv = self._mv_memo[key] = tuple((o, vcs) for o in outs)
-        return mv
+        return self.net.routes.lookup(self.id, pkt.dst, pkt.vn)
 
     def vn_vcs(self, vn: int) -> tuple:
         return self._inj_vcs[vn]
-
-    def warm_routes(self) -> None:
-        """Fill the route memo for every (destination, VN) pair at
-        elaboration time.  Minimal routing is a pure function of
-        (mesh, router, destination), so the table is exact and run-time
-        lookups always hit — short measured runs never pay cold misses."""
-        memo = self._mv_memo
-        mesh = self.mesh
-        rid = self.id
-        routing_fn = self.routing_fn
-        vn_vcs = self._vn_vcs
-        for dst in range(mesh.n_routers):
-            outs = routing_fn(mesh, rid, dst)
-            base = dst * 12
-            prev_vcs = mv = None
-            for vn in range(6):
-                vcs = vn_vcs[vn]
-                if vcs is not prev_vcs:
-                    mv = tuple((o, vcs) for o in outs)
-                    prev_vcs = vcs
-                memo[base + vn * 2] = mv
 
     def admit(self, slot) -> None:
         """List ``slot`` (which just received a packet) as occupied and
@@ -259,22 +235,21 @@ class Router:
                 arb = True
                 links_out = self.links_out
                 neighbors = self.neighbors
-                memo = self._mv_memo
+                row = self._row
+                tbl = self._mv
                 reroute = net.reroute
                 esc_stride = self._esc_stride
                 inline_xfer = self._inline_xfer
                 hop_latency = self._hop_latency
                 now2 = now + 2
-            # Inline memo probe (the common case); moves() handles misses,
-            # degraded (reroute) mode, and subclass-specific move sets.
+            # Inlined ``RouteTable.lookup`` — the one copy of the table
+            # layout outside repro.network.routing; moves() handles
+            # degraded (reroute) mode.
             if reroute is None:
-                key = (pkt.dst * 6 + pkt.vn) * 2
+                key = row[pkt.dst] + pkt.vn * 2
                 if esc_stride and slot.vc == pkt.vn * esc_stride:
                     key += 1
-                try:
-                    mv = memo[key]     # warm_routes makes the table total
-                except KeyError:
-                    mv = self.moves(pkt, slot)
+                mv = tbl[key]
             else:
                 mv = self.moves(pkt, slot)
             if mv and mv[0][0] == PORT_LOCAL:

@@ -17,8 +17,6 @@ port  means
 
 from __future__ import annotations
 
-import networkx as nx
-
 PORT_LOCAL = 0
 PORT_N = 1
 PORT_E = 2
@@ -141,6 +139,8 @@ class Mesh:
 
     def to_graph(self) -> "nx.Graph":
         """Undirected channel graph (each edge = a bidirectional channel)."""
+        import networkx as nx    # ~170 ms: kept off every other start-up
+
         g = nx.Graph()
         g.add_nodes_from(range(self.n_routers))
         for rid in range(self.n_routers):

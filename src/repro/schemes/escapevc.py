@@ -19,6 +19,15 @@ from repro.schemes.base import FaultCaps, Scheme, Table1Row, register
 LOCAL_MOVE = ((PORT_LOCAL, ()),)
 
 
+def _escape_moves(adaptive, escape_ports, esc: int, n_vcs: int,
+                  in_escape) -> tuple:
+    esc_moves = tuple((o, (esc,)) for o in escape_ports)
+    if in_escape:
+        return esc_moves
+    normal = tuple(range(esc + 1, esc + n_vcs))
+    return tuple((o, normal) for o in adaptive) + esc_moves
+
+
 class EscapeVCRouter(Router):
     """Router whose candidate moves depend on the current VC class."""
 
@@ -26,7 +35,7 @@ class EscapeVCRouter(Router):
 
     def __init__(self, rid, mesh, cfg, net):
         super().__init__(rid, mesh, cfg, net)
-        # Tells the base step's inline memo probe how to spot a packet
+        # Tells the base step's inlined table probe how to spot a packet
         # sitting in its VN's escape VC (vc == vn * n_vcs).
         self._esc_stride = cfg.n_vcs
         # Injection prefers the adaptive VCs; the escape VC is last resort.
@@ -36,6 +45,17 @@ class EscapeVCRouter(Router):
             for vn in range(6)
         ]
 
+    @staticmethod
+    def move_rule(routing_fn, mesh, rid, dst, vn, escape, n_vns, n_vcs):
+        """Adaptive ports on the VN's normal VCs, then west-first ports on
+        its escape VC; west-first only once inside the escape VC.  (The
+        two subnetworks fix their routing, so ``routing_fn`` is unused.)"""
+        if rid == dst:
+            return LOCAL_MOVE
+        return _escape_moves(route_adaptive(mesh, rid, dst),
+                             route_west_first(mesh, rid, dst),
+                             vn * n_vcs, n_vcs, escape)
+
     def moves(self, pkt, slot=None) -> tuple:
         if pkt.dst == self.id:
             return LOCAL_MOVE
@@ -44,49 +64,12 @@ class EscapeVCRouter(Router):
         in_escape = slot is not None and slot.vc == esc
         if self.net.reroute is not None:
             # Degraded mode: shortest surviving paths for both classes,
-            # looked up live (no memo — paths change as faults come and
-            # go).  The west-first escape guarantee does not survive a
-            # dead link anyway — a wedge here is the watchdog's to report.
-            wf = self.net.reroute.ports(self.id, pkt.dst)
-            esc_moves = tuple((o, (esc,)) for o in wf)
-            if in_escape:
-                return esc_moves
-            normal = tuple(range(esc + 1, esc + n_vcs))
-            return tuple((o, normal) for o in wf) + esc_moves
-        key = (pkt.dst * 6 + pkt.vn) * 2 + in_escape
-        mv = self._mv_memo.get(key)
-        if mv is None:
-            wf = route_west_first(self.mesh, self.id, pkt.dst)
-            esc_moves = tuple((o, (esc,)) for o in wf)
-            if in_escape:
-                mv = esc_moves
-            else:
-                normal = tuple(range(esc + 1, esc + n_vcs))
-                ad = route_adaptive(self.mesh, self.id, pkt.dst)
-                mv = tuple((o, normal) for o in ad) + esc_moves
-            self._mv_memo[key] = mv
-        return mv
-
-    def warm_routes(self) -> None:
-        memo = self._mv_memo
-        mesh, rid = self.mesh, self.id
-        n_vcs = self.cfg.n_vcs
-        for vn in range(6):
-            memo[rid * 12 + vn * 2] = LOCAL_MOVE
-            memo[rid * 12 + vn * 2 + 1] = LOCAL_MOVE
-        for dst in range(mesh.n_routers):
-            if dst == rid:
-                continue
-            wf = route_west_first(mesh, rid, dst)
-            ad = route_adaptive(mesh, rid, dst)
-            base = dst * 12
-            for vn in range(6):
-                esc = vn * n_vcs
-                esc_moves = tuple((o, (esc,)) for o in wf)
-                normal = tuple(range(esc + 1, esc + n_vcs))
-                memo[base + vn * 2] = \
-                    tuple((o, normal) for o in ad) + esc_moves
-                memo[base + vn * 2 + 1] = esc_moves
+            # looked up live (paths change as faults come and go).  The
+            # west-first escape guarantee does not survive a dead link
+            # anyway — a wedge here is the watchdog's to report.
+            live = self.net.reroute.ports(self.id, pkt.dst)
+            return _escape_moves(live, live, esc, n_vcs, in_escape)
+        return self.net.routes.lookup(self.id, pkt.dst, pkt.vn, in_escape)
 
 
 @register

@@ -1,27 +1,24 @@
-"""Seed folding: R seeds of one point built on one set of structures.
+"""Seed folding: R seeds of one point run in one task.
 
 A :class:`ReplicaBatch` holds R complete :class:`~repro.sim.engine.
-Simulation` instances — one per seed — built against a single
-:class:`~repro.sim.batch.shared.SharedStructures`, so the mesh, the
-route-memo tables, the FastPass TDM geometry and (under ``engine="soa"``)
-the dense route tables are derived once and adopted R-1 times.  That
-shared construction is the whole measured win of folding (DESIGN §12);
-:meth:`ReplicaBatch.run` then simply runs each replica to completion in
-turn through the same open-loop body as :meth:`Simulation.run
-<repro.sim.engine.Simulation.run>`.
+Simulation` instances — one per seed — and :meth:`ReplicaBatch.run` runs
+each to completion in turn through the same open-loop body as
+:meth:`Simulation.run <repro.sim.engine.Simulation.run>`.  The immutable
+structures (route table, FastPass TDM geometry, SoA dense tables) are
+memoised pure functions, so the replicas share them exactly as any other
+builds in the process do; the fold itself adds nothing to construction
+(DESIGN §12 keeps the record of when it did).
 
-Bit-identity with a scalar ``run_point`` per seed is therefore by
-construction: each replica executes the unmodified datapath of whichever
-engine its config selects, on its own mutable state (routers, NIs,
-stats, RNG stream), and shares only tables that are never written after
-``warm_routes``.
+Bit-identity with a scalar ``run_point`` per seed is by construction:
+each replica executes the unmodified datapath of whichever engine its
+config selects, on its own mutable state (routers, NIs, stats, RNG
+stream).
 """
 
 from __future__ import annotations
 
 from repro.config import RunResult, SimConfig
 from repro.schemes import get_scheme
-from repro.sim.batch.shared import SharedStructures
 from repro.sim.engine import Simulation
 from repro.traffic.synthetic import SyntheticTraffic
 
@@ -42,10 +39,8 @@ class ReplicaBatch:
             def make_traffic(seed):
                 return SyntheticTraffic(pattern, rate, seed=seed,
                                         stop=traffic_stop)
-        shared = SharedStructures()
         self.sims: list[Simulation] = [
-            Simulation(cfg, get_scheme(scheme, **kwargs),
-                       make_traffic(seed), shared=shared)
+            Simulation(cfg, get_scheme(scheme, **kwargs), make_traffic(seed))
             for seed in seeds]
 
     def run(self) -> list[RunResult]:

@@ -17,16 +17,13 @@ from repro.network.routing import ROUTERS
 from repro.network.topology import Mesh
 
 
-def build_network(cfg: SimConfig, scheme, shared=None) -> Network:
+def build_network(cfg: SimConfig, scheme) -> Network:
     """Construct a network configured for ``scheme``.
 
-    ``shared`` is a :class:`repro.sim.batch.shared.SharedStructures`:
-    the first build against it donates the immutable tables (mesh, route
-    memos, scheme geometry), later builds adopt them.  Without an
-    explicit ``shared`` the process-level cache is consulted, so fork
-    workers whose parent prewarmed the structures inherit them
-    copy-on-write instead of re-deriving (and a cold process, where the
-    cache is empty, builds exactly as before).
+    The immutable structures a network reads — the route table, the
+    FastPass TDM geometry, the SoA dense tables — come from memoised pure
+    functions (:func:`repro.network.routing.route_table` and friends), so
+    every build after the first of its kind in a process shares them.
     """
     cfg = scheme.configure(cfg)
     router_cls = scheme.router_cls
@@ -39,19 +36,8 @@ def build_network(cfg: SimConfig, scheme, shared=None) -> Network:
         if soa_fallback is None:
             use_soa = True
             router_cls = soa.hooked_router_cls(router_cls)
-    if shared is None:
-        from repro.sim.batch.shared import process_shared
-        shared = process_shared(cfg, scheme)
-    if shared is not None:
-        shared.claim(cfg, scheme)
-        mesh = shared.mesh
-        if mesh is None:
-            mesh = shared.mesh = Mesh(cfg.rows, cfg.cols)
-    else:
-        mesh = Mesh(cfg.rows, cfg.cols)
-    net = Network(cfg, mesh, ROUTERS[scheme.routing],
-                  router_cls=router_cls, scheme=scheme,
-                  shared=shared)
+    net = Network(cfg, Mesh(cfg.rows, cfg.cols), ROUTERS[scheme.routing],
+                  router_cls=router_cls, scheme=scheme)
     #: why an engine="soa" request fell back to scalar (None otherwise)
     net.soa_fallback = soa_fallback
     scheme.build(net)
@@ -64,9 +50,9 @@ def build_network(cfg: SimConfig, scheme, shared=None) -> Network:
 class Simulation:
     """One (scheme, traffic, config) run."""
 
-    def __init__(self, cfg: SimConfig, scheme, traffic, shared=None):
+    def __init__(self, cfg: SimConfig, scheme, traffic):
         self.scheme = scheme
-        self.net = build_network(cfg, scheme, shared=shared)
+        self.net = build_network(cfg, scheme)
         self.cfg = self.net.cfg
         net = self.net
         if self.cfg.engine == "naive":

@@ -11,12 +11,8 @@ bounded retries and optional wall-clock timeouts on top of the plain
 process pool.  ``parallel_sweep`` keeps its always-recompute semantics
 (no result cache) unless a cache is passed explicitly.
 
-Two batching layers keep the pool from re-deriving identical immutable
-state: under fork start methods the executor warms the route tables for
-every distinct configuration on the parent side before the first worker
-starts (children inherit them copy-on-write), and points that differ
-only in their seed (:meth:`Point.make_seeded`) fold into one replica
-batch per worker, built once on shared structures.
+Points that differ only in their seed (:meth:`Point.make_seeded`) fold
+into one replica batch per worker.
 """
 
 from __future__ import annotations

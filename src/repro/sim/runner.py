@@ -59,9 +59,8 @@ def run_replicas(scheme: str, pattern: str, rate: float, cfg: SimConfig,
 
     Semantically ``[run_point(scheme, pattern, rate, cfg, seed=s) for s
     in seeds]`` — each returned :class:`RunResult` is bit-identical to
-    the scalar run with that seed (proven by the differential tests) —
-    but the replicas share one set of immutable structures (mesh, route
-    tables, FastPass geometry), so R seeds pay for one construction.
+    the scalar run with that seed (proven by the differential tests);
+    the fold is a unit of campaign execution, not an optimisation.
     ``scheme`` is a registry name: every replica needs its own scheme
     instance, so an already-built :class:`Scheme` object cannot be
     shared the way ``run_point`` accepts one.

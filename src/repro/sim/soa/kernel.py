@@ -95,16 +95,7 @@ class SoAKernel:
         self.V = V = cfg.total_vcs
         self.PV = 5 * V
         self.N = N = R * 5 * V
-        shared = net.shared
-        if shared is not None:
-            # The dense tables are a pure function of the route memos and
-            # the wiring — both already donated through SharedStructures —
-            # so one build serves every replica of a seed fold (the
-            # identity pin in ``claim`` keeps the reuse honest).
-            self.tables = shared.get_or_build(
-                "soa_tables", lambda: build_tables(net))
-        else:
-            self.tables = build_tables(net)
+        self.tables = build_tables(net)
         self._esc_stride = net.routers[0]._esc_stride
         self._inj_cap = cfg.inj_queue_pkts
 

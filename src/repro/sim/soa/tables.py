@@ -1,10 +1,11 @@
 """Dense route tables for the SoA kernel.
 
-The scalar router memoises candidate moves per ``(dst, vn, escape)`` as a
-tuple of ``(out_port, downstream_vc_indices)`` pairs.  The kernel needs
-the same information as a gather: for H head packets, one fancy-indexing
-read must yield every head's move list.  This module re-encodes the
-warmed memo dicts as rectangular arrays:
+The scalar router reads candidate moves per ``(dst, vn, escape)`` from the
+network's :class:`~repro.network.routing.RouteTable` as a tuple of
+``(out_port, downstream_vc_indices)`` pairs.  The kernel needs the same
+information as a gather: for H head packets, one fancy-indexing read must
+yield every head's move list.  This module re-encodes the table as
+rectangular arrays:
 
 ``mv_out[rid, dst, esc, k]``
     Output port of the k-th candidate move (``-1`` padding past the end;
@@ -18,10 +19,12 @@ warmed memo dicts as rectangular arrays:
     partition the VC space and 0 when a single VN shares all VCs, so the
     absolute range is ``rel + vn_base[vn]``.
 
-The tables are built from the ``vn=0`` memo entries and the structural
-fact that every VN's entry is the vn-0 entry shifted by the VN base
-(:func:`verify_tables` checks the full ``(dst, vn, esc)`` product against
-the memos; the unit tests run it for every supported scheme).
+The arrays are encoded per direction class from the ``vn=0`` table
+entries, spread over ``(rid, dst)`` with one gather through the class
+matrix, and rely on the structural fact that every VN's entry is the vn-0
+entry shifted by the VN base (:func:`verify_tables` checks the full
+``(rid, dst, vn, esc)`` product against ``Router.moves``; the unit tests
+run it for every supported scheme).
 
 ``dport_base[rid, out]`` precomputes the flat SoA index of the first VC
 slot of the downstream input port behind ``links_out[out]`` (``-1`` where
@@ -30,9 +33,13 @@ no link exists), so the kernel's credit scan is pure arithmetic.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from types import SimpleNamespace
+
 import numpy as np
 
-from repro.network.topology import PORT_LOCAL
+from repro.network.routing import N_CLASSES
+from repro.network.topology import OPPOSITE, PORT_LOCAL, Mesh
 
 #: widest move list in the tree: EscapeVC's adaptive entries concatenate
 #: <=2 productive adaptive ports and <=2 west-first escape ports
@@ -58,7 +65,7 @@ def flat_index_bound(R: int, V: int) -> int:
 
 
 class DenseTables:
-    """Immutable gather-friendly form of the warmed route memos.
+    """Immutable gather-friendly form of a route table.
 
     Beyond the raw move lists, the build precomputes every screen-ready
     derived view so the kernel's per-cycle refresh is pure gathering:
@@ -85,57 +92,62 @@ class DenseTables:
 
 
 def build_tables(net) -> DenseTables:
-    """Densify ``net``'s warmed route memos (``warm_routes`` must have
-    run, which :class:`~repro.network.network.Network` guarantees)."""
+    """The dense form of ``net.routes``, shared by every network of the
+    same derivation in this process."""
     cfg = net.cfg
-    routers = net.routers
-    R = len(routers)
-    V = cfg.total_vcs
-    stride = routers[0]._esc_stride
-    E = 2 if stride else 1
+    return _dense_tables(net.routes, cfg.rows, cfg.cols, cfg.n_vns,
+                         cfg.n_vcs, 2 if net.routers[0]._esc_stride else 1)
+
+
+@lru_cache(maxsize=8)
+def _dense_tables(routes, rows: int, cols: int, n_vns: int, n_vcs: int,
+                  E: int) -> DenseTables:
+    mesh = Mesh(rows, cols)
+    R = mesh.n_routers
+    V = n_vns * n_vcs
 
     flat_index_bound(R, V)
     t = DenseTables()
     t.R, t.V, t.E = R, V, E
-    t.vn_spread = cfg.n_vns > 1
+    t.vn_spread = n_vns > 1
     # Per-VN first-VC offset; indexable for any vn < 6 (packets only ever
     # carry vn < n_vns, the padding keeps the gather in-bounds).
     t.vn_base = np.array(
-        [vn * cfg.n_vcs if t.vn_spread and vn < cfg.n_vns else 0
+        [vn * n_vcs if t.vn_spread and vn < n_vns else 0
          for vn in range(6)], dtype=np.int64)
 
-    mv_out = np.full((R, R, E, MAX_MOVES), -1, dtype=np.int64)
-    mv_rlo = np.zeros((R, R, E, MAX_MOVES), dtype=np.int64)
-    mv_rhi = np.zeros((R, R, E, MAX_MOVES), dtype=np.int64)
-    for rid, router in enumerate(routers):
-        memo = router._mv_memo
-        for dst in range(R):
-            base_key = dst * 12          # (dst*6 + vn=0) * 2
-            for e in range(E):
-                mv = memo[base_key + e]
-                if len(mv) > MAX_MOVES:
+    # Encode the nine direction classes, then one gather through the
+    # class matrix spreads them over every (rid, dst) pair.
+    c_out = np.full((N_CLASSES, E, MAX_MOVES), -1, dtype=np.int64)
+    c_rlo = np.zeros((N_CLASSES, E, MAX_MOVES), dtype=np.int64)
+    c_rhi = np.zeros((N_CLASSES, E, MAX_MOVES), dtype=np.int64)
+    for c in range(N_CLASSES):
+        for e in range(E):
+            mv = routes.class_moves(c, 0, e)
+            if len(mv) > MAX_MOVES:
+                raise ValueError(
+                    f"direction class {c}: {len(mv)} moves exceed the "
+                    f"dense-table width {MAX_MOVES}")
+            for k, (out, vcs) in enumerate(mv):
+                c_out[c, e, k] = out
+                if out == PORT_LOCAL:
+                    continue         # ejection: VC range unused
+                lo, hi = vcs[0], vcs[-1] + 1
+                if tuple(vcs) != tuple(range(lo, hi)):
                     raise ValueError(
-                        f"router {rid}: {len(mv)} moves for dst {dst} "
-                        f"exceed the dense-table width {MAX_MOVES}")
-                for k, (out, vcs) in enumerate(mv):
-                    mv_out[rid, dst, e, k] = out
-                    if out == PORT_LOCAL:
-                        continue         # ejection: VC range unused
-                    lo, hi = vcs[0], vcs[-1] + 1
-                    if tuple(vcs) != tuple(range(lo, hi)):
-                        raise ValueError(
-                            f"router {rid}: non-contiguous VC preference "
-                            f"{vcs} for dst {dst} cannot be densified")
-                    mv_rlo[rid, dst, e, k] = lo
-                    mv_rhi[rid, dst, e, k] = hi
+                        f"direction class {c}: non-contiguous VC "
+                        f"preference {vcs} cannot be densified")
+                c_rlo[c, e, k] = lo
+                c_rhi[c, e, k] = hi
+    cls = np.frombuffer(routes.class_ids(), dtype=np.uint8).reshape(R, R)
+    mv_out = c_out[cls]
+    mv_rlo, mv_rhi = c_rlo[cls], c_rhi[cls]
     t.mv_out, t.mv_rlo, t.mv_rhi = mv_out, mv_rlo, mv_rhi
 
     dpb = np.full((R, 5), -1, dtype=np.int64)
-    for rid, router in enumerate(routers):
-        for out in range(1, 5):
-            link = router.links_out[out]
-            if link is not None:
-                dpb[rid, out] = (link.dst * 5 + link.dst_port) * V
+    for rid in range(R):
+        for out in mesh.ports_of(rid):
+            dpb[rid, out] = (mesh.neighbor(rid, out) * 5 + OPPOSITE[out]) * V
     t.dport_base = dpb
     t.dport_l = dpb.tolist()             # plain-int reads for the apply loop
 
@@ -149,25 +161,31 @@ def build_tables(net) -> DenseTables:
     dbase0 = np.maximum(dbase, 0)        # invalid rows: in-bounds garbage
     t.mv_plo = dbase0 + mv_rlo
     t.mv_phi = dbase0 + mv_rhi
+    for name in DenseTables.__slots__:
+        if isinstance(getattr(t, name), np.ndarray):
+            getattr(t, name).flags.writeable = False   # shared process-wide
     return t
 
 
 def verify_tables(net, t: DenseTables) -> int:
-    """Cross-check the dense tables against every live memo entry.
+    """Cross-check the dense tables against the scalar routers.
 
-    Reconstructs each ``(dst, vn, esc)`` move tuple from the arrays and
-    compares it to the scalar memo verbatim.  Returns the number of
+    Reconstructs each ``(rid, dst, vn, esc)`` move tuple from the arrays
+    and compares it to ``Router.moves`` verbatim.  Returns the number of
     entries checked (test hook; never called on the hot path).
     """
     cfg = net.cfg
+    stride = net.routers[0]._esc_stride
     checked = 0
     for rid, router in enumerate(net.routers):
-        memo = router._mv_memo
         for dst in range(t.R):
             for vn in range(cfg.n_vns):
                 vb = int(t.vn_base[vn])
                 for e in range(t.E):
-                    expect = memo[(dst * 6 + vn) * 2 + e]
+                    # A packet in its VN's escape VC iff ``e`` is set.
+                    expect = router.moves(
+                        SimpleNamespace(dst=dst, vn=vn),
+                        SimpleNamespace(vc=vn * stride) if e else None)
                     got = []
                     for k in range(MAX_MOVES):
                         out = int(t.mv_out[rid, dst, e, k])
@@ -188,6 +206,6 @@ def verify_tables(net, t: DenseTables) -> int:
                                         and gv != tuple(ev)):
                             raise AssertionError(
                                 f"r{rid} dst{dst} vn{vn} e{e}: "
-                                f"dense {got} != memo {expect}")
+                                f"dense {got} != moves {expect}")
                     checked += 1
     return checked

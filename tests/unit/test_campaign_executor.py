@@ -5,12 +5,13 @@ when ``REPRO_CAMPAIGN_SELFTEST=1``, so they can never appear in a real
 sweep.
 """
 
+import os
 import time
 
 import pytest
 
 from repro.campaign import RetryPolicy, RunCache
-from repro.campaign.executor import CampaignExecutor
+from repro.campaign.executor import CampaignExecutor, default_workers
 from repro.campaign.store import CampaignStore
 from repro.sim.parallel import Point
 
@@ -205,12 +206,29 @@ class TestReplicaBatching:
     def test_pool_size_respects_affinity(self, monkeypatch):
         """The fork pool never launches more workers than the affinity
         mask allows, even when more tasks (or a larger --jobs) ask."""
-        import repro.sim.batch.shared as shared
+        from repro.campaign import executor
         from repro.campaign.executor import _pool_size
-        monkeypatch.setattr(shared, "default_workers", lambda: 2)
+        monkeypatch.setattr(executor, "default_workers", lambda: 2)
         assert _pool_size(8, 10) == 2       # affinity caps the request
         assert _pool_size(None, 10) == 2    # and the one-per-task default
         assert _pool_size(None, 1) == 1     # never more than tasks
         assert _pool_size(1, 10) == 1       # explicit request honoured
-        monkeypatch.setattr(shared, "default_workers", lambda: 64)
+        monkeypatch.setattr(executor, "default_workers", lambda: 64)
         assert _pool_size(None, 3) == 3
+
+
+class TestDefaultWorkers:
+    def test_respects_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2}, raising=False)
+        assert default_workers() == 3
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert default_workers() == 5
+
+    def test_never_below_one(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_workers() == 1

@@ -255,85 +255,6 @@ class TestHistory:
         assert len(perf.load_history()) == 1
 
 
-class TestBatchSnapshot:
-    def _shrink(self, monkeypatch, tmp_path):
-        from repro.config import SimConfig
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        monkeypatch.setattr(perf, "SNAPSHOT_POINTS",
-                            [("escapevc", {}, "uniform", 0.02),
-                             ("escapevc", {}, "uniform", 0.05)])
-        monkeypatch.setattr(
-            perf, "snapshot_config",
-            lambda engine="active": SimConfig(
-                rows=4, cols=4, warmup_cycles=50, measure_cycles=150,
-                drain_cycles=300, engine=engine))
-
-    def test_batch_ab_is_bit_identical_and_aggregates(self, tmp_path,
-                                                      monkeypatch):
-        self._shrink(monkeypatch, tmp_path)
-        snap = perf.run_batch_snapshot(replicas=3, repeat=1)
-        assert snap["kind"] == "repro-batch-snapshot"
-        assert snap["replicas"] == 3
-        assert len(snap["points"]) == 2
-        assert all(p["identical"] for p in snap["points"])
-        assert snap["lowload_speedup"] > 0
-        assert snap["overall_speedup"] > 0
-
-    def test_batch_cli_writes_and_gates(self, tmp_path, monkeypatch,
-                                        capsys):
-        from repro.experiments import cli
-        self._shrink(monkeypatch, tmp_path)
-        fake_main = _snap([_point("p", 1000.0)])
-        fake_main.update(label=None, total_wall_s=0.1,
-                         total_cycles_per_sec=1000.0, created="t0")
-        monkeypatch.setattr(
-            perf, "run_snapshot",
-            lambda repeat=1, label=None, engine="active": fake_main)
-        fake_batch = {"kind": "repro-batch-snapshot", "points": [],
-                      "lowload_speedup": 1.6, "overall_speedup": 1.4}
-        monkeypatch.setattr(perf, "run_batch_snapshot",
-                            lambda replicas=8, repeat=3: fake_batch)
-        out = tmp_path / "batch.json"
-        rc = cli.main(["perf", "snapshot", "--replicas", "4",
-                       "--out", str(tmp_path / "n.json"),
-                       "--batch-out", str(out)])
-        assert rc == 0
-        assert json.loads(out.read_text())["lowload_speedup"] == 1.6
-        fake_batch["lowload_speedup"] = 1.1
-        rc = cli.main(["perf", "snapshot", "--replicas", "4",
-                       "--out", str(tmp_path / "n2.json"),
-                       "--batch-out", str(out),
-                       "--batch-fail-under", "1.25"])
-        assert rc == 1
-        assert "BATCH REGRESSION" in capsys.readouterr().out
-
-    def test_drift_raises(self, tmp_path, monkeypatch, capsys):
-        """A batch result that diverges from its scalar twin is a hard
-        error, not a gate ratio: ``ResultDrift`` from the harness, exit
-        2 (no traceback, nothing written) from the CLI — the same
-        contract as the SoA A/B."""
-        from repro.experiments import cli
-        self._shrink(monkeypatch, tmp_path)
-        from repro.sim.batch.engine import ReplicaBatch
-        orig = ReplicaBatch.run
-
-        def corrupt(self):
-            out = orig(self)
-            out[0].ejected += 1
-            return out
-
-        monkeypatch.setattr(ReplicaBatch, "run", corrupt)
-        with pytest.raises(perf.ResultDrift, match="drifted"):
-            perf.run_batch_snapshot(replicas=2, repeat=1)
-        out = tmp_path / "batch.json"
-        rc = cli.main(["perf", "snapshot", "--replicas", "2",
-                       "--no-history", "--out", str(tmp_path / "n.json"),
-                       "--batch-out", str(out)])
-        assert rc == 2
-        assert "BATCH RESULT DRIFT" in capsys.readouterr().out
-        assert not out.exists()
-
-
 def _soa_snap(gate_speedup, points=()):
     return {"kind": "repro-soa-snapshot", "points": list(points),
             "gate_points": ["fastpass()/uniform@0.2/8x8"],

@@ -138,9 +138,9 @@ class TestCampaignIntegration:
 
     def test_replica_batch_kernels_share_one_table_build(self):
         """Direct construction with engine="soa" attaches a standalone
-        kernel per replica — private state arrays, one dense-table build
-        adopted through SharedStructures — and ``engine_used``
-        attributes each result to the kernel."""
+        kernel per replica — private state arrays, one memoised
+        dense-table build — and ``engine_used`` attributes each result
+        to the kernel."""
         from repro.sim.batch.engine import ReplicaBatch
         batch = ReplicaBatch(_cfg(engine="soa"), "fastpass", "uniform",
                              0.05, [3, 5], scheme_kwargs={"n_vcs": 2})
