@@ -10,9 +10,12 @@ This package owns sweep execution end-to-end:
 * :mod:`~repro.campaign.store` — persistent per-campaign point status
   (pending/running/done/failed) in sqlite, so interrupted campaigns
   resume where they stopped;
-* :mod:`~repro.campaign.executor` — fault-tolerant execution with
-  worker-crash isolation, bounded retries with backoff, wall-clock
-  timeouts, and live progress/ETA;
+* :mod:`~repro.campaign.queue` and :mod:`~repro.campaign.lifecycle` —
+  the one task lifecycle (lease -> settle): bounded retries with
+  backoff, deadlines, crash handling, settlement into cache and store;
+* :mod:`~repro.campaign.executor` — the ``run`` body every executor
+  shares, the in-process and fork-per-lease transports that drive the
+  lifecycle locally, and live progress/ETA;
 * :mod:`~repro.campaign.context` — process-wide defaults (cache
   location, job count) shared by the CLI, the experiment scripts and the
   benchmarks.
@@ -47,7 +50,9 @@ def run_points(points: list[Point], cfg: SimConfig, *,
     ``cache``/``store``/``processes`` default from the ambient
     :func:`~repro.campaign.context.get_context`: the shared run cache,
     the store of the active campaign (if one is set), and the configured
-    job count.  Pass ``cache=False`` to force recomputation.
+    job count.  Pass ``cache=False`` to force recomputation.  Inside a
+    fabric session the session's fleet and retry policy apply;
+    ``processes`` and ``retry`` describe the local pool only.
     """
     ctx = get_context()
     if cache is None:
@@ -64,9 +69,8 @@ def run_points(points: list[Point], cfg: SimConfig, *,
         progress = ctx.progress
     if ctx.fabric_session is not None:
         from repro.fabric.executor import FabricExecutor
-        fx = FabricExecutor(cfg, cache=cache, store=store, retry=retry,
-                            progress=progress,
-                            session=ctx.fabric_session)
+        fx = FabricExecutor(cfg, ctx.fabric_session, cache=cache,
+                            store=store, progress=progress)
         return fx.run(points)
     ex = CampaignExecutor(cfg, cache=cache, store=store,
                           processes=processes, retry=retry,

@@ -1,17 +1,18 @@
-"""The leased work queue at the heart of the campaign fabric.
+"""The leased work queue: what happens to a task from pending to
+done|failed, for every transport (in-process, forked child, HTTP puller).
 
 Pure bookkeeping — no I/O, no clocks (every method takes ``now``), no
-threads — so the lease protocol is unit-testable in microseconds and the
-coordinator stays a thin shell around it.
+threads — so the lease protocol is unit-testable in microseconds and
+:class:`~repro.campaign.lifecycle.Lifecycle` stays a thin settlement
+shell around it.
 
 Protocol invariants (the ones the tests pin):
 
 * **At-least-once execution.**  A lease that is not completed by its
   deadline is *expired*: the attempt is charged against the task's
-  :class:`~repro.campaign.executor.RetryPolicy` budget and the task is
-  re-queued after the policy's backoff — or permanently failed once the
-  budget is spent.  A crashed or partitioned worker therefore delays a
-  task, never loses it.
+  :class:`RetryPolicy` budget and the task is re-queued after the
+  policy's backoff — or permanently failed once the budget is spent.  A
+  crashed or partitioned worker therefore delays a task, never loses it.
 * **Idempotent completion.**  The first completion of a task wins;
   every later completion (a duplicate POST, or a slow worker finishing
   after its lease expired and the task was re-leased) is acknowledged
@@ -28,7 +29,7 @@ Protocol invariants (the ones the tests pin):
 * **Redundant execution (opt-in).**  A task with ``redundancy = R > 1``
   is leased to R distinct workers; each completion lands as ``PARTIAL``
   until the last one arrives as ``VERIFY``, at which point the
-  *coordinator* cross-checks the candidate payloads and either
+  *lifecycle* cross-checks the candidate payloads and either
   :meth:`settle`\\ s the task or :meth:`reopen`\\ s it for a tie-break
   replay.  The queue never inspects result bytes — it only counts
   grants (``slots``) and completions (``done``) against the running
@@ -46,7 +47,15 @@ import re
 from collections import deque
 from dataclasses import dataclass
 
-from repro.campaign.executor import RetryPolicy
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    max_attempts: int = 3
+    backoff_s: float = 0.25
+    timeout_s: float | None = None
+
+    def delay(self, attempt: int) -> float:
+        return self.backoff_s * (2 ** (attempt - 1))
 
 #: dispositions returned to completing workers
 OK = "ok"                # first completion: results accepted
@@ -61,16 +70,15 @@ VERIFY = "verify"        # redundant task: last completion — cross-check
 
 @dataclass
 class Task:
-    """One unit of worker execution (mirrors the executor's ``_Task``):
-    a single point or a group of seed replicas, plus the config they run
-    under and an opaque coordinator-side context (the campaign store the
-    task reports to).  ``redundancy`` is how many independent workers
-    must execute the task before it can settle."""
+    """One unit of worker execution: a single point or a group of seed
+    replicas, plus the config they run under and the campaign store the
+    task reports to (never serialized).  ``redundancy`` is how many
+    independent workers must execute the task before it can settle."""
 
     tid: str                         # stable id: the first point key
     items: list                      # [(key, Point), ...]
-    cfg_json: dict
-    context: object = None           # opaque; never serialized
+    cfg: object                      # the SimConfig the points run under
+    store: object = None             # CampaignStore, or None
     attempt: int = 0
     eligible: float = 0.0            # earliest re-lease time (backoff)
     redundancy: int = 1
@@ -78,6 +86,10 @@ class Task:
     @property
     def keys(self) -> list[str]:
         return [key for key, _ in self.items]
+
+    @property
+    def points(self) -> list:
+        return [point for _, point in self.items]
 
 
 @dataclass
@@ -166,7 +178,7 @@ class LeaseQueue:
 
         ``allow_self=False`` withholds a redundant task's sibling grant
         from a worker that already holds a live lease on it — two copies
-        on one worker would verify nothing.  The coordinator only passes
+        on one worker would verify nothing.  The lifecycle only passes
         False while other workers are around to take the sibling.
         """
         self.expire(now)
@@ -343,33 +355,55 @@ class LeaseQueue:
     # -- expiry ---------------------------------------------------------
     def expire(self, now: float) -> list[tuple[str, Task]]:
         """Sweep overdue leases; each costs the task one attempt."""
+        return self._expire([l for l in self._leases.values()
+                             if l.deadline <= now], now)
+
+    def expire_worker(self, worker: str, now: float,
+                      reason: str | None = None) -> list[tuple[str, Task]]:
+        """Force-expire every live lease held by ``worker`` — used when a
+        supervisor *knows* the worker process died, so its tasks requeue
+        immediately instead of waiting out the lease TTL.  ``reason`` is
+        what the supervisor saw; it replaces the "expired" wording a
+        silent worker's TTL expiry gets."""
+        return self._expire([l for l in self._leases.values()
+                             if l.worker == worker], now, reason)
+
+    def _expire(self, leases: list[Lease], now: float,
+                reason: str | None = None) -> list[tuple[str, Task]]:
         out = []
-        for lease in [l for l in self._leases.values()
-                      if l.deadline <= now]:
+        for lease in leases:
             del self._leases[lease.lease_id]
             self.counters.expiries += 1
             task = lease.task
             if self._state.get(task.tid) in ("done", "failed"):
                 continue                      # already done via late win
-            self._failures[task.tid] = (
+            self._failures[task.tid] = reason or (
                 f"lease {lease.lease_id} to {lease.worker} expired")
             out.append(self._retry_or_fail(task, now))
         return out
 
-    def expire_worker(self, worker: str,
-                      now: float) -> list[tuple[str, Task]]:
-        """Force-expire every live lease held by ``worker`` — used when a
-        supervisor *knows* the worker process died, so its tasks requeue
-        immediately instead of waiting out the lease TTL."""
-        for lease in [l for l in self._leases.values()
-                      if l.worker == worker]:
-            lease.deadline = now
-        return self.expire(now)
+    def release_all(self) -> list[Task]:
+        """Hand every live lease back un-charged (graceful shutdown or an
+        interrupt: nobody failed): the task is leasable again at once and
+        its attempt count is what it was before the grant.  A worker
+        still finishing a released lease lands as a late completion."""
+        out = []
+        for lease in list(self._leases.values()):
+            del self._leases[lease.lease_id]
+            task = lease.task
+            if self._state.get(task.tid) in ("done", "failed"):
+                continue
+            task.attempt -= 1
+            self._slots[task.tid] += 1
+            self._pending.appendleft(task)
+            self._refresh_state(task.tid)
+            out.append(task)
+        return out
 
     # -- introspection --------------------------------------------------
     def task_of(self, lease_id: str) -> Task | None:
         """The task a lease id refers to (None if never issued) — lets
-        the coordinator validate a completion payload *before* settling
+        the lifecycle validate a completion payload *before* settling
         the task."""
         tid = self._lease_tid.get(lease_id)
         return self._tasks[tid] if tid is not None else None
@@ -377,8 +411,13 @@ class LeaseQueue:
     def error_of(self, tid: str) -> str:
         return self._failures.get(tid, "")
 
+    def need_of(self, tid: str) -> int:
+        """Completions ``tid`` needs to settle: its redundancy plus one
+        per tie-break reopen."""
+        return self._need[tid]
+
     def note_error(self, tid: str, error: str) -> None:
-        """Record the failure reason for a task the *coordinator* failed
+        """Record the failure reason for a task the *lifecycle* failed
         (a quarantined task whose budget ran out), so ``error_of`` tells
         the story the same way lease expiries do."""
         self._failures[tid] = error
@@ -386,6 +425,11 @@ class LeaseQueue:
     def live_leases(self) -> list[Lease]:
         """Snapshot of live leases — the unit the coordinator journals."""
         return list(self._leases.values())
+
+    def next_deadline(self) -> float | None:
+        """Earliest deadline among live leases (None if none is out)."""
+        return min((l.deadline for l in self._leases.values()),
+                   default=None)
 
     def counts(self) -> dict[str, int]:
         by = {"pending": 0, "leased": 0, "done": 0, "failed": 0}
@@ -421,5 +465,5 @@ class LeaseQueue:
         return {key for lease in self._leases.values()
                 for key in lease.task.keys}
 
-    def __len__(self) -> int:
-        return len(self._tasks)
+    def __contains__(self, tid: str) -> bool:
+        return tid in self._tasks

@@ -144,6 +144,14 @@ def execute_group(points: list[Point], cfg: SimConfig) -> list[RunResult]:
                         traffic_stop=meta.get("traffic_stop"), spec=spec)
 
 
+def execute_task(points: list[Point], cfg: SimConfig) -> list[RunResult]:
+    """Run one task — a single point, or a seed fold — the same way on
+    every transport (in-process, forked child, fabric worker)."""
+    if len(points) == 1:
+        return [execute_point(points[0], cfg)]
+    return execute_group(points, cfg)
+
+
 def failed_result(point: Point, error: str) -> RunResult:
     """Placeholder for a point that exhausted its retries.
 

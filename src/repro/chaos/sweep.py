@@ -68,10 +68,7 @@ def run_sweep(seed: int = 0, levels=None, workers: int = 2,
               work_dir: str | None = None) -> dict:
     """Run the escalation ladder; returns the survival table as a dict
     (one row per level) for :func:`format_table` or ``--json``."""
-    from repro.campaign import run_points
-    from repro.campaign.executor import RetryPolicy
-    from repro.campaign.store import CampaignStore
-    from repro.fabric.executor import FabricExecutor, FabricSession
+    from repro.campaign import RetryPolicy, run_points
 
     levels = list(DEFAULT_LEVELS if levels is None else levels)
     cfg = cfg or sweep_cfg()
@@ -94,25 +91,24 @@ def run_sweep(seed: int = 0, levels=None, workers: int = 2,
                 level=level, plan=plan, cfg=cfg, points=points,
                 baseline=baseline, retry=retry, workers=workers,
                 redundancy=redundancy,
-                store_path=Path(tmp) / f"level{i}.sqlite",
-                store_cls=CampaignStore,
-                executor_cls=FabricExecutor, session_cls=FabricSession)
+                store_path=Path(tmp) / f"level{i}.sqlite")
             report["levels"].append(row)
     return report
 
 
 def _run_level(level: float, plan: ChaosPlan, cfg, points, baseline,
-               retry, workers: int, redundancy: float, store_path,
-               store_cls, executor_cls, session_cls) -> dict:
-    store = store_cls(store_path)
-    session = session_cls(cache=None, retry=retry,
-                          lease_ttl_s=LEASE_TTL_S, workers=workers,
-                          redundancy=redundancy,
-                          chaos_token=plan.token() if plan else None)
+               retry, workers: int, redundancy: float,
+               store_path) -> dict:
+    from repro.campaign.store import CampaignStore
+    from repro.fabric.executor import FabricExecutor, FabricSession
+
+    store = CampaignStore(store_path)
+    session = FabricSession(cache=None, retry=retry,
+                            lease_ttl_s=LEASE_TTL_S, workers=workers,
+                            redundancy=redundancy,
+                            chaos_token=plan.token() if plan else None)
     try:
-        ex = executor_cls(cfg, cache=None, store=store, retry=retry,
-                          session=session, lease_ttl_s=LEASE_TTL_S)
-        results = ex.run(points)
+        results = FabricExecutor(cfg, session, store=store).run(points)
         coord = session.coordinator
         counters = coord.queue.counters.to_json()
         injected = coord._chaos_totals()

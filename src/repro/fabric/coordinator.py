@@ -1,6 +1,12 @@
-"""The fabric coordinator: work-queue API plus read-side results service.
+"""The fabric coordinator: the HTTP transport's face on the task
+lifecycle, plus a read-side results service.
 
-One asyncio HTTP server (one background thread) exposes two faces:
+:class:`Coordinator` *is* a :class:`~repro.campaign.lifecycle.Lifecycle`
+— the same lease -> settle state machine the local executor drives over
+pipes — and adds what only leases that leave the process need: request
+validation, the shutdown handshake, and the lease journal that lets a
+restarted coordinator adopt what a dead one granted.  One asyncio HTTP
+server (one background thread) exposes two faces:
 
 * the **work-queue API** workers pull from —
 
@@ -10,7 +16,7 @@ One asyncio HTTP server (one background thread) exposes two faces:
   - ``POST /complete``  ``{lease_id, worker, ok, results|error,
     artifacts}`` → a disposition (``ok``/``late``/``duplicate``/
     ``requeued``/``failed``/``unknown``); completions are idempotent —
-    see :mod:`repro.fabric.queue` for the invariants;
+    see :mod:`repro.campaign.queue` for the invariants;
 
 * the **results service** many concurrent readers can hit while a
   campaign runs —
@@ -22,11 +28,10 @@ One asyncio HTTP server (one background thread) exposes two faces:
   - ``GET /perf/trend``   the ``results/perf/history.jsonl`` trajectory;
   - ``GET /healthz``      liveness probe.
 
-The coordinator persists through the *existing* campaign plumbing: every
-accepted completion goes into the content-addressed
-:class:`~repro.campaign.cache.RunCache` and the campaign
-:class:`~repro.campaign.store.CampaignStore` exactly as a local executor
-run would, so ``campaign status``, resume, and cache hits all keep
+Settlement is the lifecycle's: every accepted completion goes into the
+content-addressed :class:`~repro.campaign.cache.RunCache` and the
+campaign :class:`~repro.campaign.store.CampaignStore` by the same code a
+local run uses, so ``campaign status``, resume, and cache hits all keep
 working unchanged.  Worker-side metrics artifacts ride back in the
 completion payload and land under the coordinator's
 ``results/metrics/``.
@@ -34,96 +39,42 @@ completion payload and land under the coordinator's
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
 import re
-import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
 
-from repro.campaign import cache as cache_mod
-from repro.campaign.executor import RetryPolicy
-from repro.campaign.worker import failed_result
-from repro.fabric import protocol, queue as queue_mod
+from repro.campaign import cache as cache_mod, queue as queue_mod
+from repro.campaign.lifecycle import PRESENT_S, Lifecycle, window_rate
+from repro.campaign.queue import RetryPolicy
+from repro.fabric import protocol
 from repro.fabric.httpd import HttpError, JsonHttpServer
 
-#: sliding window (seconds) over which throughput/ETA are measured
-RATE_WINDOW_S = 60.0
 
-
-@dataclass
-class _WorkerStats:
-    granted: int = 0
-    points: int = 0
-    failures: int = 0
-    first_seen: float = 0.0
-    last_seen: float = 0.0
-    window: deque = field(default_factory=deque)  # (t, n_points)
-
-    def rate(self, now: float) -> float:
-        while self.window and self.window[0][0] < now - RATE_WINDOW_S:
-            self.window.popleft()
-        if not self.window:
-            return 0.0
-        span = max(now - self.window[0][0], 1e-9)
-        return sum(n for _, n in self.window) / span
-
-    def to_json(self, now: float) -> dict:
-        return {
-            "leases": self.granted,
-            "points": self.points,
-            "failures": self.failures,
-            "points_per_s": round(self.rate(now), 4),
-            "last_seen_s_ago": round(now - self.last_seen, 3),
-        }
-
-
-class Coordinator:
-    """Serves tasks to pulling workers and collects their results.
+class Coordinator(Lifecycle):
+    """Serves leases to pulling workers and takes their completions.
 
     Thread model: HTTP handlers run on the server thread, ``submit``/
-    ``collect``/``tick`` on the caller's; one re-entrant lock guards the
-    queue, the results map and the worker stats.  Handlers only do queue
-    bookkeeping and small sqlite/cache writes, so holding the lock
-    across a handler is microseconds.
+    ``collect``/``tick`` on the caller's, all under the lifecycle's
+    lock.  Handlers only do queue bookkeeping and small sqlite/cache
+    writes, so holding the lock across a handler is microseconds.
     """
 
     def __init__(self, cache=None, retry: RetryPolicy | None = None,
                  lease_ttl_s: float = 60.0, campaign: str | None = None,
-                 redundancy: float = 0.0, redundancy_seed: int = 0):
-        self.cache = cache
-        self.retry = retry or RetryPolicy()
-        self.queue = queue_mod.LeaseQueue(self.retry, lease_ttl_s)
+                 redundancy: float = 0.0):
+        super().__init__(cache, retry, lease_ttl_s, redundancy)
         self.campaign = campaign
-        self.redundancy = redundancy         # sampled fraction run twice
-        self.redundancy_seed = redundancy_seed
         self.state = protocol.STATE_OK       # flips to shutdown at close
-        self.results: dict[str, object] = {}  # key -> RunResult
-        self.quarantined = 0                 # redundancy mismatches seen
-        self.quarantine_events: deque = deque(maxlen=50)
         self.started = time.monotonic()
-        self._lock = threading.RLock()
-        self._workers: dict[str, _WorkerStats] = {}
         self._dismissed: set[str] = set()    # saw the shutdown state
-        self._window: deque = deque()        # (t, n_points) completions
-        self._nmr: dict[str, list[dict]] = {}  # tid -> candidate payloads
         self._chaos: dict[str, dict] = {}    # worker -> injections by kind
         self._journaled: dict[int, object] = {}  # stores with journal rows
         self._server: JsonHttpServer | None = None
         self._registry = None
 
-    # -- lifecycle ------------------------------------------------------
+    # -- server ---------------------------------------------------------
     def start(self, host: str = "127.0.0.1", port: int = 0) -> str:
         self._server = JsonHttpServer(self.handle, host, port)
         return self._server.start()
-
-    @property
-    def url(self) -> str:
-        if self._server is None:
-            raise RuntimeError("coordinator not started")
-        return self._server.url
 
     def shutdown(self) -> None:
         """Tell pulling workers to exit; keep serving until stopped."""
@@ -134,57 +85,9 @@ class Coordinator:
         if self._server is not None:
             self._server.stop()
 
-    # -- feeding (caller thread) ---------------------------------------
-    def submit(self, grouped_items: list[list], cfg, store=None) -> None:
-        """Queue tasks: ``grouped_items`` is a list of item lists, each
-        ``[(key, Point), ...]`` — singletons or replica groups, exactly
-        as :func:`repro.campaign.executor.group_tasks` produces them."""
-        cfg_json = protocol.cfg_to_json(cfg)
-        with self._lock:
-            for items in grouped_items:
-                tid = items[0][0]
-                self.queue.add(queue_mod.Task(
-                    tid=tid, items=list(items), cfg_json=cfg_json,
-                    context={"store": store, "cfg": cfg},
-                    redundancy=2 if self._sampled_redundant(tid) else 1))
-
-    def _sampled_redundant(self, tid: str) -> bool:
-        """Deterministic per-task draw for N-modular redundancy: the
-        same (task, seed) pair always lands on the same side, so a
-        resumed campaign re-selects exactly the same double-run set."""
-        if self.redundancy <= 0:
-            return False
-        if self.redundancy >= 1:
-            return True
-        h = int(hashlib.sha256(
-            f"{tid}|{self.redundancy_seed}".encode()).hexdigest()[:8], 16)
-        return h / 0xFFFFFFFF < self.redundancy
-
-    def seed_results(self, results: dict) -> None:
-        """Pre-fill results resolved before serving (cache hits), so the
-        read-side can answer for them too."""
-        with self._lock:
-            self.results.update(results)
-
-    def tick(self) -> None:
-        """Expire overdue leases (also done lazily on every lease)."""
-        now = time.monotonic()
-        with self._lock:
-            for disposition, task in self.queue.expire(now):
-                self._settle_failure(task, disposition)
-            self._journal(now)
-
-    def expire_dead_worker(self, worker: str) -> None:
-        """A supervisor saw ``worker``'s process die: charge and requeue
-        its live leases immediately instead of waiting out the TTL."""
-        now = time.monotonic()
-        with self._lock:
-            for disposition, task in self.queue.expire_worker(worker, now):
-                self._settle_failure(task, disposition)
-
-    def workers_pending_dismissal(self, exclude=(),
-                                  window_s: float = 10.0) -> list[str]:
-        """Workers active within ``window_s`` that have not yet seen the
+    # -- shutdown handshake ---------------------------------------------
+    def workers_pending_dismissal(self, exclude=()) -> list[str]:
+        """Workers heard from recently that have not yet seen the
         shutdown state — a closing ``serve`` session lingers until this
         empties so remote pullers exit promptly instead of burning their
         connection-retry budget against a vanished server."""
@@ -192,36 +95,33 @@ class Coordinator:
         with self._lock:
             return [w for w, s in self._workers.items()
                     if w not in exclude and w not in self._dismissed
-                    and now - s.last_seen <= window_s]
-
-    def live_lease_keys(self) -> set[str]:
-        with self._lock:
-            return self.queue.live_keys()
-
-    def release_leases(self) -> None:
-        """On *graceful* shutdown: anything still out on a lease goes
-        back to ``pending`` in its store, so the next run resumes it
-        instead of treating it as running forever.  The lease journal is
-        emptied too — resumption must not re-adopt claims the shutdown
-        just released.  (A crash skips this method, which is exactly why
-        the journal survives for ``--resume`` to adopt.)"""
-        with self._lock:
-            for lease in list(self.queue._leases.values()):
-                self._mark(lease.task, "pending")
-                del self.queue._leases[lease.lease_id]
-            self._journal(time.monotonic())
+                    and now - s.last_seen <= PRESENT_S]
 
     # -- crash safety (lease journal) ----------------------------------
-    def _journal(self, now: float) -> None:
+    def tick(self) -> None:
+        with self._lock:
+            super().tick()
+            self._journal()
+
+    def release_leases(self) -> None:
+        """The lease journal is emptied too — resumption must not
+        re-adopt claims the shutdown just released.  (A crash skips this
+        method, which is exactly why the journal survives for
+        ``--resume`` to adopt.)"""
+        with self._lock:
+            super().release_leases()
+            self._journal()
+
+    def _journal(self) -> None:
         """Mirror the live leases into their campaign stores (lock
         held).  Called after every transition that changes the lease
         set, so the on-disk journal is never more than one HTTP round
         behind the queue — the coordinator can die at any instant and
         ``--resume`` reconstructs exactly the outstanding claims."""
+        now = time.monotonic()
         by_store: dict[int, tuple[object, list]] = {}
         for lease in self.queue.live_leases():
-            ctx = lease.task.context
-            store = ctx.get("store") if isinstance(ctx, dict) else None
+            store = lease.task.store
             if store is None:
                 continue
             _, rows = by_store.setdefault(id(store), (store, []))
@@ -251,7 +151,6 @@ class Coordinator:
         safe (idempotent completion absorbs the worst case of the old
         worker still finishing).
         """
-        cfg_json = protocol.cfg_to_json(cfg)
         now = time.monotonic()
         adopted: set[str] = set()
         adopted_tids: set[str] = set()
@@ -262,9 +161,9 @@ class Coordinator:
                 if not keys:
                     continue
                 tid = keys[0]
-                if row["lease_id"] in self.queue._lease_tid:
+                if self.queue.task_of(row["lease_id"]) is not None:
                     continue
-                if tid in self.queue._tasks and tid not in adopted_tids:
+                if tid in self.queue and tid not in adopted_tids:
                     continue          # queued as fresh work already
                 known = store.points_by_key(keys)
                 if len(known) != len(keys) or any(
@@ -273,25 +172,15 @@ class Coordinator:
                     continue
                 task = queue_mod.Task(
                     tid=tid, items=[(k, known[k][0]) for k in keys],
-                    cfg_json=cfg_json,
-                    context={"store": store, "cfg": cfg},
-                    attempt=int(row["attempt"]),
+                    cfg=cfg, store=store, attempt=int(row["attempt"]),
                     redundancy=max(int(row.get("redundancy", 1)), 1))
                 self.queue.adopt(task, row["lease_id"], row["worker"],
                                  now)
                 adopted_tids.add(tid)
                 store.mark_many(keys, "running")
                 adopted.update(keys)
-            self._journal(now)
+            self._journal()
         return adopted
-
-    def resolved(self, keys: list[str]) -> bool:
-        with self._lock:
-            return all(k in self.results for k in keys)
-
-    def collect(self, keys: list[str]) -> dict:
-        with self._lock:
-            return {k: self.results[k] for k in keys if k in self.results}
 
     # -- HTTP dispatch (server thread) ----------------------------------
     def handle(self, method: str, path: str, body):
@@ -321,7 +210,6 @@ class Coordinator:
                 f"{protocol.PROTOCOL_VERSION}, worker sent {version}")
         worker = str(body.get("worker") or "anonymous")
         max_tasks = max(1, int(body.get("max_tasks", 1)))
-        now = time.monotonic()
         with self._lock:
             chaos = body.get("chaos")
             if isinstance(chaos, dict):   # worker ships injection totals
@@ -330,20 +218,8 @@ class Coordinator:
             if self.state == protocol.STATE_SHUTDOWN:
                 self._dismissed.add(worker)
                 return {"state": protocol.STATE_SHUTDOWN}
-            for disposition, task in self.queue.expire(now):
-                self._settle_failure(task, disposition)
-            stats = self._worker(worker, now)
-            # A redundant task's sibling grant is withheld from a worker
-            # already running it — unless this worker is the only one
-            # around, where liveness beats the (then pointless) check.
-            allow_self = len([w for w, s in self._workers.items()
-                              if now - s.last_seen <= 10.0]) <= 1
-            leases = self.queue.lease(worker, now, max_tasks,
-                                      allow_self=allow_self)
-            stats.granted += len(leases)
-            for lease in leases:
-                self._mark(lease.task, "running")
-            self._journal(now)
+            leases = self.lease(worker, max_tasks)
+            self._journal()
             if not leases:
                 return {"state": protocol.STATE_IDLE,
                         "drained": self.queue.drained}
@@ -355,179 +231,17 @@ class Coordinator:
         worker = str(body.get("worker") or "anonymous")
         if not lease_id:
             raise HttpError(400, "completion without a lease_id")
-        now = time.monotonic()
         with self._lock:
-            stats = self._worker(worker, now)
             if body.get("ok"):
-                results = body.get("results") or []
-                expected = self.queue.task_of(lease_id)
-                if expected is not None and \
-                        len(results) != len(expected.items):
-                    # Malformed payload: charge a failed attempt (checked
-                    # *before* settling, so the task retries, not wedges
-                    # as done-with-no-results).
-                    disposition, task = self.queue.fail(
-                        lease_id, f"completion carried {len(results)} "
-                        f"results for {len(expected.items)} points", now)
-                    if task is not None:
-                        self._settle_failure(task, disposition)
-                    return {"disposition": disposition}
-                disposition, task = self.queue.complete(lease_id, now)
-                if disposition in (queue_mod.OK, queue_mod.LATE) \
-                        and task is not None:
-                    artifacts = self._store_artifacts(
-                        body.get("artifacts") or [])
-                    self._settle_ok(task, results, artifacts)
-                    stats.points += len(task.items)
-                    stats.window.append((now, len(task.items)))
-                    self._window.append((now, len(task.items)))
-                elif disposition in (queue_mod.PARTIAL, queue_mod.VERIFY) \
-                        and task is not None:
-                    self._nmr.setdefault(task.tid, []).append({
-                        "worker": worker, "results": results,
-                        "artifacts": body.get("artifacts") or []})
-                    if disposition == queue_mod.VERIFY:
-                        disposition = self._verify(task, now)
+                disposition = self.complete(
+                    lease_id, worker, body.get("results") or [],
+                    body.get("artifacts") or [])
             else:
-                error = str(body.get("error") or "worker reported failure")
-                disposition, task = self.queue.fail(lease_id, error, now)
-                stats.failures += 1
-                if task is not None:
-                    self._settle_failure(task, disposition)
-            self._journal(now)
+                disposition = self.fail(
+                    lease_id, worker,
+                    str(body.get("error") or "worker reported failure"))
+            self._journal()
             return {"disposition": disposition}
-
-    def _verify(self, task, now: float) -> str:
-        """Cross-check a redundant task's candidate payloads (lock
-        held).  Unanimity or a majority settles the task with the
-        winning payload; a tie quarantines it and demands a tie-break
-        replay — or fails it once the widened budget is spent."""
-        from repro.chaos import quarantine as quarantine_mod
-        candidates = self._nmr.get(task.tid, [])
-        groups: dict[str, list[dict]] = {}
-        for cand in candidates:
-            # Vote on the result payload only: engine attribution is
-            # metadata, and two honest workers may legitimately run the
-            # same point under different engines (results are
-            # engine-invariant by contract).
-            votable = [{k: v for k, v in r.items() if k != "engine_used"}
-                       if isinstance(r, dict) else r
-                       for r in cand["results"]]
-            blob = json.dumps(votable, sort_keys=True)
-            groups.setdefault(blob, []).append(cand)
-        ranked = sorted(groups.values(), key=len, reverse=True)
-        if len(ranked) == 1 or len(ranked[0]) >= 2:
-            winner = ranked[0][0]
-            if len(ranked) > 1:
-                # majority found after a mismatch: name the liars
-                liars = sorted({c["worker"] for grp in ranked[1:]
-                                for c in grp})
-                self._record_quarantine(
-                    task, candidates, quarantine_mod.VERDICT_MAJORITY,
-                    liars)
-            self.queue.settle(task.tid)
-            self._settle_ok(task, winner["results"],
-                            self._store_artifacts(winner["artifacts"]))
-            stats = self._worker(winner["worker"], now)
-            stats.points += len(task.items)
-            stats.window.append((now, len(task.items)))
-            self._window.append((now, len(task.items)))
-            del self._nmr[task.tid]
-            return queue_mod.OK
-        # Every candidate distinct: quarantine and replay for majority.
-        self.quarantined += 1
-        self._record_quarantine(task, candidates,
-                                quarantine_mod.VERDICT_MISMATCH, [])
-        disposition, _ = self.queue.reopen(task.tid, now)
-        if disposition == queue_mod.FAILED:
-            self._record_quarantine(task, candidates,
-                                    quarantine_mod.VERDICT_EXHAUSTED, [])
-            self.queue.note_error(
-                task.tid, "redundant executions disagreed and the retry "
-                "budget is spent (see results/quarantine/)")
-            self._settle_failure(task, queue_mod.FAILED)
-            del self._nmr[task.tid]
-            return queue_mod.FAILED
-        self._mark(task, "pending")
-        return "quarantined"
-
-    def _record_quarantine(self, task, candidates: list[dict],
-                           verdict: str, liars: list[str]) -> None:
-        from repro.chaos import quarantine as quarantine_mod
-        payload = quarantine_mod.quarantine_payload(
-            task, candidates, verdict, liars=liars,
-            need=self.queue._need.get(task.tid, task.redundancy))
-        try:
-            path = str(quarantine_mod.write_quarantine(payload))
-        except OSError:
-            path = None                     # diagnostics must not wedge
-        self.quarantine_events.append({
-            "task": task.tid, "verdict": verdict, "liars": liars,
-            "workers": sorted({c["worker"] for c in candidates}),
-            "path": path})
-
-    # -- settlement (lock held) ----------------------------------------
-    def _settle_ok(self, task, results_json: list,
-                   artifacts: dict) -> None:
-        cfg = task.context["cfg"] if task.context else None
-        store = task.context["store"] if task.context else None
-        for (key, point), res_json in zip(task.items, results_json):
-            res = cache_mod.result_from_json(res_json)
-            metrics = res.extra.get("metrics")
-            if isinstance(metrics, dict) and \
-                    metrics.get("path") in artifacts:
-                metrics["path"] = artifacts[metrics["path"]]
-            if self.cache is not None and cfg is not None:
-                self.cache.put(key, point, cfg, res)
-            if store is not None:
-                store.mark(key, "done")
-            self.results[key] = res
-
-    def _settle_failure(self, task, disposition: str) -> None:
-        if disposition == queue_mod.REQUEUED:
-            self._mark(task, "pending")
-            return
-        if disposition == queue_mod.FAILED:
-            error = self.queue.error_of(task.tid)
-            store = task.context["store"] if task.context else None
-            for key, point in task.items:
-                if store is not None:
-                    store.mark(key, "failed", error=error,
-                               attempts=task.attempt)
-                self.results[key] = failed_result(point, error)
-
-    def _mark(self, task, status: str) -> None:
-        store = task.context["store"] if task.context else None
-        if store is not None:
-            store.mark_many(task.keys, status)
-
-    def _worker(self, worker: str, now: float) -> _WorkerStats:
-        stats = self._workers.get(worker)
-        if stats is None:
-            stats = self._workers[worker] = _WorkerStats(first_seen=now)
-        stats.last_seen = now
-        return stats
-
-    def _store_artifacts(self, artifacts: list) -> dict:
-        """Write worker-shipped metrics artifacts under the coordinator's
-        ``results/metrics/``; returns worker path -> coordinator path."""
-        from repro.obs.exporters import metrics_dir
-        mapping: dict[str, str] = {}
-        if not artifacts:
-            return mapping
-        out = metrics_dir()
-        out.mkdir(parents=True, exist_ok=True)
-        for art in artifacts:
-            name = re.sub(r"[^A-Za-z0-9._-]+", "-",
-                          os.path.basename(str(art.get("name", "artifact"))))
-            path = out / name
-            n = 1
-            while path.exists():
-                path = out / f"{n}_{name}"
-                n += 1
-            path.write_text(art.get("text", ""))
-            mapping[str(art.get("name"))] = str(path)
-        return mapping
 
     # -- read side ------------------------------------------------------
     def status(self) -> dict:
@@ -535,13 +249,7 @@ class Coordinator:
         with self._lock:
             counts = self.queue.point_counts()
             counts["collected"] = len(self.results)
-            while self._window and \
-                    self._window[0][0] < now - RATE_WINDOW_S:
-                self._window.popleft()
-            rate = 0.0
-            if self._window:
-                span = max(now - self._window[0][0], 1e-9)
-                rate = sum(n for _, n in self._window) / span
+            rate = window_rate(self._window, now)
             remaining = counts["pending"] + counts["leased"]
             eta = remaining / rate if remaining and rate > 0 else \
                 (0.0 if not remaining else None)

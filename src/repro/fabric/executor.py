@@ -1,4 +1,4 @@
-"""Fabric-backed campaign execution.
+"""The HTTP transport: campaign execution by workers that pull.
 
 Two pieces:
 
@@ -6,19 +6,20 @@ Two pieces:
   plus, optionally, locally-spawned loopback worker processes.  A
   ``fabric serve`` CLI session keeps one of these alive across many
   ``run_points`` calls so remote workers can drain experiment after
-  experiment; the differential tests use one per call.
-* :class:`FabricExecutor` — the drop-in counterpart of
-  :class:`~repro.campaign.executor.CampaignExecutor`: same ``run(points)
-  -> results-in-input-order`` contract, same cache-first/store/resume
-  behaviour, same replica auto-batching (via the shared
-  :func:`~repro.campaign.executor.group_items`), but execution happens
-  wherever workers pull from — local loopback subprocesses, other
-  terminals, other hosts.
+  experiment.
+* :class:`FabricExecutor` — :func:`~repro.campaign.executor
+  .run_campaign` (the same ``run`` body the local executor calls) handed
+  the session's coordinator as its lifecycle and :class:`Pullers` as its
+  transport: leases are executed wherever workers pull from — local
+  loopback subprocesses, other terminals, other hosts.  The one step of
+  its own is adopting a dead coordinator's journaled leases under
+  ``--resume``, which only a transport whose leases outlive their
+  grantor needs.
 
-Because workers run the unmodified ``execute_point``/``execute_group``
-datapath and results round-trip through the same JSON encoding the run
-cache uses, a loopback fabric run is bit-identical to the local
-executor — enforced by ``tests/integration/test_fabric_loopback.py``.
+Because workers run the same ``execute_task`` and results cross every
+transport in the JSON encoding the run cache uses, a loopback fabric run
+is bit-identical to a local one — enforced over all three transports by
+``tests/unit/test_campaign_executor.py``.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ import itertools
 import os
 import time
 
-from repro.campaign import cache as cache_mod
-from repro.campaign.executor import Progress, RetryPolicy, group_items
+from repro.campaign.executor import run_campaign
+from repro.campaign.queue import RetryPolicy
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.worker import worker_process_main
 from repro.sim.parallel import pool_context
 
-#: poll cadence of the waiting executor (expiry sweeps, progress, worker
-#: supervision).  Short: every tick is sub-millisecond bookkeeping.
+#: how often loopback pullers are checked for death (a crashed process
+#: signals nothing) and their own idle poll cadence.
 _POLL_S = 0.05
 
 
@@ -46,14 +47,12 @@ class FabricSession:
     def __init__(self, cache=None, retry: RetryPolicy | None = None,
                  lease_ttl_s: float = 60.0, host: str = "127.0.0.1",
                  port: int = 0, workers: int = 0,
-                 campaign: str | None = None,
-                 redundancy: float = 0.0, redundancy_seed: int = 0,
+                 campaign: str | None = None, redundancy: float = 0.0,
                  resume: bool = False, chaos_token: str | None = None):
         self.coordinator = Coordinator(cache=cache, retry=retry,
                                        lease_ttl_s=lease_ttl_s,
                                        campaign=campaign,
-                                       redundancy=redundancy,
-                                       redundancy_seed=redundancy_seed)
+                                       redundancy=redundancy)
         self.url = self.coordinator.start(host, port)
         self.resume = resume          # adopt journaled leases on run()
         self.chaos_token = chaos_token
@@ -82,19 +81,19 @@ class FabricSession:
         self._workers[wid] = proc
         return wid
 
-    def maintain(self) -> list[str]:
-        """Reap dead local workers and replace them; returns the ids of
-        the dead so their leases can be force-expired (no need to wait
-        out the TTL when the supervisor *saw* the crash)."""
-        dead = [wid for wid, p in self._workers.items()
-                if not p.is_alive()]
-        for wid in dead:
-            self._workers.pop(wid).join(timeout=1)
-            self.coordinator.expire_dead_worker(wid)
+    def maintain(self) -> None:
+        """Reap dead local workers, fail their leases with what was seen
+        (no need to wait out the TTL when the supervisor *saw* the
+        crash) and replace them."""
+        for wid in [wid for wid, p in self._workers.items()
+                    if not p.is_alive()]:
+            proc = self._workers.pop(wid)
+            proc.join(timeout=1)
+            self.coordinator.expire_dead_worker(
+                wid, f"worker crashed (exitcode {proc.exitcode})")
             if self.coordinator.state == "ok":
                 self.spawn_worker()
                 self.respawns += 1
-        return dead
 
     @property
     def n_workers(self) -> int:
@@ -134,155 +133,60 @@ class FabricSession:
         self.close()
 
 
+class Pullers:
+    """The transport of a :class:`FabricSession`: workers lease and
+    complete over HTTP on their own, so the driver only supervises the
+    loopback ones and blocks until the coordinator's server thread
+    settles something."""
+
+    def __init__(self, session: FabricSession):
+        self.session = session
+
+    def wait(self, life, waiting, timeout: float | None) -> None:
+        self.session.maintain()
+        if self.session.n_workers:
+            timeout = _POLL_S if timeout is None else min(timeout, _POLL_S)
+        life.wait_settled(waiting, timeout)
+
+    def close(self, life) -> None:
+        """Nothing: leases outlive a ``run``; the session releases them
+        when it closes."""
+
+
 class FabricExecutor:
-    """Coordinator/worker counterpart of ``CampaignExecutor``.
+    """``run(points)`` through a live :class:`FabricSession`, which owns
+    the fleet, the retry policy and the lease TTL."""
 
-    With ``session=None`` an ephemeral loopback session is created for
-    the duration of :meth:`run`: coordinator on an OS-assigned localhost
-    port, ``workers`` pulling subprocesses, everything torn down before
-    returning.  Pass a long-lived :class:`FabricSession` (the ``serve``
-    CLI does) to feed an existing fleet instead.
-    """
-
-    def __init__(self, cfg, cache=None, store=None,
-                 workers: int = 2, retry: RetryPolicy | None = None,
-                 progress=None, auto_batch: bool = True,
-                 session: FabricSession | None = None,
-                 lease_ttl_s: float = 60.0,
-                 redundancy: float = 0.0,
-                 resume: bool | None = None):
+    def __init__(self, cfg, session: FabricSession, cache=None,
+                 store=None, progress=None, auto_batch: bool = True):
         self.cfg = cfg
+        self.session = session
         self.cache = cache
         self.store = store
-        self.workers = workers
-        self.retry = retry or RetryPolicy()
         self.progress = progress
-        self.auto_batch = auto_batch and \
-            os.environ.get("REPRO_NO_BATCH") != "1"
-        self.session = session
-        self.lease_ttl_s = lease_ttl_s
-        self.redundancy = redundancy   # only used for ephemeral sessions
-        # resume (adopt journaled leases) follows the session's setting
-        # unless overridden; an ephemeral session has no prior life to
-        # resume, so the default is False there.
-        self.resume = resume if resume is not None else \
-            (session.resume if session is not None else False)
+        self.auto_batch = auto_batch
         self.summary: dict = {}
 
-    # ------------------------------------------------------------------
     def run(self, points: list) -> list:
         """Execute ``points`` on the fabric; results in input order."""
-        t0 = time.monotonic()
-        salt = self.cache.salt if self.cache is not None \
-            else cache_mod.code_version()
-        keys = [cache_mod.point_key(p, self.cfg, salt) for p in points]
-        unique: dict = {}
-        for key, point in zip(keys, points):
-            unique.setdefault(key, point)
-
         session = self.session
-        owns_session = session is None
-        adopted: set = set()
+        coord = session.coordinator
+        adopted, live = frozenset(), ()
         if self.store is not None:
-            self.store.register(list(unique.items()))
-            if session is not None and self.resume:
+            if session.resume:
                 # Crash recovery: re-create the leases a previous
-                # coordinator journaled before dying, restricted to the
-                # points this run actually wants.
-                adopted = session.coordinator.adopt_leases(
-                    self.store, self.cfg) & set(unique)
+                # coordinator journaled before dying.
+                adopted = coord.adopt_leases(self.store, self.cfg)
             else:
                 # Fresh run: stale journal rows (from a crash nobody
                 # resumed) must not outlive this campaign — the live
                 # session re-journals its own leases as it grants them.
                 self.store.clear_leases()
-            live = session.coordinator.live_lease_keys() \
-                if session is not None else ()
-            self.store.reset_running(exclude=live)
-
-        results: dict = {}
-        cached = 0
-        if self.cache is not None:
-            for key, point in unique.items():
-                hit = self.cache.get(key)
-                if hit is not None and key not in adopted:
-                    results[key] = hit
-                    cached += 1
-                    if self.store is not None:
-                        self.store.mark(key, "done")
-        pending = [(k, p) for k, p in unique.items()
-                   if k not in results and k not in adopted]
-        grouped = group_items(pending, self.auto_batch)
-
-        state = {"total": len(unique), "cached": cached, "done": 0,
-                 "failed": 0, "running": 0, "t0": t0}
-        self._report(state)
-        if owns_session and grouped:
-            session = FabricSession(cache=self.cache, retry=self.retry,
-                                    lease_ttl_s=self.lease_ttl_s,
-                                    workers=self.workers,
-                                    redundancy=self.redundancy)
-        fabric_info = {
-            "url": session.url if session is not None else None,
-            "loopback_workers": session.n_workers
-            if session is not None else 0,
-            "respawns": 0,
-        }
-        try:
-            if grouped or adopted:
-                coord = session.coordinator
-                coord.seed_results(results)
-                if grouped:
-                    coord.submit(grouped, self.cfg, self.store)
-                wait_keys = [k for k, _ in pending] + sorted(adopted)
-                self._wait(coord, session, wait_keys, results, state)
-        finally:
-            if session is not None:
-                fabric_info["respawns"] = session.respawns
-                if owns_session:
-                    session.close()
-
-        self.summary = {
-            "total": len(unique), "cached": cached,
-            "computed": state["done"], "failed": state["failed"],
-            "batched": sum(len(g) for g in grouped if len(g) > 1),
-            "elapsed_s": time.monotonic() - t0,
-            "fabric": fabric_info,
-        }
-        return [results[key] for key in keys]
-
-    # ------------------------------------------------------------------
-    def _wait(self, coord: Coordinator, session: FabricSession,
-              pending_keys: list, results: dict, state: dict) -> None:
-        pending_set = set(pending_keys)
-        while pending_set:
-            coord.tick()
-            if session is not None:
-                session.maintain()
-            fresh = coord.collect(list(pending_set))
-            for key, res in fresh.items():
-                results[key] = res
-                pending_set.discard(key)
-                if res.extra.get("failed"):
-                    state["failed"] += 1
-                else:
-                    state["done"] += 1
-            if fresh:
-                state["running"] = coord.status()["counts"]["leased"]
-                self._report(state)
-            if pending_set:
-                time.sleep(_POLL_S)
-
-    def _report(self, state: dict) -> None:
-        if self.progress is None:
-            return
-        elapsed = time.monotonic() - state["t0"]
-        done = state["done"] + state["failed"]
-        remaining = state["total"] - state["cached"] - done
-        eta = elapsed / done * remaining if done and remaining else \
-            (0.0 if not remaining else None)
-        self.progress(Progress(total=state["total"],
-                               cached=state["cached"], done=state["done"],
-                               failed=state["failed"],
-                               running=state["running"],
-                               elapsed_s=elapsed, eta_s=eta))
+            live = coord.live_lease_keys()
+        out = run_campaign(self, points,
+                           lambda n_tasks: (coord, Pullers(session)),
+                           adopted, live)
+        self.summary["fabric"] = {"url": session.url,
+                                  "loopback_workers": session.n_workers,
+                                  "respawns": session.respawns}
+        return out

@@ -91,12 +91,6 @@ class JsonHttpServer:
         if self._thread is not None:
             self._thread.join(timeout=5)
 
-    def call_soon(self, fn, *args) -> None:
-        """Schedule ``fn`` on the server loop (thread-safe)."""
-        loop = self._loop
-        if loop is not None and loop.is_running():
-            loop.call_soon_threadsafe(fn, *args)
-
     def _run(self) -> None:
         self._loop = asyncio.new_event_loop()
         asyncio.set_event_loop(self._loop)

@@ -12,10 +12,10 @@ result a local cache hit would have returned — the bit-identity invariant
 costs nothing extra.
 
 A lease is ``(lease id, task, deadline)``: the unit of work plus the time
-by which the worker must have completed it.  Tasks mirror the campaign
-executor's units exactly — a single point, or a group of seed replicas
-that the worker runs as one fold — so the fabric changes *who* executes,
-never *what* is executed.
+by which the worker must have completed it.  A task is
+:class:`repro.campaign.queue.Task`, the unit every transport executes —
+a single point, or a group of seed replicas that the worker runs as one
+fold — so the fabric changes *who* executes, never *what* is executed.
 """
 
 from __future__ import annotations
@@ -68,6 +68,6 @@ def lease_to_json(lease) -> dict:
         "lease_id": lease.lease_id,
         "ttl_s": lease.deadline - lease.granted,
         "attempt": task.attempt,
-        "cfg": task.cfg_json,
+        "cfg": cfg_to_json(task.cfg),
         "items": items_to_json(task.items),
     }

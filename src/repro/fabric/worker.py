@@ -1,11 +1,10 @@
 """Pull-based fabric worker.
 
-A worker is a loop: lease, execute, report.  Execution goes through the
-*unchanged* campaign datapath — :func:`~repro.campaign.worker
-.execute_point` for singletons, :func:`~repro.campaign.worker
-.execute_group` for replica batches — so a point computed by a remote
-worker is bit-identical to the same point computed by the local
-executor; the fabric moves work, never semantics.
+A worker is a loop: lease, execute, report.  Execution is
+:func:`~repro.campaign.worker.execute_task`, the same call the local
+transports make, so a point computed by a remote worker is bit-identical
+to the same point computed in-process or in a forked child; the fabric
+moves work, never semantics.
 
 Failure behaviour:
 
@@ -45,6 +44,7 @@ import time
 import urllib.error
 
 from repro.campaign import cache as cache_mod
+from repro.campaign.worker import execute_task
 from repro.fabric import protocol
 from repro.fabric.httpd import HttpError, http_json
 
@@ -178,13 +178,8 @@ class FabricWorker:
     def _execute(self, lease: dict) -> dict:
         cfg = protocol.cfg_from_json(lease["cfg"])
         items = protocol.items_from_json(lease["items"])
-        points = [p for _, p in items]
-        from repro.campaign.worker import execute_group, execute_point
-        if len(points) == 1:
-            results = [execute_point(points[0], cfg)]
-        else:
-            results = execute_group(points, cfg)
-        self.stats["points"] += len(points)
+        results = execute_task([p for _, p in items], cfg)
+        self.stats["points"] += len(results)
         return {"ok": True,
                 "results": [cache_mod.result_to_json(r) for r in results],
                 "artifacts": self._gather_artifacts(results)}

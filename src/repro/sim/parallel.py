@@ -5,11 +5,10 @@ an independent deterministic simulation), and pure-Python cycle simulation
 is slow enough that using the machine's cores matters.  The workers are
 separate processes, so results are identical to the serial runner.
 
-Execution is delegated to the campaign executor
-(:mod:`repro.campaign.executor`), which adds worker-crash isolation,
-bounded retries and optional wall-clock timeouts on top of the plain
-process pool.  ``parallel_sweep`` keeps its always-recompute semantics
-(no result cache) unless a cache is passed explicitly.
+Execution is the campaign executor's (:mod:`repro.campaign.executor`):
+worker-crash isolation, bounded retries and optional wall-clock
+timeouts come from the one task lifecycle it drives.  ``parallel_sweep``
+is that executor without a result cache, nothing more.
 
 Points that differ only in their seed (:meth:`Point.make_seeded`) fold
 into one replica batch per worker.
@@ -164,12 +163,6 @@ class Point:
                    tuple(sorted((k, v) for k, v in d.get("meta", ()))))
 
 
-def _run_one(args) -> RunResult:
-    point, cfg = args
-    from repro.campaign.worker import execute_point
-    return execute_point(point, cfg)
-
-
 def pool_context() -> mp.context.BaseContext:
     """Prefer fork where available (cheap, inherits loaded modules)."""
     return mp.get_context("fork") if "fork" in mp.get_all_start_methods() \
@@ -179,13 +172,13 @@ def pool_context() -> mp.context.BaseContext:
 def parallel_sweep(points: list[Point], cfg: SimConfig,
                    processes: int | None = None,
                    cache=None) -> list[RunResult]:
-    """Run every point, using up to ``processes`` worker processes.
-
-    Results come back in the order of ``points``.  With ``processes=1``
-    (or a single point) everything runs in-process — handy for debugging
-    and for platforms where fork is unavailable.  Pass a
-    :class:`repro.campaign.cache.RunCache` as ``cache`` to make the sweep
-    incremental; the default recomputes every point.
+    """:class:`~repro.campaign.executor.CampaignExecutor` without a
+    cache, nothing more: every point is recomputed (unless a
+    :class:`repro.campaign.cache.RunCache` is passed as ``cache``), no
+    campaign store is touched, and results come back in the order of
+    ``points``.  With ``processes=1`` (or a single point) everything
+    runs in-process — handy for debugging and for platforms where fork
+    is unavailable.
     """
     from repro.campaign.executor import CampaignExecutor
     ex = CampaignExecutor(cfg, cache=cache, store=None, processes=processes)

@@ -77,6 +77,55 @@ def _campaign_isolation(tmp_path, monkeypatch):
     context.reset()
 
 
+#: the transport axis of the task lifecycle: in the caller's thread, one
+#: forked child per lease over a pipe, workers pulling over loopback HTTP
+TRANSPORTS = ("inline", "pool", "loopback")
+
+
+class ExecutorFactory:
+    """Builds the executor of one transport with ``CampaignExecutor``'s
+    keywords, so a lifecycle test is written once and runs on all three.
+
+    ``inline``/``pool`` are ``CampaignExecutor(processes=1|2)``.
+    ``loopback`` is a ``FabricExecutor`` on its own two-worker
+    :class:`~repro.fabric.executor.FabricSession`, which takes the cache
+    and the retry policy; the deadline a pipe child gets from
+    ``retry.timeout_s`` is the lease TTL there.  :meth:`close` ends the
+    sessions — what exiting the CLI does — and runs at teardown too.
+    """
+
+    def __init__(self, transport: str):
+        self.transport = transport
+        self.sessions: list = []
+
+    def __call__(self, cfg, cache=None, store=None, retry=None,
+                 progress=None, **kwargs):
+        if self.transport != "loopback":
+            from repro.campaign.executor import CampaignExecutor
+            return CampaignExecutor(
+                cfg, cache=cache, store=store, retry=retry,
+                processes=1 if self.transport == "inline" else 2,
+                progress=progress, **kwargs)
+        from repro.fabric.executor import FabricExecutor, FabricSession
+        ttl = retry.timeout_s if retry and retry.timeout_s else 60.0
+        session = FabricSession(cache=cache, retry=retry, workers=2,
+                                lease_ttl_s=ttl)
+        self.sessions.append(session)
+        return FabricExecutor(cfg, session, cache=cache, store=store,
+                              progress=progress, **kwargs)
+
+    def close(self) -> None:
+        while self.sessions:
+            self.sessions.pop().close()
+
+
+@pytest.fixture(params=TRANSPORTS)
+def make_executor(request):
+    factory = ExecutorFactory(request.param)
+    yield factory
+    factory.close()
+
+
 @pytest.fixture
 def tmp_cache_dir(tmp_path) -> "Path":
     """The run-cache directory the campaign layer uses in this test."""

@@ -46,42 +46,55 @@ class _InterruptAfter:
 
 
 class TestResume:
-    def test_interrupted_campaign_resumes_identically(self, tmp_path,
-                                                      sweep_cfg):
+    """Interrupt -> resume -> bit-identical, on every transport."""
+
+    def test_interrupted_campaign_resumes_identically(
+            self, tmp_path, sweep_cfg, make_executor):
         cache = RunCache(tmp_path / "cache", salt="s")
         store = CampaignStore(tmp_path / "campaign.sqlite")
 
         with pytest.raises(KeyboardInterrupt):
-            CampaignExecutor(sweep_cfg, cache=cache, store=store,
-                             processes=1,
-                             progress=_InterruptAfter(3)).run(POINTS)
+            make_executor(sweep_cfg, cache=cache, store=store,
+                          progress=_InterruptAfter(3)).run(POINTS)
+        make_executor.close()         # the interrupted process exits
 
+        # Whatever was out on a lease went back to pending: nothing is
+        # stuck 'running', nothing failed, and the cache holds exactly
+        # the settled points.  In-process the count is exact; children
+        # and pullers may settle a few more before they are stopped.
         counts = store.counts()
-        assert counts["done"] == 3
+        assert counts["done"] == 3 or (
+            make_executor.transport != "inline" and counts["done"] > 3)
+        assert counts["running"] == 0 and counts["failed"] == 0
         assert counts["done"] + counts["pending"] == len(POINTS)
-        assert len(cache) == 3
+        assert len(cache) == counts["done"]
 
         # Resume: only the unfinished points are recomputed.
-        ex = CampaignExecutor(sweep_cfg, cache=cache, store=store,
-                              processes=1)
+        ex = make_executor(sweep_cfg, cache=cache, store=store)
         resumed = ex.run(POINTS)
-        assert ex.summary["cached"] == 3
-        assert ex.summary["computed"] == len(POINTS) - 3
-        assert store.counts()["done"] == len(POINTS)
+        assert ex.summary["cached"] == counts["done"]
+        assert ex.summary["computed"] == len(POINTS) - counts["done"]
+        assert ex.summary["failed"] == 0
+        assert store.counts() == {"pending": 0, "running": 0,
+                                  "done": len(POINTS), "failed": 0}
 
         # And the results match a clean, uninterrupted run exactly.
         clean = run_points(POINTS, sweep_cfg, processes=1, cache=False,
                            store=False)
         assert [_fields(r) for r in resumed] == [_fields(r) for r in clean]
 
-    def test_second_run_is_fully_cached(self, tmp_path, sweep_cfg):
+    def test_second_run_is_fully_cached(self, tmp_path, sweep_cfg,
+                                        make_executor):
         cache = RunCache(tmp_path / "cache", salt="s")
-        first = CampaignExecutor(sweep_cfg, cache=cache,
-                                 processes=1).run(POINTS)
-        ex = CampaignExecutor(sweep_cfg, cache=cache, processes=1)
-        second = ex.run(POINTS)
+        points = POINTS[:4]
+        ex = make_executor(sweep_cfg, cache=cache)
+        first = ex.run(points)
+        assert ex.summary["computed"] == len(points)
+        assert len(cache) == len(points)
+        ex = make_executor(sweep_cfg, cache=cache)
+        second = ex.run(points)
         assert ex.summary["computed"] == 0
-        assert ex.summary["cached"] == len(POINTS)
+        assert ex.summary["cached"] == len(points)
         assert [_fields(r) for r in first] == [_fields(r) for r in second]
 
 

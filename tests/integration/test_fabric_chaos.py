@@ -94,8 +94,7 @@ class TestChaosConvergence:
                                 lease_ttl_s=8.0, workers=2,
                                 chaos_token=plan.token())
         try:
-            ex = FabricExecutor(CHAOS_CFG, cache=None, store=store,
-                                retry=_RETRY, session=session)
+            ex = FabricExecutor(CHAOS_CFG, session, store=store)
             fabric = ex.run(CHAOS_POINTS)
             coord = session.coordinator
             counters = coord.queue.counters
@@ -219,8 +218,8 @@ def _crash_campaign(store_path: str, cache_dir: str, port: int) -> None:
     session = FabricSession(cache=cache, retry=_RETRY, lease_ttl_s=8.0,
                             port=port, workers=2)
     try:
-        FabricExecutor(CRASH_CFG, cache=cache, store=store,
-                       retry=_RETRY, session=session).run(CRASH_POINTS)
+        FabricExecutor(CRASH_CFG, session, cache=cache,
+                       store=store).run(CRASH_POINTS)
     finally:
         session.close()
 
@@ -276,8 +275,8 @@ class TestSigkillResume:
                     raise
                 time.sleep(0.5)
         try:
-            ex = FabricExecutor(CRASH_CFG, cache=cache, store=store,
-                                retry=_RETRY, session=session)
+            ex = FabricExecutor(CRASH_CFG, session, cache=cache,
+                                store=store)
             resumed = ex.run(CRASH_POINTS)
             failures = session.coordinator.queue.counters.failures
         finally:

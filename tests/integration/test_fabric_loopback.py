@@ -1,15 +1,17 @@
 """Integration: the campaign fabric is a transparent executor.
 
-Acceptance properties of the fabric subsystem (ISSUE 6):
+What only the HTTP transport can show:
 
 * a loopback fabric run (coordinator + pulling worker subprocesses) is
-  **bit-identical** to the local campaign executor, replica batching
-  included;
-* a worker crash mid-point delays the point, never loses it — and the
-  supervisor respawns the worker;
-* an expired lease is observably re-executed with no result drift;
-* an interrupted fabric campaign resumes from its store exactly like a
-  local campaign does.
+  **bit-identical**, field for field, to the pipe pool and to in-process
+  execution on a mix of scalar points and a seed fold;
+* an expired lease (a zombie worker that never reports) is observably
+  re-executed with no result drift.
+
+What every transport must do — crash isolation, retry, deadlines,
+interrupt -> resume, cache reuse — is asserted once over the transport
+axis in ``tests/unit/test_campaign_executor.py`` and
+``tests/integration/test_campaign_resume.py``.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ import time
 
 import pytest
 
-from repro.campaign import RetryPolicy, RunCache, CampaignStore, run_points
+from repro.campaign import RetryPolicy, run_points
 from repro.config import SimConfig
 from repro.fabric.coordinator import Coordinator
-from repro.fabric.executor import FabricExecutor
+from repro.fabric.executor import FabricExecutor, FabricSession
 from repro.fabric.httpd import http_json
 from repro.fabric.worker import FabricWorker
 from repro.fabric import protocol
@@ -34,6 +36,12 @@ from repro.sim.parallel import Point, grid
 def sweep_cfg() -> SimConfig:
     return SimConfig(rows=4, cols=4, warmup_cycles=100, measure_cycles=300,
                      drain_cycles=800, fastpass_slot_cycles=64)
+
+
+@pytest.fixture
+def session():
+    with FabricSession(workers=2) as live:
+        yield live
 
 
 #: 8 scalar points plus 4 seed replicas of one point — the replicas fold
@@ -50,55 +58,24 @@ def _fields(res) -> tuple:
 
 
 class TestBitIdentity:
-    def test_loopback_fabric_matches_local_executor(self, tmp_path,
+    def test_loopback_fabric_matches_local_executor(self, session,
                                                     sweep_cfg):
         """The headline invariant: 1 coordinator + 2 pulling workers
-        produce byte-for-byte the results of the local executor."""
-        ex = FabricExecutor(sweep_cfg, cache=None, store=None, workers=2)
+        produce byte-for-byte the results of the forked pool and of
+        in-process execution."""
+        ex = FabricExecutor(sweep_cfg, session)
         fabric = ex.run(POINTS)
-        local = run_points(POINTS, sweep_cfg, processes=2, cache=False,
-                           store=False)
-        assert [_fields(r) for r in fabric] == \
-            [_fields(r) for r in local]
+        pool = run_points(POINTS, sweep_cfg, processes=2, cache=False,
+                          store=False)
+        inline = run_points(POINTS, sweep_cfg, processes=1, cache=False,
+                            store=False)
+        assert [_fields(r) for r in fabric] == [_fields(r) for r in pool]
+        assert [_fields(r) for r in inline] == [_fields(r) for r in pool]
         assert ex.summary["computed"] == len(POINTS)
         assert ex.summary["failed"] == 0
         # Replica batching survived the trip over the wire.
         assert ex.summary["batched"] == 4
         assert ex.summary["fabric"]["loopback_workers"] == 2
-
-    def test_fabric_fills_and_reuses_the_cache(self, tmp_path, sweep_cfg):
-        cache = RunCache(tmp_path / "cache", salt="s")
-        points = POINTS[:4]
-        first = FabricExecutor(sweep_cfg, cache=cache, workers=2)
-        a = first.run(points)
-        assert first.summary["computed"] == len(points)
-        assert len(cache) == len(points)
-        second = FabricExecutor(sweep_cfg, cache=cache, workers=2)
-        b = second.run(points)
-        assert second.summary["computed"] == 0
-        assert second.summary["cached"] == len(points)
-        assert [_fields(r) for r in a] == [_fields(r) for r in b]
-
-
-class TestWorkerCrash:
-    def test_crash_mid_point_fails_task_not_campaign(self, monkeypatch,
-                                                     sweep_cfg):
-        """A worker that dies mid-execution (os._exit) costs the task its
-        attempts, is respawned by the supervisor, and never takes the
-        rest of the campaign down with it."""
-        monkeypatch.setenv("REPRO_CAMPAIGN_SELFTEST", "1")
-        crash = Point.make("x", "selftest:crash", 0.0)
-        ok = Point.make("x", "selftest:ok", 0.1)
-        ex = FabricExecutor(sweep_cfg, cache=None, store=None, workers=1,
-                            retry=RetryPolicy(max_attempts=2,
-                                              backoff_s=0.01))
-        res_crash, res_ok = ex.run([crash, ok])
-        assert res_crash.extra.get("failed")
-        assert "expired" in res_crash.extra.get("error", "")
-        assert res_ok.ejected == 1
-        assert ex.summary["failed"] == 1
-        assert ex.summary["computed"] == 1
-        assert ex.summary["fabric"]["respawns"] >= 1
 
 
 class TestLeaseExpiry:
@@ -140,45 +117,3 @@ class TestLeaseExpiry:
         from repro.campaign.worker import execute_point
         assert _fields(fabric_res) == _fields(execute_point(point,
                                                             sweep_cfg))
-
-
-class _InterruptAfter:
-    """Progress callback that aborts the campaign after N computations."""
-
-    def __init__(self, n: int):
-        self.n = n
-
-    def __call__(self, progress) -> None:
-        if progress.done >= self.n:
-            raise KeyboardInterrupt
-
-
-class TestResume:
-    def test_interrupted_fabric_campaign_resumes_identically(
-            self, tmp_path, sweep_cfg):
-        cache = RunCache(tmp_path / "cache", salt="s")
-        store = CampaignStore(tmp_path / "campaign.sqlite")
-        points = POINTS[:8]
-
-        with pytest.raises(KeyboardInterrupt):
-            FabricExecutor(sweep_cfg, cache=cache, store=store, workers=2,
-                           progress=_InterruptAfter(3)).run(points)
-
-        counts = store.counts()
-        assert counts["done"] >= 3
-        # Shutdown released every live lease back to pending: nothing is
-        # stuck 'running' in the store.
-        assert counts["running"] == 0
-        assert counts["done"] + counts["pending"] == len(points)
-
-        ex = FabricExecutor(sweep_cfg, cache=cache, store=store,
-                            workers=2)
-        resumed = ex.run(points)
-        assert ex.summary["cached"] == counts["done"]
-        assert ex.summary["computed"] == len(points) - counts["done"]
-        assert store.counts()["done"] == len(points)
-
-        clean = run_points(points, sweep_cfg, processes=2, cache=False,
-                           store=False)
-        assert [_fields(r) for r in resumed] == \
-            [_fields(r) for r in clean]

@@ -11,7 +11,9 @@ import time
 import pytest
 
 from repro.campaign import RetryPolicy, RunCache
-from repro.campaign.executor import CampaignExecutor, default_workers
+from repro.campaign.executor import (CampaignExecutor, default_workers,
+                                     group_items)
+from repro.campaign.lifecycle import Lifecycle
 from repro.campaign.store import CampaignStore
 from repro.sim.parallel import Point
 
@@ -62,83 +64,150 @@ class TestStore:
         assert again.points_with_status("done") == [("k1", point)]
 
 
+#: Declared outcome per transport for the two faults they do not word
+#: alike.  A worker that dies mid-task: in-process there is no worker to
+#: lose (the crash would take the caller with it), so that cell is
+#: declared unsupported; a pipe child and a supervised loopback puller
+#: are both *seen* dying.  A task that outlives its deadline: a pipe
+#: child is terminated at ``retry.timeout_s`` — with one job too, which
+#: then means a pool of one — while a puller's lease expires at its TTL.
+CRASH_ERROR = {"inline": None,
+               "pool": "worker crashed (exitcode 3)",
+               "loopback": "worker crashed (exitcode 3)"}
+DEADLINE_ERROR = {"inline": "timeout after 0.3s",
+                  "pool": "timeout after 0.3s",
+                  "loopback": "expired"}
+
+
 class TestExecutorFaults:
-    def test_crash_isolated_from_campaign(self, selftest, small_cfg):
+    """One task lifecycle: every behaviour below is asserted on every
+    transport (``make_executor`` is parametrised over ``TRANSPORTS``)."""
+
+    def test_crash_isolated_from_campaign(self, selftest, small_cfg,
+                                          tmp_path, make_executor):
+        expected = CRASH_ERROR[make_executor.transport]
+        if expected is None:
+            pytest.skip("declared unsupported: no crash isolation "
+                        "in-process")
+        store = CampaignStore(tmp_path / "c.sqlite")
         pts = [Point.make("x", "selftest:crash", 0.0),
                Point.make("x", "selftest:ok", 1.0),
                Point.make("x", "selftest:ok", 2.0)]
-        ex = CampaignExecutor(small_cfg, processes=2,
-                              retry=RetryPolicy(max_attempts=2,
-                                                backoff_s=0.01))
+        ex = make_executor(small_cfg, store=store,
+                           retry=RetryPolicy(max_attempts=2,
+                                             backoff_s=0.01))
         results = ex.run(pts)
         assert results[0].extra.get("failed")
-        assert "crash" in results[0].extra["error"]
+        assert expected in results[0].extra["error"]
         assert results[1].ejected == 1 and results[2].ejected == 1
         assert ex.summary["failed"] == 1 and ex.summary["computed"] == 2
+        assert store.counts() == {"pending": 0, "running": 0, "done": 2,
+                                  "failed": 1}
+        if make_executor.transport == "loopback":
+            assert ex.summary["fabric"]["respawns"] >= 1
 
-    def test_failure_marks_store_without_killing_run(self, selftest,
-                                                     small_cfg, tmp_path):
+    def test_failure_marks_store_without_killing_run(
+            self, selftest, small_cfg, tmp_path, make_executor):
         store = CampaignStore(tmp_path / "c.sqlite")
         pts = [Point.make("x", "selftest:fail", 0.0),
                Point.make("x", "selftest:ok", 1.0)]
-        ex = CampaignExecutor(small_cfg, store=store, processes=1,
-                              retry=RetryPolicy(max_attempts=2,
-                                                backoff_s=0.01))
+        ex = make_executor(small_cfg, store=store,
+                           retry=RetryPolicy(max_attempts=2,
+                                             backoff_s=0.01))
         results = ex.run(pts)
         assert results[0].extra.get("failed")
-        counts = store.counts()
-        assert counts["failed"] == 1 and counts["done"] == 1
+        assert ex.summary["failed"] == 1 and ex.summary["computed"] == 1
+        assert store.counts() == {"pending": 0, "running": 0, "done": 1,
+                                  "failed": 1}
         (_key, error, attempts) = store.failures()[0]
         assert "deliberate failure" in error and attempts == 2
 
-    def test_timeout_terminates_point(self, selftest, small_cfg):
-        pts = [Point.make("x", "selftest:sleep", 10.0)]
-        ex = CampaignExecutor(small_cfg, processes=2,
-                              retry=RetryPolicy(max_attempts=1,
-                                                timeout_s=0.3))
+    def test_timeout_terminates_point(self, selftest, small_cfg,
+                                      make_executor):
+        """The ``[inline]`` cell is the ``--jobs 1`` regression: a
+        timeout used to be dropped silently at ``processes=1`` and the
+        point slept its full 2 s."""
+        pts = [Point.make("x", "selftest:sleep", 2.0)]
+        ex = make_executor(small_cfg,
+                           retry=RetryPolicy(max_attempts=1,
+                                             timeout_s=0.3))
         t0 = time.monotonic()
         results = ex.run(pts)
-        assert time.monotonic() - t0 < 5.0
+        assert time.monotonic() - t0 < 1.5
         assert results[0].extra.get("failed")
-        assert "timeout" in results[0].extra["error"]
+        assert DEADLINE_ERROR[make_executor.transport] in \
+            results[0].extra["error"]
+        assert ex.summary["failed"] == 1 and ex.summary["computed"] == 0
 
     def test_retry_recovers_flaky_point(self, selftest, small_cfg,
-                                        tmp_path):
+                                        tmp_path, make_executor):
         flaky = Point("x", (), "selftest:flaky", 0.5,
                       (("dir", str(tmp_path)),))
-        ex = CampaignExecutor(small_cfg, processes=2,
-                              retry=RetryPolicy(max_attempts=3,
-                                                backoff_s=0.01))
+        ex = make_executor(small_cfg,
+                           retry=RetryPolicy(max_attempts=3,
+                                             backoff_s=0.01))
         results = ex.run([flaky])
         assert not results[0].extra.get("failed")
         assert results[0].avg_latency == 2.0
+        assert ex.summary["failed"] == 0 and ex.summary["computed"] == 1
 
     def test_failed_points_are_not_cached(self, selftest, small_cfg,
-                                          tmp_path):
+                                          tmp_path, make_executor):
         cache = RunCache(tmp_path / "cache", salt="s")
         pts = [Point.make("x", "selftest:fail", 0.0)]
-        ex = CampaignExecutor(small_cfg, cache=cache, processes=1,
-                              retry=RetryPolicy(max_attempts=1,
-                                                backoff_s=0.01))
+        ex = make_executor(small_cfg, cache=cache,
+                           retry=RetryPolicy(max_attempts=1,
+                                             backoff_s=0.01))
         assert ex.run(pts)[0].extra.get("failed")
         assert len(cache) == 0
 
-    def test_duplicate_points_computed_once(self, selftest, small_cfg):
+    def test_duplicate_points_computed_once(self, selftest, small_cfg,
+                                            make_executor):
         point = Point.make("x", "selftest:ok", 1.0)
-        ex = CampaignExecutor(small_cfg, processes=1)
+        ex = make_executor(small_cfg)
         results = ex.run([point, point, point])
         assert len(results) == 3
-        assert ex.summary["computed"] == 1
+        assert ex.summary["total"] == 1 and ex.summary["computed"] == 1
 
-    def test_progress_reports_completion(self, selftest, small_cfg):
+    def test_progress_reports_completion(self, selftest, small_cfg,
+                                         make_executor):
         events = []
         pts = [Point.make("x", "selftest:ok", float(i)) for i in range(3)]
-        ex = CampaignExecutor(small_cfg, processes=1,
-                              progress=events.append)
-        ex.run(pts)
+        make_executor(small_cfg, progress=events.append).run(pts)
         assert events[-1].finished == 3
         assert events[-1].total == 3
         assert events[-1].eta_s == 0.0
+        # running counts points out on a lease, on every transport
+        assert all(0 <= e.running <= 3 - e.finished for e in events)
+        assert events[-1].running == 0
+
+
+class TestDriverWait:
+    """What bounds a driver's wait on its transport's signal."""
+
+    def _two_tasks(self, **kwargs) -> Lifecycle:
+        life = Lifecycle(retry=RetryPolicy(backoff_s=0.02), **kwargs)
+        life.submit([[("k0", Point.make("x", "selftest:ok", 0.0))],
+                     [("k1", Point.make("x", "selftest:ok", 1.0))]], None)
+        return life
+
+    def test_running_backoff_bounds_the_wait_an_ended_one_does_not(self):
+        """A retry whose backoff is over but that no worker has capacity
+        for must not turn the wait into a zero-timeout spin: capacity
+        is the transport's to signal."""
+        life = self._two_tasks(lease_ttl_s=float("inf"))
+        assert life.next_wake() is None          # all fresh: lease now
+        (first,) = life.lease("w")
+        life.fail(first.lease_id, "w", "boom")   # k0 backs off 20 ms
+        life.lease("w")                          # k1 out: the worker is busy
+        assert 0 < life.next_wake() <= 0.02
+        time.sleep(0.03)
+        assert life.next_wake() is None
+
+    def test_lease_deadline_bounds_the_wait(self):
+        life = self._two_tasks(lease_ttl_s=5.0)
+        life.lease("silent")
+        assert 4.0 < life.next_wake() <= 5.0
 
 
 class TestReplicaBatching:
@@ -149,29 +218,28 @@ class TestReplicaBatching:
         return [Point.make_seeded("escapevc", "uniform", r, seed=s)
                 for r in rates for s in seeds]
 
-    def test_grouped_by_signature(self, small_cfg):
-        from repro.campaign.executor import _Task
-        ex = CampaignExecutor(small_cfg)
+    def test_grouped_by_signature(self):
         pending = [(f"k{i}", p)
                    for i, p in enumerate(self._seeded(rates=(0.02, 0.05)))]
-        tasks = ex._group(pending)
-        assert sorted(len(t.items) for t in tasks) == [3, 3]
-        assert all(isinstance(t, _Task) for t in tasks)
+        tasks = group_items(pending, True)
+        assert sorted(len(items) for items in tasks) == [3, 3]
+        assert sorted(kp for items in tasks for kp in items) == \
+            sorted(pending)
 
-    def test_batch_cap_chunks_large_groups(self, small_cfg, monkeypatch):
+    def test_batch_cap_chunks_large_groups(self, monkeypatch):
         import repro.campaign.executor as executor
         monkeypatch.setattr(executor, "BATCH_CAP", 4)
-        ex = CampaignExecutor(small_cfg)
         pending = [(f"k{i}", p)
                    for i, p in enumerate(self._seeded(seeds=range(6)))]
-        assert sorted(len(t.items) for t in ex._group(pending)) == [2, 4]
+        assert sorted(len(items)
+                      for items in group_items(pending, True)) == [2, 4]
 
-    def test_non_replicable_points_stay_singletons(self, small_cfg):
-        ex = CampaignExecutor(small_cfg)
+    def test_non_replicable_points_stay_singletons(self):
         pts = [Point.make_app("escapevc", "pagerank", txns=5, seed=1),
                Point.make_stress("escapevc")]
-        tasks = ex._group([(f"k{i}", p) for i, p in enumerate(pts)])
-        assert [len(t.items) for t in tasks] == [1, 1]
+        tasks = group_items([(f"k{i}", p) for i, p in enumerate(pts)],
+                            True)
+        assert [len(items) for items in tasks] == [1, 1]
 
     def test_results_match_scalar_and_are_cached_per_point(
             self, small_cfg, tmp_cache_dir):

@@ -13,7 +13,7 @@ from repro.chaos.quarantine import (field_diff, quarantine_payload,
                                     validate_quarantine,
                                     write_quarantine)
 from repro.chaos.transport import ChaosInjector, _flip_bits
-from repro.fabric.queue import Task
+from repro.campaign.queue import Task
 from repro.sim.parallel import Point
 
 
@@ -85,7 +85,7 @@ class TestInjectorDeterminism:
 def _task(tid: str = "t0", redundancy: int = 2) -> Task:
     return Task(tid=tid,
                 items=[(tid, Point.make("fastpass", "uniform", 0.02))],
-                cfg_json={}, attempt=2, redundancy=redundancy)
+                cfg=None, attempt=2, redundancy=redundancy)
 
 
 def _cands(a_latency: float, b_latency: float) -> list[dict]:

@@ -12,9 +12,10 @@ import dataclasses
 import json
 import math
 
+from repro.campaign import queue as q
 from repro.campaign.cache import result_from_json, result_to_json
 from repro.config import RunResult, SimConfig
-from repro.fabric import protocol, queue as q
+from repro.fabric import protocol
 from repro.fault.plan import fault_storm, link_cut
 from repro.sim.parallel import Point
 
@@ -62,8 +63,7 @@ class TestLease:
     def test_lease_to_json_shape(self):
         items = [("k0", Point.make("fastpass", "uniform", 0.02))]
         task = q.Task(tid="k0", items=items,
-                      cfg_json=protocol.cfg_to_json(SimConfig(rows=4,
-                                                              cols=4)))
+                      cfg=SimConfig(rows=4, cols=4))
         lq = q.LeaseQueue(lease_ttl_s=42.0)
         lq.add(task)
         (lease,) = lq.lease("w1", now=100.0)

@@ -1,6 +1,6 @@
 """Unit tests for the leased work queue — the fabric's protocol core.
 
-Everything here drives :class:`~repro.fabric.queue.LeaseQueue` with an
+Everything here drives :class:`~repro.campaign.queue.LeaseQueue` with an
 explicit clock, pinning the invariants the distributed layer relies on:
 at-least-once execution via lease expiry, bounded retries with backoff,
 and idempotent (first-completion-wins) settlement.
@@ -11,14 +11,14 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign.executor import RetryPolicy
-from repro.fabric import queue as q
+from repro.campaign import queue as q
 from repro.sim.parallel import Point
 
 
 def task(tid: str, n_points: int = 1) -> q.Task:
     items = [(f"{tid}k{i}", Point.make("fastpass", "uniform", 0.01 * (i + 1)))
              for i in range(n_points)]
-    return q.Task(tid=tid, items=items, cfg_json={})
+    return q.Task(tid=tid, items=items, cfg=None)
 
 
 def make_queue(max_attempts: int = 3, backoff_s: float = 0.0,
@@ -131,6 +131,21 @@ class TestExpiry:
         settled = lq.expire_worker("w1", now=0.5)
         assert [(d, t.tid) for d, t in settled] == [(q.REQUEUED, "t0")]
 
+    def test_expire_worker_reports_the_supervisors_reason(self):
+        """A death the supervisor saw is worded as what it saw; a silent
+        worker's TTL expiry keeps the 'expired' wording."""
+        lq = make_queue(ttl=1.0)
+        lq.add(task("t0"))
+        lq.add(task("t1"))
+        lq.lease("seen-dying", now=0.0)
+        lq.lease("silent", now=0.0)
+        lq.expire_worker("seen-dying", now=0.5,
+                         reason="worker crashed (exitcode 3)")
+        lq.expire(now=1.0)
+        assert lq.error_of("t0") == "worker crashed (exitcode 3)"
+        assert "to silent expired" in lq.error_of("t1")
+        assert lq.counters.expiries == 2
+
     def test_late_completion_wins_before_reexecution(self):
         """Slow worker finishes after expiry but before the retry does:
         its (deterministic) result is accepted, the retry cancelled."""
@@ -159,6 +174,36 @@ class TestExpiry:
         # And its expiry must not resurrect the task.
         assert lq.expire(now=100.0) == []
         assert lq.drained
+
+
+class TestRelease:
+    def test_released_task_is_leasable_again_uncharged(self):
+        """Graceful shutdown / interrupt: nobody failed, so the attempt
+        is handed back with the lease and no backoff applies."""
+        lq = make_queue(max_attempts=1, backoff_s=60.0)
+        lq.add(task("t0", n_points=2))
+        lq.add(task("t1"))
+        (lease,) = lq.lease("w1", now=0.0)
+        assert [t.tid for t in lq.release_all()] == ["t0"]
+        assert lq.live_leases() == [] and lq.live_keys() == set()
+        assert lq.counts() == {"pending": 2, "leased": 0, "done": 0,
+                               "failed": 0}
+        assert lq.counters.requeues == 0 and lq.counters.expiries == 0
+        (again,) = lq.lease("w2", now=0.0)       # at once, ahead of t1
+        assert again.task.tid == "t0"
+        assert again.task.attempt == 1           # max_attempts=1 intact
+        assert lq.complete(again.lease_id, now=1.0)[0] == q.OK
+        # the released worker finishing anyway is a harmless duplicate
+        assert lq.complete(lease.lease_id, now=2.0)[0] == q.DUPLICATE
+
+    def test_release_skips_tasks_already_settled(self):
+        lq = make_queue(ttl=1.0)
+        lq.add(task("t0"))
+        (old,) = lq.lease("slow", now=0.0)
+        (new,) = lq.lease("fast", now=2.0)       # expiry swept, re-leased
+        lq.complete(old.lease_id, now=2.5)       # late win settles t0
+        assert lq.release_all() == []
+        assert lq.drained and lq.live_leases() == []
 
 
 class TestReportedFailure:

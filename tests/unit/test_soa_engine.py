@@ -133,8 +133,8 @@ class TestCampaignIntegration:
 
     def test_fabric_executor_folds_soa_points(self):
         from repro.fabric.executor import FabricExecutor
-        assert FabricExecutor(_cfg(engine="soa")).auto_batch
-        assert FabricExecutor(_cfg(engine="active")).auto_batch
+        assert FabricExecutor(_cfg(engine="soa"), None).auto_batch
+        assert FabricExecutor(_cfg(engine="active"), None).auto_batch
 
     def test_replica_batch_kernels_share_one_table_build(self):
         """Direct construction with engine="soa" attaches a standalone
