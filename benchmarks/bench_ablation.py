@@ -12,7 +12,8 @@ worth regenerating:
 """
 
 from repro.config import SimConfig
-from repro.experiments.common import cached_point
+from repro.experiments.common import cached_points
+from repro.sim.parallel import Point
 from benchmarks.conftest import report
 
 
@@ -25,13 +26,13 @@ def _cfg(**kw):
 
 def bench_vc_count(once, benchmark):
     def sweep():
-        rows = []
-        for vcs in (1, 2, 4):
-            res = cached_point("fastpass", {"n_vcs": vcs}, "transpose",
-                               0.12, _cfg())
-            rows.append((vcs, res.avg_latency,
-                         res.fastpass_delivered / max(1, res.ejected)))
-        return rows
+        counts = (1, 2, 4)
+        results = cached_points(
+            [Point.make("fastpass", "transpose", 0.12, n_vcs=vcs)
+             for vcs in counts], _cfg())
+        return [(vcs, res.avg_latency,
+                 res.fastpass_delivered / max(1, res.ejected))
+                for vcs, res in zip(counts, results)]
 
     rows = once(sweep)
     text = "\n".join(f"  VC={v}: avg latency {lat:7.1f}  lane share {fs:.2f}"
@@ -45,10 +46,12 @@ def bench_vc_count(once, benchmark):
 def bench_slot_length(once, benchmark):
     def sweep():
         formula = _cfg(n_vns=1, n_vcs=4).with_(n_vns=1).fastpass_slot()
+        point = Point.make("fastpass", "transpose", 0.14, n_vcs=4)
         rows = []
+        # K is a config field, so every slot length is its own cfg (and
+        # its own cached_points call)
         for k in (formula // 4, formula, formula * 2):
-            res = cached_point("fastpass", {"n_vcs": 4}, "transpose",
-                               0.14, _cfg(fastpass_slot_cycles=k))
+            (res,) = cached_points([point], _cfg(fastpass_slot_cycles=k))
             rows.append((k, res.avg_latency,
                          res.fastpass_delivered / max(1, res.ejected)))
         return rows
@@ -64,11 +67,10 @@ def bench_slot_length(once, benchmark):
 
 def bench_lanes_contribution(once, benchmark):
     def pair():
-        fp = cached_point("fastpass", {"n_vcs": 4}, "transpose", 0.14,
-                          _cfg())
-        plain = cached_point("baseline", {"n_vns": 1, "n_vcs": 4},
-                             "transpose", 0.14, _cfg())
-        return fp, plain
+        return cached_points(
+            [Point.make("fastpass", "transpose", 0.14, n_vcs=4),
+             Point.make("baseline", "transpose", 0.14, n_vns=1, n_vcs=4)],
+            _cfg())
 
     fp, plain = once(pair)
     report("Ablation — lanes on vs off (same 0-VN router, 4 VCs)",

@@ -16,6 +16,8 @@ This package owns sweep execution end-to-end:
 * :mod:`~repro.campaign.executor` — the ``run`` body every executor
   shares, the in-process and fork-per-lease transports that drive the
   lifecycle locally, and live progress/ETA;
+* :mod:`~repro.campaign.plan` — figures whose next points depend on
+  earlier results: series generators streamed through one open run;
 * :mod:`~repro.campaign.context` — process-wide defaults (cache
   location, job count) shared by the CLI, the experiment scripts and the
   benchmarks.
@@ -35,19 +37,17 @@ from repro.campaign.store import CampaignStore
 
 __all__ = [
     "CampaignExecutor", "CampaignStore", "Progress", "RetryPolicy",
-    "RunCache", "code_version", "configure", "get_context", "point_key",
-    "reset", "run_points",
+    "RunCache", "code_version", "configure", "executor_for", "get_context",
+    "point_key", "reset", "run_points",
 ]
 
 
-def run_points(points: list[Point], cfg: SimConfig, *,
-               processes: int | None = None,
-               cache=None, store=None,
-               retry: RetryPolicy | None = None,
-               progress=None) -> list[RunResult]:
-    """Run ``points`` through the campaign layer; results in input order.
+def executor_for(cfg: SimConfig, *, processes: int | None = None,
+                 cache=None, store=None,
+                 retry: RetryPolicy | None = None, progress=None):
+    """The executor the ambient context calls for.
 
-    ``cache``/``store``/``processes`` default from the ambient
+    ``cache``/``store``/``processes`` default from
     :func:`~repro.campaign.context.get_context`: the shared run cache,
     the store of the active campaign (if one is set), and the configured
     job count.  Pass ``cache=False`` to force recomputation.  Inside a
@@ -69,10 +69,15 @@ def run_points(points: list[Point], cfg: SimConfig, *,
         progress = ctx.progress
     if ctx.fabric_session is not None:
         from repro.fabric.executor import FabricExecutor
-        fx = FabricExecutor(cfg, ctx.fabric_session, cache=cache,
-                            store=store, progress=progress)
-        return fx.run(points)
-    ex = CampaignExecutor(cfg, cache=cache, store=store,
-                          processes=processes, retry=retry,
-                          progress=progress)
-    return ex.run(points)
+        return FabricExecutor(cfg, ctx.fabric_session, cache=cache,
+                              store=store, progress=progress)
+    return CampaignExecutor(cfg, cache=cache, store=store,
+                            processes=processes, retry=retry,
+                            progress=progress)
+
+
+def run_points(points: list[Point], cfg: SimConfig,
+               **kwargs) -> list[RunResult]:
+    """Run ``points`` through the campaign layer; results in input
+    order.  Keywords as for :func:`executor_for`."""
+    return executor_for(cfg, **kwargs).run(points)

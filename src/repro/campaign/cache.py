@@ -16,6 +16,7 @@ mid-write never leaves a truncated entry behind.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -49,20 +50,29 @@ def code_version() -> str:
     return _code_version
 
 
-def point_key(point: Point, cfg: SimConfig, salt: str) -> str:
-    """The content address of one (point, config, code-version) run."""
+@functools.lru_cache(maxsize=256)
+def _cfg_blob(cfg: SimConfig) -> str:
+    """The config's part of the key blob.  A sweep keys thousands of
+    points under one (frozen, hashable) config, and ``asdict`` alone is
+    half the cost of a key."""
     cfg_payload = dataclasses.asdict(cfg)
     # The cycle engine is excluded from the key: every engine is required
     # to produce bit-identical results (differentially enforced), so the
     # engine knob decides *how fast* a point runs, never what it computes
     # — a cache warmed by one engine must serve every other.
     cfg_payload.pop("engine", None)
-    payload = {
-        "point": point.to_json(),
-        "cfg": cfg_payload,
-        "salt": salt,
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(cfg_payload, sort_keys=True, separators=(",", ":"))
+
+
+def point_key(point: Point, cfg: SimConfig, salt: str) -> str:
+    """The content address of one (point, config, code-version) run:
+    sha256 over the canonical JSON (sorted keys, no spaces) of
+    ``{"cfg": ..., "point": ..., "salt": ...}``, assembled from its
+    three parts in that — sorted — order."""
+    blob = '{"cfg":%s,"point":%s,"salt":%s}' % (
+        _cfg_blob(cfg),
+        json.dumps(point.to_json(), sort_keys=True, separators=(",", ":")),
+        json.dumps(salt))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

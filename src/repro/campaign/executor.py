@@ -1,13 +1,14 @@
 """Campaign execution: one ``run`` body over one task lifecycle.
 
-:func:`run_campaign` is what every executor's ``run(points)`` does:
+:func:`run_campaign` is what every executor's ``run(points)`` does, in
+the three steps of an :class:`OpenRun` — enqueue, wait, close:
 
 * **cache-first** — points whose content address is already in the run
   cache are returned instantly and never recomputed;
 * **replica batching** — points that differ only in their meta seed are
-  folded into one :class:`~repro.sim.batch.engine.ReplicaBatch` per task
-  (scalar-bit-identical results, cached under their unchanged per-point
-  keys); ``REPRO_NO_BATCH=1`` disables the folding;
+  folded into :class:`~repro.sim.batch.engine.ReplicaBatch` tasks, one
+  piece per worker (scalar-bit-identical results, cached under their
+  unchanged per-point keys); ``REPRO_NO_BATCH=1`` disables the folding;
 * what is still pending goes to a :class:`~repro.campaign.lifecycle
   .Lifecycle`, which owns attempts, backoff, deadlines and settlement
   (DESIGN §8 "Task lifecycle"); a failed point yields a placeholder and
@@ -19,6 +20,10 @@
   per lease over a pipe); HTTP pullers are :mod:`repro.fabric.executor`;
 * **live progress/ETA** — an optional callback receives a
   :class:`Progress` snapshot whenever something settles.
+
+``run(points)`` is the one-frontier case.  A figure whose next points
+depend on earlier results keeps the run open and feeds it frontier after
+frontier from inside the same ``run`` call (:mod:`repro.campaign.plan`).
 """
 
 from __future__ import annotations
@@ -60,12 +65,16 @@ class Progress:
         return self.cached + self.done + self.failed
 
 
-def group_items(pending: list, auto_batch: bool) -> list[list]:
+def group_items(pending: list, auto_batch: bool,
+                workers: int = 1) -> list[list]:
     """Partition ``[(key, Point), ...]`` into units of worker execution:
     seed replicas sharing a :func:`~repro.campaign.worker
-    .replica_signature` fold into groups of up to :data:`BATCH_CAP`,
-    everything else stays a singleton.  Per-point cache keys are
-    untouched — only the unit of execution changes."""
+    .replica_signature` fold into groups, everything else stays a
+    singleton.  A group of R replicas is cut into ``ceil(R / workers)``
+    -sized pieces (never above :data:`BATCH_CAP`), so one series' seeds
+    still reach every worker — pieces, not singletons: each forked child
+    re-pays the first-run memo building (DESIGN §12).  Per-point cache
+    keys are untouched — only the unit of execution changes."""
     singles: list[list] = []
     groups: dict = {}
     for key, point in pending:
@@ -76,94 +85,171 @@ def group_items(pending: list, auto_batch: bool) -> list[list]:
             groups.setdefault(sig, []).append((key, point))
     out = singles
     for items in groups.values():
-        for i in range(0, len(items), BATCH_CAP):
-            out.append(items[i:i + BATCH_CAP])
+        size = min(BATCH_CAP, -(-len(items) // max(1, workers)))
+        for i in range(0, len(items), size):
+            out.append(items[i:i + size])
     return out
 
 
-def run_campaign(ex, points: list[Point], connect,
-                 adopted=frozenset(), live=()) -> list[RunResult]:
-    """Execute ``points`` for executor ``ex`` (its ``cfg``, ``cache``,
-    ``store``, ``progress``, ``auto_batch``); results in input order,
-    ``ex.summary`` filled in.
+class OpenRun:
+    """One campaign run, held open: :meth:`enqueue` frontiers of points
+    as they become known, :meth:`wait` for results, :meth:`close`.
 
-    ``connect(n_tasks)`` is called only when something is left to
-    compute and returns ``(lifecycle, transport)``.  ``adopted`` are keys
-    already out on leases re-created from a journal (waited for, not
-    resubmitted) and ``live`` the keys legitimately ``running`` right
-    now; both are empty for a lifecycle that starts and ends with this
-    call.
+    Everything a run does once — re-queueing rows an interrupted run
+    left ``running``, connecting a lifecycle and a transport, sizing the
+    pool — happens once here however many frontiers arrive.
+    ``connect(n_tasks)`` is called when the first frontier leaves
+    something to compute and returns ``(lifecycle, transport)``;
+    ``n_tasks`` is None while ``self.live`` (more frontiers may follow).
+    ``adopted`` are keys already out on leases re-created from a journal
+    (waited for, not resubmitted) and ``live_keys`` the keys
+    legitimately ``running`` right now; both are empty for a lifecycle
+    that starts and ends with this run.
     """
-    t0 = time.monotonic()
-    cache, store = ex.cache, ex.store
-    salt = cache.salt if cache is not None else cache_mod.code_version()
-    keys = [cache_mod.point_key(p, ex.cfg, salt) for p in points]
-    unique: dict[str, Point] = {}
-    for key, point in zip(keys, points):
-        unique.setdefault(key, point)
-    adopted = adopted & unique.keys()
 
-    if store is not None:
-        store.register(list(unique.items()))
-        store.reset_running(exclude=live)
+    def __init__(self, ex, connect, adopted=frozenset(), live_keys=(),
+                 live: bool = False):
+        self.ex = ex
+        self.live = live
+        self.results: dict[str, RunResult] = {}
+        self.state = Progress(total=0, cached=0)
+        self.batched = 0
+        self._connect = connect
+        self._adopted = adopted
+        self._waiting: set[str] = set()
+        self._life = self._transport = None
+        self._t0 = time.monotonic()
+        cache = ex.cache
+        self._salt = cache.salt if cache is not None \
+            else cache_mod.code_version()
+        self._auto_batch = ex.auto_batch and \
+            os.environ.get("REPRO_NO_BATCH") != "1"
+        if ex.store is not None:
+            ex.store.reset_running(exclude=live_keys)
 
-    results: dict[str, RunResult] = {}
-    if cache is not None:
-        for key in unique:
-            hit = cache.get(key)
-            if hit is not None and key not in adopted:
-                results[key] = hit
-                if store is not None:
-                    store.mark(key, "done")
-    pending = [(k, p) for k, p in unique.items()
-               if k not in results and k not in adopted]
-    grouped = group_items(pending, ex.auto_batch and
-                          os.environ.get("REPRO_NO_BATCH") != "1")
+    def enqueue(self, points: list[Point], cfg: SimConfig) -> list[str]:
+        """Add one frontier; returns its keys in input order.  Cache hits
+        are in ``self.results`` on return; a key this run has already
+        seen is neither registered nor submitted again."""
+        ex, cache, store = self.ex, self.ex.cache, self.ex.store
+        keys = [cache_mod.point_key(p, cfg, self._salt) for p in points]
+        new: dict[str, Point] = {}
+        for key, point in zip(keys, points):
+            if key not in self.results and key not in self._waiting:
+                new.setdefault(key, point)
+        if not new:
+            return keys
+        adopted = self._adopted & new.keys()
+        if store is not None:
+            store.register(list(new.items()))
+        hits: dict[str, RunResult] = {}
+        if cache is not None:
+            for key in new:
+                hit = cache.get(key) if key not in adopted else None
+                if hit is not None:
+                    hits[key] = hit
+                    if store is not None:
+                        store.mark(key, "done")
+        self.results.update(hits)
+        pending = [(k, p) for k, p in new.items()
+                   if k not in hits and k not in adopted]
+        grouped = group_items(pending, self._auto_batch, ex.workers()) \
+            if pending else []
+        self.batched += sum(len(g) for g in grouped if len(g) > 1)
+        self.state.total += len(new)
+        self.state.cached += len(hits)
+        if grouped or adopted:
+            if self._life is None:
+                self._life, self._transport = self._connect(
+                    None if self.live else len(grouped))
+                self._life.seed_results(self.results)
+            else:
+                self._life.seed_results(hits)
+            self._life.submit(grouped, cfg, store)
+            self._waiting.update(k for k, _ in pending)
+            self._waiting |= adopted
+        self.report()
+        return keys
 
-    state = Progress(total=len(unique), cached=len(results))
-    _report(ex.progress, state, t0)
-    if grouped or adopted:
-        life, transport = connect(len(grouped))
-        life.seed_results(results)
-        life.submit(grouped, ex.cfg, store)
-        waiting = {k for k, _ in pending} | adopted
-        try:
-            while waiting:
-                transport.wait(life, waiting, life.next_wake())
-                life.tick()
-                fresh = life.collect(waiting)
-                results.update(fresh)
-                waiting -= fresh.keys()
-                n_failed = sum(1 for res in fresh.values()
-                               if res.extra.get("failed"))
-                state.failed += n_failed
-                state.done += len(fresh) - n_failed
-                running = life.leased_points()
-                if fresh or running != state.running:
-                    state.running = running
-                    _report(ex.progress, state, t0)
-        finally:
-            transport.close(life)
+    def wait(self) -> dict[str, RunResult]:
+        """Block until the transport has something to say — a result, a
+        retry, a deadline — and return the results that settled (which
+        may be none).  Nothing outstanding: returns at once."""
+        if not self._waiting:
+            return {}
+        life, state = self._life, self.state
+        self._transport.wait(life, self._waiting, life.next_wake())
+        life.tick()
+        fresh = life.collect(self._waiting)
+        self.results.update(fresh)
+        self._waiting -= fresh.keys()
+        n_failed = sum(1 for res in fresh.values()
+                       if res.extra.get("failed"))
+        state.failed += n_failed
+        state.done += len(fresh) - n_failed
+        running = life.leased_points()
+        if fresh or running != state.running:
+            state.running = running
+            self.report()
+        return fresh
 
-    ex.summary = {
-        "total": state.total, "cached": state.cached,
-        "computed": state.done, "failed": state.failed,
-        "batched": sum(len(g) for g in grouped if len(g) > 1),
-        "elapsed_s": time.monotonic() - t0,
-    }
-    return [results[key] for key in keys]
+    def drain(self) -> None:
+        """No further frontiers: the ETA is knowable again; wait for
+        everything enqueued."""
+        if self.live:
+            self.live = False
+            self.report()
+        while self._waiting:
+            self.wait()
+
+    def report(self) -> None:
+        """Hand the progress callback a snapshot.  The ETA is unknown
+        (None, not zero) while more frontiers may arrive."""
+        progress, state = self.ex.progress, self.state
+        if progress is None:
+            return
+        state.elapsed_s = time.monotonic() - self._t0
+        done = state.done + state.failed
+        remaining = state.total - state.finished
+        if self.live:
+            state.eta_s = None
+        elif not remaining:
+            state.eta_s = 0.0
+        else:
+            state.eta_s = state.elapsed_s / done * remaining \
+                if done else None
+        progress(dataclasses.replace(state))
+
+    def close(self) -> None:
+        if self._transport is not None:
+            self._transport.close(self._life)
+        state = self.state
+        self.ex.summary = {
+            "total": state.total, "cached": state.cached,
+            "computed": state.done, "failed": state.failed,
+            "batched": self.batched,
+            "elapsed_s": time.monotonic() - self._t0,
+        }
 
 
-def _report(progress, state: Progress, t0: float) -> None:
-    """Hand ``progress`` a snapshot of ``state`` with elapsed/ETA set."""
-    if progress is None:
-        return
-    state.elapsed_s = time.monotonic() - t0
-    done = state.done + state.failed
-    remaining = state.total - state.finished
-    state.eta_s = state.elapsed_s / done * remaining \
-        if done and remaining else (0.0 if not remaining else None)
-    progress(dataclasses.replace(state))
+def run_campaign(ex, points: list[Point], connect, adopted=frozenset(),
+                 live_keys=(), plan=None) -> list[RunResult]:
+    """What every executor's ``run`` does, for executor ``ex`` (its
+    ``cfg``, ``cache``, ``store``, ``progress``, ``auto_batch``,
+    ``workers()``): open a run, enqueue ``points`` as one frontier under
+    ``ex.cfg``, let ``plan(run)`` — if given — enqueue and wait for
+    further frontiers of its own (:mod:`repro.campaign.plan`), wait for
+    the rest, close.  Results of ``points`` in input order, ``ex.summary``
+    filled in."""
+    run = OpenRun(ex, connect, adopted, live_keys, live=plan is not None)
+    try:
+        keys = run.enqueue(points, ex.cfg)
+        if plan is not None:
+            plan(run)
+        run.drain()
+    finally:
+        run.close()
+    return [run.results[key] for key in keys]
 
 
 # -- local transports -----------------------------------------------------
@@ -216,11 +302,15 @@ def default_workers() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_size(requested: int | None, n_tasks: int) -> int:
-    """Worker processes to launch: the request (default one per task),
-    never more than there are tasks, capped by
-    :func:`default_workers`."""
-    return max(1, min(requested or n_tasks, n_tasks, default_workers()))
+def _pool_size(requested: int | None, n_tasks: int | None) -> int:
+    """Worker processes to run at once: the request (default: as many
+    as :func:`default_workers` allows), capped by
+    :func:`default_workers`, and never more than there are tasks when
+    their number is known (``n_tasks`` is None for a run still open to
+    further frontiers)."""
+    cap = default_workers()
+    return max(1, min(requested or cap, cap,
+                      cap if n_tasks is None else n_tasks))
 
 
 def _child(points: list[Point], cfg: SimConfig, conn) -> None:
@@ -303,21 +393,31 @@ class CampaignExecutor:
         self.auto_batch = auto_batch
         self.summary: dict = {}
 
-    def run(self, points: list[Point]) -> list[RunResult]:
-        """Execute ``points``; results come back in input order."""
-        return run_campaign(self, points, self._connect)
+    def run(self, points: list[Point], plan=None) -> list[RunResult]:
+        """Execute ``points``; results come back in input order.
+        ``plan(run)`` may feed the same open run further frontiers
+        (:func:`run_campaign`)."""
+        return run_campaign(self, points, self._connect, plan=plan)
 
-    def _connect(self, n_tasks: int):
-        """A lifecycle that lives for one ``run`` and the transport that
+    def workers(self) -> int:
+        """How many leases can execute at once — what a seed group is
+        cut for (:func:`group_items`)."""
+        return _pool_size(self.processes, None)
+
+    def _connect(self, n_tasks: int | None):
+        """A lifecycle that lives for one run and the transport that
         drives it.  Its leases never expire by TTL: a child cannot go
         silent — its death closes the pipe.  In-process for
-        ``processes=1`` or a single task, unless a timeout is set: only
-        a child process can be stopped at a deadline, so one job then
-        means a pool of one."""
+        ``processes=1``, or when a single task is all there will be
+        (``n_tasks`` is None while further frontiers may arrive: the
+        first one's size says nothing about the figure's) — unless a
+        timeout is set: only a child process can be stopped at a
+        deadline, so one job then means a pool of one."""
         life = Lifecycle(self.cache, self.retry, lease_ttl_s=float("inf"))
         timeout_s = self.retry.timeout_s
         if timeout_s is None and (self.processes == 1 or (
-                self.processes is None and n_tasks <= 1)):
+                self.processes is None and n_tasks is not None
+                and n_tasks <= 1)):
             return life, Inline()
         return life, ForkPool(_pool_size(self.processes, n_tasks),
                               timeout_s)

@@ -121,14 +121,20 @@ class Lifecycle:
             # A redundant task's sibling grant is withheld from a worker
             # already running it — unless this worker is the only one
             # around, where liveness beats the (then pointless) check.
-            allow_self = len([w for w, s in self._workers.items()
-                              if now - s.last_seen <= PRESENT_S]) <= 1
+            allow_self = self.present_workers() <= 1
             leases = self.queue.lease(worker, now, max_tasks,
                                       allow_self=allow_self)
             stats.granted += len(leases)
             for lease in leases:
                 self._mark(lease.task, "running")
             return leases
+
+    def present_workers(self) -> int:
+        """Workers heard from within the last :data:`PRESENT_S`."""
+        now = time.monotonic()
+        with self._lock:
+            return sum(1 for s in self._workers.values()
+                       if now - s.last_seen <= PRESENT_S)
 
     def complete(self, lease_id: str, worker: str, results: list,
                  artifacts=()) -> str:

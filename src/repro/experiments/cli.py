@@ -47,9 +47,10 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
                         help="paper-scale parameters (slow) instead of the "
                              "quick defaults")
     parser.add_argument("--jobs", type=int, metavar="N", default=None,
-                        help="worker processes for sweep points "
-                             "(default: one per point, capped at the core "
-                             "count)")
+                        help="tasks to run at once, one forked worker "
+                             "each; a figure's series share them "
+                             "(default: one per core this process may "
+                             "use; 1 runs everything in-process)")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute every point, ignoring the run "
                              "cache")

@@ -84,29 +84,6 @@ def cached_points(points: list[Point], cfg: SimConfig,
     return run_points(points, cfg, processes=jobs)
 
 
-def cached_point(scheme_name: str, scheme_kwargs: dict, pattern: str,
-                 rate: float, cfg: SimConfig) -> RunResult:
-    """One synthetic point, cache-first."""
-    point = Point.make(scheme_name, pattern, rate, **scheme_kwargs)
-    return cached_points([point], cfg)[0]
-
-
-def cached_replicas(scheme_name: str, scheme_kwargs: dict, pattern: str,
-                    rate: float, seeds, cfg: SimConfig,
-                    jobs: int | None = None) -> list[RunResult]:
-    """Seed replicas of one synthetic point, cache-first.
-
-    The points are built with :meth:`Point.make_seeded`, so the campaign
-    executor folds the uncached ones into a single
-    :class:`~repro.sim.batch.engine.ReplicaBatch` per worker while every
-    replica keeps its own cache key (bit-identical to running each seed
-    scalar — see DESIGN §12).
-    """
-    points = [Point.make_seeded(scheme_name, pattern, rate, seed=s,
-                                **scheme_kwargs) for s in seeds]
-    return cached_points(points, cfg, jobs=jobs)
-
-
 def mean_result(replicas: list[RunResult]) -> RunResult:
     """Collapse seed replicas into one summary result.
 
@@ -141,39 +118,72 @@ def mean_result(replicas: list[RunResult]) -> RunResult:
     return res
 
 
+def rule_series(rule, scheme_name: str, scheme_kwargs: dict, pattern: str,
+                cfg: SimConfig, seeds=None):
+    """A planner series (:mod:`repro.campaign.plan`) from a rule of
+    :mod:`repro.sim.runner`: every rate the rule yields becomes one
+    frontier — the synthetic point at that rate, or, with ``seeds``, its
+    repeat under every seed (built with :meth:`Point.make_seeded`, so
+    the uncached repeats fold into replica batches while each keeps its
+    own cache key — DESIGN §12) — and the rule is sent that rate's
+    result (the :func:`mean_result` over the repeats).  Returns what the
+    rule returns."""
+    try:
+        rate = next(rule)
+        while True:
+            if seeds:
+                res = mean_result((yield [
+                    Point.make_seeded(scheme_name, pattern, rate, seed=s,
+                                      **scheme_kwargs) for s in seeds], cfg))
+            else:
+                (res,) = yield [Point.make(scheme_name, pattern, rate,
+                                           **scheme_kwargs)], cfg
+            rate = rule.send(res)
+    except StopIteration as stop:
+        return stop.value
+
+
+def sweep_series(scheme_name: str, scheme_kwargs: dict, pattern: str,
+                 rates, cfg: SimConfig, seeds=None):
+    """One latency-vs-rate curve as a planner series: a frontier is one
+    rate (every seed of it), the early stop is
+    :func:`repro.sim.runner.sweep_rule`, the outcome the list of
+    per-rate results up to the stop."""
+    from repro.sim.runner import sweep_rule
+    return rule_series(sweep_rule(rates), scheme_name, scheme_kwargs,
+                       pattern, cfg, seeds)
+
+
+def saturation_series(scheme_name: str, scheme_kwargs: dict, pattern: str,
+                      cfg: SimConfig, lo: float, hi: float, iters: int):
+    """One saturation search as a planner series: a frontier is the next
+    probe of :func:`repro.sim.runner.saturation_rule` (the probe rates
+    are deterministic, so reruns are served from the cache), the outcome
+    the saturation rate."""
+    from repro.sim.runner import saturation_rule
+    return rule_series(saturation_rule(lo, hi, iters), scheme_name,
+                       scheme_kwargs, pattern, cfg)
+
+
 def cached_sweep_latency(scheme_name: str, scheme_kwargs: dict,
                          pattern: str, rates, cfg: SimConfig,
                          seeds=None) -> list[RunResult]:
-    """Cache-first latency-vs-rate sweep with the same early-stop rule as
-    :func:`repro.sim.runner.sweep_latency` (stop past saturation).
-
-    With ``seeds`` the sweep repeats every rate under each seed — the
-    repeats fold into one replica batch per rate — and each
-    returned result is the :func:`mean_result` over the replicas.
-    """
-    out = []
-    for rate in rates:
-        if seeds:
-            res = mean_result(cached_replicas(
-                scheme_name, scheme_kwargs, pattern, rate, seeds, cfg))
-        else:
-            res = cached_point(scheme_name, scheme_kwargs, pattern, rate,
-                               cfg)
-        out.append(res)
-        gen = max(1, res.extra.get("measured_generated", 0))
-        if res.deadlocked or res.extra.get("undelivered", 0) > 0.5 * gen:
-            break
-    return out
+    """Cache-first latency-vs-rate sweep: :func:`sweep_series` driven on
+    its own.  With ``seeds`` every rate repeats under each seed and each
+    returned result is the :func:`mean_result` over the repeats."""
+    from repro.campaign.plan import drive
+    return drive([sweep_series(scheme_name, scheme_kwargs, pattern, rates,
+                               cfg, seeds)])[0]
 
 
-def cached_app(scheme_name: str, scheme_kwargs: dict, benchmark: str,
-               quick: bool, seed: int = 1,
-               max_cycles: int = 400000) -> RunResult:
-    """One closed-loop application run (Fig. 10/12/13b), cache-first."""
-    point = Point.make_app(scheme_name, benchmark, txns=app_txns(quick),
-                           seed=seed, max_cycles=max_cycles,
-                           **scheme_kwargs)
-    return cached_points([point], app_config(quick))[0]
+def app_point(scheme_name: str, scheme_kwargs: dict, benchmark: str,
+              quick: bool, seed: int = 1,
+              max_cycles: int = 400000) -> Point:
+    """One closed-loop application point (Fig. 10/12/13b); runs under
+    :func:`app_config`."""
+    return Point.make_app(scheme_name, benchmark, txns=app_txns(quick),
+                          seed=seed, max_cycles=max_cycles,
+                          **scheme_kwargs)
 
 
 def fmt_table(headers: list[str], rows: list[list], widths=None) -> str:

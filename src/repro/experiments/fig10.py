@@ -6,31 +6,34 @@ Execution time is normalized to EscapeVC, as in the paper.
 
 from __future__ import annotations
 
-from repro.experiments.common import FIG10_SCHEMES, cached_app, fnum
+from repro.experiments.common import (FIG10_SCHEMES, app_config, app_point,
+                                      cached_points, fnum)
 
 BENCHMARKS = ("Radix", "Canneal", "FFT", "FMM", "Lu_cb", "Streamcluster",
               "Volrend")
 
 
-def run_app(scheme_label: str, scheme_name: str, scheme_kwargs: dict,
-            bench: str, quick: bool, seed: int = 1):
-    return cached_app(scheme_name, scheme_kwargs, bench, quick, seed=seed)
+def run_apps(schemes, benchmarks, quick: bool) -> dict:
+    """The benchmark x scheme application grid as one batch of points:
+    ``{bench: {label: RunResult}}``."""
+    grid = [(bench, label, app_point(name, kwargs, bench, quick))
+            for bench in benchmarks for label, name, kwargs in schemes]
+    results = cached_points([p for _, _, p in grid], app_config(quick))
+    out: dict[str, dict] = {bench: {} for bench in benchmarks}
+    for (bench, label, _), res in zip(grid, results):
+        out[bench][label] = res
+    return out
 
 
 def run(quick: bool = True, benchmarks=BENCHMARKS, schemes=None) -> dict:
     schemes = schemes or FIG10_SCHEMES
-    latency: dict[str, dict[str, float]] = {}
-    exec_time: dict[str, dict[str, float]] = {}
-    p99: dict[str, dict[str, float]] = {}
-    for bench in benchmarks:
-        latency[bench] = {}
-        exec_time[bench] = {}
-        p99[bench] = {}
-        for label, name, kwargs in schemes:
-            res = run_app(label, name, kwargs, bench, quick)
-            latency[bench][label] = res.avg_latency
-            exec_time[bench][label] = res.cycles
-            p99[bench][label] = res.p99_latency
+    apps = run_apps(schemes, benchmarks, quick)
+    latency = {b: {lbl: r.avg_latency for lbl, r in row.items()}
+               for b, row in apps.items()}
+    exec_time = {b: {lbl: r.cycles for lbl, r in row.items()}
+                 for b, row in apps.items()}
+    p99 = {b: {lbl: r.p99_latency for lbl, r in row.items()}
+           for b, row in apps.items()}
     # Normalize execution time to the first scheme (EscapeVC).
     base_label = schemes[0][0]
     norm: dict[str, dict[str, float]] = {}

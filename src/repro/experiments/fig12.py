@@ -7,8 +7,10 @@ periodic indiscriminate misrouting strands unlucky packets).
 
 from __future__ import annotations
 
-from repro.experiments.common import fnum
-from repro.experiments.fig10 import run_app
+from repro.experiments.common import (cached_points, fnum,
+                                      synthetic_config)
+from repro.experiments.fig10 import run_apps
+from repro.sim.parallel import Point
 
 BENCHMARKS = ("Radix", "Canneal", "FFT", "FMM", "Lu_cb", "Volrend")
 
@@ -23,25 +25,19 @@ SCHEMES = [
 
 def run(quick: bool = True, benchmarks=BENCHMARKS, schemes=None) -> dict:
     schemes = schemes or SCHEMES
-    p99: dict[str, dict[str, float]] = {}
-    for bench in benchmarks:
-        p99[bench] = {}
-        for label, name, kwargs in schemes:
-            res = run_app(label, name, kwargs, bench, quick)
-            p99[bench][label] = res.p99_latency
+    p99 = {b: {lbl: r.p99_latency for lbl, r in row.items()}
+           for b, row in run_apps(schemes, benchmarks, quick).items()}
     # Supplementary row: a moderate-load synthetic point.  Our benchmark
     # substitutes run far below saturation (where every scheme's tail is
     # benign); DRAIN's misrouting pathology and FastPass's bypass advantage
     # only separate once the network carries real load, so we exhibit the
     # paper's ordering there.
-    from repro.experiments.common import cached_point, synthetic_config
     cfg = synthetic_config(quick, rows=4 if quick else 8,
                            cols=4 if quick else 8)
     cfg = cfg.with_(drain_period_cycles=600)
-    loaded = {}
-    for label, name, kwargs in schemes:
-        res = cached_point(name, kwargs, "uniform", 0.10, cfg)
-        loaded[label] = res.p99_latency
+    at_load = cached_points([Point.make(name, "uniform", 0.10, **kwargs)
+                             for _label, name, kwargs in schemes], cfg)
+    loaded = {s[0]: res.p99_latency for s, res in zip(schemes, at_load)}
     return {"benchmarks": list(benchmarks),
             "schemes": [s[0] for s in schemes],
             "p99": p99,

@@ -11,8 +11,8 @@ far below SCARAB's ~9%).
 from __future__ import annotations
 
 from repro.experiments.common import (
-    cached_app,
-    cached_point,
+    app_config,
+    app_point,
     cached_points,
     synthetic_config,
 )
@@ -39,14 +39,14 @@ def _breakdown(res) -> dict:
 def run(quick: bool = True, rates=None, benchmarks=BENCHMARKS) -> dict:
     cfg = synthetic_config(quick)
     rates = rates or (QUICK_RATES if quick else FULL_RATES)
-    uniform = []
-    for rate in rates:
-        res = cached_point("fastpass", {"n_vcs": 1}, "uniform", rate, cfg)
-        uniform.append({"rate": rate, **_breakdown(res)})
-    apps = []
-    for bench in benchmarks:
-        res = cached_app("fastpass", {"n_vcs": 1}, bench, quick)
-        apps.append({"benchmark": bench, **_breakdown(res)})
+    uniform = [{"rate": rate, **_breakdown(res)}
+               for rate, res in zip(rates, cached_points(
+                   [Point.make("fastpass", "uniform", rate, n_vcs=1)
+                    for rate in rates], cfg))]
+    apps = [{"benchmark": bench, **_breakdown(res)}
+            for bench, res in zip(benchmarks, cached_points(
+                [app_point("fastpass", {"n_vcs": 1}, bench, quick)
+                 for bench in benchmarks], app_config(quick)))]
     # (c) the adversarial protocol-pressure scenario: the regime where the
     # dynamic bubble actually drops (and regenerates) requests.  The paper
     # reports 5.9% at synthetic post-saturation and 0.3% for applications;

@@ -8,10 +8,11 @@ runner does here.
 
 from __future__ import annotations
 
+from repro.campaign.plan import drive
 from repro.experiments.common import (
     FIG7_SCHEMES,
-    cached_sweep_latency,
     fnum,
+    sweep_series,
     synthetic_config,
 )
 
@@ -23,23 +24,23 @@ FULL_RATES = [round(0.02 * i, 2) for i in range(1, 16)]
 
 def run(quick: bool = True, patterns=PATTERNS, schemes=None,
         rates=None, seeds=None) -> dict:
-    """``seeds`` repeats every point under those seeds (averaged curves);
-    the repeats of one point fold into a single replica batch through
-    the campaign layer, constructed once instead of N times."""
+    """Every (pattern, scheme) curve is one planner series; all of them
+    stream through one open campaign run (:mod:`repro.campaign.plan`),
+    each stopping at its own saturation.  ``seeds`` repeats every point
+    under those seeds (averaged curves)."""
     cfg = synthetic_config(quick)
     rates = rates or (QUICK_RATES if quick else FULL_RATES)
     schemes = schemes or FIG7_SCHEMES
-    series: dict[str, dict[str, list]] = {}
-    for pattern in patterns:
-        per_pattern = {}
-        for label, name, kwargs in schemes:
-            results = cached_sweep_latency(name, kwargs, pattern, rates,
-                                           cfg, seeds=seeds)
-            per_pattern[label] = [
-                (r.extra["rate"], r.avg_latency, r.deadlocked)
-                for r in results
-            ]
-        series[pattern] = per_pattern
+    curves = [(pattern, label, sweep_series(name, kwargs, pattern, rates,
+                                            cfg, seeds))
+              for pattern in patterns for label, name, kwargs in schemes]
+    series: dict[str, dict[str, list]] = {p: {} for p in patterns}
+    for (pattern, label, _), results in zip(
+            curves, drive([gen for _, _, gen in curves])):
+        series[pattern][label] = [
+            (r.extra["rate"], r.avg_latency, r.deadlocked)
+            for r in results
+        ]
     return {"rates": rates, "series": series}
 
 

@@ -7,12 +7,12 @@ partitions = more concurrent FastPass-Packets) — 17% over SWAP at 4x4,
 
 from __future__ import annotations
 
+from repro.campaign.plan import drive
 from repro.experiments.common import (
     FIG8_SCHEMES,
-    cached_point,
+    saturation_series,
     synthetic_config,
 )
-from repro.sim.runner import saturation_throughput
 
 QUICK_SIZES = (4, 8)
 FULL_SIZES = (4, 8, 16)
@@ -20,21 +20,19 @@ FULL_SIZES = (4, 8, 16)
 
 def run(quick: bool = True, sizes=None, schemes=None,
         iters: int | None = None) -> dict:
+    """Every (scheme, size) saturation search is one planner series; the
+    probes of all of them share one open campaign run."""
     sizes = sizes or (QUICK_SIZES if quick else FULL_SIZES)
     schemes = schemes or FIG8_SCHEMES
     iters = iters if iters is not None else (4 if quick else 7)
-    table: dict[str, dict[int, float]] = {}
-    for label, name, kwargs in schemes:
-        table[label] = {}
-        for n in sizes:
-            cfg = synthetic_config(quick, rows=n, cols=n)
-            # The probe rates of the binary search are deterministic, so
-            # routing them through the cache makes reruns incremental.
-            sat = saturation_throughput(
-                name, "transpose", cfg, lo=0.01, hi=0.4, iters=iters,
-                run_point_fn=lambda rate: cached_point(
-                    name, kwargs, "transpose", rate, cfg))
-            table[label][n] = sat
+    searches = [(label, n, saturation_series(
+        name, kwargs, "transpose", synthetic_config(quick, rows=n, cols=n),
+        lo=0.01, hi=0.4, iters=iters))
+        for label, name, kwargs in schemes for n in sizes]
+    table: dict[str, dict[int, float]] = {s[0]: {} for s in schemes}
+    for (label, n, _), sat in zip(
+            searches, drive([gen for _, _, gen in searches])):
+        table[label][n] = sat
     return {"sizes": list(sizes), "table": table}
 
 

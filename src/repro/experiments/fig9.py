@@ -10,7 +10,8 @@ component grows with load.
 
 from __future__ import annotations
 
-from repro.experiments.common import cached_point, fnum, synthetic_config
+from repro.experiments.common import cached_points, fnum, synthetic_config
+from repro.sim.parallel import Point
 
 # The 1-VC configuration saturates early; the grids stay inside and just
 # past its saturation point (the paper's Fig. 9 likewise spans low load to
@@ -22,9 +23,11 @@ FULL_RATES = [0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.08]
 def run(quick: bool = True, rates=None) -> dict:
     cfg = synthetic_config(quick)
     rates = rates or (QUICK_RATES if quick else FULL_RATES)
+    results = cached_points(
+        [Point.make("fastpass", "uniform", rate, n_vcs=1) for rate in rates],
+        cfg)
     rows = []
-    for rate in rates:
-        res = cached_point("fastpass", {"n_vcs": 1}, "uniform", rate, cfg)
+    for rate, res in zip(rates, results):
         rows.append({
             "rate": rate,
             "reg_latency": res.reg_latency,

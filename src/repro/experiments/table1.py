@@ -40,27 +40,39 @@ def deadlock_traffic(seed: int = 7) -> CoherenceTraffic:
                             fwd_frac=0.2)
 
 
-def protocol_deadlock_free(scheme_name: str, max_cycles: int = 80000,
-                           **scheme_kwargs) -> bool:
-    """Behavioural probe: does the scheme complete the adversarial
-    protocol-pressure workload?  Runs through the campaign layer, so the
-    probe result is cached like any other point."""
+def probe_deadlock_freedom(schemes: list[tuple],
+                           max_cycles: int = 80000) -> list[bool]:
+    """Behavioural probe: which of ``[(scheme_name, kwargs), ...]``
+    complete the adversarial protocol-pressure workload?  One batch
+    through the campaign layer, so the probe results are cached like any
+    other point."""
     from repro.campaign import run_points
     from repro.sim.parallel import Point
-    point = Point.make_stress(scheme_name, max_cycles=max_cycles,
-                              **scheme_kwargs)
-    res = run_points([point], deadlock_scenario_config())[0]
-    return bool(res.extra.get("traffic_done"))
+    points = [Point.make_stress(name, max_cycles=max_cycles, **kwargs)
+              for name, kwargs in schemes]
+    return [bool(res.extra.get("traffic_done"))
+            for res in run_points(points, deadlock_scenario_config())]
+
+
+def protocol_deadlock_free(scheme_name: str, max_cycles: int = 80000,
+                           **scheme_kwargs) -> bool:
+    """:func:`probe_deadlock_freedom` for one scheme."""
+    return probe_deadlock_freedom([(scheme_name, scheme_kwargs)],
+                                  max_cycles)[0]
 
 
 def run(quick: bool = True, verify: bool = False) -> dict:
+    observed_by = {}
+    if verify:
+        observed_by = dict(zip(ORDER, probe_deadlock_freedom(
+            [(name, {"n_vcs": 2} if name == "fastpass" else {})
+             for name in ORDER])))
     rows = []
     for name in ORDER:
         t1 = SCHEMES[name].table1
         cells = t1.cells()
         if verify:
-            kwargs = {"n_vcs": 2} if name == "fastpass" else {}
-            observed = protocol_deadlock_free(name, **kwargs)
+            observed = observed_by[name]
             declared = t1.protocol_deadlock_freedom
             if observed != declared:
                 cells[1] = f"MISMATCH(decl={declared}, obs={observed})"

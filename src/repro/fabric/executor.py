@@ -167,11 +167,15 @@ class FabricExecutor:
         self.auto_batch = auto_batch
         self.summary: dict = {}
 
-    def run(self, points: list) -> list:
-        """Execute ``points`` on the fabric; results in input order."""
+    def run(self, points: list, plan=None) -> list:
+        """Execute ``points`` on the fabric; results in input order.
+        ``plan`` as for :func:`~repro.campaign.executor.run_campaign`.
+        The journal is cleared or adopted here, once per run — never per
+        frontier, which would re-queue what an earlier frontier of the
+        same run has out on lease."""
         session = self.session
         coord = session.coordinator
-        adopted, live = frozenset(), ()
+        adopted, live_keys = frozenset(), ()
         if self.store is not None:
             if session.resume:
                 # Crash recovery: re-create the leases a previous
@@ -182,11 +186,18 @@ class FabricExecutor:
                 # resumed) must not outlive this campaign — the live
                 # session re-journals its own leases as it grants them.
                 self.store.clear_leases()
-            live = coord.live_lease_keys()
+            live_keys = coord.live_lease_keys()
         out = run_campaign(self, points,
                            lambda n_tasks: (coord, Pullers(session)),
-                           adopted, live)
+                           adopted, live_keys, plan)
         self.summary["fabric"] = {"url": session.url,
                                   "loopback_workers": session.n_workers,
                                   "respawns": session.respawns}
         return out
+
+    def workers(self) -> int:
+        """The fleet a seed group is cut for: the loopback workers plus
+        whoever else has been pulling lately."""
+        session = self.session
+        return max(1, session.n_workers,
+                   session.coordinator.present_workers())

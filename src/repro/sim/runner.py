@@ -77,26 +77,44 @@ def run_replicas(scheme: str, pattern: str, rate: float, cfg: SimConfig,
     return batch.run()
 
 
-def sweep_latency(scheme: Scheme | str, pattern: str, rates,
-                  cfg: SimConfig) -> list[RunResult]:
-    """Latency-vs-injection-rate curve (Fig. 7 style).
+def drive_rule(rule, run_fn):
+    """Run a rule generator serially: every rate it yields is answered
+    with ``run_fn(rate)``; returns what the rule returns.  (The campaign
+    planner answers the same generators with cached, parallel results —
+    :func:`repro.experiments.common.rule_series`.)"""
+    try:
+        rate = next(rule)
+        while True:
+            rate = rule.send(run_fn(rate))
+    except StopIteration as stop:
+        return stop.value
 
-    The sweep stops early once a point saturates badly (deadlocked or a
-    large undelivered backlog) — further points would only be slower to
-    simulate and equally saturated, matching how the paper's curves simply
-    leave the plot range.
-    """
+
+def sweep_rule(rates):
+    """The latency sweep's early-stop rule: yields each rate in turn, is
+    sent that rate's :class:`RunResult`, and stops once a point saturates
+    badly (deadlocked or a large undelivered backlog) — further points
+    would only be slower to simulate and equally saturated, matching how
+    the paper's curves simply leave the plot range.  Returns the results
+    up to and including the stopping point."""
     out = []
     for rate in rates:
-        if isinstance(scheme, str):
-            res = run_point(get_scheme(scheme), pattern, rate, cfg)
-        else:
-            res = run_point(scheme, pattern, rate, cfg)
+        res = yield rate
         out.append(res)
-        gen = max(1, res.extra["measured_generated"])
-        if res.deadlocked or res.extra["undelivered"] > 0.5 * gen:
+        gen = max(1, res.extra.get("measured_generated", 0))
+        if res.deadlocked or res.extra.get("undelivered", 0) > 0.5 * gen:
             break
     return out
+
+
+def sweep_latency(scheme: Scheme | str, pattern: str, rates,
+                  cfg: SimConfig) -> list[RunResult]:
+    """Latency-vs-injection-rate curve (Fig. 7 style), cut off past
+    saturation by :func:`sweep_rule`."""
+    def probe(rate):
+        return run_point(get_scheme(scheme) if isinstance(scheme, str)
+                         else scheme, pattern, rate, cfg)
+    return drive_rule(sweep_rule(rates), probe)
 
 
 def is_saturated(res: RunResult, zero_load: float) -> bool:
@@ -111,31 +129,32 @@ def is_saturated(res: RunResult, zero_load: float) -> bool:
         res.avg_latency > 3.0 * zero_load
 
 
-def saturation_throughput(scheme: Scheme | str, pattern: str,
-                          cfg: SimConfig, lo: float = 0.01, hi: float = 0.7,
-                          iters: int = 7, run_point_fn=None) -> float:
-    """Binary search for the saturation injection rate of a scheme.
-
-    Returns the highest tested rate that was still below saturation
-    (packets/node/cycle).  ``run_point_fn(rate) -> RunResult`` overrides
-    how each probe point executes — the campaign layer passes a
-    cache-first runner here so reruns of Fig. 8 only simulate rates the
-    search has not visited before.
-    """
-    if isinstance(scheme, str):
-        scheme = get_scheme(scheme)
-    rp = run_point_fn or \
-        (lambda rate: run_point(scheme, pattern, rate, cfg))
-    zero = rp(lo).avg_latency
+def saturation_rule(lo: float, hi: float, iters: int):
+    """Binary search for a saturation injection rate: yields each probe
+    rate, is sent its :class:`RunResult`, returns the highest probed
+    rate still below saturation (packets/node/cycle)."""
+    zero = (yield lo).avg_latency
     if zero != zero:  # zero-load run produced no packets: widen
         zero = 50.0
-    if not is_saturated(rp(hi), zero):
+    if not is_saturated((yield hi), zero):
         return hi
     good = lo
     for _ in range(iters):
         mid = 0.5 * (good + hi)
-        if is_saturated(rp(mid), zero):
+        if is_saturated((yield mid), zero):
             hi = mid
         else:
             good = mid
     return good
+
+
+def saturation_throughput(scheme: Scheme | str, pattern: str,
+                          cfg: SimConfig, lo: float = 0.01, hi: float = 0.7,
+                          iters: int = 7, run_point_fn=None) -> float:
+    """:func:`saturation_rule` run serially.  ``run_point_fn(rate) ->
+    RunResult`` overrides how each probe point executes."""
+    if isinstance(scheme, str):
+        scheme = get_scheme(scheme)
+    rp = run_point_fn or \
+        (lambda rate: run_point(scheme, pattern, rate, cfg))
+    return drive_rule(saturation_rule(lo, hi, iters), rp)

@@ -52,6 +52,50 @@ class TestPointKey:
         assert point_key(p, small_cfg, "a") != point_key(p, small_cfg, "b")
 
 
+def _reference_key(point: Point, cfg: SimConfig, salt: str) -> str:
+    """``point_key`` as it was before the per-config memo: one
+    ``json.dumps`` over the whole payload.  Every entry of every cache
+    on disk is addressed by this."""
+    import dataclasses
+    import hashlib
+    cfg_payload = dataclasses.asdict(cfg)
+    cfg_payload.pop("engine", None)
+    payload = {"point": point.to_json(), "cfg": cfg_payload, "salt": salt}
+    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestKeyFormatIsFrozen:
+    """A warm cache must stay warm: the assembled key equals the
+    reference for every kind of point and config."""
+
+    def test_matches_the_reference_implementation(self, small_cfg):
+        from repro.fault.plan import link_cut
+        plan = link_cut(5, 2, at=100)
+        points = [
+            Point.make("fastpass", "uniform", 0.1, n_vcs=2),
+            Point.make_seeded("escapevc", "transpose", 0.02, seed=7),
+            Point.make_app("spin", "Radix", txns=24, seed=3),
+            Point.make_stress("fastpass", n_vcs=1),
+            Point.make_fault("fastpass", "uniform", 0.1, plan=plan,
+                             traffic_stop=500, seed=2),
+            Point("x", (("dir", 'quo"te\\ü'),), "selftest:ok", 1.0),
+        ]
+        cfgs = [small_cfg, SimConfig(),
+                small_cfg.with_(fault_plan=plan),
+                small_cfg.with_(engine="naive"),
+                small_cfg.with_(engine="soa")]
+        for cfg in cfgs:
+            for point in points:
+                for salt in ("s", 'sa"lt', code_version()):
+                    assert point_key(point, cfg, salt) == \
+                        _reference_key(point, cfg, salt)
+        # engine= never reaches the key, memoised or not
+        p = points[0]
+        assert point_key(p, small_cfg.with_(engine="naive"), "s") == \
+            point_key(p, small_cfg, "s")
+
+
 class TestFaultKeys:
     """Fault plans must flow into the content address (satellite of the
     robustness subsystem): same sweep, different plan, different key."""

@@ -234,6 +234,28 @@ class TestReplicaBatching:
         assert sorted(len(items)
                       for items in group_items(pending, True)) == [2, 4]
 
+    def test_groups_are_cut_one_piece_per_worker(self, monkeypatch):
+        """``workers`` cuts a seed group so one series feeds every
+        worker — pieces of ``ceil(R / workers)``, never singletons for
+        their own sake, never above ``BATCH_CAP``; without it (and with
+        ``workers=1``, i.e. ``--jobs 1``) the fold is what it was."""
+        import repro.campaign.executor as executor
+        pending = [(f"k{i}", p)
+                   for i, p in enumerate(self._seeded(seeds=range(4)))]
+
+        def sizes(*args):
+            tasks = group_items(pending, *args)
+            assert [kp for items in tasks for kp in items] == pending
+            return [len(items) for items in tasks]
+
+        assert sizes(True) == sizes(True, 1) == [4]
+        assert sizes(True, 2) == [2, 2]
+        assert sizes(True, 3) == [2, 2]
+        assert sizes(True, 8) == [1, 1, 1, 1]
+        assert sizes(False, 2) == [1, 1, 1, 1]
+        monkeypatch.setattr(executor, "BATCH_CAP", 1)
+        assert sizes(True, 2) == [1, 1, 1, 1]
+
     def test_non_replicable_points_stay_singletons(self):
         pts = [Point.make_app("escapevc", "pagerank", txns=5, seed=1),
                Point.make_stress("escapevc")]
@@ -283,6 +305,27 @@ class TestReplicaBatching:
         assert _pool_size(1, 10) == 1       # explicit request honoured
         monkeypatch.setattr(executor, "default_workers", lambda: 64)
         assert _pool_size(None, 3) == 3
+
+
+class TestOpenRunPool:
+    def test_open_run_is_sized_for_the_machine_not_the_first_frontier(
+            self, small_cfg, monkeypatch):
+        """A run still open to further frontiers gets the whole pool
+        even if its first frontier is one task (which used to pick the
+        in-process transport and serialise the figure); a closed run of
+        one task still runs in-process."""
+        from repro.campaign import executor
+        monkeypatch.setattr(executor, "default_workers", lambda: 3)
+        ex = CampaignExecutor(small_cfg)
+        assert ex.workers() == 3
+        _life, transport = ex._connect(None)
+        assert isinstance(transport, executor.ForkPool)
+        assert transport.procs == 3
+        _life, transport = ex._connect(1)
+        assert isinstance(transport, executor.Inline)
+        one = CampaignExecutor(small_cfg, processes=1)
+        assert one.workers() == 1
+        assert isinstance(one._connect(None)[1], executor.Inline)
 
 
 class TestDefaultWorkers:
