@@ -214,23 +214,22 @@ class FastPassManager:
         router.disturb()           # the upgrade empties (or refills) a slot
         if self.slot_sink is not None:
             self.slot_sink.append((router, slot))
-        slot.pkt = None
-        self.net.buffered -= 1
         rejected = self._pending_rejected(ni)
         if rejected is not None:
             # Green path: the bounced packet moves into the freed VC slot;
-            # the upstream credit is NOT returned (the slot stays occupied).
+            # the upstream credit is NOT returned (the slot stays occupied
+            # — it is refilled, not vacated, and its waiters keep waiting).
             ni.inj[MessageClass.REQUEST].remove(rejected)
             ni.inj_count -= 1
             self.net.inj_total -= 1
-            self.net.buffered += 1
             slot.pkt = rejected
             slot.ready_at = now + 1
             slot.free_at = 1 << 60
             rejected.invalidate_route()
         else:
             # Credit freed as soon as the FastPass-Packet departs.
-            slot.free_at = now + pkt.size
+            slot.vacate(now + pkt.size)
+            self.net.buffered -= 1
 
     def _pending_rejected(self, ni):
         for pkt in ni.inj[MessageClass.REQUEST]:

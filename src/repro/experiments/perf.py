@@ -18,8 +18,10 @@ execution.
 
 ``--soa`` adds an interleaved A/B (:func:`_run_ab`; result drift exits
 2) of the active-set engine against the SoA kernel on the saturated
-:data:`SOA_POINTS` (``BENCH_soa.json``, blocked-regime points gated at
-2x).
+:data:`SOA_POINTS` (``BENCH_soa.json``).  The speedups are recorded, not
+gated: since the scalar engine waits for credits instead of polling for
+them the kernel no longer wins the blocked regime (DESIGN.md section 15),
+and what the A/B still guards is that the two engines agree.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ SNAPSHOT_POINTS = [
 SNAPSHOT_SEED = 7
 DEFAULT_FAIL_UNDER = 0.75
 
-#: Saturated-regime A/B workload for the SoA-kernel gate:
+#: Saturated-regime A/B workload for the SoA kernel:
 #: ``(scheme, scheme_kwargs, pattern, rate, rows, cols)``.  Rates 0.2
 #: and 0.3 put every point past (or at) saturation — the regime the SoA
 #: kernel targets — on the paper's 8x8 mesh plus a 16x16 scaling point.
@@ -65,11 +67,6 @@ SOA_POINTS = [
     ("fastpass", {}, "uniform", 0.2, 16, 16),
     ("fastpass", {}, "uniform", 0.3, 16, 16),
 ]
-
-#: floor for the SoA gate: the kernel must be >= 2x the active-set
-#: engine on the gated (blocked-saturated) points — the PR's acceptance
-#: number, with the reference machine measuring 2.7-7.5x (BENCH_soa.json)
-DEFAULT_SOA_FAIL_UNDER = 2.0
 
 #: RunResult fields that must be bit-identical run-to-run for a fixed
 #: seed — the differential proof that engine work changed speed, not
@@ -202,25 +199,10 @@ def _run_ab(points, names: tuple[str, str], repeat: int) -> list[dict]:
         for name in names:
             pt[f"{name}_wall_s"] = best[name]
             pt[f"{name}_cycles_per_sec"] = cycles / best[name]
-        mark = "  [gate]" if info.get("gated") else ""
         print(f"  {key:46s} {a} {best[a] * 1e3:8.1f} ms  "
-              f"{b} {best[b] * 1e3:8.1f} ms  {pt['speedup']:5.2f}x{mark}")
+              f"{b} {best[b] * 1e3:8.1f} ms  {pt['speedup']:5.2f}x")
         out.append(pt)
     return out
-
-
-def _soa_gated(scheme: str, pattern: str) -> bool:
-    """True for the points the >=2x speedup gate watches.
-
-    The SoA kernel targets the *blocked* saturated regime — many ready
-    heads contending for few credits, where the vectorized screen
-    replaces per-head python scans.  fastpass/uniform at rates >= 0.2
-    is that regime on both mesh sizes.  transpose and escapevc stay
-    free-flowing at these rates (few simultaneous ready heads), where
-    the scalar active-set loop is already near-optimal; those points
-    are recorded for the record but not speed-gated.
-    """
-    return scheme == "fastpass" and pattern == "uniform"
 
 
 def run_soa_snapshot(repeat: int = 3) -> dict:
@@ -248,18 +230,16 @@ def run_soa_snapshot(repeat: int = 3) -> dict:
                     "would compare the scalar engine against itself")
             return wall, [res]
 
-        return (dict(info, rows=rows, cols=cols,
-                     gated=_soa_gated(scheme, pattern)),
+        return (dict(info, rows=rows, cols=cols),
                 lambda: side("active"), lambda: side("soa"))
 
     points = _run_ab([ab_point(*p) for p in SOA_POINTS],
                      ("active", "soa"), repeat)
-    gate_pts = [p for p in points if p["gated"]]
+    speedups = [p["speedup"] for p in points]
     snap = _header("repro-soa-snapshot", repeat, points=points,
-                   gate_points=[p["key"] for p in gate_pts],
-                   gate_speedup=min(p["speedup"] for p in gate_pts))
-    print(f"  gate speedup (worst gated point): "
-          f"{snap['gate_speedup']:.2f}x")
+                   min_speedup=min(speedups), max_speedup=max(speedups))
+    print(f"  soa over active: {snap['min_speedup']:.2f}x - "
+          f"{snap['max_speedup']:.2f}x (recorded, not gated)")
     return snap
 
 
@@ -480,9 +460,9 @@ def compare(new: dict, base: dict, fail_under: float,
 
 # -- CLI -----------------------------------------------------------------
 
-def _soa_gate(out: str | None, repeat: int, floor: float) -> int:
-    """Run the SoA A/B, write its snapshot, apply its floor: 0 pass, 1
-    below the floor, 2 result drift (nothing written)."""
+def _soa_ab(out: str | None, repeat: int) -> int:
+    """Run the SoA A/B and write its snapshot: 0 when the engines agree,
+    2 on result drift (nothing written)."""
     try:
         snap = run_soa_snapshot(repeat=repeat)
     except ResultDrift as exc:
@@ -490,11 +470,6 @@ def _soa_gate(out: str | None, repeat: int, floor: float) -> int:
         return 2
     path = write_snapshot(snap, out or str(perf_dir() / "BENCH_soa.json"))
     print(f"  SoA snapshot written to {path}")
-    if snap["gate_speedup"] < floor:
-        print(f"\n  SOA REGRESSION: gate speedup "
-              f"{snap['gate_speedup']:.2f}x < {floor:.2f}x on "
-              f"{', '.join(snap['gate_points'])}")
-        return 1
     return 0
 
 
@@ -547,11 +522,6 @@ def main(argv: list[str]) -> int:
     p_snap.add_argument("--soa-out", default=None, metavar="PATH",
                         help="SoA snapshot path (default: results/perf/"
                              "BENCH_soa.json)")
-    p_snap.add_argument("--soa-fail-under", type=float,
-                        default=DEFAULT_SOA_FAIL_UNDER, metavar="R",
-                        help="minimum SoA speedup on the gated "
-                             "saturated points "
-                             f"(default: {DEFAULT_SOA_FAIL_UNDER})")
 
     p_trend = sub.add_parser("trend",
                              help="print the cycles/sec trajectory from "
@@ -626,7 +596,7 @@ def main(argv: list[str]) -> int:
     if args.soa:
         print(f"SoA A/B: {len(SOA_POINTS)} saturated points, "
               f"best of {args.repeat + 2}")
-        rc = _soa_gate(args.soa_out, args.repeat + 2, args.soa_fail_under)
+        rc = _soa_ab(args.soa_out, args.repeat + 2)
     if rc == 2 or not args.compare:
         return rc
     base = json.loads(Path(args.compare).read_text())

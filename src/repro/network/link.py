@@ -107,12 +107,20 @@ class VCSlot:
       (identified by pid, so a swapped-in packet never inherits it) has a
       proven lower bound on its earliest possible move and skips switch
       arbitration until then.  Topology/reroute changes clear it.
+    * ``waiters`` — credit subscription: the upstream slots whose head
+      failed arbitration because this VC was occupied (``None`` when
+      nobody waits).  :meth:`vacate` — the only way a slot is emptied —
+      tells them when the credit comes back.  A slot that is *refilled*
+      without being vacated (FastPass green path, SPIN rotation, SWAP
+      exchange) returns no credit and keeps its waiters.
+    * ``owner`` — the router this slot belongs to (``None`` for a slot
+      outside any router's VC array, e.g. MinBD's side buffer).
     """
 
     __slots__ = ("pkt", "ready_at", "free_at", "retry_at", "retry_pid",
-                 "port", "vc", "gidx")
+                 "port", "vc", "gidx", "waiters", "owner")
 
-    def __init__(self, port: int, vc: int):
+    def __init__(self, port: int, vc: int, owner=None):
         self.pkt = None
         self.ready_at = 0
         self.free_at = 0
@@ -123,9 +131,35 @@ class VCSlot:
         #: flat (router, port, vc) index into the SoA kernel's arrays,
         #: assigned at kernel attach; unused by the scalar engines
         self.gidx = -1
+        self.waiters = None
+        self.owner = owner
 
     def is_free(self, now: int) -> bool:
         return self.pkt is None and self.free_at <= now
+
+    def vacate(self, free_at: int) -> None:
+        """Empty the slot; its credit reaches upstream at ``free_at``.
+
+        Every waiter's retry memo — and the wake cycle of its router, if
+        parked — is lowered to ``free_at``, the first cycle the slot can
+        be claimed.  ``retry_at`` is only a skip hint and a parked
+        router's early step is a plain (replayed) no-op step, so a
+        spurious wake — a stale waiter whose head has since left, a
+        credit a competitor takes first, a ``free_at`` that FastFlow
+        pre-emption pushes back afterwards — costs one arbitration and
+        changes nothing.
+        """
+        self.pkt = None
+        self.free_at = free_at
+        waiters = self.waiters
+        if waiters is not None:
+            self.waiters = None
+            for slot in waiters:
+                if slot.retry_at > free_at:
+                    slot.retry_at = free_at
+                router = slot.owner
+                if router._wake_at > free_at:   # 0 unless parked
+                    router._wake_at = free_at
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"VCSlot(port={self.port}, vc={self.vc}, pkt={self.pkt})"

@@ -3,13 +3,19 @@
 The cycle loop is *active-set* driven: routers and NIs register for wakeup
 when they gain work (packet arrival, credit-bearing injection, event-wheel
 deliveries, scheme lane launches, non-empty ``pending``/``inj``/``ej``
-queues) and :meth:`Network.step` iterates only the active components — in
+queues, a processor model's service entry coming due) and
+:meth:`Network.step` iterates only the active components — in
 ascending-id order, so results are bit-identical to the naive
 all-components loop (kept available as ``force_naive_step`` and proven
-equivalent by the differential property tests).  Occupancy introspection
-(:meth:`packets_in_flight`, :meth:`total_backlog`) reads incrementally
-maintained counters instead of rescanning every VC slot; the ``paranoia``
-audit cross-checks the counters against a full rescan.
+equivalent by the differential property tests).  The contract is the same
+everywhere: *a component is visited only on a cycle in which something
+could have changed for it*, and whoever makes that change wakes it.
+
+Occupancy introspection (:meth:`packets_in_flight`,
+:meth:`total_backlog`) reads incrementally maintained counters instead of
+rescanning every VC slot; the ``paranoia`` audit cross-checks the
+counters against a full rescan, re-arbitrates every head a memo or a
+park is skipping, and checks the active sets' coverage.
 """
 
 from __future__ import annotations
@@ -101,7 +107,6 @@ class Network:
         self._r_active: set[int] = set()
         self._inj_active: set[int] = set()
         self._con_active: set[int] = set()
-        self._has_consumers = False
         #: sorted worklist during the router phase (mid-phase wakeups with
         #: a higher id than the router being stepped are inserted so they
         #: still run this cycle, exactly like the naive sweep)
@@ -115,6 +120,9 @@ class Network:
 
         self.stats = StatsCollector()
         self._events: dict[int, list] = {}
+        #: the last cycle whose events have run; scheduling at or before
+        #: it can no longer happen
+        self._events_done = -1
 
         self.routers = [router_cls(rid, mesh, cfg, self)
                         for rid in range(mesh.n_routers)]
@@ -193,12 +201,11 @@ class Network:
         self.nis[rid]._inj_skip = 0
 
     def wake_consume(self, rid: int) -> None:
+        """Have NI ``rid`` visited in the next consume phase (this
+        cycle's, when called before it).  Ejections call it; so must a
+        consumer that went to sleep (see :meth:`NetworkInterface
+        .consume_step`) for anything else it wants to be called for."""
         self._con_active.add(rid)
-
-    def note_consumer(self) -> None:
-        """An NI gained a processor/LLC model: consumers may emit work with
-        empty ejection queues, so the consume phase visits every NI."""
-        self._has_consumers = True
 
     def active_routers(self) -> list:
         """Routers that currently hold packets, ascending id — every
@@ -210,10 +217,21 @@ class Network:
 
     # -- event wheel -------------------------------------------------------
     def schedule(self, cycle: int, fn, *args) -> None:
-        """Run ``fn(cycle, *args)`` at the start of ``cycle``."""
+        """Run ``fn(cycle, *args)`` at the start of ``cycle`` (after the
+        scheme's ``pre_cycle`` hook, before traffic generation).
+
+        Raises :class:`ValueError` for a cycle whose events have already
+        run — from the event phase of cycle ``c`` on, the earliest
+        schedulable cycle is ``c + 1`` — instead of dropping the event."""
+        if cycle <= self._events_done:
+            raise ValueError(
+                f"cannot schedule {getattr(fn, '__qualname__', fn)} at "
+                f"cycle {cycle}: the events of cycle {self._events_done} "
+                f"have already run")
         self._events.setdefault(cycle, []).append((fn, args))
 
     def _run_events(self, now: int) -> None:
+        self._events_done = now
         ev = self._events.pop(now, None)
         if ev:
             for fn, args in ev:
@@ -257,10 +275,7 @@ class Network:
                         router.step(now)
                     i += 1
                 self._stepping = None
-        if self._has_consumers:
-            for ni in self.nis:
-                ni.consume_step(now)
-        elif self._con_active:
+        if self._con_active:
             nis = self.nis
             for nid in sorted(self._con_active):
                 nis[nid].consume_step(now)

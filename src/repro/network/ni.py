@@ -9,9 +9,9 @@ local MSHR after a small delay).
 
 Each NI participates in the network's active sets: it is inject-active
 while ``pending`` or any ``inj`` queue is non-empty, and consume-active
-while any ``ej`` queue is non-empty (NIs with an attached processor model
-are always visited in the consume phase — see
-:meth:`repro.network.network.Network.note_consumer`).  The queue
+while any ``ej`` queue is non-empty or its attached processor model says
+it has more to do (the consumer contract is on :meth:`NetworkInterface
+.consume_step`).  The queue
 occupancies feed the network-wide incremental counters (``pending_total``,
 ``inj_total``, ``limbo``), so every enqueue/dequeue below is paired with a
 counter update.
@@ -101,7 +101,8 @@ class NetworkInterface:
     def consumer(self, value) -> None:
         self._consumer = value
         if value is not None:
-            self.net.note_consumer()
+            # One visit, so the model can say whether it wants more.
+            self.net.wake_consume(self.id)
 
     # -- generation ------------------------------------------------------
     def source(self, pkt) -> None:
@@ -229,9 +230,21 @@ class NetworkInterface:
         packets are retired per cycle, round-robin over the classes —
         ejected packets are consumed almost immediately (as the paper
         observes) but not instantaneously.
+
+        Consumer contract: ``consume(ni, now)`` returns ``False`` when it
+        needs no further call until something wakes this NI — and the NI
+        then leaves the consume active set.  Every ejection into ``ej``
+        wakes it (:meth:`eject`, ``Router._try_eject``), as does
+        attaching the consumer; for anything else (a timer of its own,
+        say) the consumer calls :meth:`Network.wake_consume` itself —
+        :class:`~repro.traffic.coherence.NodeModel` puts its
+        service-queue due times on the event wheel.  Any other return
+        value (``None`` from a consumer written before the contract)
+        keeps the NI visited every cycle.
         """
         if self._consumer is not None:
-            self._consumer.consume(self, now)
+            if self._consumer.consume(self, now) is False:
+                self.net._con_active.discard(self.id)
             return
         budget = self.CONSUME_RATE
         ej = self.ej

@@ -16,11 +16,14 @@ sleep when it runs out of work.
 
 Parking: when a step finds every head provably stuck — blocked by its own
 timers (``slot.ready_at`` / ``in_busy``), by a busy link, or by downstream
-credits (an empty VC frees at ``free_at``; an occupied VC cannot return
-its credit before two cycles out, since every vacate path sets ``free_at``
-at least one cycle past the vacate cycle) — a lower bound on the earliest
-useful cycle is known and the router *parks*: subsequent steps return
-immediately until that cycle.  Heads at their ejection port never park
+credits (an empty VC frees at ``free_at``; an occupied VC has no time to
+offer, so the head *subscribes* to it and :meth:`VCSlot.vacate
+<repro.network.link.VCSlot.vacate>` — the one way a slot is emptied —
+lowers the head's retry memo and this router's wake cycle to the cycle
+the credit arrives) — a lower bound on the earliest useful cycle is known
+and the router *parks*: subsequent steps return immediately until that
+cycle.  A head behind nothing but occupied VCs waits with no bound at all
+until one of them is vacated.  Heads at their ejection port never park
 (queue capacity is not timer-predictable).  A skipped step would only
 have advanced the round-robin offset and rotated the occupied list, so
 the wake path replays the skipped steps in closed form and the observable
@@ -62,7 +65,7 @@ class Router:
         self.n_ports = 5
         self.n_vcs_total = cfg.total_vcs
         self.slots = [
-            [VCSlot(p, v) for v in range(self.n_vcs_total)]
+            [VCSlot(p, v, self) for v in range(self.n_vcs_total)]
             for p in range(self.n_ports)
         ]
         #: flat port-major view of ``slots`` (scan order of the FastPass
@@ -241,7 +244,6 @@ class Router:
                 esc_stride = self._esc_stride
                 inline_xfer = self._inline_xfer
                 hop_latency = self._hop_latency
-                now2 = now + 2
             # Inlined ``RouteTable.lookup`` — the one copy of the table
             # layout outside repro.network.routing; moves() handles
             # degraded (reroute) mode.
@@ -273,9 +275,8 @@ class Router:
             #   * a port granted this cycle may be free again next cycle;
             #   * a busy link frees at ``busy_until``;
             #   * an empty downstream VC becomes claimable at ``free_at``;
-            #   * an occupied downstream VC cannot return its credit
-            #     before ``now + 2`` (every vacate path sets ``free_at``
-            #     at least one cycle past the vacate cycle).
+            #   * an occupied downstream VC bounds nothing: the head
+            #     subscribes to its credit below.
             moved = False
             bound = INF
             for out, vcs in mv:
@@ -328,10 +329,12 @@ class Router:
                                             and rid > todo[net._step_idx]:
                                         insort(todo, rid,
                                                net._step_idx + 1)
-                                slot.pkt = None
                                 size = pkt.size
                                 end = now + size
+                                slot.pkt = None    # inline VCSlot.vacate
                                 slot.free_at = end + 1
+                                if slot.waiters is not None:
+                                    slot.vacate(end + 1)
                                 in_busy[slot.port] = end
                                 link.busy_until = end
                                 link.inflight = [dslot, slot, end]
@@ -344,8 +347,6 @@ class Router:
                             break
                         if fa < bound:
                             bound = fa
-                    elif now2 < bound:
-                        bound = now2
                 if moved:
                     break
             if not moved:
@@ -353,6 +354,24 @@ class Router:
                 if bound > now1:
                     slot.retry_at = bound
                     slot.retry_pid = pkt.pid
+                    # Credit subscription: the memo skips this head past
+                    # ``now + 1``, so every occupied VC the scan just
+                    # looked at (behind a free link) must call back when
+                    # it is vacated.  Once per (head slot, VC): a waiter
+                    # stays listed until that VC's next vacate.
+                    for out, vcs in mv:
+                        link = links_out[out]
+                        if link is None or link.busy_until > now:
+                            continue
+                        dslots = neighbors[out].slots[link.dst_port]
+                        for vc in vcs:
+                            dslot = dslots[vc]
+                            if dslot.pkt is not None:
+                                waiters = dslot.waiters
+                                if waiters is None:
+                                    dslot.waiters = [slot]
+                                elif slot not in waiters:
+                                    waiters.append(slot)
                 if parkable and bound < wake:
                     wake = bound
         self.occupied = survivors
@@ -392,9 +411,8 @@ class Router:
             todo = net._stepping
             if todo is not None and rid > todo[net._step_idx]:
                 insort(todo, rid, net._step_idx + 1)
-        slot.pkt = None
         size = pkt.size
-        slot.free_at = now + size + 1  # tail drain + credit return
+        slot.vacate(now + size + 1)    # tail drain + credit return
         self.in_busy[slot.port] = now + size
         # Inlined Link.start_transfer (one call per hop adds up).
         link.busy_until = now + size
@@ -418,8 +436,7 @@ class Router:
             return False
         size = pkt.size
         self.eject_busy_until = now + size
-        slot.pkt = None
-        slot.free_at = now + size + 1
+        slot.vacate(now + size + 1)
         self.in_busy[slot.port] = now + size
         net = self.net
         net.buffered -= 1

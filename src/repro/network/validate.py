@@ -8,6 +8,8 @@ at its source instead of as a downstream miscount.  Violations raise
 
 from __future__ import annotations
 
+from repro.network.topology import PORT_LOCAL
+
 
 class InvariantViolation(AssertionError):
     """The network's internal bookkeeping is inconsistent."""
@@ -32,13 +34,20 @@ def check_invariants(net) -> None:
        full rescan of the slots and queues;
     8. active-set coverage: every component that holds work is registered
        in the corresponding active set (a router/NI missing from its set
-       would silently never be stepped by the active engine);
-    9. parking: a parked router still holds packets, every head blocked on
-       its own timers really is blocked until at least the wake cycle, and
-       the wake cycle is in the future — a violation means some code path
-       mutated a parked router's slots without calling ``disturb()``
-       first.  (Arbitration-blocked heads park on bounds proven from
-       downstream state at scan time, which cannot be re-audited later.)
+       would silently never be stepped by the active engine) — for the
+       consume phase: an NI with a non-empty ejection queue, or whose
+       processor model has a service entry due, is in ``_con_active``;
+    9. parking: a parked router still holds packets and its wake cycle
+       is in the future — a violation means some code path mutated a
+       parked router's slots without calling ``disturb()`` first;
+    10. skipped heads: every head that a retry memo or a park is skipping
+       this cycle is re-arbitrated read-only and must have no legal move
+       — a violation means a wakeup was lost (a slot emptied without
+       :meth:`~repro.network.link.VCSlot.vacate`, a timer lowered behind
+       the memo);
+    11. credit subscriptions: every occupied candidate VC that a
+       memo-skipped head looked at (behind a link that does not itself
+       cover the memo) lists that head among its ``waiters``.
     """
     now = net.cycle
     seen: dict[int, tuple] = {}
@@ -74,6 +83,7 @@ def check_invariants(net) -> None:
                 f"router active set")
         if router._parked_sw >= 0:
             _check_parked(net, router, now)
+        _check_skipped_heads(net, router, now)
     if buffered_scan != net.buffered:
         raise InvariantViolation(
             f"buffered counter drift: counter={net.buffered} "
@@ -101,11 +111,18 @@ def check_invariants(net) -> None:
             raise InvariantViolation(
                 f"NI {ni.id} has injection work but is not in the "
                 f"inject active set")
-        if (not net._has_consumers and ni.id not in net._con_active
-                and any(len(q) for q in ni.ej)):
-            raise InvariantViolation(
-                f"NI {ni.id} has packets to consume but is not in the "
-                f"consume active set")
+        if ni.id not in net._con_active:
+            if any(len(q) for q in ni.ej):
+                raise InvariantViolation(
+                    f"NI {ni.id} has packets to consume but is not in the "
+                    f"consume active set")
+            # A processor model's own timer (NodeModel.service): due
+            # means due at a cycle whose events — the wake — have run.
+            service = getattr(ni.consumer, "service", None)
+            if service and service[0][0] <= net._events_done:
+                raise InvariantViolation(
+                    f"NI {ni.id} has a service entry due at "
+                    f"{service[0][0]} but is not in the consume active set")
     if inj_scan != net.inj_total:
         raise InvariantViolation(
             f"inj_total counter drift: counter={net.inj_total} "
@@ -147,6 +164,54 @@ def _check_parked(net, router, now: int) -> None:
             raise InvariantViolation(
                 f"router {router.id} parked on an empty slot (port "
                 f"{slot.port} vc {slot.vc}): a mutation missed disturb()")
+
+
+def _check_skipped_heads(net, router, now: int) -> None:
+    """Re-arbitrate, read-only, every head this cycle's step skips (or
+    skipped — the audit may run in the cycle's tail or between cycles;
+    the argument holds for both, since nothing that runs before a router
+    phase makes a head movable in that same cycle: slots vacated at cycle
+    ``c`` carry ``free_at > c``)."""
+    parked = router._parked_sw >= 0 and router._wake_at > now
+    for slot in router.occupied:
+        pkt = slot.pkt
+        if pkt is None:
+            continue
+        memo = slot.retry_at if slot.retry_pid == pkt.pid else 0
+        if not parked and memo <= now:
+            continue
+        if slot.ready_at > now or router.in_busy[slot.port] > now:
+            continue
+        where = (f"router {router.id} port {slot.port} vc {slot.vc} "
+                 f"(packet {pkt.pid})")
+        mv = router.moves(pkt, slot)
+        if mv and mv[0][0] == PORT_LOCAL:    # at its ejection port
+            if router.eject_busy_until <= now \
+                    and router._ni.ej[pkt.mclass].can_accept(pkt):
+                raise InvariantViolation(
+                    f"{where}: skipped until "
+                    f"{max(memo, router._wake_at)} but can eject now")
+            continue
+        for out, vcs in mv:
+            link = router.links_out[out]
+            if link is None:
+                continue
+            link_free = (link.busy_until <= now
+                         and not link.fp_conflict(now, now + pkt.size))
+            for vc in vcs:
+                dslot = router.neighbors[out].slots[link.dst_port][vc]
+                if dslot.pkt is None:
+                    if link_free and dslot.free_at <= now:
+                        raise InvariantViolation(
+                            f"{where}: skipped until "
+                            f"{max(memo, router._wake_at)} but port {out} "
+                            f"vc {vc} is claimable now — a wakeup was lost")
+                elif (memo > now and link.busy_until < memo
+                        and slot not in (dslot.waiters or ())):
+                    raise InvariantViolation(
+                        f"{where}: retry memo {memo} depends on occupied "
+                        f"port {out} vc {vc}, which does not list it as "
+                        f"a waiter")
 
 
 def _exempt(router, slot) -> bool:

@@ -73,8 +73,7 @@ class DRAIN(Scheme):
                 if pkt is None:
                     continue
                 if pkt.dst == router.id and ni.can_eject(pkt, now):
-                    slot.pkt = None
-                    slot.free_at = now + pkt.size + 1
+                    slot.vacate(now + pkt.size + 1)
                     net.buffered -= 1
                     ni.eject(pkt, now)
                     net.last_progress = now
@@ -85,8 +84,7 @@ class DRAIN(Scheme):
         # The rotation is a permutation across routers: apply all reads
         # before writes so simultaneous motion is exact.
         for slot, dslot, pkt, nxt in moves:
-            slot.pkt = None
-            slot.free_at = now + 1
+            slot.vacate(now + 1)
         for slot, dslot, pkt, nxt in moves:
             dslot.pkt = pkt
             dslot.ready_at = now + 1

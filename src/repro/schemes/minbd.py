@@ -52,8 +52,7 @@ class MinBDRouter(Router):
                 # ejections per router per cycle straight into the queue.
                 ni = self.net.nis[self.id]
                 if ejected < 2 and ni.can_eject(pkt, now):
-                    slot.pkt = None
-                    slot.free_at = now + 1
+                    slot.vacate(now + 1)
                     self.net.buffered -= 1
                     ni.eject(pkt, now)
                     ejected += 1
@@ -74,8 +73,7 @@ class MinBDRouter(Router):
                 if self.side.pkt is None and slot is not self.side:
                     self.side.pkt = pkt
                     self.side.ready_at = now + 1
-                    slot.pkt = None
-                    slot.free_at = now + 1
+                    slot.vacate(now + 1)
                     moved_any = True
                     continue
                 out = self._free_out(self._all_ports(), taken, now, pkt)
@@ -92,8 +90,7 @@ class MinBDRouter(Router):
             dslot.ready_at = now + 2
             dslot.free_at = 1 << 60
             self.neighbors[out].admit(dslot)
-            slot.pkt = None
-            slot.free_at = now + pkt.size + 1
+            slot.vacate(now + pkt.size + 1)
             link.busy_until = now + pkt.size
             pkt.hops += 1
             if deflected:

@@ -63,8 +63,7 @@ class Pitstop(Scheme):
             return
         slot, pkt = victim
         if slot is not None:
-            slot.pkt = None
-            slot.free_at = now + pkt.size + 1
+            slot.vacate(now + pkt.size + 1)
             net.buffered -= 1
         dist = net.mesh.hops(router.id, pkt.dst)
         eta = now + dist + pkt.size + BYPASS_OVERHEAD

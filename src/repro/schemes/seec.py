@@ -100,8 +100,7 @@ class SEEC(Scheme):
             # bandwidth is exactly SEEC's seeker overhead.)
             self.seek_failures += 1
             return
-        slot.pkt = None
-        slot.free_at = depart + pkt.size
+        slot.vacate(depart + pkt.size)
         net.buffered -= 1
         pkt.was_fastpass = True
         if pkt.fp_upgrade < 0:

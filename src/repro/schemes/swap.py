@@ -99,8 +99,7 @@ class SWAP(Scheme):
         dslot.ready_at = now + 2
         dslot.free_at = 1 << 60
         nbr.admit(dslot)
-        slot.pkt = None
-        slot.free_at = now + pkt.size + 1
+        slot.vacate(now + pkt.size + 1)
         pkt.hops += 1
         pkt.invalidate_route()
 

@@ -322,10 +322,7 @@ class SoAKernel:
     def finish_cycle(self, now: int) -> None:
         """The post-switch phases: consumption, post-hook, step tail."""
         net = self.net
-        if net._has_consumers:
-            for ni in net.nis:
-                ni.consume_step(now)
-        elif net._con_active:
+        if net._con_active:
             nis = net.nis
             for nid in sorted(net._con_active):
                 nis[nid].consume_step(now)
@@ -542,9 +539,8 @@ class SoAKernel:
             act = self.net._r_active
             if nrid not in act:
                 act.add(nrid)
-            slot.pkt = None
             end = now + size
-            slot.free_at = end + 1
+            slot.vacate(end + 1)
             router.in_busy[slot.port] = end
             link.busy_until = end
             link.inflight = [dslot, slot, end]

@@ -18,6 +18,16 @@ Because the service queue is bounded and responses compete with requests
 for network resources, a 0-VN network with no escape mechanism exhibits
 genuine protocol-level deadlock under this model — the behaviour FastPass
 and Pitstop must (and do) resolve.
+
+Both halves of a node follow the network's active-set contract — visited
+only on a cycle in which something could have changed for them.  The LLC
+side sleeps (``consume`` returns ``False``) while its ejection queues are
+empty and wakes on an ejection or on a service entry coming due, which it
+puts on the event wheel; the core side is visited by ``generate`` only
+when it is in :attr:`CoherenceTraffic.issuers` — woken by its think-time
+timer or by one of its transactions retiring.  Visits stay in ascending
+node order within each phase, so the shared ``rng`` draws in the same
+order as the visit-everything loop (which ``force_naive_step`` keeps).
 """
 
 from __future__ import annotations
@@ -51,6 +61,8 @@ class NodeModel:
         self.completed = 0
         self.next_issue = 0
         self.burst_left = 0
+        #: cycle of the pending think-time wake on the event wheel
+        self._issue_wake = -1
         #: LLC service queue: (ready_cycle, request_packet)
         self.service: deque = deque()
 
@@ -88,6 +100,21 @@ class NodeModel:
                 if wb.measured:
                     tr.measured_generated += 1
                 net.nis[self.id].source(wb)
+        # The loop stopped on one of its three conditions; sleep until
+        # that one can change.  Out of quota: for good.  Out of MSHRs:
+        # until a transaction retires (``CoherenceTraffic.retire``).
+        # Thinking: until ``next_issue`` — by staying listed when that is
+        # the next cycle, by a timer otherwise.
+        if self.outstanding >= p["mshrs"] or self.issued >= tr.txns_per_core:
+            tr.issuers.discard(self.id)
+        elif self.next_issue > now + 1:
+            tr.issuers.discard(self.id)
+            if self._issue_wake != self.next_issue:
+                self._issue_wake = self.next_issue
+                net.schedule(self.next_issue, self._issue_due)
+
+    def _issue_due(self, now: int) -> None:
+        self.traffic.issuers.add(self.id)
 
     # -- LLC / consumer side ------------------------------------------------
     def on_local(self, ni, pkt) -> None:
@@ -95,42 +122,46 @@ class NodeModel:
         (e.g. the forwarded owner is the requester itself): it never enters
         the network but still drives the protocol."""
         if pkt.mclass == MessageClass.RESPONSE:
-            txn = pkt.txn
-            if txn is not None and txn.complete_cycle < 0:
-                txn.complete_cycle = pkt.eject_cycle
-                owner = self.traffic.nodes[txn.core]
-                owner.outstanding -= 1
-                owner.completed += 1
-                self.traffic.completed += 1
+            self.traffic.retire(pkt.txn, pkt.eject_cycle)
         elif pkt.mclass in (MessageClass.REQUEST, MessageClass.FORWARD):
             # Local hits bypass the bounded service queue (no NoC involved).
-            self.service.append((pkt.eject_cycle +
-                                 self.traffic.params["service_latency"], pkt))
+            self._serve_at(ni.net, pkt.eject_cycle +
+                           self.traffic.params["service_latency"], pkt)
 
-    def consume(self, ni, now: int) -> None:
+    def _serve_at(self, net, ready: int, req) -> None:
+        """Queue ``req`` for service at ``ready`` and make sure this node
+        is consumed then (events run before that cycle's consume phase)."""
+        self.service.append((ready, req))
+        if ready > net.cycle:
+            net.schedule(ready, self._service_due, net)
+        else:
+            net.wake_consume(self.id)
+
+    def _service_due(self, now: int, net) -> None:
+        net.wake_consume(self.id)
+
+    def consume(self, ni, now: int) -> bool:
+        """One consume-phase visit.  Returns ``False`` — sleep until woken
+        — unless requests are still waiting for room in the service queue;
+        an ejection or a service entry coming due wakes the node."""
         tr = self.traffic
         p = tr.params
-        net = ni.net
         # 1. Sink classes are always consumable (Lemma 3's premise).
         resp_q = ni.ej[MessageClass.RESPONSE].q
         while resp_q:
-            pkt = resp_q.popleft()
-            txn = pkt.txn
-            if txn is not None and txn.complete_cycle < 0:
-                txn.complete_cycle = now
-                owner = net.nis[txn.core].consumer
-                owner.outstanding -= 1
-                owner.completed += 1
-                tr.completed += 1
+            tr.retire(resp_q.popleft().txn, now)
         for cls in (MessageClass.UNBLOCK, MessageClass.DMA,
                     MessageClass.WRITEBACK):
             ni.ej[cls].q.clear()
         # 2. Requests/forwards move into the bounded service queue.
+        waiting = False
         for cls in (MessageClass.REQUEST, MessageClass.FORWARD):
             q = ni.ej[cls].q
             while q and len(self.service) < p["service_depth"]:
-                pkt = q.popleft()
-                self.service.append((now + p["service_latency"], pkt))
+                self._serve_at(ni.net, now + p["service_latency"],
+                               q.popleft())
+            if q:
+                waiting = True
         # 3. Serve: emit the response (or a forward for 3-hop transactions).
         while self.service and self.service[0][0] <= now:
             ready, req = self.service[0]
@@ -148,6 +179,7 @@ class NodeModel:
                 tr.measured_generated += 1
             self.service.popleft()
             ni.source(out)
+        return waiting
 
 
 class CoherenceTraffic:
@@ -179,6 +211,8 @@ class CoherenceTraffic:
         self.measure_start = 0
         self.measure_end = 1 << 60
         self.nodes: list[NodeModel] = []
+        #: ids of the nodes whose core side ``generate`` visits next
+        self.issuers: set[int] = set()
         self._net = None
         self._hotspots: list[int] = []
         self._neighbourhood: list[list[int]] = []
@@ -188,6 +222,7 @@ class CoherenceTraffic:
         self._net = net
         n = net.mesh.n_routers
         self.nodes = [NodeModel(rid, self) for rid in range(n)]
+        self.issuers = set(range(n))
         for rid, node in enumerate(self.nodes):
             net.nis[rid].consumer = node
         step = max(1, n // self.params["n_hotspots"])
@@ -221,8 +256,27 @@ class CoherenceTraffic:
 
     # ------------------------------------------------------------------
     def generate(self, net, now: int) -> None:
-        for node in self.nodes:
-            node.issue_step(net, now)
+        nodes = self.nodes
+        if net.force_naive_step:
+            for node in nodes:
+                node.issue_step(net, now)
+        elif self.issuers:
+            # A sorted snapshot is the whole set: nothing wakes a core
+            # during this phase (requests and writebacks never go to
+            # their own node, so no transaction retires here).
+            for rid in sorted(self.issuers):
+                nodes[rid].issue_step(net, now)
+
+    def retire(self, txn, cycle: int) -> None:
+        """A response reached its requester: free the MSHR and let the
+        core issue again."""
+        if txn is not None and txn.complete_cycle < 0:
+            txn.complete_cycle = cycle
+            owner = self.nodes[txn.core]
+            owner.outstanding -= 1
+            owner.completed += 1
+            self.completed += 1
+            self.issuers.add(txn.core)
 
     def done(self) -> bool:
         return self.completed >= self.txns_per_core * len(self.nodes)

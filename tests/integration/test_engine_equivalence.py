@@ -247,6 +247,43 @@ def test_trace_replay_matches_across_engines(tmp_path):
     assert act_res.ejected > 0
 
 
+def _run_closed_loop(name, kwargs, app, naive, monkeypatch):
+    """One application run; returns ``(result, NodeModel.consume calls)``."""
+    from repro.traffic.coherence import NodeModel
+    from repro.traffic.workloads import workload_traffic
+    calls = []
+    consume = NodeModel.consume
+
+    def counted(self, ni, now):
+        calls.append(now)
+        return consume(self, ni, now)
+
+    monkeypatch.setattr(NodeModel, "consume", counted)
+    cfg = SimConfig(rows=8, cols=8, paranoia=50)
+    sim = Simulation(cfg.with_(engine="naive" if naive else "active"),
+                     get_scheme(name, **kwargs),
+                     workload_traffic(app, txns_per_core=12, seed=5))
+    res = sim.run_to_completion(max_cycles=40000)
+    assert sim.traffic.done()
+    return res, len(calls)
+
+
+@pytest.mark.parametrize("name,kwargs", [("fastpass", {"n_vcs": 4}),
+                                         ("escapevc", {}), ("spin", {})])
+@pytest.mark.parametrize("app", ["Radix", "Canneal"])
+def test_closed_loop_active_matches_naive(name, kwargs, app, monkeypatch):
+    """Node models in the active sets: same results as visiting all 64
+    nodes in both phases every cycle (the shared rng draws in the same
+    order), for under a tenth of the consume calls."""
+    fast, fast_calls = _run_closed_loop(name, kwargs, app, False,
+                                        monkeypatch)
+    slow, slow_calls = _run_closed_loop(name, kwargs, app, True,
+                                        monkeypatch)
+    assert_results_equal(fast, slow, f"{name}/app:{app}")
+    assert slow_calls == slow.cycles * 64
+    assert 0 < fast_calls < slow_calls / 10, (fast_calls, slow_calls)
+
+
 def test_soa_kernel_fast_paths_engage():
     """The perf-bearing fast paths must demonstrably fire: cycles where
     the whole router phase is screened out, injection-step skips, and

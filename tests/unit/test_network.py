@@ -54,6 +54,32 @@ class TestEventWheel:
             net.step()
         assert fired == ["a", "b"]
 
+    def test_scheduling_into_a_cycle_already_run_raises(self, net):
+        """``_run_events`` pops a cycle's list when the cycle starts; an
+        event filed for that cycle afterwards used to be dropped without
+        a word (a wake timer lost that way is a hang)."""
+        net.schedule(net.cycle, lambda now: None)    # not yet run: fine
+        for _ in range(3):
+            net.step()
+        with pytest.raises(ValueError, match="already run"):
+            net.schedule(2, lambda now: None)
+        with pytest.raises(ValueError, match="already run"):
+            net.schedule(0, lambda now: None)
+        net.schedule(3, lambda now: None)            # the next cycle is
+
+    def test_event_cannot_reschedule_into_its_own_cycle(self, net):
+        fired = []
+
+        def again(now):
+            fired.append(now)
+            net.schedule(now, again)
+
+        net.schedule(1, again)
+        net.step()
+        with pytest.raises(ValueError, match="already run"):
+            net.step()
+        assert fired == [1]
+
 
 class TestInFlightAccounting:
     def test_empty_network(self, net):

@@ -288,14 +288,22 @@ class TestSoaSnapshot:
         assert rc == 0
         assert json.loads(out.read_text())["gate_speedup"] == 2.4
 
-    def test_gate_fails_below_floor(self, tmp_path, monkeypatch, capsys):
+    def test_speedup_is_recorded_not_gated(self, tmp_path, monkeypatch,
+                                           capsys):
+        """The speed floor is gone (its premise — the scalar engine
+        polling for credits — is): a kernel slower than the scalar loop
+        is a number in the file, not an exit code."""
         from repro.experiments import cli
-        self._stub(monkeypatch, tmp_path, _soa_snap(1.7))
+        self._stub(monkeypatch, tmp_path, _soa_snap(0.4))
+        out = tmp_path / "soa.json"
         rc = cli.main(["perf", "snapshot", "--soa",
                        "--out", str(tmp_path / "n.json"),
-                       "--soa-out", str(tmp_path / "soa.json")])
-        assert rc == 1
-        assert "SOA REGRESSION" in capsys.readouterr().out
+                       "--soa-out", str(out)])
+        assert rc == 0
+        assert out.exists()
+        assert "SOA REGRESSION" not in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            cli.main(["perf", "snapshot", "--soa", "--soa-fail-under", "2"])
 
     def test_drift_exits_two(self, tmp_path, monkeypatch, capsys):
         from repro.experiments import cli
@@ -306,16 +314,6 @@ class TestSoaSnapshot:
                        "--soa-out", str(tmp_path / "soa.json")])
         assert rc == 2
         assert "SOA RESULT DRIFT" in capsys.readouterr().out
-
-    def test_gated_points_are_the_blocked_regime(self):
-        assert perf._soa_gated("fastpass", "uniform")
-        assert not perf._soa_gated("fastpass", "transpose")
-        assert not perf._soa_gated("escapevc", "uniform")
-        gated = [p for p in perf.SOA_POINTS
-                 if perf._soa_gated(p[0], p[2])]
-        assert gated, "the 2x gate must watch at least one point"
-        assert all(r >= 0.2 for (_, _, _, r, _, _) in gated)
-        assert any(rows == 8 for (_, _, _, _, rows, _) in gated)
 
 
 class TestEngineInHistory:
