@@ -67,12 +67,9 @@ def execute_point(point: Point, cfg: SimConfig) -> RunResult:
         if token:
             from repro.fault.plan import FaultPlan
             cfg = cfg.with_(fault_plan=FaultPlan.from_token(token))
-        metrics = meta.get("metrics")
-        if metrics is None:
-            metrics = int(os.environ.get("REPRO_METRICS", "0") or 0)
         return run_scenario(scheme, spec, cfg, seed=meta.get("seed"),
                             traffic_stop=meta.get("traffic_stop"),
-                            metrics=metrics)
+                            metrics=_metrics_setting(meta))
     if pattern.startswith("trace:"):
         from repro.scenario.runner import replay_trace
         return replay_trace(scheme, pattern[len("trace:"):], cfg)
@@ -84,16 +81,25 @@ def execute_point(point: Point, cfg: SimConfig) -> RunResult:
     if token:
         from repro.fault.plan import FaultPlan
         cfg = cfg.with_(fault_plan=FaultPlan.from_token(token))
-    # Observability is opt-in per point (meta) or fleet-wide via the
-    # REPRO_METRICS env var (N > 0 attaches metrics and samples the gauge
-    # time series every N cycles).
-    metrics = meta.get("metrics")
-    if metrics is None:
-        metrics = int(os.environ.get("REPRO_METRICS", "0") or 0)
     return run_point(scheme, pattern, point.rate, cfg,
                      seed=meta.get("seed"),
                      traffic_stop=meta.get("traffic_stop"),
-                     metrics=metrics)
+                     metrics=_metrics_setting(meta))
+
+
+def _metrics_setting(meta: dict) -> bool | int:
+    """Observability is opt-in per point (``meta["metrics"]``) or
+    fleet-wide via the ``REPRO_METRICS`` env var (N > 0 attaches metrics
+    and samples the gauge time series every N cycles)."""
+    metrics = meta.get("metrics")
+    if metrics is not None:
+        return metrics
+    raw = os.environ.get("REPRO_METRICS") or "0"
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError("REPRO_METRICS must be an integer number of "
+                         f"cycles, got {raw!r}") from None
 
 
 def replica_signature(point: Point):
@@ -112,8 +118,7 @@ def replica_signature(point: Point):
     meta = dict(point.meta)
     if ":" in point.pattern and not point.pattern.startswith("scenario:"):
         return None
-    if meta.get("metrics") or int(os.environ.get("REPRO_METRICS", "0")
-                                  or 0):
+    if _metrics_setting(meta):
         return None
     meta.pop("seed", None)
     return (point.scheme, point.scheme_kwargs, point.pattern, point.rate,

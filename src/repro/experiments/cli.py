@@ -18,8 +18,6 @@ Usage::
     repro-experiments scenarios replay trace.jsonl --scheme escapevc
     repro-experiments obs report --scheme fastpass --rate 0.1
     repro-experiments obs export --format prometheus --out metrics.prom
-    repro-experiments perf snapshot --soa
-    repro-experiments perf trend --baseline BENCH_baseline.json
     python -m repro.experiments.cli fig11
 
 Every experiment runs through the campaign layer: each simulation point is
@@ -730,9 +728,6 @@ def main(argv=None) -> int:
     if argv and argv[0] == "scenarios" and len(argv) > 1 and \
             argv[1] in ("run", "sweep", "record", "replay"):
         return _scenarios_main(argv[1:])
-    if argv and argv[0] == "perf":
-        from repro.experiments import perf
-        return perf.main(argv[1:])
     if argv and argv[0] == "obs":
         from repro.experiments import obs
         return obs.main(argv[1:])

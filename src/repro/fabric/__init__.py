@@ -9,8 +9,8 @@ the network layer that lets the same leases run *anywhere*:
 * :mod:`~repro.fabric.coordinator` — the lifecycle behind one asyncio
   HTTP server: the work-queue API pulling workers use, the lease
   journal that survives a coordinator crash, and a read-side results
-  service (status/ETA, cached results, Prometheus metrics, the perf
-  trend history) for many concurrent readers;
+  service (status/ETA, cached results, Prometheus metrics) for many
+  concurrent readers;
 * :mod:`~repro.fabric.worker` — the pull loop, executing leases
   through the same ``execute_task`` as the local transports;
 * :mod:`~repro.fabric.executor` — :class:`FabricSession` (a live

@@ -25,7 +25,6 @@ server (one background thread) exposes two faces:
   - ``GET /result/<key>`` one cached/collected result by content address;
   - ``GET /metrics``      the fabric's own metrics in the Prometheus text
     format (rendered by the existing obs exporter);
-  - ``GET /perf/trend``   the ``results/perf/history.jsonl`` trajectory;
   - ``GET /healthz``      liveness probe.
 
 Settlement is the lifecycle's: every accepted completion goes into the
@@ -197,8 +196,8 @@ class Coordinator(Lifecycle):
             return self._h_result(path[len("/result/"):])
         if path == "/metrics":
             return self._h_metrics()
-        if path == "/perf/trend":
-            return self._h_trend()
+        if path in ("/lease", "/complete"):
+            raise HttpError(405, f"{path} takes POST, not {method}")
         raise HttpError(404, f"no such endpoint: {method} {path}")
 
     # -- work-queue API -------------------------------------------------
@@ -333,8 +332,3 @@ class Coordinator(Lifecycle):
                       lambda: self.status()["points_per_s"])
             self._registry = reg
         return self._registry
-
-    def _h_trend(self) -> dict:
-        from repro.experiments import perf
-        return {"history": str(perf.history_path()),
-                "entries": perf.load_history()}

@@ -10,7 +10,10 @@ The public surface:
 * :class:`~repro.obs.sampler.TimeSeriesSampler` — periodic gauge series.
 * :class:`~repro.obs.setup.Observability` /
   :func:`~repro.obs.setup.attach_observability` — the per-network bundle
-  that wires the standard NoC metric set.
+  that wires the standard NoC metric set;
+  :func:`~repro.obs.setup.attach_for_run` /
+  :meth:`~repro.obs.setup.Observability.archive_run` are what the point
+  runners' ``metrics=`` argument goes through.
 * :mod:`repro.obs.exporters` — JSON snapshot, Prometheus text format,
   and the per-run ``results/metrics/`` artifact.
 
@@ -33,7 +36,11 @@ from repro.obs.registry import (
     MultiGauge,
 )
 from repro.obs.sampler import TimeSeriesSampler
-from repro.obs.setup import Observability, attach_observability
+from repro.obs.setup import (
+    Observability,
+    attach_for_run,
+    attach_observability,
+)
 
 __all__ = [
     "KINDS",
@@ -46,6 +53,7 @@ __all__ = [
     "MultiGauge",
     "TimeSeriesSampler",
     "Observability",
+    "attach_for_run",
     "attach_observability",
     "metrics_dir",
     "snapshot_json",

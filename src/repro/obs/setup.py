@@ -19,6 +19,7 @@ active-set and the naive engines.
 from __future__ import annotations
 
 from repro.obs.bus import EventBus
+from repro.obs.exporters import write_metrics
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import TimeSeriesSampler
 
@@ -61,6 +62,17 @@ class Observability:
         if self.net is not None:
             self.net.obs = None
             self.net = None
+
+    def archive_run(self, res, name: str) -> None:
+        """The finish half of :func:`attach_for_run`: write the run's
+        artifact under ``results/metrics/`` and record its path and
+        headline counters in ``res.extra["metrics"]``."""
+        path = write_metrics(self, name)
+        res.extra["metrics"] = {
+            "path": str(path),
+            "events": self.bus.emitted,
+            "counters": self.registry.to_json()["counters"],
+        }
 
     # ------------------------------------------------------------------
     def _wire(self, net) -> None:
@@ -160,3 +172,12 @@ class Observability:
 def attach_observability(net, sample_every: int = 0) -> Observability:
     """Convenience: build an :class:`Observability` and attach it."""
     return Observability(sample_every=sample_every).attach(net)
+
+
+def attach_for_run(net, metrics: bool | int) -> Observability:
+    """What a runner's truthy ``metrics`` argument asks for: ``True``
+    attaches the standard metric set, a positive integer additionally
+    samples the gauge time series every that many cycles.  The runner
+    calls :meth:`Observability.archive_run` once the run is over."""
+    return attach_observability(
+        net, sample_every=0 if metrics is True else int(metrics))

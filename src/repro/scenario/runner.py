@@ -36,22 +36,14 @@ def run_scenario(scheme: Scheme | str, spec: ScenarioSpec, cfg: SimConfig,
     sim = Simulation(cfg, scheme, traffic)
     obs = None
     if metrics:
-        from repro.obs import attach_observability
-        sample_every = 0 if metrics is True else int(metrics)
-        obs = attach_observability(sim.net, sample_every=sample_every)
+        from repro.obs import attach_for_run
+        obs = attach_for_run(sim.net, metrics)
     res = sim.run()
     res.extra["rate"] = traffic.rate
     res.extra["pattern"] = traffic.pattern
     res.engine_used = sim.engine_used
     if obs is not None:
-        from repro.obs import write_metrics
-        name = f"{scheme.label}_scenario_{spec.name}"
-        path = write_metrics(obs, name)
-        res.extra["metrics"] = {
-            "path": str(path),
-            "events": obs.bus.emitted,
-            "counters": obs.registry.to_json()["counters"],
-        }
+        obs.archive_run(res, f"{scheme.label}_scenario_{spec.name}")
     return res
 
 

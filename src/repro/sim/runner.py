@@ -29,9 +29,8 @@ def run_point(scheme: Scheme | str, pattern: str, rate: float,
     sim = Simulation(cfg, scheme, traffic)
     obs = None
     if metrics:
-        from repro.obs import attach_observability
-        sample_every = 0 if metrics is True else int(metrics)
-        obs = attach_observability(sim.net, sample_every=sample_every)
+        from repro.obs import attach_for_run
+        obs = attach_for_run(sim.net, metrics)
     res = sim.run()
     res.extra["rate"] = rate
     res.extra["pattern"] = pattern
@@ -39,15 +38,7 @@ def run_point(scheme: Scheme | str, pattern: str, rate: float,
     # extra entry): results and cache keys must stay engine-blind.
     res.engine_used = sim.engine_used
     if obs is not None:
-        from repro.obs import write_metrics
-        name = f"{scheme.label}_{pattern}_r{rate:g}"
-        path = write_metrics(obs, name)
-        counters = obs.registry.to_json()["counters"]
-        res.extra["metrics"] = {
-            "path": str(path),
-            "events": obs.bus.emitted,
-            "counters": counters,
-        }
+        obs.archive_run(res, f"{scheme.label}_{pattern}_r{rate:g}")
     return res
 
 

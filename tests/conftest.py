@@ -64,8 +64,7 @@ def _campaign_isolation(tmp_path, monkeypatch):
     Without this, any test that touches an experiment module would write
     cached results into the repository's ``results/`` tree and could see
     stale results from earlier tests.  ``REPRO_RESULTS_DIR`` covers the
-    non-campaign writers too (fault post-mortems, metrics artifacts, the
-    perf snapshot history).
+    non-campaign writers too (fault post-mortems, metrics artifacts).
     """
     from repro.campaign import context
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))

@@ -7,9 +7,14 @@
 * SWAP and DRAIN once more with their periods cut to fit those windows
   (at Table II's 1K / 64K cycles neither fires in 900, and both rows
   above equal the baseline's; DRAIN at 0.05 because a rotation over
-  saturated buffers does not terminate — ROADMAP has the finding), and
+  saturated buffers does not terminate — ROADMAP has the finding),
 * the three ``apps_closed`` schemes on one application at 24
-  transactions per core through ``execute_point``.
+  transactions per core through ``execute_point``, and
+* the *pre-engine* reference: fastpass(n_vcs=4) and escapevc, uniform @
+  0.02/0.05/0.10/0.30, 8x8 with 200/1000/1500 windows — ``RESULT_FIELDS``
+  of each go back to the seed's naive loop, before any active-set,
+  parking or wakeup work (CHANGES.md has the comparison), and 0.02-0.10
+  is the parking regime the saturated rows above do not reach.
 
 It exists because the naive oracle shares ``Router.step`` (and its retry
 memo) with the active engine: a kernel change that makes *both* wrong —
@@ -32,7 +37,8 @@ from pathlib import Path
 from repro.campaign.worker import execute_point
 from repro.config import RunResult
 from repro.experiments.common import app_config, synthetic_config
-from repro.schemes import SCHEMES
+from repro.experiments.perf import soa_config
+from repro.schemes import SCHEMES, get_scheme
 from repro.sim.parallel import Point
 from repro.sim.runner import run_point
 
@@ -46,6 +52,8 @@ SHORT_PERIOD = (("swap", 0.35, {"swap_duty_cycles": 100}),
 APP = "Radix"
 APP_TXNS = 24
 APP_SCHEMES = (("fastpass", {"n_vcs": 4}), ("escapevc", {}), ("spin", {}))
+PRE_ENGINE_SCHEMES = (("fastpass", {"n_vcs": 4}), ("escapevc", {}))
+PRE_ENGINE_RATES = (0.02, 0.05, 0.10, 0.30)
 
 
 def synthetic_cfg():
@@ -72,6 +80,12 @@ def cases() -> list[tuple[str, object]]:
         out.append((f"{name}/app:{APP}",
                     lambda pt=point: execute_point(
                         pt, app_config(quick=False))))
+    for name, kwargs in PRE_ENGINE_SCHEMES:
+        for rate in PRE_ENGINE_RATES:
+            out.append((f"pre-engine/{name}/uniform@{rate:g}",
+                        lambda n=name, k=kwargs, r=rate: run_point(
+                            get_scheme(n, **k), "uniform", r,
+                            soa_config(8, 8, "active"), seed=SEED)))
     return out
 
 

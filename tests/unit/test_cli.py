@@ -10,6 +10,12 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fig99"])
 
+    def test_retired_perf_subcommand_is_an_unknown_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["perf", "snapshot"])
+        assert exc.value.code == 2
+        assert "unknown experiments" in capsys.readouterr().err
+
     def test_single_cheap_experiment(self, capsys):
         assert main(["table2"]) == 0
         out = capsys.readouterr().out

@@ -29,6 +29,16 @@ class TestConfigs:
         assert app_config(True).rows == 4
         assert app_config(False).rows == 8
 
+    def test_names_the_e2e_benchmark_imports(self):
+        # benchmarks/e2e/workloads.py imports both (kernel_dense's points,
+        # every result_digest): a rename fails here, not in the benchmark
+        from repro.experiments.perf import RESULT_FIELDS, soa_config
+        assert RESULT_FIELDS == ("injected", "ejected", "avg_latency",
+                                 "p99_latency", "deadlocked", "cycles")
+        cfg = soa_config(16, 16, "active")
+        assert (cfg.rows, cfg.warmup_cycles, cfg.measure_cycles,
+                cfg.drain_cycles) == (16, 200, 1000, 1500)
+
     def test_app_config_scales_drain_period(self):
         assert app_config(True).drain_period_cycles < 64000
 

@@ -5,6 +5,8 @@ results service, exercised over real sockets (loopback, ephemeral port).
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 import urllib.request
 
 import pytest
@@ -57,6 +59,22 @@ class TestProbes:
         with pytest.raises(HttpError) as exc:
             http_json("GET", f"{url}/nope")
         assert exc.value.status == 404
+
+    def test_wrong_verb_on_known_endpoint_is_405(self, coord):
+        """A 404 would read as "wrong URL" to a mis-configured worker."""
+        _, url = coord
+        for path in ("/lease", "/complete"):
+            with pytest.raises(HttpError, match="takes POST") as exc:
+                http_json("GET", url + path)
+            assert exc.value.status == 405
+
+    def test_coordinator_imports_no_experiments(self):
+        """The fabric serves campaigns; it knows no experiment."""
+        code = ("import repro.fabric.coordinator, sys; "
+                "assert not [m for m in sys.modules "
+                "if m.startswith('repro.experiments')]")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       timeout=60)
 
     def test_malformed_json_body_is_400(self, coord):
         _, url = coord
@@ -179,18 +197,6 @@ class TestResultsService:
         assert "fabric_granted_total 1" in text
         assert 'fabric_points{state="leased"} 1' in text
         assert "fabric_workers 1" in text
-
-    def test_perf_trend_endpoint(self, coord, tmp_path, monkeypatch):
-        _, url = coord
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        perf = tmp_path / "perf"
-        perf.mkdir()
-        entries = [{"ts": "2026-08-08T00:00:00", "cps": 1000.0},
-                   {"ts": "2026-08-08T01:00:00", "cps": 1100.0}]
-        (perf / "history.jsonl").write_text(
-            "".join(json.dumps(e) + "\n" for e in entries))
-        out = http_json("GET", f"{url}/perf/trend")
-        assert out["entries"] == entries
 
 
 class TestFramingIntegrity:

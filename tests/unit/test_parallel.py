@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.sim.parallel import Point, grid, parallel_sweep
 
 
@@ -120,6 +122,11 @@ class TestReplicaSignature:
         monkeypatch.setenv("REPRO_METRICS", "50")
         assert self._sig(Point.make_seeded("escapevc", "uniform", 0.05,
                                            seed=1)) is None
+
+    def test_non_integer_metrics_env_names_the_variable(self, monkeypatch):
+        monkeypatch.setenv("REPRO_METRICS", "yes")
+        with pytest.raises(ValueError, match="REPRO_METRICS.*'yes'"):
+            self._sig(Point.make("escapevc", "uniform", 0.05))
 
     def test_fault_points_batch_by_plan(self):
         from repro.fault.plan import FaultPlan

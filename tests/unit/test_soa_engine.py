@@ -1,13 +1,12 @@
-"""Unit tests for the SoA engine's gating, tables, and harness hooks.
+"""Unit tests for the SoA engine's gating and tables.
 
 The bit-identity differentials live in
 ``tests/integration/test_engine_equivalence.py``; this file covers the
 pieces around the kernel: availability gating (``EngineUnavailable``
 with the ``[soa]`` install hint), config validation, the dense route
-tables' full ``(dst, vn, esc)`` cross-check, the campaign executors'
+tables' full ``(dst, vn, esc)`` cross-check, and the campaign executors'
 folding of SoA-engined points into replica batches that share one
-dense-table build, and the ``run_soa_snapshot`` A/B harness including
-its drift hard-error.
+dense-table build.
 """
 
 import pytest
@@ -151,52 +150,3 @@ class TestCampaignIntegration:
         results = batch.run()
         assert all(r.ejected > 0 for r in results)
         assert all(r.engine_used == "soa" for r in results)
-
-
-class TestSoaSnapshotHarness:
-    def _shrink(self, monkeypatch, tmp_path):
-        from repro.experiments import perf
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        monkeypatch.setattr(perf, "SOA_POINTS",
-                            [("fastpass", {}, "uniform", 0.2, 4, 4),
-                             ("escapevc", {}, "uniform", 0.2, 4, 4)])
-        monkeypatch.setattr(
-            perf, "soa_config",
-            lambda rows, cols, engine: SimConfig(
-                rows=rows, cols=cols, warmup_cycles=50,
-                measure_cycles=150, drain_cycles=600, engine=engine))
-        return perf
-
-    def test_ab_runs_and_records_structure(self, tmp_path, monkeypatch):
-        perf = self._shrink(monkeypatch, tmp_path)
-        snap = perf.run_soa_snapshot(repeat=1)
-        assert snap["kind"] == "repro-soa-snapshot"
-        assert len(snap["points"]) == 2
-        assert all(p["identical"] for p in snap["points"])
-        speedups = [p["speedup"] for p in snap["points"]]
-        assert snap["min_speedup"] == min(speedups)
-        assert snap["max_speedup"] == max(speedups)
-
-    def test_drift_is_a_hard_error(self, tmp_path, monkeypatch):
-        perf = self._shrink(monkeypatch, tmp_path)
-        from repro.sim.engine import Simulation as Sim
-        orig = Sim.run
-
-        def corrupt(self):
-            res = orig(self)
-            if self.engine_used == "soa":
-                res.ejected += 1
-            return res
-
-        monkeypatch.setattr(Sim, "run", corrupt)
-        with pytest.raises(perf.ResultDrift, match="drifted"):
-            perf.run_soa_snapshot(repeat=1)
-
-    def test_fallback_poisons_the_ab(self, tmp_path, monkeypatch):
-        """If the SoA side silently lands on the scalar engine the A/B
-        would compare the scalar loop against itself — hard error."""
-        perf = self._shrink(monkeypatch, tmp_path)
-        monkeypatch.setattr(perf, "SOA_POINTS",
-                            [("spin", {}, "uniform", 0.1, 4, 4)])
-        with pytest.raises(RuntimeError, match="ran as"):
-            perf.run_soa_snapshot(repeat=1)
