@@ -8,7 +8,8 @@ threaded through every ``run()`` signature.
 
 Defaults come from the environment:
 
-* ``REPRO_RESULTS_DIR`` — root for both (default ``results/``)
+* ``REPRO_RESULTS_DIR`` — root for both and for every other artifact
+  (:func:`results_dir`; default ``results/``)
 * ``REPRO_CACHE_DIR`` / ``REPRO_CAMPAIGN_DIR`` — fine-grained overrides
 * ``REPRO_JOBS`` — default worker-process count
 * ``REPRO_CACHE=0`` — disable the result cache entirely
@@ -70,8 +71,15 @@ class CampaignContext:
 _ctx: CampaignContext | None = None
 
 
+def results_dir() -> Path:
+    """The results root, ``REPRO_RESULTS_DIR`` (default ``results``):
+    the cache, campaign stores, metrics, diagnostics, quarantine records
+    and the fabric's final status all live under it."""
+    return Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
+
+
 def _from_env() -> CampaignContext:
-    root = Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
+    root = results_dir()
     jobs = os.environ.get("REPRO_JOBS")
     return CampaignContext(
         cache_dir=Path(os.environ.get("REPRO_CACHE_DIR", root / "cache")),

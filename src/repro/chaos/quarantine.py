@@ -148,9 +148,10 @@ def validate_quarantine(payload: dict) -> dict:
 
 
 def quarantine_dir() -> Path:
-    """``<results>/quarantine``, honouring ``REPRO_RESULTS_DIR``."""
-    root = Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
-    return root / "quarantine"
+    """``<results>/quarantine``
+    (:func:`~repro.campaign.context.results_dir`)."""
+    from repro.campaign.context import results_dir
+    return results_dir() / "quarantine"
 
 
 def write_quarantine(payload: dict) -> Path:

@@ -4,32 +4,12 @@ Every module exposes ``run(quick=True, **kwargs) -> dict`` returning the
 rows/series the paper reports, plus ``format_result(result) -> str``.
 ``quick=True`` uses reduced windows/sizes so a full pass stays tractable in
 pure Python; ``quick=False`` uses the paper-scale parameters.
+
+:data:`ALL` names them in paper order.  The package imports none of them:
+the CLI imports each one it runs, so importing one figure loads no other.
 """
 
-from repro.experiments import (
-    table1,
-    table2,
-    fig7,
-    fig8,
-    fig9,
-    fig10,
-    fig11,
-    fig12,
-    fig13,
-    scenarios,
-)
+ALL = ("table1", "table2", "fig7", "fig8", "fig9", "fig10", "fig11",
+       "fig12", "fig13", "scenarios")
 
-ALL = {
-    "table1": table1,
-    "table2": table2,
-    "fig7": fig7,
-    "fig8": fig8,
-    "fig9": fig9,
-    "fig10": fig10,
-    "fig11": fig11,
-    "fig12": fig12,
-    "fig13": fig13,
-    "scenarios": scenarios,
-}
-
-__all__ = ["ALL"] + list(ALL)
+__all__ = ["ALL"]

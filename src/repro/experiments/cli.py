@@ -1,24 +1,14 @@
 """Command-line entry point: regenerate any table/figure of the paper.
 
-Usage::
+Usage (``python -m repro.experiments.cli`` is the same entry)::
 
-    repro-experiments table1 fig7 --full
-    repro-experiments all --jobs 8       # everything, quick mode, 8 workers
-    repro-experiments campaign run fig7 fig8 --full
-    repro-experiments campaign status
-    repro-experiments campaign clean --cache
-    repro-experiments fig7 --fabric 4        # loopback fabric, 4 workers
-    repro-experiments fabric serve fig7 fig8 --port 8750
-    repro-experiments fabric work http://coordinator:8750
-    repro-experiments fabric status http://coordinator:8750
+    repro-experiments table1 fig7 --full     # or `all`; --jobs N | --fabric N
+    repro-experiments campaign run|status|clean ...
+    repro-experiments fabric serve|work|status ...
+    repro-experiments chaos sweep --seed 7
+    repro-experiments scenarios run|sweep|record|replay ...
     repro-experiments faults sweep --modes cut --rates 0.05
-    repro-experiments scenarios run bursty --topologies ring:8,mesh:16x16
-    repro-experiments scenarios sweep bursty --scales 0.5,1,2
-    repro-experiments scenarios record bursty --out trace.jsonl
-    repro-experiments scenarios replay trace.jsonl --scheme escapevc
-    repro-experiments obs report --scheme fastpass --rate 0.1
-    repro-experiments obs export --format prometheus --out metrics.prom
-    python -m repro.experiments.cli fig11
+    repro-experiments obs report|export --scheme fastpass --rate 0.1
 
 Every experiment runs through the campaign layer: each simulation point is
 content-addressed and cached under ``results/cache/``, so a rerun (or a
@@ -32,6 +22,9 @@ clean`` deletes them (and, with ``--cache``, the run cache).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import importlib
 import json
 import sys
 import time
@@ -40,65 +33,57 @@ from repro.campaign import context as campaign_context
 from repro.experiments import ALL
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+def _csv(cast=str):
+    """argparse ``type`` for a comma-separated list of ``cast`` values
+    (None when empty, so the default applies)."""
+    def parse(text: str) -> list | None:
+        return [cast(t) for t in (s.strip() for s in text.split(","))
+                if t] or None
+    parse.__name__ = f"comma-separated {cast.__name__}"
+    return parse
+
+
+def _add_run_flags(parser: argparse.ArgumentParser,
+                   local: bool = True) -> None:
+    """Flags of a subcommand that runs experiments; ``fabric serve`` (not
+    ``local``) has no ``--jobs``/``--fabric``, its ``--workers`` are."""
     parser.add_argument("--full", action="store_true",
                         help="paper-scale parameters (slow) instead of the "
                              "quick defaults")
-    parser.add_argument("--jobs", type=int, metavar="N", default=None,
-                        help="tasks to run at once, one forked worker "
-                             "each; a figure's series share them "
-                             "(default: one per core this process may "
-                             "use; 1 runs everything in-process)")
+    if local:
+        where = parser.add_mutually_exclusive_group()
+        where.add_argument("--jobs", type=int, metavar="N", default=None,
+                           help="tasks to run at once, one forked worker "
+                                "each; a figure's series share them "
+                                "(default: one per core this process may "
+                                "use; 1 runs everything in-process)")
     parser.add_argument("--no-cache", action="store_true",
-                        help="recompute every point, ignoring the run "
-                             "cache")
+                        help="recompute every point, ignoring the run cache")
     parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also dump every raw result dict to a JSON "
-                             "file")
-    parser.add_argument("--fabric", type=int, metavar="N", default=None,
-                        help="execute through a loopback campaign fabric: "
-                             "a coordinator on localhost plus N pull "
-                             "workers (differentially bit-identical to "
-                             "the local executor)")
+                        help="also dump every raw result dict to a JSON file")
+    if local:
+        where.add_argument("--fabric", type=int, metavar="N", default=None,
+                           help="run through a loopback fabric: a local "
+                                "coordinator plus N pulling workers, "
+                                "bit-identical to the local executor")
 
 
-def _resolve_names(parser, experiments) -> list[str]:
-    names = list(ALL) if "all" in experiments else list(experiments)
-    unknown = [n for n in names if n not in ALL]
-    if unknown:
-        parser.error(f"unknown experiments: {unknown}")
-    return names
+def _write_json(path: str, payload, what: str = "raw results") -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, default=_jsonable)
+    print(f"{what} written to {path}")
 
 
-def _run_experiments(names: list[str], args,
-                     track_campaign: bool = False,
-                     progress=None) -> int:
-    ctx = campaign_context.get_context()
-    if args.jobs is not None:
-        ctx.jobs = args.jobs
-    if args.no_cache:
-        ctx.enabled = False
-    collected = {}
-    for name in names:
-        module = ALL[name]
-        print(f"=== {name} " + "=" * (70 - len(name)))
-        t0 = time.time()
-        ctx.campaign = name if track_campaign else None
-        try:
-            result = module.run(quick=not args.full)
-        finally:
-            ctx.campaign = None
-        print(module.format_result(result))
-        print(f"--- {name} done in {time.time() - t0:.1f}s\n")
-        collected[name] = result
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(collected, fh, indent=2, default=_jsonable)
-        print(f"raw results written to {args.json}")
-    return 0
+def _jsonable(obj):
+    """Best-effort JSON coercion for result payloads."""
+    return sorted(obj) if isinstance(obj, (set, frozenset)) else str(obj)
 
 
-# -- campaign subcommands ----------------------------------------------
+def _kv(mapping, sep: str = "=", every: bool = False) -> str:
+    """``k=v, ...`` over a mapping's non-zero entries (all if ``every``)."""
+    return ", ".join(f"{k}{sep}{v}" for k, v in mapping.items()
+                     if v or every)
+
 
 def _progress_printer():
     last = {"t": 0.0}
@@ -116,97 +101,132 @@ def _progress_printer():
     return progress
 
 
-def _with_fabric(args, fn) -> int:
-    """Run ``fn`` inside a loopback fabric session when ``--fabric N``
-    was given; otherwise run it directly."""
-    workers = getattr(args, "fabric", None)
-    if not workers:
-        return fn()
-    ctx = campaign_context.get_context()
-    if args.no_cache:
-        ctx.enabled = False
+def _cache_summary(ctx) -> str:
+    cache = ctx.cache()
+    if cache is None:
+        return "run cache disabled"
+    return (f"run cache: {cache.hits} hits, {cache.misses} misses "
+            f"({len(cache)} entries at {cache.root})")
+
+
+# -- the run body --------------------------------------------------------
+
+@contextlib.contextmanager
+def _session(ctx, args):
+    """Route the campaign layer through a fabric session for the span of
+    a run: the coordinator of ``fabric serve`` (which also writes its
+    final status), the loopback fleet of ``--fabric N``, or none."""
+    serve = getattr(args, "cmd", None) == "serve"
+    if not serve and not args.fabric:
+        yield
+        return
     from repro.fabric.executor import FabricSession
-    session = FabricSession(cache=ctx.cache(), workers=workers)
-    print(f"loopback fabric: coordinator {session.url}, "
-          f"{workers} workers", file=sys.stderr)
+    if serve:
+        from repro.campaign.executor import RetryPolicy
+        session = FabricSession(
+            cache=ctx.cache(),
+            retry=RetryPolicy(max_attempts=args.max_attempts),
+            lease_ttl_s=args.lease_ttl,
+            host=args.host, port=args.port, workers=args.workers,
+            redundancy=args.redundancy, resume=args.resume)
+        url = session.url
+        print(f"fabric coordinator serving on {url} "
+              f"with {args.workers} local workers")
+        if args.resume:
+            print("  resume: adopting journaled leases from campaign stores")
+        if args.redundancy:
+            print(f"  redundancy: {args.redundancy:.0%} of tasks "
+                  "double-executed and cross-checked")
+        print(f"  pull work:   repro-experiments fabric work {url}\n"
+              f"  live status: repro-experiments fabric status {url}")
+    else:
+        session = FabricSession(cache=ctx.cache(), workers=args.fabric)
+        print(f"loopback fabric: coordinator {session.url}, "
+              f"{args.fabric} workers", file=sys.stderr)
     ctx.fabric_session = session
     try:
-        return fn()
+        yield
     finally:
         ctx.fabric_session = None
+        status = session.coordinator.status() if serve else None
         session.close()
+        if serve:
+            path = campaign_context.results_dir() / "fabric" \
+                / "status_final.json"
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(status, indent=2, sort_keys=True)
+                            + "\n")
+            print(f"final fabric status written to {path}", file=sys.stderr)
 
 
-def _campaign_run(parser, args) -> int:
-    names = _resolve_names(parser, args.experiments)
+def _run(args, runs, *, keyed: bool = True, progress: bool = False,
+         footer=None) -> int:
+    """The one body of every subcommand that runs experiments: each of
+    ``runs``, ``(label, campaign, run, format)``, is ``run(quick=...)``
+    under ``campaign`` (None: untracked), printed, timed and followed by
+    ``footer(ctx)`` if given.  ``--json`` gets ``{label: result}``, or
+    the one result itself when not ``keyed``."""
     ctx = campaign_context.get_context()
-    ctx.progress = _progress_printer()
+    if getattr(args, "jobs", None) is not None:
+        ctx.jobs = args.jobs
+    if args.no_cache:
+        ctx.enabled = False
+    ctx.progress = _progress_printer() if progress else None
+    collected = {}
     try:
-        return _with_fabric(
-            args, lambda: _run_experiments(names, args,
-                                           track_campaign=True))
+        with _session(ctx, args):
+            for label, campaign, run, fmt in runs:
+                print(f"=== {label} " + "=" * (70 - len(label)))
+                t0 = time.time()
+                ctx.campaign = campaign
+                try:
+                    result = run(quick=not args.full)
+                finally:
+                    ctx.campaign = None
+                print(fmt(result))
+                print(f"--- {label} done in {time.time() - t0:.1f}s")
+                if footer is not None:
+                    print(footer(ctx))
+                collected[label] = result
     finally:
         ctx.progress = None
-
-
-def _print_live_status(url: str) -> int:
-    """Live view from a fabric coordinator's results service."""
-    import urllib.error
-
-    from repro.fabric.httpd import http_json
-    try:
-        s = http_json("GET", url.rstrip("/") + "/status")
-    except (urllib.error.URLError, ConnectionError, OSError) as exc:
-        reason = getattr(exc, "reason", None) or exc
-        print(f"coordinator not reachable at {url}: {reason}",
-              file=sys.stderr)
-        print("is the fabric serving?  start one with: "
-              "repro-experiments fabric serve <experiments>",
-              file=sys.stderr)
-        return 2
-    counts = s.get("counts", {})
-    eta = s.get("eta_s")
-    print(f"{s.get('campaign') or 'fabric'}: state={s.get('state')} "
-          f"drained={s.get('drained')} elapsed={s.get('elapsed_s')}s")
-    print("  points: " + ", ".join(
-        f"{k}={v}" for k, v in counts.items() if v))
-    print(f"  throughput: {s.get('points_per_s', 0)} pts/s, "
-          f"ETA {'?' if eta is None else f'{eta:.0f}s'}")
-    q = s.get("queue", {})
-    print("  queue: " + ", ".join(f"{k}={v}" for k, v in q.items() if v))
-    chaos = s.get("chaos") or {}
-    if chaos:
-        print("  chaos injected: " + ", ".join(
-            f"{k}={v}" for k, v in chaos.items()))
-    quarantine = s.get("quarantine") or {}
-    if quarantine.get("total"):
-        print(f"  quarantined: {quarantine['total']}")
-        for event in quarantine.get("events", [])[-5:]:
-            liars = ",".join(event.get("liars") or []) or "?"
-            print(f"    {event.get('task', '?')[:12]}… "
-                  f"verdict={event.get('verdict')} liars={liars} "
-                  f"({event.get('path')})")
-    workers = s.get("workers", {})
-    if workers:
-        print(f"  {'worker':28s} {'leases':>7s} {'points':>7s} "
-              f"{'fail':>5s} {'pts/s':>8s} {'seen':>8s}")
-        for wid in sorted(workers):
-            w = workers[wid]
-            print(f"  {wid[:28]:28s} {w['leases']:7d} {w['points']:7d} "
-                  f"{w['failures']:5d} {w['points_per_s']:8.2f} "
-                  f"{w['last_seen_s_ago']:7.1f}s")
+    if args.json:
+        _write_json(args.json, collected if keyed else result)
     return 0
 
 
-def _campaign_status(args) -> int:
-    if getattr(args, "url", None):
-        return _print_live_status(args.url)
-    ctx = campaign_context.get_context()
-    names = args.names or sorted(
+def _experiments(parser, args) -> int:
+    """``X ...``, ``campaign run`` and ``fabric serve``: the paper's
+    regenerators, each tracked as its own campaign unless ad hoc."""
+    names = list(ALL) if "all" in args.experiments else args.experiments
+    unknown = [n for n in names if n not in ALL]
+    if unknown:
+        parser.error(f"unknown experiments: {unknown}")
+    modules = [importlib.import_module(f"repro.experiments.{n}")
+               for n in names]
+    runs = [(n, n if args.track else None, m.run, m.format_result)
+            for n, m in zip(names, modules)]
+    return _run(args, runs, progress=args.track, footer=lambda ctx: "")
+
+
+def _add_experiments(parser) -> None:
+    parser.add_argument("experiments", nargs="+",
+                        help=f"experiment ids ({', '.join(ALL)}) or 'all'")
+
+
+# -- campaign -----------------------------------------------------------
+
+def _campaign_names(ctx, args) -> list[str]:
+    """The named campaigns, or every recorded one."""
+    return args.names or sorted(
         p.stem for p in ctx.campaign_dir.glob("*.sqlite"))
+
+
+def _campaign_status(parser, args) -> int:
+    ctx = campaign_context.get_context()
+    names = _campaign_names(ctx, args)
     if not names:
-        print("no campaigns recorded "
-              f"(looked in {ctx.campaign_dir})")
+        print(f"no campaigns recorded (looked in {ctx.campaign_dir})")
     for name in names:
         path = ctx.campaign_dir / f"{name}.sqlite"
         if not path.exists():
@@ -214,9 +234,7 @@ def _campaign_status(args) -> int:
             continue
         store = ctx.store(name)
         counts = store.counts()
-        total = sum(counts.values())
-        print(f"{name}: {total} points — " + ", ".join(
-            f"{status}={n}" for status, n in counts.items() if n))
+        print(f"{name}: {sum(counts.values())} points — {_kv(counts)}")
         # ETA from the store's own completion transitions: correct no
         # matter who is executing — the local pool or remote fabric
         # workers holding leases ('running' counts them in-flight).
@@ -230,25 +248,20 @@ def _campaign_status(args) -> int:
             print(f"    ETA unknown — {remaining} points remaining, "
                   "no recent completions")
         for key, error, attempts in store.failures()[:10]:
-            print(f"    failed {key[:12]}… after {attempts} attempts: "
-                  f"{error}")
+            print(f"    failed {key[:12]}… after {attempts} attempts: {error}")
     cache = ctx.cache()
     if cache is not None:
         print(f"run cache: {len(cache)} entries at {cache.root} "
               f"(salt {cache.salt})")
         engines = cache.engine_counts()
         if engines:
-            parts = ", ".join(f"{name}: {n}" for name, n in
-                              sorted(engines.items()))
-            print(f"    by engine: {parts}")
+            print("    by engine: " + _kv(dict(sorted(engines.items())), ": "))
     return 0
 
 
-def _campaign_clean(args) -> int:
+def _campaign_clean(parser, args) -> int:
     ctx = campaign_context.get_context()
-    names = args.names
-    if not names and not args.cache:
-        names = sorted(p.stem for p in ctx.campaign_dir.glob("*.sqlite"))
+    names = _campaign_names(ctx, args)
     ctx.close()
     for name in names:
         path = ctx.campaign_dir / f"{name}.sqlite"
@@ -262,26 +275,19 @@ def _campaign_clean(args) -> int:
     return 0
 
 
-def _campaign_main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments campaign",
-        description="Resumable, cache-first experiment campaigns.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
+def _campaign_commands(sub) -> None:
     p_run = sub.add_parser("run", help="run experiments as campaigns "
                                        "(status tracked, resumable)")
-    p_run.add_argument("experiments", nargs="+",
-                       help=f"experiment ids ({', '.join(ALL)}) or 'all'")
-    _add_common_flags(p_run)
+    _add_experiments(p_run)
+    _add_run_flags(p_run)
+    p_run.set_defaults(func=_experiments, track=True)
 
     p_status = sub.add_parser("status",
-                              help="show per-campaign point status")
+                              help="show per-campaign point status "
+                                   "(live fabric: `fabric status URL`)")
     p_status.add_argument("names", nargs="*",
                           help="campaign names (default: all recorded)")
-    p_status.add_argument("--url", default=None, metavar="URL",
-                          help="query a live fabric coordinator instead "
-                               "of local stores (per-worker throughput, "
-                               "lease-aware ETA)")
+    p_status.set_defaults(func=_campaign_status)
 
     p_clean = sub.add_parser("clean", help="delete campaign stores "
                                            "(and optionally the cache)")
@@ -289,85 +295,69 @@ def _campaign_main(argv: list[str]) -> int:
                          help="campaign names (default: all)")
     p_clean.add_argument("--cache", action="store_true",
                          help="also clear the content-addressed run cache")
-
-    args = parser.parse_args(argv)
-    if args.cmd == "run":
-        return _campaign_run(parser, args)
-    if args.cmd == "status":
-        return _campaign_status(args)
-    return _campaign_clean(args)
+    p_clean.set_defaults(func=_campaign_clean)
 
 
-# -- fabric subcommands -------------------------------------------------
+# -- fabric -------------------------------------------------------------
 
-def _fabric_serve(parser, args) -> int:
-    import os
-    from pathlib import Path
+def _print_live_status(parser, args) -> int:
+    """Live view from a fabric coordinator's results service."""
+    import urllib.error
 
-    names = _resolve_names(parser, args.experiments)
-    ctx = campaign_context.get_context()
-    if args.no_cache:
-        ctx.enabled = False
-    from repro.campaign.executor import RetryPolicy
-    from repro.fabric.executor import FabricSession
-    session = FabricSession(
-        cache=ctx.cache(),
-        retry=RetryPolicy(max_attempts=args.max_attempts),
-        lease_ttl_s=args.lease_ttl,
-        host=args.host, port=args.port, workers=args.workers,
-        redundancy=args.redundancy, resume=args.resume)
-    print(f"fabric coordinator serving on {session.url} "
-          f"with {args.workers} local workers")
-    if args.resume:
-        print("  resume: adopting journaled leases from campaign stores")
-    if args.redundancy:
-        print(f"  redundancy: {args.redundancy:.0%} of tasks "
-              "double-executed and cross-checked")
-    print(f"  pull work:   repro-experiments fabric work {session.url}")
-    print(f"  live status: repro-experiments fabric status {session.url}")
-    ctx.fabric_session = session
-    ctx.progress = _progress_printer()
+    from repro.fabric.httpd import http_json
     try:
-        return _run_experiments(names, args, track_campaign=True)
-    finally:
-        ctx.fabric_session = None
-        ctx.progress = None
-        status = session.coordinator.status()
-        session.close()
-        out = Path(os.environ.get("REPRO_RESULTS_DIR",
-                                  "results")) / "fabric"
-        out.mkdir(parents=True, exist_ok=True)
-        path = out / "status_final.json"
-        path.write_text(json.dumps(status, indent=2, sort_keys=True)
-                        + "\n")
-        print(f"final fabric status written to {path}", file=sys.stderr)
+        s = http_json("GET", args.url.rstrip("/") + "/status")
+    except (urllib.error.URLError, ConnectionError, OSError) as exc:
+        reason = getattr(exc, "reason", None) or exc
+        print(f"coordinator not reachable at {args.url}: {reason}\n"
+              "is the fabric serving?  start one with: "
+              "repro-experiments fabric serve <experiments>",
+              file=sys.stderr)
+        return 2
+    eta = s.get("eta_s")
+    print(f"{s.get('campaign') or 'fabric'}: state={s.get('state')} "
+          f"drained={s.get('drained')} elapsed={s.get('elapsed_s')}s")
+    print(f"  points: {_kv(s.get('counts', {}))}")
+    print(f"  throughput: {s.get('points_per_s', 0)} pts/s, "
+          f"ETA {'?' if eta is None else f'{eta:.0f}s'}")
+    print(f"  queue: {_kv(s.get('queue', {}))}")
+    if s.get("chaos"):
+        print(f"  chaos injected: {_kv(s['chaos'], every=True)}")
+    quarantine = s.get("quarantine") or {}
+    if quarantine.get("total"):
+        print(f"  quarantined: {quarantine['total']}")
+        for event in quarantine.get("events", [])[-5:]:
+            liars = ",".join(event.get("liars") or []) or "?"
+            print(f"    {event.get('task', '?')[:12]}… "
+                  f"verdict={event.get('verdict')} liars={liars} "
+                  f"({event.get('path')})")
+    workers = s.get("workers", {})
+    if workers:
+        print(f"  {'worker':28s} {'leases':>7s} {'points':>7s} "
+              f"{'fail':>5s} {'pts/s':>8s} {'seen':>8s}")
+        for wid, w in sorted(workers.items()):
+            print(f"  {wid[:28]:28s} {w['leases']:7d} {w['points']:7d} "
+                  f"{w['failures']:5d} {w['points_per_s']:8.2f} "
+                  f"{w['last_seen_s_ago']:7.1f}s")
+    return 0
 
 
-def _fabric_work(args) -> int:
+def _fabric_work(parser, args) -> int:
     from repro.fabric.worker import FabricWorker
     worker = FabricWorker(args.url, worker_id=args.id,
                           poll_s=args.poll, max_tasks=args.max_tasks)
     print(f"worker {worker.worker_id} pulling from {worker.url}")
     stats = worker.run()
-    print("coordinator shut down; worker exiting — " + ", ".join(
-        f"{k}={v}" for k, v in stats.items()))
+    print("coordinator shut down; worker exiting — "
+          + _kv(stats, every=True))
     return 0
 
 
-def _fabric_main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments fabric",
-        description="Distributed campaign fabric: serve experiments as a "
-                    "leased work queue; pull-based workers execute the "
-                    "unchanged datapath and POST results back.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
+def _fabric_commands(sub) -> None:
     p_serve = sub.add_parser(
         "serve", help="run experiments as a fabric coordinator "
                       "(workers pull points over HTTP)")
-    p_serve.add_argument("experiments", nargs="+",
-                         help=f"experiment ids ({', '.join(ALL)}) or "
-                              "'all'")
+    _add_experiments(p_serve)
     p_serve.add_argument("--host", default="127.0.0.1",
                          help="bind address (default: 127.0.0.1; use "
                               "0.0.0.0 for multi-host fleets)")
@@ -394,7 +384,8 @@ def _fabric_main(argv: list[str]) -> int:
                          help="fraction of tasks leased to two workers "
                               "and cross-checked field-by-field; "
                               "mismatches are quarantined (default: 0)")
-    _add_common_flags(p_serve)
+    _add_run_flags(p_serve, local=False)
+    p_serve.set_defaults(func=_experiments, track=True)
 
     p_work = sub.add_parser(
         "work", help="pull and execute leased points from a coordinator")
@@ -406,37 +397,38 @@ def _fabric_main(argv: list[str]) -> int:
                         help="idle polling interval (default: 0.25s)")
     p_work.add_argument("--max-tasks", type=int, default=1, metavar="N",
                         help="tasks per lease request (default: 1)")
+    p_work.set_defaults(func=_fabric_work)
 
     p_stat = sub.add_parser(
         "status", help="live status of a running coordinator")
     p_stat.add_argument("url", help="coordinator base URL")
-
-    args = parser.parse_args(argv)
-    if args.cmd == "serve":
-        return _fabric_serve(parser, args)
-    if args.cmd == "work":
-        return _fabric_work(args)
-    return _print_live_status(args.url)
+    p_stat.set_defaults(func=_print_live_status)
 
 
-# -- chaos subcommands --------------------------------------------------
+# -- chaos --------------------------------------------------------------
 
-def _chaos_main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments chaos",
-        description="Transport-chaos certification for the campaign "
-                    "fabric: run a small real campaign under an "
-                    "escalating seeded ChaosPlan and prove every point "
-                    "settles exactly once, bit-identically.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+def _chaos_sweep(parser, args) -> int:
+    from repro.chaos.sweep import format_table, run_sweep
+    report = run_sweep(seed=args.seed, levels=args.levels,
+                       workers=args.workers, redundancy=args.redundancy)
+    print(format_table(report))
+    if args.json:
+        _write_json(args.json, report, "raw survival table")
+    ok = all(row["survived"] for row in report["levels"])
+    print("chaos sweep: " + ("SURVIVED — every point settled exactly "
+                             "once, bit-identical to the local baseline"
+                             if ok else "FAILED — see table"))
+    return 0 if ok else 1
 
+
+def _chaos_commands(sub) -> None:
     p_sweep = sub.add_parser(
         "sweep", help="escalating chaos levels vs. a local baseline; "
                       "prints a survival table")
     p_sweep.add_argument("--seed", type=int, default=0,
                          help="chaos plan seed (default: 0) — the same "
                               "seed reproduces the same fault streams")
-    p_sweep.add_argument("--levels", default=None,
+    p_sweep.add_argument("--levels", type=_csv(float), default=None,
                          help="comma-separated intensity multipliers of "
                               "the base plan (default: 0,0.5,1,2)")
     p_sweep.add_argument("--workers", type=int, default=2, metavar="N",
@@ -447,101 +439,37 @@ def _chaos_main(argv: list[str]) -> int:
                               "cross-checked (default: 0)")
     p_sweep.add_argument("--json", default=None, metavar="PATH",
                          help="also dump the survival table as JSON")
-
-    args = parser.parse_args(argv)
-    from repro.chaos.sweep import format_table, run_sweep
-    levels = [float(x) for x in _csv(args.levels)] if args.levels \
-        else None
-    report = run_sweep(seed=args.seed, levels=levels,
-                       workers=args.workers,
-                       redundancy=args.redundancy)
-    print(format_table(report))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report, fh, indent=2, default=_jsonable)
-        print(f"raw survival table written to {args.json}")
-    ok = all(row["survived"] for row in report["levels"])
-    print("chaos sweep: " + ("SURVIVED — every point settled exactly "
-                             "once, bit-identical to the local baseline"
-                             if ok else "FAILED — see table"))
-    return 0 if ok else 1
+    p_sweep.set_defaults(func=_chaos_sweep)
 
 
-# -- scenario subcommands -----------------------------------------------
-
-def _cache_summary(ctx) -> str:
-    cache = ctx.cache()
-    if cache is None:
-        return "run cache disabled"
-    return (f"run cache: {cache.hits} hits, {cache.misses} misses "
-            f"({len(cache)} entries at {cache.root})")
-
+# -- scenarios ----------------------------------------------------------
 
 def _scenarios_run(parser, args) -> int:
     from repro.experiments import scenarios
     from repro.scenario.spec import SCENARIOS
 
-    names = args.scenarios or None
-    if names and any(n not in SCENARIOS and not n.endswith(".json")
-                     for n in names):
-        known = sorted(SCENARIOS)
-        bad = [n for n in names
-               if n not in SCENARIOS and not n.endswith(".json")]
-        parser.error(f"unknown scenarios: {bad} (library: {known}, "
-                     "or pass a spec .json path)")
-    topologies = _csv(args.topologies) if args.topologies else None
-    seeds = [int(s) for s in _csv(args.seeds)] if args.seeds else None
-
-    ctx = campaign_context.get_context()
-    if args.jobs is not None:
-        ctx.jobs = args.jobs
-    if args.no_cache:
-        ctx.enabled = False
-    ctx.campaign = "scenarios"
-    t0 = time.time()
-    try:
-        result = scenarios.run(quick=not args.full, scenarios=names,
-                               topologies=topologies, seeds=seeds)
-    finally:
-        ctx.campaign = None
-    print(scenarios.format_result(result))
-    print(f"--- scenarios done in {time.time() - t0:.1f}s")
-    print(_cache_summary(ctx))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2, default=_jsonable)
-        print(f"raw results written to {args.json}")
-    return 0
+    bad = [n for n in args.scenarios
+           if n not in SCENARIOS and not n.endswith(".json")]
+    if bad:
+        parser.error(f"unknown scenarios: {bad} (library: "
+                     f"{sorted(SCENARIOS)}, or pass a spec .json path)")
+    run = functools.partial(scenarios.run, scenarios=args.scenarios or None,
+                            topologies=args.topologies, seeds=args.seeds)
+    return _run(args, [("scenarios", "scenarios", run,
+                        scenarios.format_result)],
+                keyed=False, footer=_cache_summary)
 
 
-def _scenarios_sweep(args) -> int:
+def _scenarios_sweep(parser, args) -> int:
     from repro.experiments import scenarios
-    scales = [float(x) for x in _csv(args.scales)] if args.scales else None
-    seeds = [int(s) for s in _csv(args.seeds)] if args.seeds else None
-    ctx = campaign_context.get_context()
-    if args.jobs is not None:
-        ctx.jobs = args.jobs
-    if args.no_cache:
-        ctx.enabled = False
-    ctx.campaign = "scenarios"
-    t0 = time.time()
-    try:
-        result = scenarios.sweep(quick=not args.full,
-                                 scenario=args.scenario, scales=scales,
-                                 seeds=seeds)
-    finally:
-        ctx.campaign = None
-    print(scenarios.format_sweep(result))
-    print(f"--- scenario sweep done in {time.time() - t0:.1f}s")
-    print(_cache_summary(ctx))
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2, default=_jsonable)
-        print(f"raw results written to {args.json}")
-    return 0
+    run = functools.partial(scenarios.sweep, scenario=args.scenario,
+                            scales=args.scales, seeds=args.seeds)
+    return _run(args, [("scenario sweep", "scenarios", run,
+                        scenarios.format_sweep)],
+                keyed=False, footer=_cache_summary)
 
 
-def _scenarios_record(args) -> int:
+def _scenarios_record(parser, args) -> int:
     from repro.experiments.common import synthetic_config
     from repro.scenario import get_scenario, record_scenario
     spec = get_scenario(args.scenario)
@@ -557,7 +485,7 @@ def _scenarios_record(args) -> int:
     return 0
 
 
-def _scenarios_replay(args) -> int:
+def _scenarios_replay(parser, args) -> int:
     from repro.experiments.common import synthetic_config
     from repro.scenario import replay_trace
     from repro.scenario.trace import TraceSchemaError
@@ -573,39 +501,30 @@ def _scenarios_replay(args) -> int:
     return 0
 
 
-def _scenarios_main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments scenarios",
-        description="Declarative scenario workloads: phased/bursty "
-                    "traffic specs, irregular-topology partition sweeps, "
-                    "and deterministic trace record/replay — all through "
-                    "the campaign cache (the scenario content token is "
-                    "part of every cache key).")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
+def _scenarios_commands(sub) -> None:
     p_run = sub.add_parser(
         "run", help="run scenario specs + the irregular-topology sweep")
     p_run.add_argument("scenarios", nargs="*",
                        help="library scenario names or spec .json paths "
                             "(default: the whole library)")
-    p_run.add_argument("--topologies", default=None,
+    p_run.add_argument("--topologies", type=_csv(), default=None,
                        help="comma-separated irregular topologies, e.g. "
                             "ring:8,torus:4x4,mesh:16x16")
-    p_run.add_argument("--seeds", default=None,
-                       help="comma-separated replica seeds")
-    _add_common_flags(p_run)
+    p_run.set_defaults(func=_scenarios_run)
 
     p_sweep = sub.add_parser(
         "sweep", help="load-scale sweep of one scenario")
     p_sweep.add_argument("scenario", nargs="?", default="bursty",
                          help="scenario name or .json path "
                               "(default: bursty)")
-    p_sweep.add_argument("--scales", default=None,
+    p_sweep.add_argument("--scales", type=_csv(float), default=None,
                          help="comma-separated rate multipliers "
                               "(default: 0.5,1,1.5,2)")
-    p_sweep.add_argument("--seeds", default=None,
-                         help="comma-separated replica seeds")
-    _add_common_flags(p_sweep)
+    p_sweep.set_defaults(func=_scenarios_sweep)
+    for p in (p_run, p_sweep):
+        p.add_argument("--seeds", type=_csv(int), default=None,
+                       help="comma-separated replica seeds")
+        _add_run_flags(p)
 
     p_rec = sub.add_parser(
         "record", help="run a scenario once, recording its generation "
@@ -614,141 +533,107 @@ def _scenarios_main(argv: list[str]) -> int:
     p_rec.add_argument("--out", default=None,
                        help="trace path (default: "
                             "trace_<name>_<sha>.jsonl)")
-    p_rec.add_argument("--scheme", default="fastpass")
     p_rec.add_argument("--seed", type=int, default=1)
-    p_rec.add_argument("--full", action="store_true",
-                       help="paper-scale windows")
+    p_rec.set_defaults(func=_scenarios_record)
 
     p_rep = sub.add_parser(
         "replay", help="replay a recorded trace as the traffic source")
     p_rep.add_argument("trace", help="trace .jsonl path")
-    p_rep.add_argument("--scheme", default="fastpass")
-    p_rep.add_argument("--full", action="store_true",
+    p_rep.set_defaults(func=_scenarios_replay)
+    for p in (p_rec, p_rep):
+        p.add_argument("--scheme", default="fastpass")
+        p.add_argument("--full", action="store_true",
                        help="paper-scale windows")
 
-    args = parser.parse_args(argv)
-    if args.cmd == "run":
-        return _scenarios_run(parser, args)
-    if args.cmd == "sweep":
-        return _scenarios_sweep(args)
-    if args.cmd == "record":
-        return _scenarios_record(args)
-    return _scenarios_replay(args)
 
-
-# -- faults subcommands -------------------------------------------------
-
-def _csv(text: str) -> list[str]:
-    return [t for t in (s.strip() for s in text.split(",")) if t]
-
+# -- faults -------------------------------------------------------------
 
 def _faults_sweep(parser, args) -> int:
     from repro.experiments import faults
 
-    schemes = faults.SCHEMES
-    if args.schemes:
-        wanted = _csv(args.schemes)
-        by_name = {name: (label, name, kw)
-                   for label, name, kw in faults.SCHEMES}
-        unknown = [n for n in wanted if n not in by_name]
-        if unknown:
-            parser.error(f"unknown fault-sweep schemes: {unknown} "
-                         f"(choose from {sorted(by_name)})")
-        schemes = [by_name[n] for n in wanted]
-    modes = _csv(args.modes) if args.modes else list(faults.MODES)
+    by_name = {name: (label, name, kw)
+               for label, name, kw in faults.SCHEMES}
+    unknown = [n for n in args.schemes or () if n not in by_name]
+    if unknown:
+        parser.error(f"unknown fault-sweep schemes: {unknown} "
+                     f"(choose from {sorted(by_name)})")
+    schemes = [by_name[n] for n in args.schemes] if args.schemes \
+        else faults.SCHEMES
+    modes = args.modes or list(faults.MODES)
     bad = [m for m in modes if m not in faults.MODES]
     if bad:
         parser.error(f"unknown fault modes: {bad} "
                      f"(choose from {list(faults.MODES)})")
-    rates = [float(r) for r in _csv(args.rates)] if args.rates else None
-    fault_rates = [float(r) for r in _csv(args.fault_rates)] \
-        if args.fault_rates else None
-
-    ctx = campaign_context.get_context()
-    if args.jobs is not None:
-        ctx.jobs = args.jobs
-    if args.no_cache:
-        ctx.enabled = False
-    ctx.campaign = "faults"
-    t0 = time.time()
-    try:
-        result = faults.run(quick=not args.full, schemes=schemes,
-                            rates=rates, fault_rates=fault_rates,
-                            modes=modes)
-    finally:
-        ctx.campaign = None
-    print(faults.format_result(result))
-    print(f"--- faults sweep done in {time.time() - t0:.1f}s")
-    if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(result, fh, indent=2, default=_jsonable)
-        print(f"raw results written to {args.json}")
-    return 0
+    run = functools.partial(faults.run, schemes=schemes, rates=args.rates,
+                            fault_rates=args.fault_rates, modes=modes)
+    return _run(args, [("faults sweep", "faults", run,
+                        faults.format_result)], keyed=False)
 
 
-def _faults_main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments faults",
-        description="Fault-injection robustness sweeps (fault rate x "
-                    "load), certifying graceful degradation and the "
-                    "guaranteed-delivery bound.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
+def _faults_commands(sub) -> None:
     p_sweep = sub.add_parser(
         "sweep", help="sweep fault modes x load through the campaign "
                       "layer")
-    p_sweep.add_argument("--schemes", default=None,
+    p_sweep.add_argument("--schemes", type=_csv(), default=None,
                          help="comma-separated scheme names "
                               "(default: fastpass,escapevc,spin,baseline)")
-    p_sweep.add_argument("--rates", default=None,
+    p_sweep.add_argument("--rates", type=_csv(float), default=None,
                          help="comma-separated injection rates "
                               "(default: 0.05,0.15)")
-    p_sweep.add_argument("--fault-rates", default=None,
+    p_sweep.add_argument("--fault-rates", type=_csv(float), default=None,
                          help="comma-separated storm event rates per "
                               "cycle (default: 0.002,0.01)")
-    p_sweep.add_argument("--modes", default=None,
+    p_sweep.add_argument("--modes", type=_csv(), default=None,
                          help="comma-separated fault modes from "
                               "none,cut,storm (default: all)")
-    _add_common_flags(p_sweep)
+    _add_run_flags(p_sweep)
+    p_sweep.set_defaults(func=_faults_sweep)
 
-    args = parser.parse_args(argv)
-    return _faults_sweep(parser, args)
+
+#: ``repro-experiments <group> <cmd> ...``: (description, function adding
+#: the group's subcommands, each of which sets ``func(parser, args)``).
+#: Anything else is a list of experiments.
+GROUPS = {
+    "campaign": ("Resumable, cache-first experiment campaigns.",
+                 _campaign_commands),
+    "fabric": ("Distributed campaign fabric: a leased work queue that "
+               "pulling workers execute over HTTP.", _fabric_commands),
+    "chaos": ("Transport-chaos certification for the campaign fabric.",
+              _chaos_commands),
+    "scenarios": ("Declarative scenario workloads, irregular-topology "
+                  "sweeps and trace record/replay, all through the "
+                  "campaign cache.", _scenarios_commands),
+    "faults": ("Fault-injection robustness sweeps (fault rate x load).",
+               _faults_commands),
+    "obs": ("Observability: run one instrumented point and report or "
+            "export its metrics.", lambda sub: importlib.import_module(
+                "repro.experiments.obs").add_commands(sub)),
+}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "campaign":
-        return _campaign_main(argv[1:])
-    if argv and argv[0] == "faults":
-        return _faults_main(argv[1:])
-    if argv and argv[0] == "fabric":
-        return _fabric_main(argv[1:])
-    if argv and argv[0] == "chaos":
-        return _chaos_main(argv[1:])
-    if argv and argv[0] == "scenarios" and len(argv) > 1 and \
-            argv[1] in ("run", "sweep", "record", "replay"):
-        return _scenarios_main(argv[1:])
-    if argv and argv[0] == "obs":
-        from repro.experiments import obs
-        return obs.main(argv[1:])
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments",
-        description="Regenerate the tables/figures of the FastPass paper "
-                    "(HPCA 2022).")
-    parser.add_argument("experiments", nargs="+",
-                        help=f"experiment ids ({', '.join(ALL)}) or 'all'")
-    _add_common_flags(parser)
+    group = argv[0] if argv else None
+    # bare `scenarios` is the experiment; the group needs a subcommand
+    if group == "scenarios" and argv[1:2] not in (
+            ["run"], ["sweep"], ["record"], ["replay"]):
+        group = None
+    if group in GROUPS:
+        description, add_commands = GROUPS[group]
+        parser = argparse.ArgumentParser(
+            prog=f"repro-experiments {group}", description=description)
+        add_commands(parser.add_subparsers(dest="cmd", required=True))
+        argv = argv[1:]
+    else:
+        parser = argparse.ArgumentParser(
+            prog="repro-experiments",
+            description="Regenerate the tables/figures of the FastPass "
+                        "paper (HPCA 2022).")
+        _add_experiments(parser)
+        _add_run_flags(parser)
+        parser.set_defaults(func=_experiments, track=False)
     args = parser.parse_args(argv)
-    names = _resolve_names(parser, args.experiments)
-    return _with_fabric(args, lambda: _run_experiments(names, args))
-
-
-def _jsonable(obj):
-    """Best-effort JSON coercion for result payloads."""
-    if isinstance(obj, (set, frozenset, tuple)):
-        return sorted(obj) if isinstance(obj, (set, frozenset)) else \
-            list(obj)
-    return str(obj)
+    return args.func(parser, args)
 
 
 if __name__ == "__main__":

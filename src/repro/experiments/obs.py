@@ -52,7 +52,7 @@ def _run_instrumented(args):
     return sim, obs, res, artifact
 
 
-def _report(args) -> int:
+def _report(parser, args) -> int:
     sim, obs, res, artifact = _run_instrumented(args)
     reg = obs.registry
     counters = reg.to_json()["counters"]
@@ -87,7 +87,7 @@ def _report(args) -> int:
     return 0
 
 
-def _export(args) -> int:
+def _export(parser, args) -> int:
     from repro.obs import snapshot_json, to_prometheus
     sim, obs, res, artifact = _run_instrumented(args)
     if args.format == "prometheus":
@@ -105,16 +105,12 @@ def _export(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-experiments obs",
-        description="Observability: run one instrumented point and "
-                    "report or export its metrics.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
-
+def add_commands(sub) -> None:
+    """The ``obs`` group's subcommands, for the CLI's dispatch table."""
     p_report = sub.add_parser(
         "report", help="run one point and print a metrics report")
     _add_run_flags(p_report)
+    p_report.set_defaults(func=_report)
 
     p_export = sub.add_parser(
         "export", help="run one point and export its metric registry")
@@ -123,8 +119,4 @@ def main(argv=None) -> int:
                           choices=("prometheus", "json"))
     p_export.add_argument("--out", default=None, metavar="PATH",
                           help="write to a file instead of stdout")
-
-    args = parser.parse_args(argv)
-    if args.cmd == "report":
-        return _report(args)
-    return _export(args)
+    p_export.set_defaults(func=_export)

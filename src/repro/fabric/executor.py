@@ -58,6 +58,7 @@ class FabricSession:
         self.chaos_token = chaos_token
         self._ctx = pool_context()
         self._workers: dict[str, object] = {}      # worker_id -> Process
+        self._spawned: set[str] = set()   # every local id, reaped ones too
         self._spawns = 0              # session-local chaos salt stream
         self.respawns = 0
         for _ in range(workers):
@@ -79,6 +80,7 @@ class FabricSession:
                                  daemon=True)
         proc.start()
         self._workers[wid] = proc
+        self._spawned.add(wid)
         return wid
 
     def maintain(self) -> None:
@@ -105,13 +107,14 @@ class FabricSession:
         and exit; anything still leased is re-marked pending in its
         store so a later run resumes it.
 
-        Remote pullers are given up to ``linger_s`` to observe the
-        shutdown state before the server goes away — otherwise they
-        would grind through their connection-retry budget against a
-        vanished coordinator instead of exiting cleanly.
+        Remote pullers — any worker this session did not spawn, so not
+        a local one it reaped after a crash — are given up to
+        ``linger_s`` to observe the shutdown state before the server
+        goes away; otherwise they would grind through their
+        connection-retry budget against a vanished coordinator instead
+        of exiting cleanly.
         """
         self.coordinator.shutdown()
-        local = set(self._workers)
         deadline = time.monotonic() + 10
         for wid, proc in self._workers.items():
             proc.join(timeout=max(0.1, deadline - time.monotonic()))
@@ -121,7 +124,8 @@ class FabricSession:
         self._workers.clear()
         deadline = time.monotonic() + linger_s
         while time.monotonic() < deadline and \
-                self.coordinator.workers_pending_dismissal(exclude=local):
+                self.coordinator.workers_pending_dismissal(
+                    exclude=self._spawned):
             time.sleep(0.05)
         self.coordinator.release_leases()
         self.coordinator.stop()

@@ -142,9 +142,10 @@ def validate_postmortem(payload: dict) -> dict:
 
 
 def diagnostics_dir() -> Path:
-    """``<results>/diagnostics``, honouring ``REPRO_RESULTS_DIR``."""
-    root = Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
-    return root / "diagnostics"
+    """``<results>/diagnostics``
+    (:func:`~repro.campaign.context.results_dir`)."""
+    from repro.campaign.context import results_dir
+    return results_dir() / "diagnostics"
 
 
 def write_postmortem(net, now: int, reason: str = "watchdog") -> Path:

@@ -21,33 +21,35 @@ def check_invariants(net) -> None:
     Checked invariants:
 
     1. every occupied VC slot is listed in its router's ``occupied`` list
-       (and holds at most one packet — trivially true structurally);
-    2. no packet object sits in two VC slots at once;
-    3. ``free_at`` of an occupied slot is in the future (a slot cannot be
-       simultaneously claimable and full);
-    4. credits: a slot with no packet never appears in two claims;
-    5. ejection-queue reservations refer to live packet ids (packets not
-       already ejected);
-    6. the in-transit counter is non-negative;
-    7. the incremental occupancy counters (``buffered``, ``inj_total``,
+       (the MinBD side buffer excepted; a slot holds at most one packet
+       — trivially true structurally);
+    2. no packet object sits in two VC slots at once, nor in a VC slot
+       and an NI injection queue;
+    3. a buffered packet has not already been ejected;
+    4. the in-transit counter is non-negative;
+    5. the incremental occupancy counters (``buffered``, ``inj_total``,
        ``pending_total``, ``limbo`` and per-NI ``inj_count``) agree with a
        full rescan of the slots and queues;
-    8. active-set coverage: every component that holds work is registered
+    6. active-set coverage: every component that holds work is registered
        in the corresponding active set (a router/NI missing from its set
        would silently never be stepped by the active engine) — for the
        consume phase: an NI with a non-empty ejection queue, or whose
        processor model has a service entry due, is in ``_con_active``;
-    9. parking: a parked router still holds packets and its wake cycle
+    7. parking: a parked router still holds packets and its wake cycle
        is in the future — a violation means some code path mutated a
        parked router's slots without calling ``disturb()`` first;
-    10. skipped heads: every head that a retry memo or a park is skipping
+    8. skipped heads: every head that a retry memo or a park is skipping
        this cycle is re-arbitrated read-only and must have no legal move
        — a violation means a wakeup was lost (a slot emptied without
        :meth:`~repro.network.link.VCSlot.vacate`, a timer lowered behind
        the memo);
-    11. credit subscriptions: every occupied candidate VC that a
+    9. credit subscriptions: every occupied candidate VC that a
        memo-skipped head looked at (behind a link that does not itself
        cover the memo) lists that head among its ``waiters``.
+
+    Not checked here: that ejection-queue reservations refer to live
+    packets (ids alone cannot show it; the conservation property tests
+    do).
     """
     now = net.cycle
     seen: dict[int, tuple] = {}

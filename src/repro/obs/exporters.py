@@ -101,10 +101,9 @@ def snapshot_json(obs, label: str | None = None) -> dict:
 # -- artifacts -----------------------------------------------------------
 
 def metrics_dir() -> Path:
-    """``<results>/metrics``, honouring ``REPRO_RESULTS_DIR`` (the same
-    convention as the campaign cache and the diagnostics dumps)."""
-    root = Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
-    return root / "metrics"
+    """``<results>/metrics`` (:func:`~repro.campaign.context.results_dir`)."""
+    from repro.campaign.context import results_dir
+    return results_dir() / "metrics"
 
 
 def write_metrics(obs, name: str, label: str | None = None) -> Path:
