@@ -80,8 +80,8 @@ def result_to_json(res: RunResult) -> dict:
     d = dataclasses.asdict(res)
     # The engine that actually produced the result rides along as
     # attribution metadata.  It is NOT a RunResult field: results are
-    # engine-invariant by contract, so equality checks, cache keys, and
-    # the fabric's redundancy votes must never see it.
+    # engine-invariant by contract, so equality checks and cache keys
+    # must never see it.
     engine = getattr(res, "engine_used", None)
     if engine is not None:
         d["engine_used"] = engine

@@ -73,8 +73,8 @@ _ctx: CampaignContext | None = None
 
 def results_dir() -> Path:
     """The results root, ``REPRO_RESULTS_DIR`` (default ``results``):
-    the cache, campaign stores, metrics, diagnostics, quarantine records
-    and the fabric's final status all live under it."""
+    the cache, campaign stores, metrics, diagnostics and the fabric's
+    final status all live under it."""
     return Path(os.environ.get("REPRO_RESULTS_DIR", "results"))
 
 

@@ -3,11 +3,11 @@
 :class:`Lifecycle` owns a task from ``submit`` until its result shows up
 in ``collect``: the leased queue (:mod:`repro.campaign.queue`) and the
 settlement around it — results into the run cache and the campaign
-store, failures into placeholder results, redundant executions
-cross-checked and quarantined.  It does not know who executes a lease:
-the local executor drives it in-process or over pipes
+store, failures into placeholder results.  It does not know who executes
+a lease: the local executor drives it in-process or over pipes
 (:mod:`repro.campaign.executor`), the fabric coordinator puts an HTTP
-face on it (:mod:`repro.fabric.coordinator`).
+face on it (:mod:`repro.fabric.coordinator`).  Every execution of a
+point is deterministic, so the first completion of a task settles it.
 
 Thread model: the HTTP face calls in from its server thread, the waiting
 executor from its own, so one re-entrant lock guards everything;
@@ -16,8 +16,6 @@ executor from its own, so one re-entrant lock guards everything;
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import re
 import threading
@@ -31,10 +29,6 @@ from repro.campaign.worker import failed_result
 
 #: sliding window (seconds) over which throughput/ETA are measured
 RATE_WINDOW_S = 60.0
-
-#: a worker heard from within this many seconds counts as present when
-#: deciding whether a redundant task's sibling grant can go elsewhere
-PRESENT_S = 10.0
 
 
 def window_rate(window: deque, now: float) -> float:
@@ -67,19 +61,15 @@ class WorkerStats:
 
 class Lifecycle:
     def __init__(self, cache=None, retry: RetryPolicy | None = None,
-                 lease_ttl_s: float = 60.0, redundancy: float = 0.0):
+                 lease_ttl_s: float = 60.0):
         self.cache = cache
         self.retry = retry or RetryPolicy()
         self.queue = queue_mod.LeaseQueue(self.retry, lease_ttl_s)
-        self.redundancy = redundancy         # sampled fraction run twice
         self.results: dict[str, object] = {}  # key -> RunResult
-        self.quarantined = 0                 # redundancy mismatches seen
-        self.quarantine_events: deque = deque(maxlen=50)
         self._lock = threading.RLock()
         self.settled = threading.Condition(self._lock)
         self._workers: dict[str, WorkerStats] = {}
         self._window: deque = deque()        # (t, n_points) completions
-        self._nmr: dict[str, list[dict]] = {}  # tid -> candidate payloads
 
     # -- feeding ---------------------------------------------------------
     def submit(self, grouped_items: list[list], cfg, store=None) -> None:
@@ -88,21 +78,9 @@ class Lifecycle:
         as :func:`repro.campaign.executor.group_items` produces them."""
         with self._lock:
             for items in grouped_items:
-                tid = items[0][0]
                 self.queue.add(queue_mod.Task(
-                    tid=tid, items=list(items), cfg=cfg, store=store,
-                    redundancy=2 if self._sampled_redundant(tid) else 1))
-
-    def _sampled_redundant(self, tid: str) -> bool:
-        """Deterministic per-task draw for N-modular redundancy: the
-        same task always lands on the same side, so a resumed campaign
-        re-selects exactly the same double-run set."""
-        if self.redundancy <= 0:
-            return False
-        if self.redundancy >= 1:
-            return True
-        h = int(hashlib.sha256(tid.encode()).hexdigest()[:8], 16)
-        return h / 0xFFFFFFFF < self.redundancy
+                    tid=items[0][0], items=list(items), cfg=cfg,
+                    store=store))
 
     def seed_results(self, results: dict) -> None:
         """Pre-fill results resolved before serving (cache hits), so the
@@ -118,23 +96,11 @@ class Lifecycle:
         with self._lock:
             self._expired(self.queue.expire(now))
             stats = self._worker(worker, now)
-            # A redundant task's sibling grant is withheld from a worker
-            # already running it — unless this worker is the only one
-            # around, where liveness beats the (then pointless) check.
-            allow_self = self.present_workers() <= 1
-            leases = self.queue.lease(worker, now, max_tasks,
-                                      allow_self=allow_self)
+            leases = self.queue.lease(worker, now, max_tasks)
             stats.granted += len(leases)
             for lease in leases:
                 self._mark(lease.task, "running")
             return leases
-
-    def present_workers(self) -> int:
-        """Workers heard from within the last :data:`PRESENT_S`."""
-        now = time.monotonic()
-        with self._lock:
-            return sum(1 for s in self._workers.values()
-                       if now - s.last_seen <= PRESENT_S)
 
     def complete(self, lease_id: str, worker: str, results: list,
                  artifacts=()) -> str:
@@ -156,12 +122,6 @@ class Lifecycle:
             disposition, task = self.queue.complete(lease_id, now)
             if disposition in (queue_mod.OK, queue_mod.LATE):
                 self._settle_ok(task, results, artifacts, worker, now)
-            elif disposition in (queue_mod.PARTIAL, queue_mod.VERIFY):
-                self._nmr.setdefault(task.tid, []).append({
-                    "worker": worker, "results": results,
-                    "artifacts": list(artifacts)})
-                if disposition == queue_mod.VERIFY:
-                    disposition = self._verify(task, now)
             return disposition
 
     def fail(self, lease_id: str, worker: str, error: str) -> str:
@@ -243,72 +203,6 @@ class Lifecycle:
         with self._lock:
             for task in self.queue.release_all():
                 self._mark(task, "pending")
-
-    # -- redundancy (lock held) -------------------------------------------
-    def _verify(self, task, now: float) -> str:
-        """Cross-check a redundant task's candidate payloads.  Unanimity
-        or a majority settles the task with the winning payload; a tie
-        quarantines it and demands a tie-break replay — or fails it once
-        the widened budget is spent."""
-        from repro.chaos import quarantine as quarantine_mod
-        candidates = self._nmr.get(task.tid, [])
-        groups: dict[str, list[dict]] = {}
-        for cand in candidates:
-            # Vote on the result payload only: engine attribution is
-            # metadata, and two honest workers may legitimately run the
-            # same point under different engines (results are
-            # engine-invariant by contract).
-            votable = [{k: v for k, v in r.items() if k != "engine_used"}
-                       if isinstance(r, dict) else r
-                       for r in cand["results"]]
-            blob = json.dumps(votable, sort_keys=True)
-            groups.setdefault(blob, []).append(cand)
-        ranked = sorted(groups.values(), key=len, reverse=True)
-        if len(ranked) == 1 or len(ranked[0]) >= 2:
-            winner = ranked[0][0]
-            if len(ranked) > 1:
-                # majority found after a mismatch: name the liars
-                liars = sorted({c["worker"] for grp in ranked[1:]
-                                for c in grp})
-                self._record_quarantine(
-                    task, candidates, quarantine_mod.VERDICT_MAJORITY,
-                    liars)
-            self.queue.settle(task.tid)
-            self._settle_ok(task, winner["results"], winner["artifacts"],
-                            winner["worker"], now)
-            del self._nmr[task.tid]
-            return queue_mod.OK
-        # Every candidate distinct: quarantine and replay for majority.
-        self.quarantined += 1
-        self._record_quarantine(task, candidates,
-                                quarantine_mod.VERDICT_MISMATCH, [])
-        disposition, _ = self.queue.reopen(task.tid, now)
-        if disposition == queue_mod.FAILED:
-            self._record_quarantine(task, candidates,
-                                    quarantine_mod.VERDICT_EXHAUSTED, [])
-            self.queue.note_error(
-                task.tid, "redundant executions disagreed and the retry "
-                "budget is spent (see results/quarantine/)")
-            self._settle_failure(task, queue_mod.FAILED)
-            del self._nmr[task.tid]
-            return queue_mod.FAILED
-        self._mark(task, "pending")
-        return "quarantined"
-
-    def _record_quarantine(self, task, candidates: list[dict],
-                           verdict: str, liars: list[str]) -> None:
-        from repro.chaos import quarantine as quarantine_mod
-        payload = quarantine_mod.quarantine_payload(
-            task, candidates, verdict, liars=liars,
-            need=self.queue.need_of(task.tid))
-        try:
-            path = str(quarantine_mod.write_quarantine(payload))
-        except OSError:
-            path = None                     # diagnostics must not wedge
-        self.quarantine_events.append({
-            "task": task.tid, "verdict": verdict, "liars": liars,
-            "workers": sorted({c["worker"] for c in candidates}),
-            "path": path})
 
     # -- settlement (lock held) -------------------------------------------
     def _settle_ok(self, task, results_json: list, artifacts,

@@ -8,6 +8,10 @@ shell around it.
 
 Protocol invariants (the ones the tests pin):
 
+* **One grant at a time.**  A task is leasable only while it is
+  ``pending``; a grant makes it ``leased`` until that lease completes,
+  fails, expires or is released.  Queue entries left behind by a
+  re-queue are skipped once the task is no longer ``pending``.
 * **At-least-once execution.**  A lease that is not completed by its
   deadline is *expired*: the attempt is charged against the task's
   :class:`RetryPolicy` budget and the task is re-queued after the
@@ -19,21 +23,14 @@ Protocol invariants (the ones the tests pin):
   and discarded.  Because every execution of a point is deterministic
   and bit-identical, *which* completion wins is unobservable — that is
   what makes duplicate/late workers harmless rather than merely
-  tolerated.
+  tolerated.  A lease settles once: a repeated failure report for the
+  same lease does not charge a second attempt.
 * **Late completions still count.**  A worker that finishes after its
   lease expired — but before any re-execution finished — delivers a
   perfectly good (deterministic) result; it is accepted and the
   re-queued/re-leased copy of the task is cancelled.  Only results for
   tasks already completed, or from lease ids the queue never issued,
   are dropped.
-* **Redundant execution (opt-in).**  A task with ``redundancy = R > 1``
-  is leased to R distinct workers; each completion lands as ``PARTIAL``
-  until the last one arrives as ``VERIFY``, at which point the
-  *lifecycle* cross-checks the candidate payloads and either
-  :meth:`settle`\\ s the task or :meth:`reopen`\\ s it for a tie-break
-  replay.  The queue never inspects result bytes — it only counts
-  grants (``slots``) and completions (``done``) against the running
-  need.
 
 Crash recovery rides on the same bookkeeping: :meth:`adopt` re-creates
 a lease (under its original id) from a journal row, so a restarted
@@ -64,16 +61,13 @@ DUPLICATE = "duplicate"  # task already done; results discarded
 REQUEUED = "requeued"    # reported failure; task will be retried
 FAILED = "failed"        # reported failure; retry budget exhausted
 UNKNOWN = "unknown"      # lease id never issued; results dropped
-PARTIAL = "partial"      # redundant task: accepted, siblings outstanding
-VERIFY = "verify"        # redundant task: last completion — cross-check
 
 
 @dataclass
 class Task:
     """One unit of worker execution: a single point or a group of seed
     replicas, plus the config they run under and the campaign store the
-    task reports to (never serialized).  ``redundancy`` is how many
-    independent workers must execute the task before it can settle."""
+    task reports to (never serialized)."""
 
     tid: str                         # stable id: the first point key
     items: list                      # [(key, Point), ...]
@@ -81,7 +75,6 @@ class Task:
     store: object = None             # CampaignStore, or None
     attempt: int = 0
     eligible: float = 0.0            # earliest re-lease time (backoff)
-    redundancy: int = 1
 
     @property
     def keys(self) -> list[str]:
@@ -110,8 +103,6 @@ class QueueCounters:
     expiries: int = 0
     requeues: int = 0
     failures: int = 0
-    partials: int = 0   # redundant completions still awaiting siblings
-    reopens: int = 0    # tie-break replays after a redundancy mismatch
 
     def to_json(self) -> dict:
         return dict(self.__dict__)
@@ -119,14 +110,7 @@ class QueueCounters:
 
 class LeaseQueue:
     """Task lifecycle: ``pending -> leased -> done | failed`` with
-    expiry-driven re-queueing in between.
-
-    Redundant tasks generalize the single-lease picture with three
-    per-task counters: ``slots`` (grants still wanted — each pending
-    queue entry is backed by one), ``done`` (completions accepted so
-    far) and ``need`` (completions required to settle: the task's
-    redundancy, plus one per tie-break reopen).
-    """
+    expiry-driven re-queueing in between."""
 
     def __init__(self, retry: RetryPolicy | None = None,
                  lease_ttl_s: float = 60.0):
@@ -137,9 +121,6 @@ class LeaseQueue:
         self._tasks: dict[str, Task] = {}        # tid -> task (all ever)
         self._state: dict[str, str] = {}         # tid -> pending|leased|
         #                                          done|failed
-        self._slots: dict[str, int] = {}         # grants still wanted
-        self._done: dict[str, int] = {}          # completions accepted
-        self._need: dict[str, int] = {}          # completions required
         self._leases: dict[str, Lease] = {}      # live leases
         self._lease_tid: dict[str, str] = {}     # every lease ever issued
         self._settled: set[str] = set()          # leases completed/failed
@@ -148,71 +129,45 @@ class LeaseQueue:
 
     # -- feeding --------------------------------------------------------
     def add(self, task: Task) -> None:
-        if task.tid in self._tasks:
-            raise ValueError(f"task {task.tid!r} already queued")
-        if task.redundancy < 1:
-            raise ValueError(f"task {task.tid!r} redundancy must be >= 1")
         self._register(task)
-        for _ in range(task.redundancy):
-            self._pending.append(task)
+        self._pending.append(task)
 
     def _register(self, task: Task) -> None:
+        if task.tid in self._tasks:
+            raise ValueError(f"task {task.tid!r} already queued")
         self._tasks[task.tid] = task
         self._state[task.tid] = "pending"
-        self._slots[task.tid] = task.redundancy
-        self._done[task.tid] = 0
-        self._need[task.tid] = task.redundancy
-
-    def budget(self, task: Task) -> int:
-        """Total grants a task may consume before it permanently fails.
-        Redundancy widens the budget by R - 1 so the extra planned
-        executions are not charged as retries."""
-        return self.retry.max_attempts + task.redundancy - 1
 
     # -- leasing --------------------------------------------------------
-    def lease(self, worker: str, now: float, max_tasks: int = 1,
-              allow_self: bool = True) -> list[Lease]:
+    def lease(self, worker: str, now: float,
+              max_tasks: int = 1) -> list[Lease]:
         """Grant up to ``max_tasks`` leases to ``worker``; expired leases
         are swept first so a single surviving worker can reclaim the
-        whole queue.
-
-        ``allow_self=False`` withholds a redundant task's sibling grant
-        from a worker that already holds a live lease on it — two copies
-        on one worker would verify nothing.  The lifecycle only passes
-        False while other workers are around to take the sibling.
-        """
+        whole queue."""
         self.expire(now)
         out: list[Lease] = []
         skipped: list[Task] = []
         while self._pending and len(out) < max_tasks:
             task = self._pending.popleft()
-            if self._state.get(task.tid) in ("done", "failed"):
-                continue                      # cancelled by a late win
-            if self._slots.get(task.tid, 0) <= 0:
-                continue                      # grant no longer wanted
+            if self._state[task.tid] != "pending":
+                continue                      # settled, or granted already
             if task.eligible > now:
                 skipped.append(task)          # still backing off
                 continue
-            if (task.redundancy > 1 and not allow_self
-                    and self._worker_holds(worker, task.tid)):
-                skipped.append(task)          # sibling must go elsewhere
-                continue
-            self._slots[task.tid] -= 1
             task.attempt += 1
-            lease = Lease(f"L{self._next_id}", worker, task, now,
-                          now + self.lease_ttl_s)
+            out.append(self._grant(task, f"L{self._next_id}", worker, now))
             self._next_id += 1
-            self._leases[lease.lease_id] = lease
-            self._lease_tid[lease.lease_id] = task.tid
-            self._state[task.tid] = "leased"
-            self.counters.granted += 1
-            out.append(lease)
         self._pending.extendleft(reversed(skipped))
         return out
 
-    def _worker_holds(self, worker: str, tid: str) -> bool:
-        return any(l.worker == worker and l.task.tid == tid
-                   for l in self._leases.values())
+    def _grant(self, task: Task, lease_id: str, worker: str,
+               now: float) -> Lease:
+        lease = Lease(lease_id, worker, task, now, now + self.lease_ttl_s)
+        self._leases[lease_id] = lease
+        self._lease_tid[lease_id] = task.tid
+        self._state[task.tid] = "leased"
+        self.counters.granted += 1
+        return lease
 
     def adopt(self, task: Task, lease_id: str, worker: str,
               now: float) -> Lease:
@@ -222,19 +177,8 @@ class LeaseQueue:
         the clock restarted with the coordinator."""
         if lease_id in self._lease_tid:
             raise ValueError(f"lease {lease_id!r} already known")
-        if task.tid not in self._tasks:
-            self._register(task)
-            # pending entries back the slots this lease does not consume
-            for _ in range(task.redundancy - 1):
-                self._pending.append(task)
-        task = self._tasks[task.tid]
-        if self._slots[task.tid] > 0:
-            self._slots[task.tid] -= 1
-        lease = Lease(lease_id, worker, task, now, now + self.lease_ttl_s)
-        self._leases[lease_id] = lease
-        self._lease_tid[lease_id] = task.tid
-        self._state[task.tid] = "leased"
-        self.counters.granted += 1
+        self._register(task)
+        lease = self._grant(task, lease_id, worker, now)
         m = re.match(r"L(\d+)$", lease_id)
         if m:                 # never re-issue an adopted id
             self._next_id = max(self._next_id, int(m.group(1)) + 1)
@@ -245,75 +189,25 @@ class LeaseQueue:
         """A worker reports success for ``lease_id``.
 
         Returns ``(disposition, task)``; the caller persists the results
-        only for ``OK``/``LATE`` dispositions, collects candidates on
-        ``PARTIAL`` and cross-checks on ``VERIFY``.
+        only for ``OK``/``LATE`` dispositions.
         """
         tid = self._lease_tid.get(lease_id)
         if tid is None:
             return UNKNOWN, None
-        task = self._tasks[tid]
-        state = self._state[tid]
-        if state in ("done", "failed") or lease_id in self._settled:
-            # Either the task is closed, or this exact lease already
-            # reported in (a retried POST after a lost response) — with
-            # redundancy in play the per-lease check matters: the task
-            # may still be open on a sibling, and a double-counted
-            # completion would trip verification early.
+        if self._state[tid] in ("done", "failed") \
+                or lease_id in self._settled:
             self.counters.duplicates += 1
             return DUPLICATE, None
         self._settled.add(lease_id)
-        live = self._leases.pop(lease_id, None)
-        if live is None:
-            # The lease expired before this completion arrived; its
-            # expiry already re-added a slot (and a pending entry).
-            # Consume that slot — the execution it was meant to replace
-            # did, in fact, finish.
-            self.counters.late += 1
-            if self._slots[tid] > 0:
-                self._slots[tid] -= 1
-        if self._need[tid] == 1:
-            self._state[tid] = "done"
-            self._slots[tid] = 0
-            if live is None:
-                return LATE, task
-            self.counters.completed += 1
-            return OK, task
-        self._done[tid] += 1
-        if self._done[tid] < self._need[tid]:
-            self.counters.partials += 1
-            self._refresh_state(tid)
-            return PARTIAL, task
-        # Last required completion: the caller must cross-check the
-        # candidates and either settle() or reopen().  Until then the
-        # task is neither done nor leasable.
-        self._slots[tid] = 0
-        self._refresh_state(tid)
-        return VERIFY, task
-
-    def settle(self, tid: str) -> None:
-        """Close a redundant task whose candidates agreed (or whose
-        majority won): results are persisted by the caller."""
         self._state[tid] = "done"
-        self._slots[tid] = 0
+        if self._leases.pop(lease_id, None) is None:
+            # The lease expired (or was released) before this completion
+            # arrived; the re-queued copy is now cancelled — the
+            # execution it was meant to replace did, in fact, finish.
+            self.counters.late += 1
+            return LATE, self._tasks[tid]
         self.counters.completed += 1
-
-    def reopen(self, tid: str, now: float) -> tuple[str, Task]:
-        """Candidates disagreed with no majority: demand one more
-        completion as a tie-break — or fail the task when the widened
-        budget is spent."""
-        task = self._tasks[tid]
-        self._need[tid] += 1
-        if task.attempt >= self.budget(task):
-            self._state[tid] = "failed"
-            self._slots[tid] = 0
-            self.counters.failures += 1
-            return FAILED, task
-        task.eligible = now
-        self._slots[tid] += 1
-        self._pending.append(task)
-        self.counters.reopens += 1
-        self._refresh_state(tid)
-        return REQUEUED, task
+        return OK, self._tasks[tid]
 
     def fail(self, lease_id: str, error: str,
              now: float) -> tuple[str, Task | None]:
@@ -332,25 +226,15 @@ class LeaseQueue:
         return self._retry_or_fail(task, now)
 
     def _retry_or_fail(self, task: Task, now: float) -> tuple[str, Task]:
-        if task.attempt >= self.budget(task):
+        if task.attempt >= self.retry.max_attempts:
             self._state[task.tid] = "failed"
-            self._slots[task.tid] = 0
             self.counters.failures += 1
             return FAILED, task
         task.eligible = now + self.retry.delay(task.attempt)
-        self._slots[task.tid] += 1
+        self._state[task.tid] = "pending"
         self._pending.append(task)
         self.counters.requeues += 1
-        self._refresh_state(task.tid)
         return REQUEUED, task
-
-    def _refresh_state(self, tid: str) -> None:
-        """Non-terminal state mirrors the live leases: ``leased`` while
-        any grant is out, ``pending`` otherwise."""
-        if self._state.get(tid) in ("done", "failed"):
-            return
-        live = any(l.task.tid == tid for l in self._leases.values())
-        self._state[tid] = "leased" if live else "pending"
 
     # -- expiry ---------------------------------------------------------
     def expire(self, now: float) -> list[tuple[str, Task]]:
@@ -375,7 +259,7 @@ class LeaseQueue:
             del self._leases[lease.lease_id]
             self.counters.expiries += 1
             task = lease.task
-            if self._state.get(task.tid) in ("done", "failed"):
+            if self._state[task.tid] in ("done", "failed"):
                 continue                      # already done via late win
             self._failures[task.tid] = reason or (
                 f"lease {lease.lease_id} to {lease.worker} expired")
@@ -391,12 +275,11 @@ class LeaseQueue:
         for lease in list(self._leases.values()):
             del self._leases[lease.lease_id]
             task = lease.task
-            if self._state.get(task.tid) in ("done", "failed"):
+            if self._state[task.tid] in ("done", "failed"):
                 continue
             task.attempt -= 1
-            self._slots[task.tid] += 1
+            self._state[task.tid] = "pending"
             self._pending.appendleft(task)
-            self._refresh_state(task.tid)
             out.append(task)
         return out
 
@@ -410,17 +293,6 @@ class LeaseQueue:
 
     def error_of(self, tid: str) -> str:
         return self._failures.get(tid, "")
-
-    def need_of(self, tid: str) -> int:
-        """Completions ``tid`` needs to settle: its redundancy plus one
-        per tie-break reopen."""
-        return self._need[tid]
-
-    def note_error(self, tid: str, error: str) -> None:
-        """Record the failure reason for a task the *lifecycle* failed
-        (a quarantined task whose budget ran out), so ``error_of`` tells
-        the story the same way lease expiries do."""
-        self._failures[tid] = error
 
     def live_leases(self) -> list[Lease]:
         """Snapshot of live leases — the unit the coordinator journals."""
@@ -449,8 +321,7 @@ class LeaseQueue:
         """Earliest backoff deadline among pending tasks (None if any
         task is immediately leasable or the queue is empty)."""
         times = [t.eligible for t in self._pending
-                 if self._state.get(t.tid) not in ("done", "failed")
-                 and self._slots.get(t.tid, 0) > 0]
+                 if self._state[t.tid] == "pending"]
         if not times:
             return None
         soonest = min(times)

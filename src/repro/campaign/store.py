@@ -48,12 +48,11 @@ CREATE TABLE IF NOT EXISTS points(
 CREATE TABLE IF NOT EXISTS meta(k TEXT PRIMARY KEY, v TEXT);
 CREATE INDEX IF NOT EXISTS idx_points_status ON points(status);
 CREATE TABLE IF NOT EXISTS leases(
-    lease_id   TEXT PRIMARY KEY,
-    worker     TEXT NOT NULL,
-    keys       TEXT NOT NULL,
-    attempt    INTEGER NOT NULL,
-    redundancy INTEGER NOT NULL DEFAULT 1,
-    deadline   REAL NOT NULL
+    lease_id TEXT PRIMARY KEY,
+    worker   TEXT NOT NULL,
+    keys     TEXT NOT NULL,
+    attempt  INTEGER NOT NULL,
+    deadline REAL NOT NULL
 );
 """
 
@@ -157,13 +156,15 @@ class CampaignStore:
     # coordinator (``fabric serve --resume``) re-creates the outstanding
     # leases from these rows and keeps honouring their completions.
     # ``deadline`` is wall-clock (the coordinator's monotonic clock died
-    # with it); a resumed lease gets a fresh TTL anyway.
+    # with it); a resumed lease gets a fresh TTL anyway.  Both statements
+    # name their columns, so a journal written by an older schema (one
+    # more column, with a default) still syncs and reads back.
 
     def sync_leases(self, rows: list[dict]) -> None:
         """Replace the lease journal with ``rows`` in one transaction.
 
         Each row: ``{"lease_id", "worker", "keys": [...], "attempt",
-        "redundancy", "ttl_s"}``.  Full replacement (not upsert) keeps
+        "ttl_s"}``.  Full replacement (not upsert) keeps
         the journal an exact mirror of the queue's live leases — a
         completed or expired lease disappears on the next sync.
         """
@@ -172,23 +173,22 @@ class CampaignStore:
             self._con.execute("DELETE FROM leases")
             self._con.executemany(
                 "INSERT INTO leases(lease_id, worker, keys, attempt, "
-                "redundancy, deadline) VALUES(?, ?, ?, ?, ?, ?)",
+                "deadline) VALUES(?, ?, ?, ?, ?)",
                 [(r["lease_id"], r["worker"], json.dumps(r["keys"]),
-                  int(r["attempt"]), int(r.get("redundancy", 1)),
-                  now + float(r.get("ttl_s", 0.0))) for r in rows])
+                  int(r["attempt"]), now + float(r.get("ttl_s", 0.0)))
+                 for r in rows])
             self._con.commit()
 
     def outstanding_leases(self) -> list[dict]:
         """The journaled leases, oldest lease id first."""
         with self._lock:
             rows = self._con.execute(
-                "SELECT lease_id, worker, keys, attempt, redundancy, "
-                "deadline FROM leases ORDER BY lease_id").fetchall()
+                "SELECT lease_id, worker, keys, attempt, deadline "
+                "FROM leases ORDER BY lease_id").fetchall()
         return [{"lease_id": lease_id, "worker": worker,
                  "keys": json.loads(keys), "attempt": attempt,
-                 "redundancy": redundancy, "deadline": deadline}
-                for lease_id, worker, keys, attempt, redundancy, deadline
-                in rows]
+                 "deadline": deadline}
+                for lease_id, worker, keys, attempt, deadline in rows]
 
     def clear_leases(self) -> int:
         """Drop the lease journal (graceful shutdown, or a fresh

@@ -11,9 +11,6 @@ network day.  This package makes the worst day reproducible:
   those faults on the real wire from the worker side: delays, drops,
   resets after delivery, truncated and bit-corrupted payloads,
   duplicated completions;
-* :mod:`~repro.chaos.quarantine` — JSON post-mortems for
-  redundant-execution mismatches (the coordinator's N-modular-
-  redundancy mode), mirroring :mod:`repro.fault.postmortem`;
 * :mod:`~repro.chaos.sweep` — the escalating ``chaos sweep`` that
   certifies every point still settles exactly once, bit-identically.
 """
@@ -23,15 +20,9 @@ from __future__ import annotations
 from repro.chaos.plan import (CHAOS_KINDS, CORRUPT, DELAY, DROP,
                               DUPLICATE, RESET, TRUNCATE, ChaosPlan,
                               mild_chaos)
-from repro.chaos.quarantine import (field_diff, quarantine_dir,
-                                    quarantine_payload,
-                                    validate_quarantine,
-                                    write_quarantine)
 from repro.chaos.transport import ChaosInjector
 
 __all__ = [
     "CHAOS_KINDS", "CORRUPT", "DELAY", "DROP", "DUPLICATE", "RESET",
-    "TRUNCATE", "ChaosInjector", "ChaosPlan", "field_diff",
-    "mild_chaos", "quarantine_dir", "quarantine_payload",
-    "validate_quarantine", "write_quarantine",
+    "TRUNCATE", "ChaosInjector", "ChaosPlan", "mild_chaos",
 ]

@@ -15,7 +15,7 @@ transport.  A level **survives** when
 
 The survival table reports, per level, the injected faults by kind next
 to what the fabric did about them (expiries, requeues, late wins,
-discarded duplicates, quarantines) — the visible shape of
+discarded duplicates) — the visible shape of
 "at-least-once plus idempotent completion equals exactly-once".
 """
 
@@ -63,9 +63,8 @@ def _fields(res) -> tuple:
     return tuple(sorted((k, repr(v)) for k, v in d.items()))
 
 
-def run_sweep(seed: int = 0, levels=None, workers: int = 2,
-              redundancy: float = 0.0, cfg=None, points=None,
-              work_dir: str | None = None) -> dict:
+def run_sweep(seed: int = 0, levels=None, workers: int = 2, cfg=None,
+              points=None, work_dir: str | None = None) -> dict:
     """Run the escalation ladder; returns the survival table as a dict
     (one row per level) for :func:`format_table` or ``--json``."""
     from repro.campaign import RetryPolicy, run_points
@@ -81,8 +80,7 @@ def run_sweep(seed: int = 0, levels=None, workers: int = 2,
                            cache=False, store=False)]
 
     report = {"seed": seed, "base_plan": base_plan.to_json(),
-              "points": len(points), "workers": workers,
-              "redundancy": redundancy, "levels": []}
+              "points": len(points), "workers": workers, "levels": []}
     with tempfile.TemporaryDirectory(prefix="chaos-sweep-",
                                      dir=work_dir) as tmp:
         for i, level in enumerate(levels):
@@ -90,29 +88,25 @@ def run_sweep(seed: int = 0, levels=None, workers: int = 2,
             row = _run_level(
                 level=level, plan=plan, cfg=cfg, points=points,
                 baseline=baseline, retry=retry, workers=workers,
-                redundancy=redundancy,
                 store_path=Path(tmp) / f"level{i}.sqlite")
             report["levels"].append(row)
     return report
 
 
 def _run_level(level: float, plan: ChaosPlan, cfg, points, baseline,
-               retry, workers: int, redundancy: float,
-               store_path) -> dict:
+               retry, workers: int, store_path) -> dict:
     from repro.campaign.store import CampaignStore
     from repro.fabric.executor import FabricExecutor, FabricSession
 
     store = CampaignStore(store_path)
     session = FabricSession(cache=None, retry=retry,
                             lease_ttl_s=LEASE_TTL_S, workers=workers,
-                            redundancy=redundancy,
                             chaos_token=plan.token() if plan else None)
     try:
         results = FabricExecutor(cfg, session, store=store).run(points)
         coord = session.coordinator
         counters = coord.queue.counters.to_json()
         injected = coord._chaos_totals()
-        quarantined = coord.quarantined
         respawns = session.respawns
     finally:
         session.close()
@@ -136,8 +130,6 @@ def _run_level(level: float, plan: ChaosPlan, cfg, points, baseline,
         "requeues": counters["requeues"],
         "late": counters["late"],
         "duplicates": counters["duplicates"],
-        "reopens": counters["reopens"],
-        "quarantined": quarantined,
         "respawns": respawns,
         "tasks": n_tasks,
         "settled": settled,
@@ -152,15 +144,12 @@ def format_table(report: dict) -> str:
     """Render the survival table for the terminal."""
     lines = [
         f"chaos sweep: seed {report['seed']}, {report['points']} points, "
-        f"{report['workers']} workers"
-        + (f", redundancy {report['redundancy']:.0%}"
-           if report.get("redundancy") else ""),
+        f"{report['workers']} workers",
         "",
         f"{'level':>5s} {'inject':>6s} "
         + " ".join(f"{k[:4]:>4s}" for k in CHAOS_KINDS)
         + f" {'expy':>4s} {'requ':>4s} {'late':>4s} {'dupl':>4s} "
-          f"{'quar':>4s} {'settled':>7s} {'lost':>4s} {'drift':>5s} "
-          f"{'verdict':>8s}",
+          f"{'settled':>7s} {'lost':>4s} {'drift':>5s} {'verdict':>8s}",
     ]
     for row in report["levels"]:
         inj = row["injected"]
@@ -169,7 +158,6 @@ def format_table(report: dict) -> str:
             + " ".join(f"{inj.get(k, 0):4d}" for k in CHAOS_KINDS)
             + f" {row['expiries']:4d} {row['requeues']:4d} "
               f"{row['late']:4d} {row['duplicates']:4d} "
-              f"{row['quarantined']:4d} "
               f"{row['settled']:3d}/{row['tasks']:<3d} "
               f"{row['lost']:4d} {str(row['drift']):>5s} "
               f"{'ok' if row['survived'] else 'FAILED':>8s}")

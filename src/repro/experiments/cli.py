@@ -128,15 +128,12 @@ def _session(ctx, args):
             retry=RetryPolicy(max_attempts=args.max_attempts),
             lease_ttl_s=args.lease_ttl,
             host=args.host, port=args.port, workers=args.workers,
-            redundancy=args.redundancy, resume=args.resume)
+            resume=args.resume)
         url = session.url
         print(f"fabric coordinator serving on {url} "
               f"with {args.workers} local workers")
         if args.resume:
             print("  resume: adopting journaled leases from campaign stores")
-        if args.redundancy:
-            print(f"  redundancy: {args.redundancy:.0%} of tasks "
-                  "double-executed and cross-checked")
         print(f"  pull work:   repro-experiments fabric work {url}\n"
               f"  live status: repro-experiments fabric status {url}")
     else:
@@ -323,14 +320,6 @@ def _print_live_status(parser, args) -> int:
     print(f"  queue: {_kv(s.get('queue', {}))}")
     if s.get("chaos"):
         print(f"  chaos injected: {_kv(s['chaos'], every=True)}")
-    quarantine = s.get("quarantine") or {}
-    if quarantine.get("total"):
-        print(f"  quarantined: {quarantine['total']}")
-        for event in quarantine.get("events", [])[-5:]:
-            liars = ",".join(event.get("liars") or []) or "?"
-            print(f"    {event.get('task', '?')[:12]}… "
-                  f"verdict={event.get('verdict')} liars={liars} "
-                  f"({event.get('path')})")
     workers = s.get("workers", {})
     if workers:
         print(f"  {'worker':28s} {'leases':>7s} {'points':>7s} "
@@ -343,11 +332,19 @@ def _print_live_status(parser, args) -> int:
 
 
 def _fabric_work(parser, args) -> int:
+    from repro.fabric.httpd import HttpError
     from repro.fabric.worker import FabricWorker
     worker = FabricWorker(args.url, worker_id=args.id,
                           poll_s=args.poll, max_tasks=args.max_tasks)
     print(f"worker {worker.worker_id} pulling from {worker.url}")
-    stats = worker.run()
+    try:
+        stats = worker.run()
+    except HttpError as exc:
+        if exc.status != 409:
+            raise
+        print(f"coordinator at {worker.url} refused this worker: {exc}",
+              file=sys.stderr)
+        return 2
     print("coordinator shut down; worker exiting — "
           + _kv(stats, every=True))
     return 0
@@ -379,11 +376,6 @@ def _fabric_commands(sub) -> None:
                               "coordinator that crashed mid-campaign "
                               "(use the same --port so surviving "
                               "workers reconnect)")
-    p_serve.add_argument("--redundancy", type=float, default=0.0,
-                         metavar="F",
-                         help="fraction of tasks leased to two workers "
-                              "and cross-checked field-by-field; "
-                              "mismatches are quarantined (default: 0)")
     _add_run_flags(p_serve, local=False)
     p_serve.set_defaults(func=_experiments, track=True)
 
@@ -410,7 +402,7 @@ def _fabric_commands(sub) -> None:
 def _chaos_sweep(parser, args) -> int:
     from repro.chaos.sweep import format_table, run_sweep
     report = run_sweep(seed=args.seed, levels=args.levels,
-                       workers=args.workers, redundancy=args.redundancy)
+                       workers=args.workers)
     print(format_table(report))
     if args.json:
         _write_json(args.json, report, "raw survival table")
@@ -433,10 +425,6 @@ def _chaos_commands(sub) -> None:
                               "the base plan (default: 0,0.5,1,2)")
     p_sweep.add_argument("--workers", type=int, default=2, metavar="N",
                          help="loopback workers per level (default: 2)")
-    p_sweep.add_argument("--redundancy", type=float, default=0.0,
-                         metavar="F",
-                         help="fraction of tasks double-executed and "
-                              "cross-checked (default: 0)")
     p_sweep.add_argument("--json", default=None, metavar="PATH",
                          help="also dump the survival table as JSON")
     p_sweep.set_defaults(func=_chaos_sweep)

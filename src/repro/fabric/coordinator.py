@@ -3,16 +3,19 @@ lifecycle, plus a read-side results service.
 
 :class:`Coordinator` *is* a :class:`~repro.campaign.lifecycle.Lifecycle`
 — the same lease -> settle state machine the local executor drives over
-pipes — and adds what only leases that leave the process need: request
-validation, the shutdown handshake, and the lease journal that lets a
-restarted coordinator adopt what a dead one granted.  One asyncio HTTP
-server (one background thread) exposes two faces:
+pipes — and adds what only leases that leave the process need: the
+environment check at the door, request validation, the shutdown
+handshake, and the lease journal that lets a restarted coordinator adopt
+what a dead one granted.  One asyncio HTTP server (one background
+thread) exposes two faces:
 
 * the **work-queue API** workers pull from —
 
-  - ``POST /lease``     ``{worker, max_tasks}`` → granted leases (each a
-    task: one point or one replica batch, plus its config), or
-    ``idle``/``shutdown``;
+  - ``POST /lease``     ``{env, worker, max_tasks}`` → granted leases
+    (each a task: one point or one replica batch, plus its config), or
+    ``idle``/``shutdown``; a worker whose ``env``
+    (:func:`~repro.fabric.protocol.environment`) differs from the
+    coordinator's own gets a 409 naming every differing field;
   - ``POST /complete``  ``{lease_id, worker, ok, results|error,
     artifacts}`` → a disposition (``ok``/``late``/``duplicate``/
     ``requeued``/``failed``/``unknown``); completions are idempotent —
@@ -42,10 +45,13 @@ import re
 import time
 
 from repro.campaign import cache as cache_mod, queue as queue_mod
-from repro.campaign.lifecycle import PRESENT_S, Lifecycle, window_rate
+from repro.campaign.lifecycle import Lifecycle, window_rate
 from repro.campaign.queue import RetryPolicy
 from repro.fabric import protocol
 from repro.fabric.httpd import HttpError, JsonHttpServer
+
+#: a worker heard from within this many seconds counts as present
+PRESENT_S = 10.0
 
 
 class Coordinator(Lifecycle):
@@ -58,10 +64,13 @@ class Coordinator(Lifecycle):
     """
 
     def __init__(self, cache=None, retry: RetryPolicy | None = None,
-                 lease_ttl_s: float = 60.0, campaign: str | None = None,
-                 redundancy: float = 0.0):
-        super().__init__(cache, retry, lease_ttl_s, redundancy)
+                 lease_ttl_s: float = 60.0, campaign: str | None = None):
+        super().__init__(cache, retry, lease_ttl_s)
         self.campaign = campaign
+        # Results settle into this process's cache under its own salt,
+        # so this process's environment is the one a worker must match.
+        # Computed before any loopback worker forks, which inherits it.
+        self.environment = protocol.environment()
         self.state = protocol.STATE_OK       # flips to shutdown at close
         self.started = time.monotonic()
         self._dismissed: set[str] = set()    # saw the shutdown state
@@ -84,7 +93,14 @@ class Coordinator(Lifecycle):
         if self._server is not None:
             self._server.stop()
 
-    # -- shutdown handshake ---------------------------------------------
+    # -- the fleet ------------------------------------------------------
+    def present_workers(self) -> int:
+        """Workers heard from within the last :data:`PRESENT_S`."""
+        now = time.monotonic()
+        with self._lock:
+            return sum(1 for s in self._workers.values()
+                       if now - s.last_seen <= PRESENT_S)
+
     def workers_pending_dismissal(self, exclude=()) -> list[str]:
         """Workers heard from recently that have not yet seen the
         shutdown state — a closing ``serve`` session lingers until this
@@ -129,7 +145,6 @@ class Coordinator(Lifecycle):
                 "worker": lease.worker,
                 "keys": lease.task.keys,
                 "attempt": lease.task.attempt,
-                "redundancy": lease.task.redundancy,
                 "ttl_s": max(lease.deadline - now, 0.0),
             })
         for sid, (store, rows) in by_store.items():
@@ -144,15 +159,14 @@ class Coordinator(Lifecycle):
         a coordinator restart; returns the point keys adopted.
 
         Rows that no longer make sense — points missing from the store,
-        already done/failed, a task id that is already queued here, or a
-        lease id already known — are silently dropped: the points they
-        covered simply re-enter the queue as fresh work, which is always
-        safe (idempotent completion absorbs the worst case of the old
-        worker still finishing).
+        already done/failed, a task id that is already queued here (a
+        second row for one task included), or a lease id already known —
+        are silently dropped: the points they covered simply re-enter the
+        queue as fresh work, which is always safe (idempotent completion
+        absorbs the worst case of the old worker still finishing).
         """
         now = time.monotonic()
         adopted: set[str] = set()
-        adopted_tids: set[str] = set()
         rows = store.outstanding_leases()
         with self._lock:
             for row in rows:
@@ -160,10 +174,9 @@ class Coordinator(Lifecycle):
                 if not keys:
                     continue
                 tid = keys[0]
-                if self.queue.task_of(row["lease_id"]) is not None:
+                if self.queue.task_of(row["lease_id"]) is not None \
+                        or tid in self.queue:
                     continue
-                if tid in self.queue and tid not in adopted_tids:
-                    continue          # queued as fresh work already
                 known = store.points_by_key(keys)
                 if len(known) != len(keys) or any(
                         status in ("done", "failed")
@@ -171,11 +184,9 @@ class Coordinator(Lifecycle):
                     continue
                 task = queue_mod.Task(
                     tid=tid, items=[(k, known[k][0]) for k in keys],
-                    cfg=cfg, store=store, attempt=int(row["attempt"]),
-                    redundancy=max(int(row.get("redundancy", 1)), 1))
+                    cfg=cfg, store=store, attempt=int(row["attempt"]))
                 self.queue.adopt(task, row["lease_id"], row["worker"],
                                  now)
-                adopted_tids.add(tid)
                 store.mark_many(keys, "running")
                 adopted.update(keys)
             self._journal()
@@ -202,11 +213,13 @@ class Coordinator(Lifecycle):
 
     # -- work-queue API -------------------------------------------------
     def _h_lease(self, body: dict) -> dict:
-        version = body.get("version", 0)
-        if version != protocol.PROTOCOL_VERSION:
-            raise HttpError(
-                409, f"protocol version mismatch: coordinator speaks "
-                f"{protocol.PROTOCOL_VERSION}, worker sent {version}")
+        env = body.get("env")
+        env = env if isinstance(env, dict) else {}
+        differ = [f"{k}: coordinator {v}, worker {env.get(k)}"
+                  for k, v in self.environment.items() if env.get(k) != v]
+        if differ:
+            raise HttpError(409, "worker environment differs from the "
+                            "coordinator's:\n  " + "\n  ".join(differ))
         worker = str(body.get("worker") or "anonymous")
         max_tasks = max(1, int(body.get("max_tasks", 1)))
         with self._lock:
@@ -264,10 +277,6 @@ class Coordinator(Lifecycle):
                 "workers": {w: s.to_json(now)
                             for w, s in self._workers.items()},
                 "chaos": self._chaos_totals(),
-                "quarantine": {
-                    "total": self.quarantined,
-                    "events": list(self.quarantine_events),
-                },
             }
 
     def _chaos_totals(self) -> dict[str, int]:
@@ -307,11 +316,7 @@ class Coordinator(Lifecycle):
                     ("duplicates", "duplicate completions discarded"),
                     ("expiries", "leases expired past their deadline"),
                     ("requeues", "tasks re-queued for retry"),
-                    ("failures", "tasks failed permanently"),
-                    ("partials", "redundant completions awaiting "
-                                 "their siblings"),
-                    ("reopens", "tie-break replays after redundancy "
-                                "mismatches")]:
+                    ("failures", "tasks failed permanently")]:
                 reg.gauge(f"fabric_{name}_total", help_,
                           lambda n=name: getattr(counters, n))
             reg.multi_gauge("fabric_points", "points by lifecycle state",
@@ -320,9 +325,6 @@ class Coordinator(Lifecycle):
                                 self.queue.point_counts().items()))
             reg.gauge("fabric_workers", "workers ever seen",
                       lambda: len(self._workers))
-            reg.gauge("fabric_quarantined_total",
-                      "redundant-execution mismatches quarantined",
-                      lambda: self.quarantined)
             reg.multi_gauge("fabric_chaos_injected_total",
                             "transport faults injected by the chaos "
                             "layer, as reported by workers", "kind",

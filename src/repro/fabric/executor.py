@@ -47,12 +47,11 @@ class FabricSession:
     def __init__(self, cache=None, retry: RetryPolicy | None = None,
                  lease_ttl_s: float = 60.0, host: str = "127.0.0.1",
                  port: int = 0, workers: int = 0,
-                 campaign: str | None = None, redundancy: float = 0.0,
-                 resume: bool = False, chaos_token: str | None = None):
+                 campaign: str | None = None, resume: bool = False,
+                 chaos_token: str | None = None):
         self.coordinator = Coordinator(cache=cache, retry=retry,
                                        lease_ttl_s=lease_ttl_s,
-                                       campaign=campaign,
-                                       redundancy=redundancy)
+                                       campaign=campaign)
         self.url = self.coordinator.start(host, port)
         self.resume = resume          # adopt journaled leases on run()
         self.chaos_token = chaos_token

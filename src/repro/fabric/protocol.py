@@ -21,19 +21,42 @@ fold — so the fabric changes *who* executes, never *what* is executed.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import importlib.metadata
+import platform
+import sys
 
+from repro.campaign.cache import code_version
 from repro.config import SimConfig
 from repro.sim.parallel import Point
 
-#: Bumped whenever a payload changes shape.  Workers refuse to pull from
-#: a coordinator speaking a different version — mixed fleets fail loudly
-#: at lease time instead of corrupting results.
-PROTOCOL_VERSION = 1
+#: Bumped whenever a payload changes shape.  It is one field of
+#: :func:`environment`, so a mixed fleet fails loudly at lease time
+#: instead of corrupting results.
+PROTOCOL_VERSION = 2
 
 #: Lease states a worker can see in a ``POST /lease`` response.
 STATE_OK = "ok"              # leases granted
 STATE_IDLE = "idle"          # nothing eligible right now, poll again
 STATE_SHUTDOWN = "shutdown"  # coordinator is done; workers should exit
+
+
+@functools.cache
+def environment() -> dict:
+    """What a worker's results depend on besides the task itself: the
+    wire protocol, the simulator source (the run cache's salt), the
+    interpreter, numpy (RNG streams, float summation) and the platform.
+    A worker sends it with every ``POST /lease``; the coordinator grants
+    nothing unless it equals its own.  Reading numpy's version from the
+    installed metadata keeps the check from importing numpy.  Computed
+    once per process; callers share the returned dict."""
+    return {
+        "protocol": PROTOCOL_VERSION,
+        "code": code_version(),
+        "python": "%d.%d" % sys.version_info[:2],
+        "numpy": importlib.metadata.version("numpy"),
+        "platform": f"{sys.platform}-{platform.machine()}",
+    }
 
 
 def cfg_to_json(cfg: SimConfig) -> dict:

@@ -104,7 +104,7 @@ class FabricWorker:
         misses = 0
         outage_started: float | None = None
         while True:
-            body = {"version": protocol.PROTOCOL_VERSION,
+            body = {"env": protocol.environment(),
                     "worker": self.worker_id,
                     "max_tasks": self.max_tasks}
             if self.chaos is not None:
@@ -113,7 +113,7 @@ class FabricWorker:
                 resp = self._post("/lease", body)
             except HttpError as exc:
                 if exc.status != 400:
-                    raise    # 404/409/...: a real protocol error
+                    raise    # 404, or 409 (environment mismatch)
                 # 400 on a lease poll means the request arrived mangled
                 # (chaos truncation/corruption); the poll is stateless,
                 # so just poll again.

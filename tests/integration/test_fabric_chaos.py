@@ -12,21 +12,16 @@ Acceptance properties of the chaos subsystem (ISSUE 7):
   counts;
 * a full campaign process SIGKILLed mid-run resumes via
   ``--resume`` semantics (journal adoption + store resume) to the same
-  bits as a clean local run;
-* an intentionally-lying worker under redundant execution is detected,
-  quarantined with a validating post-mortem JSON, outvoted on the
-  tie-break replay, and the campaign completes with the honest bits.
+  bits as a clean local run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import os
 import signal
 import socket
-import threading
 import time
 
 import pytest
@@ -36,13 +31,11 @@ from repro.campaign import (CampaignStore, RetryPolicy, RunCache,
 from repro.campaign import cache as cache_mod
 from repro.campaign.worker import execute_point
 from repro.chaos.plan import mild_chaos
-from repro.chaos.quarantine import validate_quarantine
 from repro.config import SimConfig
 from repro.fabric import protocol
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.executor import FabricExecutor, FabricSession
 from repro.fabric.httpd import http_json
-from repro.fabric.worker import FabricWorker
 from repro.sim.parallel import Point, grid
 
 #: small-but-real config: every scheme feature exercised, seconds not
@@ -140,7 +133,7 @@ class TestCrashAdoption:
         coord_a.submit([[(k, p)] for k, p in zip(keys, points)],
                        CHAOS_CFG, store)
         out = http_json("POST", f"{url_a}/lease",
-                        {"version": protocol.PROTOCOL_VERSION,
+                        {"env": protocol.environment(),
                          "worker": "survivor"})
         assert out["state"] == protocol.STATE_OK
         lease = out["leases"][0]
@@ -175,7 +168,7 @@ class TestCrashAdoption:
             while not coord_b.resolved(keys) and \
                     time.monotonic() < deadline:
                 out = http_json("POST", f"{url_b}/lease",
-                                {"version": protocol.PROTOCOL_VERSION,
+                                {"env": protocol.environment(),
                                  "worker": "survivor"})
                 for granted in out.get("leases") or []:
                     items = protocol.items_from_json(granted["items"])
@@ -294,88 +287,3 @@ class TestSigkillResume:
         assert final.get("failed", 0) == 0
         assert store.outstanding_leases() == []
 
-
-class _LiarOnce(FabricWorker):
-    """Corrupts the first execution of every task it sees, then runs
-    honestly — a transient-fault model: the mismatch is guaranteed to
-    be detected, and the tie-break replay is guaranteed to outvote it
-    whichever worker runs it."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._lied: set[str] = set()
-
-    def _execute(self, lease: dict) -> dict:
-        payload = super()._execute(lease)
-        tid = lease["items"][0][0]
-        if tid not in self._lied:
-            self._lied.add(tid)
-            for res in payload["results"]:
-                res["avg_latency"] = 9999.0
-        return payload
-
-
-class TestLyingWorker:
-    def test_liar_is_quarantined_outvoted_and_named(self, tmp_path,
-                                                    monkeypatch):
-        """Full redundancy (every task runs twice) with one honest and
-        one lying worker over real HTTP: mismatches are quarantined
-        with validating post-mortems, the tie-break replay settles the
-        honest bits, and the liar is named."""
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        points = CHAOS_POINTS[:4]
-        keys = [cache_mod.point_key(p, CHAOS_CFG, "s") for p in points]
-        retry = RetryPolicy(max_attempts=4, backoff_s=0.0)
-        coord = Coordinator(cache=None, retry=retry, lease_ttl_s=30.0,
-                            redundancy=1.0)
-        url = coord.start("127.0.0.1", 0)
-        workers = [FabricWorker(url, worker_id="honest", poll_s=0.02),
-                   _LiarOnce(url, worker_id="liar", poll_s=0.02)]
-        threads = [threading.Thread(target=w.run, daemon=True)
-                   for w in workers]
-        try:
-            coord.submit([[(k, p)] for k, p in zip(keys, points)],
-                         CHAOS_CFG, store=None)
-            for t in threads:
-                t.start()
-            deadline = time.monotonic() + 120
-            while not coord.resolved(keys) and \
-                    time.monotonic() < deadline:
-                coord.tick()
-                time.sleep(0.02)
-            assert coord.resolved(keys), "campaign never drained"
-            collected = coord.collect(keys)
-            counters = coord.queue.counters
-            quarantined = coord.quarantined
-            events = list(coord.quarantine_events)
-        finally:
-            coord.shutdown()
-            for t in threads:
-                t.join(timeout=15)
-            coord.stop()
-        assert not any(t.is_alive() for t in threads)
-
-        # The campaign completed with the honest bits everywhere.
-        for key, point in zip(keys, points):
-            assert _fields(collected[key]) == \
-                _fields(execute_point(point, CHAOS_CFG))
-        assert counters.failures == 0
-        # The liar was caught at least once (it lies on every task it
-        # touches first; with two workers racing four tasks, at least
-        # one task sees both of them).
-        assert quarantined >= 1
-        verdicts = [e["verdict"] for e in events]
-        assert "mismatch" in verdicts
-        majorities = [e for e in events
-                      if e["verdict"] == "settled_majority"]
-        assert majorities and all(e["liars"] == ["liar"]
-                                  for e in majorities)
-        # Every event left a validating post-mortem on disk.
-        qdir = tmp_path / "quarantine"
-        records = sorted(qdir.glob("quarantine_*.json"))
-        assert len(records) == len(events)
-        for rec in records:
-            payload = json.loads(rec.read_text())
-            validate_quarantine(payload)
-            assert payload["verdict"] in ("mismatch",
-                                          "settled_majority")

@@ -95,7 +95,7 @@ class TestLeaseExpiry:
         try:
             coord.submit([[(key, point)]], sweep_cfg, store=None)
             out = http_json("POST", f"{url}/lease",
-                            {"version": protocol.PROTOCOL_VERSION,
+                            {"env": protocol.environment(),
                              "worker": "zombie"})
             assert out["state"] == protocol.STATE_OK
             time.sleep(0.4)                       # let the lease lapse

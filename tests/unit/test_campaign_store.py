@@ -4,6 +4,7 @@ lease-aware resume, and the throughput window behind remote-robust ETAs.
 
 from __future__ import annotations
 
+import sqlite3
 import threading
 import time
 
@@ -130,20 +131,37 @@ class TestThroughput:
 
 
 class TestLeaseJournal:
-    def test_sync_and_outstanding_round_trip(self, store):
-        store.register(points(3))
-        store.sync_leases([
-            {"lease_id": "L1", "worker": "w1", "keys": ["k0", "k1"],
-             "attempt": 2, "redundancy": 1, "ttl_s": 30.0},
-            {"lease_id": "L2", "worker": "w2", "keys": ["k2"],
-             "attempt": 1, "redundancy": 2, "ttl_s": 30.0},
-        ])
-        rows = store.outstanding_leases()
-        assert [r["lease_id"] for r in rows] == ["L1", "L2"]
-        assert rows[0]["keys"] == ["k0", "k1"]
-        assert rows[0]["attempt"] == 2
-        assert rows[1]["redundancy"] == 2
-        assert all(r["deadline"] > time.time() for r in rows)
+    def test_sync_and_outstanding_round_trip(self, store, tmp_path):
+        """Also on a store whose journal has the older schema's extra
+        column (NOT NULL DEFAULT 1): it still syncs, reads back and is
+        adopted, because both statements name their columns."""
+        from repro.fabric.coordinator import Coordinator
+
+        old = tmp_path / "old.sqlite"
+        con = sqlite3.connect(old)
+        con.execute(
+            "CREATE TABLE leases(lease_id TEXT PRIMARY KEY, worker TEXT "
+            "NOT NULL, keys TEXT NOT NULL, attempt INTEGER NOT NULL, "
+            "copies INTEGER NOT NULL DEFAULT 1, deadline REAL NOT NULL)")
+        con.commit()
+        con.close()
+        old_store = CampaignStore(old)
+        for st in (store, old_store):
+            st.register(points(3))
+            st.sync_leases([
+                {"lease_id": "L1", "worker": "w1", "keys": ["k0", "k1"],
+                 "attempt": 2, "ttl_s": 30.0},
+                {"lease_id": "L2", "worker": "w2", "keys": ["k2"],
+                 "attempt": 1, "ttl_s": 30.0},
+            ])
+            rows = st.outstanding_leases()
+            assert [r["lease_id"] for r in rows] == ["L1", "L2"]
+            assert rows[0]["keys"] == ["k0", "k1"]
+            assert rows[0]["attempt"] == 2
+            assert all(r["deadline"] > time.time() for r in rows)
+            assert Coordinator().adopt_leases(st, None) == {"k0", "k1",
+                                                            "k2"}
+        old_store.close()
 
     def test_sync_is_full_replacement(self, store):
         store.sync_leases([{"lease_id": "L1", "worker": "w", "keys": ["a"],

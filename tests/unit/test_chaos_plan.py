@@ -1,20 +1,13 @@
-"""Unit tests for the chaos package: seed-reproducible plans, the
-transport injector's fault arithmetic, and quarantine records."""
+"""Unit tests for the chaos package: seed-reproducible plans and the
+transport injector's fault arithmetic."""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.chaos.plan import (CHAOS_KINDS, DUPLICATE, ChaosPlan,
                               mild_chaos)
-from repro.chaos.quarantine import (field_diff, quarantine_payload,
-                                    validate_quarantine,
-                                    write_quarantine)
 from repro.chaos.transport import ChaosInjector, _flip_bits
-from repro.campaign.queue import Task
-from repro.sim.parallel import Point
 
 
 class TestChaosPlan:
@@ -81,57 +74,3 @@ class TestInjectorDeterminism:
             body = b'{"a": 1, "b": [2, 3]}'
             assert _flip_bits(body, rng) != body
 
-
-def _task(tid: str = "t0", redundancy: int = 2) -> Task:
-    return Task(tid=tid,
-                items=[(tid, Point.make("fastpass", "uniform", 0.02))],
-                cfg=None, attempt=2, redundancy=redundancy)
-
-
-def _cands(a_latency: float, b_latency: float) -> list[dict]:
-    def res(lat):
-        return {"scheme": "fastpass", "avg_latency": lat,
-                "extra": {"p50": lat / 2}}
-    return [{"worker": "wa", "results": [res(a_latency)]},
-            {"worker": "wb", "results": [res(b_latency)]}]
-
-
-class TestQuarantine:
-    def test_field_diff_names_the_disagreeing_fields(self):
-        cands = _cands(10.0, 99.0)
-        diff = field_diff(cands[0]["results"], cands[1]["results"])
-        fields = {d["field"] for d in diff}
-        assert fields == {"avg_latency", "extra.p50"}
-        assert all(d["index"] == 0 for d in diff)
-
-    def test_field_diff_length_mismatch(self):
-        diff = field_diff([{"a": 1}], [])
-        assert diff == [{"index": -1, "field": "__len__",
-                         "values": [1, 0]}]
-
-    def test_payload_validates_and_diffs(self):
-        payload = quarantine_payload(_task(), _cands(1.0, 2.0),
-                                     "mismatch")
-        validate_quarantine(payload)
-        assert payload["workers"] == ["wa", "wb"]
-        assert payload["diff"]
-        with pytest.raises(ValueError):
-            quarantine_payload(_task(), _cands(1.0, 2.0), "nonsense")
-
-    def test_validate_rejects_missing_keys(self):
-        payload = quarantine_payload(_task(), _cands(1.0, 2.0),
-                                     "mismatch")
-        del payload["diff"]
-        with pytest.raises(ValueError, match="diff"):
-            validate_quarantine(payload)
-
-    def test_write_quarantine_round_trips(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        payload = quarantine_payload(_task(), _cands(1.0, 2.0),
-                                     "mismatch")
-        path = write_quarantine(payload)
-        assert path.parent == tmp_path / "quarantine"
-        validate_quarantine(json.loads(path.read_text()))
-        # A second record for the same task must not collide.
-        other = write_quarantine(payload)
-        assert other != path

@@ -132,7 +132,6 @@ class TestFabricFlag:
 
 
 def test_results_dir_moves_every_artifact(tmp_path, monkeypatch, capsys):
-    from repro.chaos.quarantine import quarantine_dir
     from repro.fault.postmortem import diagnostics_dir
     from repro.obs.exporters import metrics_dir
 
@@ -146,9 +145,28 @@ def test_results_dir_moves_every_artifact(tmp_path, monkeypatch, capsys):
                                                  root / "campaigns")
     assert metrics_dir() == root / "metrics"
     assert diagnostics_dir() == root / "diagnostics"
-    assert quarantine_dir() == root / "quarantine"
     assert main(["fabric", "serve", "table2", "--workers", "0"]) == 0
     assert (root / "fabric" / "status_final.json").exists()
+
+
+def test_fabric_work_refused_at_the_door_exits_2(capsys):
+    """A worker whose environment differs from the coordinator's is told
+    each differing field with both values and exits 2, no traceback."""
+    from repro.fabric import protocol
+    from repro.fabric.coordinator import Coordinator
+
+    coord = Coordinator()
+    coord.environment = dict(coord.environment, code="0" * 16)
+    url = coord.start()
+    try:
+        assert main(["fabric", "work", url, "--id", "w1"]) == 2
+    finally:
+        coord.stop()
+    err = capsys.readouterr().err
+    assert (f"code: coordinator {'0' * 16}, "
+            f"worker {protocol.environment()['code']}") in err
+    assert "Traceback" not in err
+    assert coord.queue.counters.granted == 0
 
 
 def test_one_figure_imports_no_other():

@@ -227,6 +227,18 @@ class TestReportedFailure:
         assert lq.fail(old.lease_id, "late crash", now=3.0)[0] \
             == q.DUPLICATE
 
+    def test_repeated_failure_report_charges_once(self):
+        """A retried POST of one failure settles its lease once: the
+        second report is a duplicate, not a second charged attempt."""
+        lq = make_queue(max_attempts=2)
+        lq.add(task("t0"))
+        (lease,) = lq.lease("w1", now=0.0)
+        assert lq.fail(lease.lease_id, "boom", now=1.0)[0] == q.REQUEUED
+        assert lq.fail(lease.lease_id, "boom", now=1.1)[0] == q.DUPLICATE
+        assert lq.counters.requeues == 1
+        (again,) = lq.lease("w1", now=2.0)
+        assert again.task.attempt == 2
+
 
 class TestCounts:
     def test_point_counts_weigh_replica_batches(self):
@@ -243,105 +255,6 @@ class TestCounts:
         lq.lease("w1", now=0.0)
         lq.expire(now=1.0)
         assert lq.next_eligible() == pytest.approx(5.0)
-
-
-def rtask(tid: str, redundancy: int = 2, n_points: int = 1) -> q.Task:
-    t = task(tid, n_points=n_points)
-    t.redundancy = redundancy
-    return t
-
-
-class TestRedundancy:
-    def test_redundant_task_leases_to_two_workers(self):
-        lq = make_queue()
-        lq.add(rtask("t0"))
-        (l1,) = lq.lease("w1", now=0.0)
-        (l2,) = lq.lease("w2", now=0.0)
-        assert {l1.worker, l2.worker} == {"w1", "w2"}
-        assert l1.task.tid == l2.task.tid == "t0"
-        assert lq.lease("w3", now=0.0) == []     # both slots granted
-
-    def test_sibling_withheld_from_same_worker(self):
-        lq = make_queue()
-        lq.add(rtask("t0"))
-        lq.lease("w1", now=0.0)
-        assert lq.lease("w1", now=0.0, allow_self=False) == []
-        (sibling,) = lq.lease("w2", now=0.0, allow_self=False)
-        assert sibling.worker == "w2"
-
-    def test_allow_self_keeps_single_worker_fleet_live(self):
-        lq = make_queue()
-        lq.add(rtask("t0"))
-        lq.lease("w1", now=0.0)
-        (sibling,) = lq.lease("w1", now=0.0, allow_self=True)
-        assert sibling.worker == "w1"
-
-    def test_partial_then_verify_then_settle(self):
-        lq = make_queue()
-        lq.add(rtask("t0"))
-        (l1,) = lq.lease("w1", now=0.0)
-        (l2,) = lq.lease("w2", now=0.0)
-        assert lq.complete(l1.lease_id, now=1.0)[0] == q.PARTIAL
-        assert not lq.drained
-        disposition, t = lq.complete(l2.lease_id, now=2.0)
-        assert disposition == q.VERIFY
-        assert not lq.drained                    # awaiting cross-check
-        lq.settle(t.tid)
-        assert lq.drained
-        assert lq.counters.completed == 1        # one settlement, ever
-        assert lq.counters.partials == 1
-
-    def test_reopen_demands_tiebreak_then_settles(self):
-        lq = make_queue(max_attempts=3)
-        lq.add(rtask("t0"))
-        (l1,) = lq.lease("w1", now=0.0)
-        (l2,) = lq.lease("w2", now=0.0)
-        lq.complete(l1.lease_id, now=1.0)
-        assert lq.complete(l2.lease_id, now=1.0)[0] == q.VERIFY
-        disposition, t = lq.reopen("t0", now=2.0)
-        assert disposition == q.REQUEUED
-        assert lq.counters.reopens == 1
-        (l3,) = lq.lease("w3", now=3.0)          # tie-break replay
-        assert lq.complete(l3.lease_id, now=4.0)[0] == q.VERIFY
-        lq.settle("t0")
-        assert lq.drained
-
-    def test_reopen_budget_is_widened_by_redundancy(self):
-        # budget = max_attempts + redundancy - 1 = 2 + 2 - 1 = 3 grants
-        lq = make_queue(max_attempts=2)
-        lq.add(rtask("t0"))
-        (l1,) = lq.lease("w1", now=0.0)
-        (l2,) = lq.lease("w2", now=0.0)
-        lq.complete(l1.lease_id, now=1.0)
-        lq.complete(l2.lease_id, now=1.0)
-        assert lq.reopen("t0", now=2.0)[0] == q.REQUEUED   # grant 3 ok
-        (l3,) = lq.lease("w3", now=3.0)
-        lq.complete(l3.lease_id, now=4.0)
-        disposition, t = lq.reopen("t0", now=5.0)          # budget spent
-        assert disposition == q.FAILED
-        assert lq.counts()["failed"] == 1
-        assert lq.drained
-
-    def test_retried_completion_of_same_lease_is_duplicate(self):
-        """A worker that lost the response and retried /complete must
-        not have its second POST counted toward verification."""
-        lq = make_queue()
-        lq.add(rtask("t0"))
-        (l1,) = lq.lease("w1", now=0.0)
-        lq.lease("w2", now=0.0)
-        assert lq.complete(l1.lease_id, now=1.0)[0] == q.PARTIAL
-        assert lq.complete(l1.lease_id, now=1.1)[0] == q.DUPLICATE
-        assert lq.counters.partials == 1         # not tripped to VERIFY
-
-    def test_expired_sibling_requeues_without_losing_progress(self):
-        lq = make_queue(ttl=1.0, backoff_s=0.0)
-        lq.add(rtask("t0"))
-        (l1,) = lq.lease("w1", now=0.0)
-        lq.lease("w2", now=0.0)
-        lq.complete(l1.lease_id, now=0.5)        # PARTIAL
-        lq.expire(now=2.0)                       # sibling lease dies
-        (l3,) = lq.lease("w3", now=3.0)          # re-granted
-        assert lq.complete(l3.lease_id, now=4.0)[0] == q.VERIFY
 
 
 class TestAdoption:
@@ -369,14 +282,6 @@ class TestAdoption:
         assert [(d, t.tid) for d, t in settled] == [(q.REQUEUED, "t0")]
         (lease,) = lq.lease("w2", now=3.0)
         assert lease.task.attempt == 2           # journal count honoured
-
-    def test_adopting_redundant_task_backs_remaining_slot(self):
-        lq = make_queue()
-        lq.adopt(rtask("t0"), "L5", "w1", now=0.0)
-        (sibling,) = lq.lease("w2", now=0.0)     # second slot grantable
-        assert sibling.task.tid == "t0"
-        assert lq.complete("L5", now=1.0)[0] == q.PARTIAL
-        assert lq.complete(sibling.lease_id, now=2.0)[0] == q.VERIFY
 
     def test_duplicate_lease_id_rejected(self):
         lq = make_queue()

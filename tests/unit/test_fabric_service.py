@@ -88,18 +88,31 @@ class TestProbes:
 
 
 class TestWorkQueueApi:
-    def test_version_mismatch_is_409(self, coord):
-        _, url = coord
+    @pytest.mark.parametrize("field", sorted(protocol.environment()))
+    def test_environment_mismatch_is_409(self, coord, field):
+        """A worker on other source, protocol, interpreter, numpy or
+        platform is refused before anything is granted, and the refusal
+        names the field with both values; the matching worker leases."""
+        c, url = coord
+        submit_one(c)
+        mine = protocol.environment()
+        theirs = dict(mine, **{field: "other"})
         with pytest.raises(HttpError) as exc:
             http_json("POST", f"{url}/lease",
-                      {"version": 999, "worker": "w1"})
+                      {"env": theirs, "worker": "w1"})
         assert exc.value.status == 409
-        assert "version" in str(exc.value)
+        assert f"{field}: coordinator {mine[field]}, worker other" \
+            in str(exc.value)
+        assert c.queue.counters.granted == 0
+        out = http_json("POST", f"{url}/lease",
+                        {"env": mine, "worker": "w2"})
+        assert out["state"] == protocol.STATE_OK
+        assert c.queue.counters.granted == 1
 
     def test_empty_queue_leases_idle(self, coord):
         _, url = coord
         out = http_json("POST", f"{url}/lease",
-                        {"version": protocol.PROTOCOL_VERSION,
+                        {"env": protocol.environment(),
                          "worker": "w1"})
         assert out["state"] == protocol.STATE_IDLE
 
@@ -107,7 +120,7 @@ class TestWorkQueueApi:
         c, url = coord
         submit_one(c)
         out = http_json("POST", f"{url}/lease",
-                        {"version": protocol.PROTOCOL_VERSION,
+                        {"env": protocol.environment(),
                          "worker": "w1"})
         assert out["state"] == protocol.STATE_OK
         (lease,) = out["leases"]
@@ -126,7 +139,7 @@ class TestWorkQueueApi:
         c, url = coord
         submit_one(c)
         out = http_json("POST", f"{url}/lease",
-                        {"version": protocol.PROTOCOL_VERSION,
+                        {"env": protocol.environment(),
                          "worker": "w1"})
         (lease,) = out["leases"]
         bad = {"lease_id": lease["lease_id"], "worker": "w1", "ok": True,
@@ -135,7 +148,7 @@ class TestWorkQueueApi:
                          bad)["disposition"] == "requeued"
         # The task is leasable again and completes normally.
         out = http_json("POST", f"{url}/lease",
-                        {"version": protocol.PROTOCOL_VERSION,
+                        {"env": protocol.environment(),
                          "worker": "w2"})
         (lease,) = out["leases"]
         assert lease["attempt"] == 2
@@ -148,7 +161,7 @@ class TestWorkQueueApi:
         c, url = coord
         c.shutdown()
         out = http_json("POST", f"{url}/lease",
-                        {"version": protocol.PROTOCOL_VERSION,
+                        {"env": protocol.environment(),
                          "worker": "w1"})
         assert out["state"] == protocol.STATE_SHUTDOWN
 
@@ -158,7 +171,7 @@ class TestResultsService:
         c, url = coord
         submit_one(c)
         http_json("POST", f"{url}/lease",
-                  {"version": protocol.PROTOCOL_VERSION, "worker": "w1"})
+                  {"env": protocol.environment(), "worker": "w1"})
         status = http_json("GET", f"{url}/status")
         assert status["campaign"] == "svc-test"
         assert status["counts"]["leased"] == 1
@@ -190,7 +203,7 @@ class TestResultsService:
         c, url = coord
         submit_one(c)
         http_json("POST", f"{url}/lease",
-                  {"version": protocol.PROTOCOL_VERSION, "worker": "w1"})
+                  {"env": protocol.environment(), "worker": "w1"})
         with urllib.request.urlopen(f"{url}/metrics", timeout=10) as resp:
             assert resp.headers["Content-Type"].startswith("text/plain")
             text = resp.read().decode()
@@ -207,8 +220,8 @@ class TestFramingIntegrity:
         _, url = coord
         from repro.chaos.transport import _raw_post
         from repro.fabric.httpd import body_checksum
-        body = json.dumps({"worker": "w1", "version":
-                           protocol.PROTOCOL_VERSION}).encode()
+        body = json.dumps({"worker": "w1", "env":
+                           protocol.environment()}).encode()
         status, blob = _raw_post(f"{url}/lease", body[: len(body) // 2],
                                  declared_len=len(body),
                                  checksum=body_checksum(body),
@@ -220,8 +233,8 @@ class TestFramingIntegrity:
         _, url = coord
         from repro.chaos.transport import _raw_post
         from repro.fabric.httpd import body_checksum
-        body = json.dumps({"worker": "w1", "version":
-                           protocol.PROTOCOL_VERSION}).encode()
+        body = json.dumps({"worker": "w1", "env":
+                           protocol.environment()}).encode()
         mangled = bytearray(body)
         mangled[5] ^= 0x40
         status, blob = _raw_post(f"{url}/lease", bytes(mangled),
@@ -239,7 +252,7 @@ class TestFramingIntegrity:
         from repro.fabric.httpd import body_checksum
         submit_one(c)
         resp = http_json("POST", f"{url}/lease", {
-            "version": protocol.PROTOCOL_VERSION, "worker": "w1"})
+            "env": protocol.environment(), "worker": "w1"})
         lease = resp["leases"][0]
         payload = {"lease_id": lease["lease_id"], "worker": "w1",
                    "ok": True, "results": [result_to_json(result())]}
@@ -264,7 +277,7 @@ class TestDuplicatedDelivery:
         c, url = coord
         submit_one(c)
         resp = http_json("POST", f"{url}/lease", {
-            "version": protocol.PROTOCOL_VERSION, "worker": "w1"})
+            "env": protocol.environment(), "worker": "w1"})
         payload = {"lease_id": resp["leases"][0]["lease_id"],
                    "worker": "w1", "ok": True,
                    "results": [result_to_json(result())]}
@@ -281,87 +294,14 @@ class TestChaosSurface:
     def test_worker_chaos_totals_reach_status_and_metrics(self, coord):
         c, url = coord
         http_json("POST", f"{url}/lease", {
-            "version": protocol.PROTOCOL_VERSION, "worker": "w1",
+            "env": protocol.environment(), "worker": "w1",
             "chaos": {"drop": 3, "reset": 1}})
         http_json("POST", f"{url}/lease", {
-            "version": protocol.PROTOCOL_VERSION, "worker": "w2",
+            "env": protocol.environment(), "worker": "w2",
             "chaos": {"drop": 2}})
         status = http_json("GET", f"{url}/status")
         assert status["chaos"] == {"drop": 5, "reset": 1}
-        assert status["quarantine"]["total"] == 0
         req = urllib.request.Request(f"{url}/metrics")
         text = urllib.request.urlopen(req, timeout=10).read().decode()
         assert 'fabric_chaos_injected_total{kind="drop"} 5' in text
-        assert "fabric_quarantined_total 0" in text
 
-
-class TestRedundancyVerification:
-    def _lease_for(self, url, worker):
-        resp = http_json("POST", f"{url}/lease", {
-            "version": protocol.PROTOCOL_VERSION, "worker": worker})
-        leases = resp.get("leases") or []
-        return leases[0] if leases else None
-
-    def _complete(self, url, lease, worker, res):
-        return http_json("POST", f"{url}/complete", {
-            "lease_id": lease["lease_id"], "worker": worker, "ok": True,
-            "results": [result_to_json(res)]})["disposition"]
-
-    def test_agreeing_replicas_settle_once(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        c = Coordinator(retry=RetryPolicy(max_attempts=2, backoff_s=0.0),
-                        lease_ttl_s=30.0, redundancy=1.0)
-        url = c.start("127.0.0.1", 0)
-        try:
-            submit_one(c)
-            l1 = self._lease_for(url, "w1")
-            l2 = self._lease_for(url, "w2")
-            assert self._complete(url, l1, "w1", result()) == "partial"
-            assert self._complete(url, l2, "w2", result()) == "ok"
-            assert c.queue.counts()["done"] == 1
-            assert c.quarantined == 0
-            assert KEY in c.results
-        finally:
-            c.stop()
-
-    def test_lying_worker_is_quarantined_then_outvoted(self, monkeypatch,
-                                                       tmp_path):
-        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        from repro.chaos.quarantine import validate_quarantine
-        c = Coordinator(retry=RetryPolicy(max_attempts=3, backoff_s=0.0),
-                        lease_ttl_s=30.0, redundancy=1.0)
-        url = c.start("127.0.0.1", 0)
-        try:
-            submit_one(c)
-            honest = result()
-            lie = result()
-            lie.avg_latency = 999.0                  # perturbed stat
-            l1 = self._lease_for(url, "honest-1")
-            l2 = self._lease_for(url, "liar")
-            assert self._complete(url, l1, "honest-1", honest) == "partial"
-            assert self._complete(url, l2, "liar", lie) == "quarantined"
-            assert c.quarantined == 1
-            # Tie-break replay goes out; an honest third vote wins.
-            l3 = self._lease_for(url, "honest-2")
-            assert l3 is not None
-            assert self._complete(url, l3, "honest-2", honest) == "ok"
-            assert c.queue.counts()["done"] == 1
-            assert c.results[KEY].avg_latency == honest.avg_latency
-            # The post-mortem trail: a mismatch record, then a majority
-            # verdict naming the liar.
-            records = sorted((tmp_path / "quarantine").glob("*.json"))
-            assert len(records) == 2
-            payloads = [validate_quarantine(json.loads(p.read_text()))
-                        for p in records]
-            verdicts = {p["verdict"] for p in payloads}
-            assert verdicts == {"mismatch", "settled_majority"}
-            majority = next(p for p in payloads
-                            if p["verdict"] == "settled_majority")
-            assert majority["liars"] == ["liar"]
-            assert any(d["field"] == "avg_latency"
-                       for p in payloads for d in p["diff"])
-            status = c.status()
-            assert status["quarantine"]["total"] == 1
-            assert len(status["quarantine"]["events"]) == 2
-        finally:
-            c.stop()
