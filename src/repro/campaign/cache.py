@@ -7,10 +7,12 @@ code-version salt.  The salt is a hash of the simulator's source files, so
 touching any scheme or network code invalidates every cached result while
 a pure orchestration change (this package) keeps the cache warm.
 
-Results are stored one JSON file per point under ``<root>/<k[:2]>/<k>.json``
+Results are stored one file per point under ``<root>/<k[:2]>/<k>.json``
 so a cache directory stays browsable and individual points are cheap to
-evict.  Writes are atomic (tempfile + ``os.replace``), so a campaign killed
-mid-write never leaves a truncated entry behind.
+evict.  An entry is two lines of JSON: the result first, then its
+provenance (key, salt, point, config), so a hit reads and decodes only
+the line it returns.  Writes are atomic (tempfile + ``os.replace``), so a
+campaign killed mid-write never leaves a truncated entry behind.
 """
 
 from __future__ import annotations
@@ -50,18 +52,23 @@ def code_version() -> str:
     return _code_version
 
 
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 @functools.lru_cache(maxsize=256)
-def _cfg_blob(cfg: SimConfig) -> str:
-    """The config's part of the key blob.  A sweep keys thousands of
-    points under one (frozen, hashable) config, and ``asdict`` alone is
-    half the cost of a key."""
+def _key_frame(cfg: SimConfig, salt: str) -> tuple[str, str]:
+    """The constant head ``{"cfg":...,"point":`` and tail ``,"salt":...}``
+    of every key blob under one config and salt.  A sweep keys thousands
+    of points under one (frozen, hashable) config, and ``asdict`` alone
+    is half the cost of a key."""
     cfg_payload = dataclasses.asdict(cfg)
     # The cycle engine is excluded from the key: every engine is required
     # to produce bit-identical results (differentially enforced), so the
     # engine knob decides *how fast* a point runs, never what it computes
     # — a cache warmed by one engine must serve every other.
     cfg_payload.pop("engine", None)
-    return json.dumps(cfg_payload, sort_keys=True, separators=(",", ":"))
+    return ('{"cfg":%s,"point":' % _canonical(cfg_payload),
+            ',"salt":%s}' % _canonical(salt))
 
 
 def point_key(point: Point, cfg: SimConfig, salt: str) -> str:
@@ -69,10 +76,8 @@ def point_key(point: Point, cfg: SimConfig, salt: str) -> str:
     sha256 over the canonical JSON (sorted keys, no spaces) of
     ``{"cfg": ..., "point": ..., "salt": ...}``, assembled from its
     three parts in that — sorted — order."""
-    blob = '{"cfg":%s,"point":%s,"salt":%s}' % (
-        _cfg_blob(cfg),
-        json.dumps(point.to_json(), sort_keys=True, separators=(",", ":")),
-        json.dumps(salt))
+    head, tail = _key_frame(cfg, salt)
+    blob = head + _canonical(point.to_json()) + tail
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
@@ -92,11 +97,34 @@ _RESULT_FIELDS = {f.name for f in dataclasses.fields(RunResult)}
 
 
 def result_from_json(d: dict) -> RunResult:
-    res = RunResult(**{k: v for k, v in d.items() if k in _RESULT_FIELDS})
-    engine = d.get("engine_used")
+    kwargs = dict(d)            # the caller's dict is never mutated
+    engine = kwargs.pop("engine_used", None)
+    try:
+        res = RunResult(**kwargs)
+    except TypeError:
+        # Written by a build whose RunResult had other fields: drop the
+        # unknown ones.  A missing ``scheme`` still raises.
+        res = RunResult(**{k: v for k, v in kwargs.items()
+                           if k in _RESULT_FIELDS})
     if engine is not None:
         res.engine_used = engine
     return res
+
+
+def _read_result(path: str | Path) -> dict:
+    """The result object of the entry at ``path``: its first line.  An
+    entry written before the two-line layout is one object with no
+    newline, and the result is its ``"result"``; it is read, never
+    rewritten.  A malformed entry raises ``ValueError``, ``KeyError`` or
+    ``TypeError``."""
+    with open(path, "rb") as fh:
+        line = fh.readline()
+    obj = json.loads(line.decode())
+    if line[-1:] != b"\n":
+        obj = obj["result"]
+    if type(obj) is not dict:
+        raise TypeError(f"{path}: the result is not an object")
+    return obj
 
 
 class RunCache:
@@ -104,6 +132,7 @@ class RunCache:
 
     def __init__(self, root: str | Path, salt: str | None = None):
         self.root = Path(root)
+        self._dir = os.fspath(self.root)
         self.salt = salt if salt is not None else code_version()
         self.hits = 0
         self.misses = 0
@@ -112,19 +141,19 @@ class RunCache:
     def key_for(self, point: Point, cfg: SimConfig) -> str:
         return point_key(point, cfg, self.salt)
 
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def _path(self, key: str) -> str:
+        return f"{self._dir}/{key[:2]}/{key}.json"
 
     def get(self, key: str) -> RunResult | None:
-        path = self._path(key)
         try:
-            with open(path) as fh:
-                entry = json.load(fh)
-        except (FileNotFoundError, json.JSONDecodeError):
+            res = result_from_json(_read_result(self._path(key)))
+        except (FileNotFoundError, ValueError, KeyError, TypeError):
+            # Absent or malformed (JSONDecodeError and UnicodeDecodeError
+            # are ValueErrors): either way the point is recomputed.
             self.misses += 1
             return None
         self.hits += 1
-        return result_from_json(entry["result"])
+        return res
 
     def get_point(self, point: Point, cfg: SimConfig) -> RunResult | None:
         return self.get(self.key_for(point, cfg))
@@ -132,22 +161,20 @@ class RunCache:
     def put(self, key: str, point: Point, cfg: SimConfig,
             result: RunResult) -> None:
         path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "key": key,
-            "salt": self.salt,
-            "point": point.to_json(),
-            "cfg": dataclasses.asdict(cfg),
-            # Top-level attribution of which engine produced the entry
-            # (also inside result_to_json): `campaign status` scans it
-            # without deserialising results.
-            "engine": getattr(result, "engine_used", None),
-            "result": result_to_json(result),
-        }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        folder = os.path.dirname(path)
+        os.makedirs(folder, exist_ok=True)
+        # Line 1 is all a hit reads; the engine that produced the result
+        # rides inside it (``engine_used``), which is what `campaign
+        # status` counts.  Line 2 says where the entry came from.
+        provenance = {"key": key, "salt": self.salt,
+                      "point": point.to_json(),
+                      "cfg": dataclasses.asdict(cfg)}
+        text = (json.dumps(result_to_json(result)) + "\n"
+                + json.dumps(provenance) + "\n")
+        fd, tmp = tempfile.mkstemp(dir=folder, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh)
+                fh.write(text)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -173,11 +200,10 @@ class RunCache:
             return counts
         for path in self.root.glob("*/*.json"):
             try:
-                with open(path) as fh:
-                    entry = json.load(fh)
-            except (OSError, json.JSONDecodeError):
+                result = _read_result(path)
+            except (OSError, ValueError, KeyError, TypeError):
                 continue
-            engine = entry.get("engine") or "unrecorded"
+            engine = result.get("engine_used") or "unrecorded"
             counts[engine] = counts.get(engine, 0) + 1
         return counts
 

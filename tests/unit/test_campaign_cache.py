@@ -1,7 +1,12 @@
 """Unit tests for the content-addressed run cache."""
 
+import dataclasses
 import json
 import math
+import os
+from pathlib import Path
+
+import pytest
 
 from repro.campaign.cache import (
     RunCache,
@@ -23,6 +28,22 @@ def _res(**kw) -> RunResult:
     for key, value in kw.items():
         setattr(res, key, value)
     return res
+
+
+def _put_legacy(cache: RunCache, point: Point, cfg: SimConfig,
+                result: RunResult) -> str:
+    """Write an entry the way the one-object layout did (one
+    ``json.dump``, no newline, the result under ``"result"``)."""
+    key = cache.key_for(point, cfg)
+    entry = {"key": key, "salt": cache.salt, "point": point.to_json(),
+             "cfg": dataclasses.asdict(cfg),
+             "engine": getattr(result, "engine_used", None),
+             "result": result_to_json(result)}
+    path = cache._path(key)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(entry, fh)
+    return key
 
 
 class TestPointKey:
@@ -183,14 +204,68 @@ class TestRunCache:
         assert cache.clear() == 1
         assert len(cache) == 0
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path, small_cfg):
+    @pytest.mark.parametrize("blob", [
+        b"\xff\xfe\x00garbage",
+        b"{ truncated",
+        b"",
+        b'{"no_result": 1}',
+        b"[1, 2]",
+        b'{"result": {"bogus_only": 1}}',
+        b'[1, 2]\n{"key": "k"}\n',
+        b'{"scheme": "Test", "inj\n{"key": "k"}\n',
+    ], ids=["not-utf8", "truncated-object", "empty", "no-result",
+            "not-an-object", "result-without-scheme",
+            "first-line-not-an-object", "truncated-first-line"])
+    def test_corrupt_entry_is_a_miss(self, tmp_path, small_cfg, blob):
         cache = RunCache(tmp_path, salt="s")
         p = Point.make("fastpass", "uniform", 0.1)
         key = cache.key_for(p, small_cfg)
         cache.put(key, p, small_cfg, _res())
-        path = cache._path(key)
-        path.write_text("{ truncated")
+        with open(cache._path(key), "wb") as fh:
+            fh.write(blob)
         assert cache.get(key) is None
+        assert cache.misses == 1 and cache.hits == 0
+        cache.engine_counts()       # `campaign status` survives it too
+
+    def test_entry_is_result_line_then_provenance(self, tmp_path, small_cfg):
+        cache = RunCache(tmp_path, salt="s")
+        p = Point.make("fastpass", "uniform", 0.1)
+        key = cache.key_for(p, small_cfg)
+        res = _res()
+        res.engine_used = "active"
+        cache.put(key, p, small_cfg, res)
+        with open(cache._path(key)) as fh:
+            lines = fh.read().splitlines()
+        assert [json.loads(line) for line in lines] == [
+            json.loads(json.dumps(result_to_json(res))),
+            {"key": key, "salt": "s", "point": p.to_json(),
+             "cfg": json.loads(json.dumps(dataclasses.asdict(small_cfg)))}]
+
+    def test_parent_layout_cache_is_all_hits(self, small_cfg):
+        """A cache warmed before the two-line layout stays warm: every
+        point of a sweep is a hit with the result that was written, and
+        reading rewrites nothing."""
+        from repro.campaign import context
+        from repro.experiments.common import cached_sweep_latency
+        cache = context.get_context().cache()
+        rates = (0.02, 0.05, 0.08)
+        written, paths = [], []
+        for i, rate in enumerate(rates):
+            res = _res(ejected=10 + i)
+            res.extra["rate"] = rate
+            res.engine_used = "active"
+            p = Point.make("fastpass", "uniform", rate, n_vcs=2)
+            paths.append(cache._path(_put_legacy(cache, p, small_cfg, res)))
+            written.append(res)
+        before = [(os.stat(f).st_mtime_ns, Path(f).read_bytes())
+                  for f in paths]
+        got = cached_sweep_latency("fastpass", {"n_vcs": 2}, "uniform",
+                                   rates, small_cfg)
+        assert cache.hits == len(rates) and cache.misses == 0
+        assert got == written
+        assert [r.engine_used for r in got] == ["active"] * len(rates)
+        assert [(os.stat(f).st_mtime_ns, Path(f).read_bytes())
+                for f in paths] == before
 
     def test_default_salt_is_code_version(self, tmp_path):
         assert RunCache(tmp_path).salt == code_version()
@@ -203,6 +278,9 @@ class TestRunCache:
             res = _res()
             if engine is not None:
                 res.engine_used = engine
-            cache.put(cache.key_for(p, small_cfg), p, small_cfg, res)
+            if i == 1:      # one entry from before the two-line layout
+                _put_legacy(cache, p, small_cfg, res)
+            else:
+                cache.put(cache.key_for(p, small_cfg), p, small_cfg, res)
         assert cache.engine_counts() == {
             "soa": 2, "active": 1, "unrecorded": 1}
