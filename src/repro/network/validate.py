@@ -22,7 +22,7 @@ def check_invariants(net) -> None:
 
     1. every occupied VC slot is listed in its router's ``occupied`` list
        (the MinBD side buffer excepted; a slot holds at most one packet
-       — trivially true structurally);
+       — trivially true structurally), and no slot is listed there twice;
     2. no packet object sits in two VC slots at once, nor in a VC slot
        and an NI injection queue;
     3. a buffered packet has not already been ejected;
@@ -56,6 +56,10 @@ def check_invariants(net) -> None:
     buffered_scan = 0
     for router in net.routers:
         listed = {id(s) for s in router.occupied}
+        if len(listed) != len(router.occupied):
+            raise InvariantViolation(
+                f"router {router.id}: a slot is listed twice in its "
+                f"occupied list")
         for port, slots in enumerate(router.slots):
             for slot in slots:
                 pkt = slot.pkt

@@ -64,7 +64,8 @@ class DRAIN(Scheme):
     def _rotate(self, net, now: int) -> None:
         """One synchronous bufferless rotation step along the ring."""
         moves = []     # (src_slot, dst_slot, pkt, next_router)
-        for router in net.active_routers():
+        routers = net.active_routers()
+        for router in routers:
             router.disturb()   # the scan reads occupied order and ejects
             nxt = net.routers[self._ring_next[router.id]]
             ni = net.nis[router.id]
@@ -85,6 +86,11 @@ class DRAIN(Scheme):
         # before writes so simultaneous motion is exact.
         for slot, dslot, pkt, nxt in moves:
             slot.vacate(now + 1)
+        # Suspended routers do not step, so nothing else prunes the
+        # slots just vacated: a refilled one would be listed twice.
+        for router in routers:
+            router.occupied = [s for s in router.occupied
+                               if s.pkt is not None]
         for slot, dslot, pkt, nxt in moves:
             dslot.pkt = pkt
             dslot.ready_at = now + 1

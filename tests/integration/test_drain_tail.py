@@ -87,3 +87,23 @@ class TestDrainLoopExit:
         # well before the 50k-cycle drain deadline: the empty-network
         # exit fired, not the budget
         assert res.cycles < cfg.warmup_cycles + cfg.measure_cycles + 2000
+
+
+class TestDrainRotation:
+    """Regression pin: a rotation step lists every slot once.  Refilled
+    slots used to be admitted while their routers were suspended and
+    never pruned, so every step listed again the slots it had just
+    vacated (the lists grew ~1.3x per step), and a packet listed twice
+    moved — and counted its hops — twice."""
+
+    def test_each_slot_listed_once_through_a_drain(self):
+        cfg = SimConfig(rows=8, cols=8, drain_period_cycles=300,
+                        paranoia=1)
+        drain = get_scheme("drain")
+        sim = Simulation(cfg, drain,
+                         SyntheticTraffic("uniform", 0.10, seed=1))
+        for _ in range(400):
+            sim.net.step()          # paranoia=1: audited every cycle
+        assert drain.drains == 1
+        assert all(len(r.occupied) == len({id(s) for s in r.occupied})
+                   for r in sim.net.routers)
