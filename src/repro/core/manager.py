@@ -225,7 +225,6 @@ class FastPassManager:
             slot.pkt = rejected
             slot.ready_at = now + 1
             slot.free_at = 1 << 60
-            rejected.invalidate_route()
         else:
             # Credit freed as soon as the FastPass-Packet departs.
             slot.vacate(now + pkt.size)

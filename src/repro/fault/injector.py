@@ -219,16 +219,12 @@ class FaultInjector:
         if caps is not None and caps.reroute:
             net.reroute = RerouteTable(self.mesh, self.dead_links) \
                 if self.dead_links else None
-        # Cached routes of buffered packets may point through dead links
-        # (or, on recovery, around a detour no longer needed).  Any parked
-        # router must also re-evaluate: a healed link or a fresh reroute
-        # can unblock a head earlier than its parked bound.
+        # Any parked router must re-evaluate: a healed link or a fresh
+        # reroute can unblock a head earlier than its parked bound.
         for router in net.routers:
             router.disturb()
             for slot in router.occupied:
                 slot.retry_at = 0       # arb bounds pre-date the change
-                if slot.pkt is not None:
-                    slot.pkt.invalidate_route()
 
     def _mark_exposed(self) -> None:
         """Tag every packet currently in the network as fault-exposed, so

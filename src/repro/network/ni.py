@@ -315,7 +315,6 @@ class NetworkInterface:
                 # departing FastPass-Packet (Qn 2, scenario 2).
                 pass
         pkt.rejected = True
-        pkt.invalidate_route()
         q.appendleft(pkt)
         self.inj_count += 1
         self.net.inj_total += 1

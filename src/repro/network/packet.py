@@ -75,8 +75,6 @@ class Packet:
         "deflections",
         "txn",
         "fault_exposed",
-        "_route_router",
-        "_route_outs",
         "measured",
     )
 
@@ -102,8 +100,6 @@ class Packet:
         self.deflections = 0
         self.txn = None             # coherence transaction handle, if any
         self.fault_exposed = False  # generated/in flight while faults active
-        self._route_router = -1     # router id for which _route_outs is valid
-        self._route_outs = ()
         self.measured = True
 
     # ------------------------------------------------------------------
@@ -115,19 +111,6 @@ class Packet:
     @property
     def is_sink(self) -> bool:
         return self.mclass in SINK_CLASSES
-
-    def route_cache(self, router_id: int):
-        """Cached output-port set for ``router_id`` (or None if stale)."""
-        if self._route_router == router_id:
-            return self._route_outs
-        return None
-
-    def set_route_cache(self, router_id: int, outs) -> None:
-        self._route_router = router_id
-        self._route_outs = outs
-
-    def invalidate_route(self) -> None:
-        self._route_router = -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Packet(pid={self.pid}, {self.src}->{self.dst}, "

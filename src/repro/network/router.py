@@ -386,14 +386,6 @@ class Router:
             net.last_progress = now
 
     # -- helpers ----------------------------------------------------------
-    def _claim_downstream(self, link, vcs, now: int):
-        dslots = self.neighbors[link.src_port].slots[link.dst_port]
-        for vc in vcs:
-            s = dslots[vc]
-            if s.pkt is None and s.free_at <= now:
-                return s
-        return None
-
     def _transfer(self, slot, pkt, link, dslot, now: int) -> None:
         dslot.pkt = pkt
         dslot.ready_at = now + self._hop_latency
@@ -469,9 +461,6 @@ class Router:
             if pkt is not None and now - slot.ready_at >= threshold:
                 out.append(slot)
         return out
-
-    def free_vc_count(self, port: int, now: int) -> int:
-        return sum(1 for s in self.slots[port] if s.is_free(now))
 
     def extra_occupancy(self) -> int:
         """Packets held outside the regular VC slots (e.g. MinBD's side

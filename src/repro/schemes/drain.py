@@ -98,6 +98,5 @@ class DRAIN(Scheme):
             nxt.admit(dslot)
             pkt.hops += 1
             pkt.deflections += 1
-            pkt.invalidate_route()
         if moves:
             net.last_progress = now

@@ -95,7 +95,6 @@ class MinBDRouter(Router):
             pkt.hops += 1
             if deflected:
                 pkt.deflections += 1
-            pkt.invalidate_route()
             taken |= 1 << out
             moved_any = True
         self.occupied = [s for s in self.occupied if s.pkt is not None]

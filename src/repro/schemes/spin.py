@@ -101,7 +101,6 @@ class SPIN(Scheme):
             dst_slot.ready_at = now + 2
             dst_slot.free_at = 1 << 60
             pkt.hops += 1
-            pkt.invalidate_route()
         self.spins += 1
         # All slots stay occupied (a rotation), so the occupied lists of
         # the involved routers are already correct.

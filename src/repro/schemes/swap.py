@@ -101,7 +101,6 @@ class SWAP(Scheme):
         nbr.admit(dslot)
         slot.vacate(now + pkt.size + 1)
         pkt.hops += 1
-        pkt.invalidate_route()
 
     @staticmethod
     def _swap(router, slot, nbr, dslot, now: int) -> None:
@@ -110,9 +109,7 @@ class SWAP(Scheme):
         dslot.pkt = a
         dslot.ready_at = now + 2
         a.hops += 1
-        a.invalidate_route()
         slot.pkt = b
         slot.ready_at = now + 2
         b.hops += 1
         b.deflections += 1      # the displaced packet was misrouted
-        b.invalidate_route()

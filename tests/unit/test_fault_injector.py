@@ -142,18 +142,6 @@ class TestDegradation:
         _run_to(net, 31)
         assert net.reroute is None
 
-    def test_route_caches_invalidated_on_activation(self):
-        net = _net_with(link_cut(5, PORT_E, at=10))
-        router = net.routers[5]
-        pkt = Packet(5, 6, 0, 0)
-        slot = router.slots[0][0]
-        slot.pkt = pkt
-        slot.ready_at = FOREVER   # parked: keep it out of the switch
-        router.occupied.append(slot)
-        pkt.set_route_cache(5, ((PORT_E, (0,)),))
-        _run_to(net, 11)
-        assert pkt.route_cache(5) is None
-
     def test_buffered_packets_marked_exposed(self):
         net = _net_with(link_cut(5, PORT_E, at=10))
         router = net.routers[8]

@@ -57,19 +57,6 @@ class TestPacket:
         assert Packet(0, 1, MessageClass.RESPONSE, 0).is_sink
         assert not Packet(0, 1, MessageClass.REQUEST, 0).is_sink
 
-    def test_route_cache_roundtrip(self):
-        pkt = Packet(0, 5, 0, 0)
-        assert pkt.route_cache(3) is None
-        pkt.set_route_cache(3, ((1, (0, 1)),))
-        assert pkt.route_cache(3) == ((1, (0, 1)),)
-        assert pkt.route_cache(4) is None
-
-    def test_route_cache_invalidation(self):
-        pkt = Packet(0, 5, 0, 0)
-        pkt.set_route_cache(3, ("x",))
-        pkt.invalidate_route()
-        assert pkt.route_cache(3) is None
-
     def test_slots_prevent_arbitrary_attrs(self):
         pkt = Packet(0, 1, 0, 0)
         with pytest.raises(AttributeError):
