@@ -5,7 +5,7 @@ the three steps of an :class:`OpenRun` — enqueue, wait, close:
 
 * **cache-first** — points whose content address is already in the run
   cache are returned instantly and never recomputed;
-* **replica batching** — points that differ only in their meta seed are
+* **replica batching** — points that differ only in their seed are
   folded into :class:`~repro.sim.batch.engine.ReplicaBatch` tasks, one
   piece per worker (scalar-bit-identical results, cached under their
   unchanged per-point keys); ``REPRO_NO_BATCH=1`` disables the folding;
@@ -386,7 +386,7 @@ class CampaignExecutor:
         self.processes = processes
         self.retry = retry or RetryPolicy()
         self.progress = progress
-        #: group points differing only in their meta seed into replica
+        #: group points differing only in their seed into replica
         #: batches (results stay bit-identical and individually cached;
         #: REPRO_NO_BATCH=1 is the environment escape hatch).  SoA-engined
         #: points fold too: their kernels share one dense-table build.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.config import RunResult, SimConfig
 from repro.sim.parallel import Point
+from repro.sim.workload import Synthetic
 
 #: Fig. 7 comparison set (8x8, synthetic, 4 VCs for FastPass)
 FIG7_SCHEMES = [
@@ -136,8 +137,8 @@ def rule_series(rule, scheme_name: str, scheme_kwargs: dict, pattern: str,
                     Point.make_seeded(scheme_name, pattern, rate, seed=s,
                                       **scheme_kwargs) for s in seeds], cfg))
             else:
-                (res,) = yield [Point.make(scheme_name, pattern, rate,
-                                           **scheme_kwargs)], cfg
+                (res,) = yield [Point(scheme_name, Synthetic(pattern, rate),
+                                      scheme_kwargs)], cfg
             rate = rule.send(res)
     except StopIteration as stop:
         return stop.value

@@ -34,6 +34,7 @@ from repro.experiments.common import (
 from repro.fault.plan import fault_storm, link_cut
 from repro.network.topology import PORT_E
 from repro.sim.parallel import Point
+from repro.sim.workload import Synthetic
 
 MODES = ("none", "cut", "storm")
 
@@ -97,9 +98,8 @@ def build_points(cfg, schemes, rates, fault_rates, modes):
                 for fr in frs:
                     plan = plan_for(mode, cfg, fault_rate=fr)
                     tag = f"storm@{fr:g}" if mode == "storm" else mode
-                    point = Point.make_fault(name, "uniform", rate,
-                                             plan=plan, traffic_stop=stop,
-                                             **kwargs)
+                    point = Point(name, Synthetic("uniform", rate), kwargs,
+                                  faults=plan, traffic_stop=stop)
                     out.append(((label, rate, tag), point))
     return out
 

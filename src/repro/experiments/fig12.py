@@ -11,6 +11,7 @@ from repro.experiments.common import (cached_points, fnum,
                                       synthetic_config)
 from repro.experiments.fig10 import run_apps
 from repro.sim.parallel import Point
+from repro.sim.workload import Synthetic
 
 BENCHMARKS = ("Radix", "Canneal", "FFT", "FMM", "Lu_cb", "Volrend")
 
@@ -35,7 +36,7 @@ def run(quick: bool = True, benchmarks=BENCHMARKS, schemes=None) -> dict:
     cfg = synthetic_config(quick, rows=4 if quick else 8,
                            cols=4 if quick else 8)
     cfg = cfg.with_(drain_period_cycles=600)
-    at_load = cached_points([Point.make(name, "uniform", 0.10, **kwargs)
+    at_load = cached_points([Point(name, Synthetic("uniform", 0.10), kwargs)
                              for _label, name, kwargs in schemes], cfg)
     loaded = {s[0]: res.p99_latency for s, res in zip(schemes, at_load)}
     return {"benchmarks": list(benchmarks),

@@ -17,6 +17,7 @@ from repro.experiments.common import (
     synthetic_config,
 )
 from repro.sim.parallel import Point
+from repro.sim.workload import Synthetic
 
 QUICK_RATES = [0.02, 0.06, 0.10, 0.14]
 FULL_RATES = [0.02, 0.04, 0.06, 0.08, 0.10, 0.12, 0.14, 0.16]
@@ -41,8 +42,8 @@ def run(quick: bool = True, rates=None, benchmarks=BENCHMARKS) -> dict:
     rates = rates or (QUICK_RATES if quick else FULL_RATES)
     uniform = [{"rate": rate, **_breakdown(res)}
                for rate, res in zip(rates, cached_points(
-                   [Point.make("fastpass", "uniform", rate, n_vcs=1)
-                    for rate in rates], cfg))]
+                   [Point("fastpass", Synthetic("uniform", rate),
+                          {"n_vcs": 1}) for rate in rates], cfg))]
     apps = [{"benchmark": bench, **_breakdown(res)}
             for bench, res in zip(benchmarks, cached_points(
                 [app_point("fastpass", {"n_vcs": 1}, bench, quick)
@@ -52,8 +53,9 @@ def run(quick: bool = True, rates=None, benchmarks=BENCHMARKS) -> dict:
     # reports 5.9% at synthetic post-saturation and 0.3% for applications;
     # at the loads our substrate reaches, drops only materialise under
     # protocol back-pressure, so this section exhibits the bound.
-    from repro.experiments.table1 import deadlock_scenario_config
-    point = Point.make_stress("fastpass", max_cycles=120000, n_vcs=1)
+    from repro.experiments.table1 import (deadlock_scenario_config,
+                                          stress_point)
+    point = stress_point("fastpass", {"n_vcs": 1}, max_cycles=120000)
     res = cached_points([point], deadlock_scenario_config())[0]
     stress = {"completed": bool(res.extra.get("traffic_done")),
               **_breakdown(res)}

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from repro.experiments.common import cached_points, fnum, synthetic_config
 from repro.sim.parallel import Point
+from repro.sim.workload import Synthetic
 
 # The 1-VC configuration saturates early; the grids stay inside and just
 # past its saturation point (the paper's Fig. 9 likewise spans low load to
@@ -24,7 +25,8 @@ def run(quick: bool = True, rates=None) -> dict:
     cfg = synthetic_config(quick)
     rates = rates or (QUICK_RATES if quick else FULL_RATES)
     results = cached_points(
-        [Point.make("fastpass", "uniform", rate, n_vcs=1) for rate in rates],
+        [Point("fastpass", Synthetic("uniform", rate), {"n_vcs": 1})
+         for rate in rates],
         cfg)
     rows = []
     for rate, res in zip(rates, results):

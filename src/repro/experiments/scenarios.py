@@ -22,6 +22,7 @@ from repro.experiments.common import (cached_points, fmt_table, fnum,
                                       mean_result, synthetic_config)
 from repro.scenario.spec import SCENARIOS, get_scenario
 from repro.sim.parallel import Point
+from repro.sim.workload import IrregularSchedule, Scenario
 
 #: scheme set for scenario simulations (paper's headline pair)
 SCHEMES = [
@@ -51,7 +52,7 @@ def run(quick: bool = True, scenarios=None, topologies=None,
     for name in scenario_names:
         spec = get_scenario(name)
         for label, scheme, kwargs in scheme_set:
-            points = [Point.make_scenario(scheme, spec, seed=s, **kwargs)
+            points = [Point(scheme, Scenario(spec), kwargs, seed=s)
                       for s in seed_set]
             res = mean_result(cached_points(points, cfg))
             rows.append({
@@ -65,7 +66,7 @@ def run(quick: bool = True, scenarios=None, topologies=None,
             })
 
     irregular = []
-    topo_points = [Point.make_irregular(t, partitions=p)
+    topo_points = [Point("fastpass", IrregularSchedule(t, p))
                    for t in topo_names for p in PARTITIONS]
     for point, res in zip(topo_points,
                           cached_points(topo_points, cfg)):
@@ -89,7 +90,7 @@ def run(quick: bool = True, scenarios=None, topologies=None,
             big = synthetic_config(quick=True, rows=rows_, cols=cols_)
             for label, scheme, kwargs in scheme_set:
                 res = cached_points(
-                    [Point.make_scenario(scheme, spec, seed=1, **kwargs)],
+                    [Point(scheme, Scenario(spec), kwargs, seed=1)],
                     big)[0]
                 meshes.append({
                     "mesh": f"{rows_}x{cols_}", "scheme": label,
@@ -146,8 +147,8 @@ def sweep(quick: bool = True, scenario: str = "bursty", scales=None,
     for label, scheme, kwargs in scheme_set:
         for factor in scale_set:
             scaled = spec.scaled(factor) if factor != 1.0 else spec
-            points = [Point.make_scenario(scheme, scaled, seed=s,
-                                          **kwargs) for s in seed_set]
+            points = [Point(scheme, Scenario(scaled), kwargs, seed=s)
+                      for s in seed_set]
             res = mean_result(cached_points(points, cfg))
             rows.append({
                 "scenario": spec.name, "scheme": label, "scale": factor,

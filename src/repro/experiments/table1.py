@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from repro.config import SimConfig
 from repro.schemes import SCHEMES
-from repro.traffic.coherence import CoherenceTraffic
+from repro.sim.parallel import Point
+from repro.sim.workload import Stress
 
 COLUMNS = [
     "No Detection",
@@ -34,10 +35,11 @@ def deadlock_scenario_config() -> SimConfig:
                      fastpass_slot_cycles=64)
 
 
-def deadlock_traffic(seed: int = 7) -> CoherenceTraffic:
-    return CoherenceTraffic(txns_per_core=60, seed=seed, mshrs=32, think=1,
-                            burst=16, service_depth=1, service_latency=8,
-                            fwd_frac=0.2)
+def stress_point(scheme_name: str, scheme_kwargs: dict,
+                 max_cycles: int = 80000) -> Point:
+    """The adversarial protocol-pressure probe as a campaign point,
+    under seed 7 (:func:`repro.traffic.workloads.deadlock_traffic`'s)."""
+    return Point(scheme_name, Stress(max_cycles), scheme_kwargs, seed=7)
 
 
 def probe_deadlock_freedom(schemes: list[tuple],
@@ -47,8 +49,7 @@ def probe_deadlock_freedom(schemes: list[tuple],
     through the campaign layer, so the probe results are cached like any
     other point."""
     from repro.campaign import run_points
-    from repro.sim.parallel import Point
-    points = [Point.make_stress(name, max_cycles=max_cycles, **kwargs)
+    points = [stress_point(name, kwargs, max_cycles)
               for name, kwargs in schemes]
     return [bool(res.extra.get("traffic_done"))
             for res in run_points(points, deadlock_scenario_config())]

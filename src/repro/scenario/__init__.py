@@ -1,8 +1,7 @@
 """Declarative scenarios: phased traffic specs, trace record/replay,
 irregular-topology points (DESIGN §16)."""
 
-from repro.scenario.irregular import (build_graph, run_irregular,
-                                      run_irregular_point)
+from repro.scenario.irregular import build_graph, run_irregular
 from repro.scenario.runner import (record_scenario, replay_trace,
                                    run_scenario)
 from repro.scenario.source import ScenarioTraffic
@@ -17,5 +16,5 @@ __all__ = [
     "TRACE_SCHEMA", "TraceRecorder", "TraceReplay", "TraceSchemaError",
     "load_trace",
     "run_scenario", "record_scenario", "replay_trace",
-    "build_graph", "run_irregular", "run_irregular_point",
+    "build_graph", "run_irregular",
 ]

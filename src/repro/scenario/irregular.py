@@ -15,7 +15,7 @@ Sec. III-C delivery bound ``2 * rotation + phase`` — as a
 
 from __future__ import annotations
 
-from repro.config import RunResult, SimConfig
+from repro.config import RunResult
 from repro.core.irregular import IrregularSchedule, verify_segments
 
 
@@ -89,19 +89,3 @@ def run_irregular(topology: str, n_partitions: int,
     })
     return res
 
-
-def run_irregular_point(point, cfg: SimConfig) -> RunResult:
-    """Campaign-worker entry: execute an ``irregular:<topology>`` point.
-
-    The topology rides in the pattern, partitions/slot length in meta;
-    ``cfg`` participates in the cache key but does not shape the
-    derivation (the schedule is topology-intrinsic).
-    """
-    topology = point.pattern.split(":", 1)[1]
-    meta = dict(point.meta)
-    res = run_irregular(topology,
-                        n_partitions=int(meta.get("partitions", 4)),
-                        slot_cycles=int(meta.get("slot_cycles", 32)))
-    res.extra["rate"] = point.rate
-    res.extra["pattern"] = point.pattern
-    return res

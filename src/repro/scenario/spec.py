@@ -236,8 +236,8 @@ class ScenarioSpec:
 
     def token(self) -> str:
         """Compact canonical JSON string — the spec's identity.  Rides
-        in ``Point.meta`` so the content-addressed run cache keys on the
-        full spec, not just its name."""
+        in a point's wire meta so the content-addressed run cache keys on
+        the full spec, not just its name."""
         return json.dumps(self.to_json(), sort_keys=True,
                           separators=(",", ":"))
 

@@ -45,6 +45,14 @@ WORKLOADS: dict[str, dict] = {
 }
 
 
+def deadlock_traffic(seed: int = 7) -> CoherenceTraffic:
+    """The adversarial protocol-pressure load (Table I's behavioural
+    check, Fig. 13c): deep bursts, one-deep service queues, forwards."""
+    return CoherenceTraffic(txns_per_core=60, seed=seed, mshrs=32, think=1,
+                            burst=16, service_depth=1, service_latency=8,
+                            fwd_frac=0.2)
+
+
 def workload_traffic(name: str, txns_per_core: int = 200,
                      seed: int = 1) -> CoherenceTraffic:
     """Build the coherence traffic preset for a named benchmark."""

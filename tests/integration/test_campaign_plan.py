@@ -21,11 +21,7 @@ from repro.campaign.worker import execute_point
 from repro.config import SimConfig
 from repro.experiments.common import mean_result, sweep_series
 from repro.sim.parallel import Point
-
-
-@pytest.fixture
-def selftest(monkeypatch):
-    monkeypatch.setenv("REPRO_CAMPAIGN_SELFTEST", "1")
+from tests.selftest_workload import SelfTest
 
 
 class RecordingStore(CampaignStore):
@@ -62,12 +58,12 @@ class RecordingStore(CampaignStore):
         return super().clear_leases()
 
 
-def chain(name: str, sleeps, cfg, pattern: str = "selftest:sleep"):
+def chain(name: str, sleeps, cfg, mode: str = "sleep"):
     """A series of single-point frontiers, each known only once the one
     before has settled."""
     out = []
     for sleep in sleeps:
-        out += yield [Point.make(name, pattern, sleep)], cfg
+        out += yield [Point(name, SelfTest(mode, sleep))], cfg
     return out
 
 
@@ -158,7 +154,7 @@ class TestFigureSlice:
 
 class TestStreaming:
     def test_series_overlap_and_resume_on_their_own(
-            self, selftest, small_cfg, tmp_path, make_executor):
+            self, small_cfg, tmp_path, make_executor):
         if make_executor.transport == "inline":
             pytest.skip("declared unsupported: one lease at a time "
                         "in-process")
@@ -170,7 +166,7 @@ class TestStreaming:
         assert [r.extra["rate"] for r in fast] == [0.05, 0.06]
         assert [r.extra["rate"] for r in slow] == [1.2]
 
-        key = {sleep: point_key(Point.make(name, "selftest:sleep", sleep),
+        key = {sleep: point_key(Point(name, SelfTest("sleep", sleep)),
                                 small_cfg, "s")
                for name, sleep in (("fast", 0.05), ("fast", 0.06),
                                    ("slow", 1.2))}
@@ -188,7 +184,7 @@ class TestStreaming:
         assert "pending" not in {status for _t, _k, status in store.log}
 
     def test_run_bookkeeping_happens_once_per_run(
-            self, selftest, small_cfg, tmp_path, make_executor):
+            self, small_cfg, tmp_path, make_executor):
         """Three frontiers, one run: rows an interrupted run left
         ``running`` are re-queued once (a second frontier must not flip
         the first one's live rows back), the lease journal is cleared
@@ -197,7 +193,7 @@ class TestStreaming:
         events = []
         ex = make_executor(small_cfg, store=store, progress=events.append)
         (out,) = drive([chain("x", [1.0, 2.0, 3.0], small_cfg,
-                              pattern="selftest:ok")], executor=ex)
+                              mode="ok")], executor=ex)
         assert [r.extra["rate"] for r in out] == [1.0, 2.0, 3.0]
         assert store.calls["reset_running"] == 1
         assert store.calls["clear_leases"] == \
@@ -224,7 +220,7 @@ class _InterruptAfter:
 
 class TestInterrupt:
     def test_interrupted_figure_resumes_with_the_remainder(
-            self, selftest, small_cfg, tmp_path, make_executor):
+            self, small_cfg, tmp_path, make_executor):
         cache = RunCache(tmp_path / "cache", salt="s")
         store = CampaignStore(tmp_path / "plan.sqlite")
 

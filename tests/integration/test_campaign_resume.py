@@ -127,13 +127,12 @@ class TestFigureScriptsAreIncremental:
         assert cache.hit_rate >= 0.95
         assert first == second
 
-    def test_stale_cache_survives_failed_points(self, sweep_cfg,
-                                                monkeypatch, tmp_path):
+    def test_stale_cache_survives_failed_points(self, sweep_cfg, tmp_path):
         """A point that fails is not cached, so a later run retries it."""
-        monkeypatch.setenv("REPRO_CAMPAIGN_SELFTEST", "1")
         from repro.sim.parallel import Point
+        from tests.selftest_workload import SelfTest
         cache = RunCache(tmp_path / "cache", salt="s")
-        bad = [Point.make("x", "selftest:fail", 0.0)]
+        bad = [Point("x", SelfTest("fail", 0.0))]
         retry = RetryPolicy(max_attempts=1, backoff_s=0.01)
         ex = CampaignExecutor(sweep_cfg, cache=cache, processes=1,
                               retry=retry)

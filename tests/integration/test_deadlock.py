@@ -9,15 +9,10 @@
   regenerates every one of them.
 """
 
-import pytest
-
-from repro.experiments.table1 import (
-    deadlock_scenario_config,
-    deadlock_traffic,
-)
-from repro.network.packet import MessageClass
+from repro.experiments.table1 import deadlock_scenario_config
 from repro.schemes import get_scheme
 from repro.sim.engine import Simulation
+from repro.traffic.workloads import deadlock_traffic
 
 MAX_CYCLES = 80000
 

@@ -21,6 +21,7 @@ from repro.scenario.runner import run_scenario
 from repro.scenario.spec import SCENARIOS, PhaseSpec, ScenarioSpec
 from repro.sim.parallel import Point
 from repro.sim.runner import run_replicas
+from repro.sim.workload import IrregularSchedule, Scenario
 
 ALIGNED = SCENARIOS["bursty"]
 MISALIGNED = ScenarioSpec("offgrid", (PhaseSpec(duration=300, rate=0.05),
@@ -46,17 +47,17 @@ class TestReplicaFoldGuard:
         """The regression the 256-cycle guard used to route around: a
         misaligned spec through the fold, per seed against the scalar
         worker path."""
-        pts = [Point.make_scenario("fastpass", MISALIGNED, seed=s)
+        pts = [Point("fastpass", Scenario(MISALIGNED), seed=s)
                for s in (1, 2, 3)]
         assert any(b % 256 for b in MISALIGNED.boundaries())
         grouped = execute_group(pts, _cfg())
         for point, res in zip(pts, grouped):
             assert res.ejected > 0
-            _same_result(res, execute_point(point, _cfg()), point.meta)
+            _same_result(res, execute_point(point, _cfg()), point.seed)
 
     def test_group_items_folds_misaligned(self):
         for spec in (ALIGNED, MISALIGNED):
-            pts = [(i, Point.make_scenario("fastpass", spec, seed=s))
+            pts = [(i, Point("fastpass", Scenario(spec), seed=s))
                    for i, s in enumerate([1, 2, 3])]
             assert len({replica_signature(p) for _, p in pts}) == 1
             assert [len(g) for g in group_items(pts, True)] == [3], \
@@ -71,18 +72,18 @@ class TestReplicaFoldGuard:
             _same_result(res, scalar, f"seed={seed}")
 
     def test_execute_group_matches_execute_point(self):
-        pts = [Point.make_scenario("escapevc", ALIGNED, seed=s)
+        pts = [Point("escapevc", Scenario(ALIGNED), seed=s)
                for s in (1, 2)]
         grouped = execute_group(pts, _cfg())
         for point, res in zip(pts, grouped):
-            _same_result(res, execute_point(point, _cfg()), point.meta)
+            _same_result(res, execute_point(point, _cfg()), point.seed)
 
     def test_executor_runs_misaligned_points_correctly(self):
         """End to end through the auto-batching executor: three
         misaligned replicas (one folded task) must come back equal to
         their scalar runs."""
         seeds = [1, 2, 3]
-        pts = [Point.make_scenario("fastpass", MISALIGNED, seed=s)
+        pts = [Point("fastpass", Scenario(MISALIGNED), seed=s)
                for s in seeds]
         ex = CampaignExecutor(_cfg(), cache=None, processes=1,
                               auto_batch=True)
@@ -95,8 +96,7 @@ class TestReplicaFoldGuard:
 
 class TestIrregularPoints:
     def test_irregular_point_through_worker(self):
-        point = Point.make_irregular("torus:4x4", partitions=4,
-                                     slot_cycles=32)
+        point = Point("fastpass", IrregularSchedule("torus:4x4", 4, 32))
         res = execute_point(point, _cfg())
         assert res.extra["topology"] == "torus:4x4"
         assert res.extra["covers_all"]
@@ -104,7 +104,7 @@ class TestIrregularPoints:
         assert res.extra["delivery_bound"] > 0
 
     def test_irregular_signature_is_scalar(self):
-        point = Point.make_irregular("ring:8", partitions=2)
+        point = Point("fastpass", IrregularSchedule("ring:8", 2))
         assert replica_signature(point) is None
 
 

@@ -17,6 +17,7 @@ from repro.campaign.cache import (
 )
 from repro.config import RunResult, SimConfig
 from repro.sim.parallel import Point
+from repro.sim.workload import Synthetic
 
 
 def _res(**kw) -> RunResult:
@@ -48,28 +49,28 @@ def _put_legacy(cache: RunCache, point: Point, cfg: SimConfig,
 
 class TestPointKey:
     def test_stable_across_calls(self, small_cfg):
-        p = Point.make("fastpass", "uniform", 0.1, n_vcs=2)
+        p = Point("fastpass", Synthetic("uniform", 0.1), {"n_vcs": 2})
         assert point_key(p, small_cfg, "s") == point_key(p, small_cfg, "s")
 
     def test_kwarg_order_irrelevant(self, small_cfg):
-        a = Point("x", (("a", 1), ("b", 2)), "uniform", 0.1)
-        b = Point("x", (("b", 2), ("a", 1)), "uniform", 0.1)
+        a = Point("x", Synthetic("uniform", 0.1), {"a": 1, "b": 2})
+        b = Point("x", Synthetic("uniform", 0.1), {"b": 2, "a": 1})
         assert point_key(a, small_cfg, "s") == point_key(b, small_cfg, "s")
 
     def test_distinct_points_distinct_keys(self, small_cfg):
-        a = Point.make("fastpass", "uniform", 0.1, n_vcs=2)
-        b = Point.make("fastpass", "uniform", 0.1, n_vcs=4)
-        c = Point.make("fastpass", "uniform", 0.2, n_vcs=2)
+        a = Point("fastpass", Synthetic("uniform", 0.1), {"n_vcs": 2})
+        b = Point("fastpass", Synthetic("uniform", 0.1), {"n_vcs": 4})
+        c = Point("fastpass", Synthetic("uniform", 0.2), {"n_vcs": 2})
         keys = {point_key(p, small_cfg, "s") for p in (a, b, c)}
         assert len(keys) == 3
 
     def test_config_changes_key(self, small_cfg):
-        p = Point.make("fastpass", "uniform", 0.1)
+        p = Point("fastpass", Synthetic("uniform", 0.1))
         assert point_key(p, small_cfg, "s") != \
             point_key(p, small_cfg.with_(measure_cycles=999), "s")
 
     def test_salt_changes_key(self, small_cfg):
-        p = Point.make("fastpass", "uniform", 0.1)
+        p = Point("fastpass", Synthetic("uniform", 0.1))
         assert point_key(p, small_cfg, "a") != point_key(p, small_cfg, "b")
 
 
@@ -91,16 +92,18 @@ class TestKeyFormatIsFrozen:
     reference for every kind of point and config."""
 
     def test_matches_the_reference_implementation(self, small_cfg):
+        from repro.experiments.table1 import stress_point
         from repro.fault.plan import link_cut
+        from tests.selftest_workload import SelfTest
         plan = link_cut(5, 2, at=100)
         points = [
-            Point.make("fastpass", "uniform", 0.1, n_vcs=2),
+            Point("fastpass", Synthetic("uniform", 0.1), {"n_vcs": 2}),
             Point.make_seeded("escapevc", "transpose", 0.02, seed=7),
             Point.make_app("spin", "Radix", txns=24, seed=3),
-            Point.make_stress("fastpass", n_vcs=1),
-            Point.make_fault("fastpass", "uniform", 0.1, plan=plan,
-                             traffic_stop=500, seed=2),
-            Point("x", (("dir", 'quo"te\\ü'),), "selftest:ok", 1.0),
+            stress_point("fastpass", {"n_vcs": 1}),
+            Point("fastpass", Synthetic("uniform", 0.1), seed=2,
+                  faults=plan, traffic_stop=500),
+            Point("x", SelfTest("ok", 1.0, 'quo"te\\ü')),
         ]
         cfgs = [small_cfg, SimConfig(),
                 small_cfg.with_(fault_plan=plan),
@@ -117,6 +120,22 @@ class TestKeyFormatIsFrozen:
             point_key(p, small_cfg, "s")
 
 
+class TestSaltCoverage:
+    def test_every_workload_run_is_salted(self):
+        """What a point computes is its workload's ``run``; the source
+        of each kind's body must be hashed into the code-version salt,
+        or a change to it would be served stale results."""
+        import inspect
+        import typing
+
+        from repro.campaign.cache import salted_sources
+        from repro.sim.workload import Workload
+        salted = {path.resolve() for _rel, path in salted_sources()}
+        for kind in typing.get_args(Workload):
+            source = Path(inspect.getsourcefile(kind.run)).resolve()
+            assert source in salted, f"{kind.__name__}.run in {source}"
+
+
 class TestFaultKeys:
     """Fault plans must flow into the content address (satellite of the
     robustness subsystem): same sweep, different plan, different key."""
@@ -124,24 +143,23 @@ class TestFaultKeys:
     def test_distinct_plans_distinct_point_keys(self, small_cfg):
         from repro.fault.plan import link_cut
 
-        healthy = Point.make_fault("fastpass", "uniform", 0.1)
-        cut_a = Point.make_fault("fastpass", "uniform", 0.1,
-                                 plan=link_cut(5, 2, at=100))
-        cut_b = Point.make_fault("fastpass", "uniform", 0.1,
-                                 plan=link_cut(5, 2, at=200))
+        uniform = Synthetic("uniform", 0.1)
+        healthy = Point("fastpass", uniform)
+        cut_a = Point("fastpass", uniform, faults=link_cut(5, 2, at=100))
+        cut_b = Point("fastpass", uniform, faults=link_cut(5, 2, at=200))
         keys = {point_key(p, small_cfg, "s")
                 for p in (healthy, cut_a, cut_b)}
         assert len(keys) == 3
 
     def test_traffic_stop_changes_key(self, small_cfg):
-        a = Point.make_fault("fastpass", "uniform", 0.1, traffic_stop=500)
-        b = Point.make_fault("fastpass", "uniform", 0.1, traffic_stop=900)
+        a = Point("fastpass", Synthetic("uniform", 0.1), traffic_stop=500)
+        b = Point("fastpass", Synthetic("uniform", 0.1), traffic_stop=900)
         assert point_key(a, small_cfg, "s") != point_key(b, small_cfg, "s")
 
     def test_plan_in_config_changes_key(self, small_cfg):
         from repro.fault.plan import link_cut
 
-        p = Point.make("fastpass", "uniform", 0.1)
+        p = Point("fastpass", Synthetic("uniform", 0.1))
         faulty_cfg = small_cfg.with_(fault_plan=link_cut(5, 2, at=100))
         # asdict(cfg) must stay JSON-serializable with the plan embedded.
         assert point_key(p, small_cfg, "s") != \
@@ -180,7 +198,7 @@ class TestResultJson:
 class TestRunCache:
     def test_miss_then_hit(self, tmp_path, small_cfg):
         cache = RunCache(tmp_path, salt="s")
-        p = Point.make("fastpass", "uniform", 0.1, n_vcs=2)
+        p = Point("fastpass", Synthetic("uniform", 0.1), {"n_vcs": 2})
         key = cache.key_for(p, small_cfg)
         assert cache.get(key) is None
         cache.put(key, p, small_cfg, _res())
@@ -190,7 +208,7 @@ class TestRunCache:
         assert len(cache) == 1
 
     def test_version_salt_invalidates(self, tmp_path, small_cfg):
-        p = Point.make("fastpass", "uniform", 0.1)
+        p = Point("fastpass", Synthetic("uniform", 0.1))
         old = RunCache(tmp_path, salt="v1")
         old.put(old.key_for(p, small_cfg), p, small_cfg, _res())
         new = RunCache(tmp_path, salt="v2")
@@ -199,7 +217,7 @@ class TestRunCache:
 
     def test_clear(self, tmp_path, small_cfg):
         cache = RunCache(tmp_path, salt="s")
-        p = Point.make("fastpass", "uniform", 0.1)
+        p = Point("fastpass", Synthetic("uniform", 0.1))
         cache.put(cache.key_for(p, small_cfg), p, small_cfg, _res())
         assert cache.clear() == 1
         assert len(cache) == 0
@@ -218,7 +236,7 @@ class TestRunCache:
             "first-line-not-an-object", "truncated-first-line"])
     def test_corrupt_entry_is_a_miss(self, tmp_path, small_cfg, blob):
         cache = RunCache(tmp_path, salt="s")
-        p = Point.make("fastpass", "uniform", 0.1)
+        p = Point("fastpass", Synthetic("uniform", 0.1))
         key = cache.key_for(p, small_cfg)
         cache.put(key, p, small_cfg, _res())
         with open(cache._path(key), "wb") as fh:
@@ -229,7 +247,7 @@ class TestRunCache:
 
     def test_entry_is_result_line_then_provenance(self, tmp_path, small_cfg):
         cache = RunCache(tmp_path, salt="s")
-        p = Point.make("fastpass", "uniform", 0.1)
+        p = Point("fastpass", Synthetic("uniform", 0.1))
         key = cache.key_for(p, small_cfg)
         res = _res()
         res.engine_used = "active"
@@ -254,7 +272,7 @@ class TestRunCache:
             res = _res(ejected=10 + i)
             res.extra["rate"] = rate
             res.engine_used = "active"
-            p = Point.make("fastpass", "uniform", rate, n_vcs=2)
+            p = Point("fastpass", Synthetic("uniform", rate), {"n_vcs": 2})
             paths.append(cache._path(_put_legacy(cache, p, small_cfg, res)))
             written.append(res)
         before = [(os.stat(f).st_mtime_ns, Path(f).read_bytes())
@@ -274,7 +292,7 @@ class TestRunCache:
     def test_engine_counts_breakdown(self, tmp_path, small_cfg):
         cache = RunCache(tmp_path, salt="s")
         for i, engine in enumerate(["soa", "soa", "active", None]):
-            p = Point.make("fastpass", "uniform", 0.1 + i * 0.01)
+            p = Point("fastpass", Synthetic("uniform", 0.1 + i * 0.01))
             res = _res()
             if engine is not None:
                 res.engine_used = engine

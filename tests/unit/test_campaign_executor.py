@@ -1,8 +1,8 @@
 """Unit tests for the campaign store and the fault-tolerant executor.
 
-The fault-injection points (``selftest:*`` patterns) are only honoured
-when ``REPRO_CAMPAIGN_SELFTEST=1``, so they can never appear in a real
-sweep.
+The fault-injection points are the tests-side
+:class:`~tests.selftest_workload.SelfTest` kind: production code has no
+branch for them.
 """
 
 import os
@@ -15,19 +15,17 @@ from repro.campaign.executor import (CampaignExecutor, default_workers,
                                      group_items)
 from repro.campaign.lifecycle import Lifecycle
 from repro.campaign.store import CampaignStore
+from repro.experiments.table1 import stress_point
 from repro.sim.parallel import Point
-
-
-@pytest.fixture
-def selftest(monkeypatch):
-    monkeypatch.setenv("REPRO_CAMPAIGN_SELFTEST", "1")
+from repro.sim.workload import Synthetic
+from tests.selftest_workload import SelfTest
 
 
 class TestStore:
     def test_register_and_counts(self, tmp_path):
         store = CampaignStore(tmp_path / "c.sqlite")
-        pts = [("k1", Point.make("a", "uniform", 0.1)),
-               ("k2", Point.make("b", "uniform", 0.2))]
+        pts = [("k1", Point("a", Synthetic("uniform", 0.1))),
+               ("k2", Point("b", Synthetic("uniform", 0.2)))]
         store.register(pts)
         store.register(pts)  # idempotent
         assert len(store) == 2
@@ -35,7 +33,7 @@ class TestStore:
 
     def test_mark_transitions(self, tmp_path):
         store = CampaignStore(tmp_path / "c.sqlite")
-        store.register([("k1", Point.make("a", "uniform", 0.1))])
+        store.register([("k1", Point("a", Synthetic("uniform", 0.1)))])
         store.mark("k1", "running")
         assert store.status_of("k1") == "running"
         store.mark("k1", "failed", error="boom", attempts=3)
@@ -45,8 +43,8 @@ class TestStore:
 
     def test_reset_running_requeues(self, tmp_path):
         store = CampaignStore(tmp_path / "c.sqlite")
-        store.register([("k1", Point.make("a", "uniform", 0.1)),
-                        ("k2", Point.make("b", "uniform", 0.2))])
+        store.register([("k1", Point("a", Synthetic("uniform", 0.1))),
+                        ("k2", Point("b", Synthetic("uniform", 0.2)))])
         store.mark("k1", "running")
         assert store.reset_running() == 1
         assert store.counts() == {"pending": 2, "running": 0, "done": 0,
@@ -55,7 +53,7 @@ class TestStore:
     def test_survives_reopen(self, tmp_path):
         path = tmp_path / "c.sqlite"
         store = CampaignStore(path)
-        point = Point.make("a", "uniform", 0.1, n_vcs=2)
+        point = Point("a", Synthetic("uniform", 0.1), {"n_vcs": 2})
         store.register([("k1", point)])
         store.mark("k1", "done")
         store.close()
@@ -83,16 +81,16 @@ class TestExecutorFaults:
     """One task lifecycle: every behaviour below is asserted on every
     transport (``make_executor`` is parametrised over ``TRANSPORTS``)."""
 
-    def test_crash_isolated_from_campaign(self, selftest, small_cfg,
+    def test_crash_isolated_from_campaign(self, small_cfg,
                                           tmp_path, make_executor):
         expected = CRASH_ERROR[make_executor.transport]
         if expected is None:
             pytest.skip("declared unsupported: no crash isolation "
                         "in-process")
         store = CampaignStore(tmp_path / "c.sqlite")
-        pts = [Point.make("x", "selftest:crash", 0.0),
-               Point.make("x", "selftest:ok", 1.0),
-               Point.make("x", "selftest:ok", 2.0)]
+        pts = [Point("x", SelfTest("crash", 0.0)),
+               Point("x", SelfTest("ok", 1.0)),
+               Point("x", SelfTest("ok", 2.0))]
         ex = make_executor(small_cfg, store=store,
                            retry=RetryPolicy(max_attempts=2,
                                              backoff_s=0.01))
@@ -107,10 +105,10 @@ class TestExecutorFaults:
             assert ex.summary["fabric"]["respawns"] >= 1
 
     def test_failure_marks_store_without_killing_run(
-            self, selftest, small_cfg, tmp_path, make_executor):
+            self, small_cfg, tmp_path, make_executor):
         store = CampaignStore(tmp_path / "c.sqlite")
-        pts = [Point.make("x", "selftest:fail", 0.0),
-               Point.make("x", "selftest:ok", 1.0)]
+        pts = [Point("x", SelfTest("fail", 0.0)),
+               Point("x", SelfTest("ok", 1.0))]
         ex = make_executor(small_cfg, store=store,
                            retry=RetryPolicy(max_attempts=2,
                                              backoff_s=0.01))
@@ -122,12 +120,12 @@ class TestExecutorFaults:
         (_key, error, attempts) = store.failures()[0]
         assert "deliberate failure" in error and attempts == 2
 
-    def test_timeout_terminates_point(self, selftest, small_cfg,
+    def test_timeout_terminates_point(self, small_cfg,
                                       make_executor):
         """The ``[inline]`` cell is the ``--jobs 1`` regression: a
         timeout used to be dropped silently at ``processes=1`` and the
         point slept its full 2 s."""
-        pts = [Point.make("x", "selftest:sleep", 2.0)]
+        pts = [Point("x", SelfTest("sleep", 2.0))]
         ex = make_executor(small_cfg,
                            retry=RetryPolicy(max_attempts=1,
                                              timeout_s=0.3))
@@ -139,10 +137,9 @@ class TestExecutorFaults:
             results[0].extra["error"]
         assert ex.summary["failed"] == 1 and ex.summary["computed"] == 0
 
-    def test_retry_recovers_flaky_point(self, selftest, small_cfg,
+    def test_retry_recovers_flaky_point(self, small_cfg,
                                         tmp_path, make_executor):
-        flaky = Point("x", (), "selftest:flaky", 0.5,
-                      (("dir", str(tmp_path)),))
+        flaky = Point("x", SelfTest("flaky", 0.5, str(tmp_path)))
         ex = make_executor(small_cfg,
                            retry=RetryPolicy(max_attempts=3,
                                              backoff_s=0.01))
@@ -151,28 +148,28 @@ class TestExecutorFaults:
         assert results[0].avg_latency == 2.0
         assert ex.summary["failed"] == 0 and ex.summary["computed"] == 1
 
-    def test_failed_points_are_not_cached(self, selftest, small_cfg,
+    def test_failed_points_are_not_cached(self, small_cfg,
                                           tmp_path, make_executor):
         cache = RunCache(tmp_path / "cache", salt="s")
-        pts = [Point.make("x", "selftest:fail", 0.0)]
+        pts = [Point("x", SelfTest("fail", 0.0))]
         ex = make_executor(small_cfg, cache=cache,
                            retry=RetryPolicy(max_attempts=1,
                                              backoff_s=0.01))
         assert ex.run(pts)[0].extra.get("failed")
         assert len(cache) == 0
 
-    def test_duplicate_points_computed_once(self, selftest, small_cfg,
+    def test_duplicate_points_computed_once(self, small_cfg,
                                             make_executor):
-        point = Point.make("x", "selftest:ok", 1.0)
+        point = Point("x", SelfTest("ok", 1.0))
         ex = make_executor(small_cfg)
         results = ex.run([point, point, point])
         assert len(results) == 3
         assert ex.summary["total"] == 1 and ex.summary["computed"] == 1
 
-    def test_progress_reports_completion(self, selftest, small_cfg,
+    def test_progress_reports_completion(self, small_cfg,
                                          make_executor):
         events = []
-        pts = [Point.make("x", "selftest:ok", float(i)) for i in range(3)]
+        pts = [Point("x", SelfTest("ok", float(i))) for i in range(3)]
         make_executor(small_cfg, progress=events.append).run(pts)
         assert events[-1].finished == 3
         assert events[-1].total == 3
@@ -187,8 +184,8 @@ class TestDriverWait:
 
     def _two_tasks(self, **kwargs) -> Lifecycle:
         life = Lifecycle(retry=RetryPolicy(backoff_s=0.02), **kwargs)
-        life.submit([[("k0", Point.make("x", "selftest:ok", 0.0))],
-                     [("k1", Point.make("x", "selftest:ok", 1.0))]], None)
+        life.submit([[("k0", Point("x", SelfTest("ok", 0.0)))],
+                     [("k1", Point("x", SelfTest("ok", 1.0)))]], None)
         return life
 
     def test_running_backoff_bounds_the_wait_an_ended_one_does_not(self):
@@ -258,7 +255,7 @@ class TestReplicaBatching:
 
     def test_non_replicable_points_stay_singletons(self):
         pts = [Point.make_app("escapevc", "pagerank", txns=5, seed=1),
-               Point.make_stress("escapevc")]
+               stress_point("escapevc", {})]
         tasks = group_items([(f"k{i}", p) for i, p in enumerate(pts)],
                             True)
         assert [len(items) for items in tasks] == [1, 1]

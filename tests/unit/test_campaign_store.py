@@ -12,10 +12,12 @@ import pytest
 
 from repro.campaign.store import CampaignStore
 from repro.sim.parallel import Point
+from repro.sim.workload import Synthetic
 
 
 def points(n: int) -> list[tuple[str, Point]]:
-    return [(f"k{i}", Point.make("fastpass", "uniform", 0.01 * (i + 1)))
+    return [(f"k{i}", Point("fastpass", Synthetic("uniform",
+                                                  0.01 * (i + 1))))
             for i in range(n)]
 
 

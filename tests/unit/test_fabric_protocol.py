@@ -18,6 +18,7 @@ from repro.config import RunResult, SimConfig
 from repro.fabric import protocol
 from repro.fault.plan import fault_storm, link_cut
 from repro.sim.parallel import Point
+from repro.sim.workload import Synthetic
 
 
 class TestConfig:
@@ -49,9 +50,9 @@ class TestConfig:
 class TestItems:
     def test_points_round_trip(self):
         items = [
-            ("k0", Point.make("fastpass", "uniform", 0.02)),
-            ("k1", Point.make("baseline_1cy", "transpose", 0.10,
-                              fastpass_slot_cycles=32)),
+            ("k0", Point("fastpass", Synthetic("uniform", 0.02))),
+            ("k1", Point("baseline_1cy", Synthetic("transpose", 0.10),
+                         {"fastpass_slot_cycles": 32})),
             ("k2", Point.make_seeded("fastpass", "uniform", 0.02, seed=7)),
             ("k3", Point.make_app("fastpass", "fft", txns=100, seed=2)),
         ]
@@ -61,7 +62,7 @@ class TestItems:
 
 class TestLease:
     def test_lease_to_json_shape(self):
-        items = [("k0", Point.make("fastpass", "uniform", 0.02))]
+        items = [("k0", Point("fastpass", Synthetic("uniform", 0.02)))]
         task = q.Task(tid="k0", items=items,
                       cfg=SimConfig(rows=4, cols=4))
         lq = q.LeaseQueue(lease_ttl_s=42.0)

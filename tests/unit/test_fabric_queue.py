@@ -13,10 +13,12 @@ import pytest
 from repro.campaign.executor import RetryPolicy
 from repro.campaign import queue as q
 from repro.sim.parallel import Point
+from repro.sim.workload import Synthetic
 
 
 def task(tid: str, n_points: int = 1) -> q.Task:
-    items = [(f"{tid}k{i}", Point.make("fastpass", "uniform", 0.01 * (i + 1)))
+    items = [(f"{tid}k{i}",
+              Point("fastpass", Synthetic("uniform", 0.01 * (i + 1))))
              for i in range(n_points)]
     return q.Task(tid=tid, items=items, cfg=None)
 

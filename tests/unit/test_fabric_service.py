@@ -18,6 +18,7 @@ from repro.fabric import protocol
 from repro.fabric.coordinator import Coordinator
 from repro.fabric.httpd import HttpError, http_json
 from repro.sim.parallel import Point
+from repro.sim.workload import Synthetic
 
 CFG = SimConfig(rows=4, cols=4, warmup_cycles=100, measure_cycles=200,
                 drain_cycles=400)
@@ -43,8 +44,8 @@ def coord():
 
 
 def submit_one(c: Coordinator, key: str = KEY):
-    c.submit([[(key, Point.make("fastpass", "uniform", 0.02))]], CFG,
-             store=None)
+    point = Point("fastpass", Synthetic("uniform", 0.02))
+    c.submit([[(key, point)]], CFG, store=None)
 
 
 class TestProbes:

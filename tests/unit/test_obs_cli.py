@@ -90,12 +90,12 @@ class TestRunPointMetrics:
         from repro.campaign.worker import execute_point
         from repro.config import SimConfig
         from repro.sim.parallel import Point
+        from repro.sim.workload import Synthetic
 
         monkeypatch.setenv("REPRO_METRICS", "100")
         cfg = SimConfig(rows=4, cols=4, warmup_cycles=50,
                         measure_cycles=200, fastpass_slot_cycles=64)
-        point = Point(scheme="fastpass", scheme_kwargs=(("n_vcs", 2),),
-                      pattern="uniform", rate=0.06)
+        point = Point("fastpass", Synthetic("uniform", 0.06), {"n_vcs": 2})
         res = execute_point(point, cfg)
         assert "metrics" in res.extra
         assert (_results_dir / "metrics").exists()
@@ -105,12 +105,12 @@ class TestRunPointMetrics:
         from repro.campaign.worker import execute_point
         from repro.config import SimConfig
         from repro.sim.parallel import Point
+        from repro.sim.workload import Synthetic
 
         monkeypatch.delenv("REPRO_METRICS", raising=False)
         cfg = SimConfig(rows=4, cols=4, warmup_cycles=50,
                         measure_cycles=200, fastpass_slot_cycles=64)
-        point = Point(scheme="fastpass", scheme_kwargs=(("n_vcs", 2),),
-                      pattern="uniform", rate=0.06)
+        point = Point("fastpass", Synthetic("uniform", 0.06), {"n_vcs": 2})
         res = execute_point(point, cfg)
         assert "metrics" not in res.extra
         assert not (_results_dir / "metrics").exists()

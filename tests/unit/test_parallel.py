@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.experiments.table1 import stress_point
 from repro.sim.parallel import Point, grid, parallel_sweep
+from repro.sim.workload import App, Stress, Synthetic
 
 
 class TestGrid:
@@ -14,14 +16,14 @@ class TestGrid:
         assert len(pts) == 8
 
     def test_point_hashable(self):
-        p = Point.make("fastpass", "uniform", 0.1, n_vcs=4)
+        p = Point("fastpass", Synthetic("uniform", 0.1), {"n_vcs": 4})
         assert p in {p}
         assert p.scheme_kwargs == (("n_vcs", 4),)
 
 
 class TestPointJson:
     def test_round_trip(self):
-        p = Point.make("fastpass", "transpose", 0.12, n_vcs=4)
+        p = Point("fastpass", Synthetic("transpose", 0.12), {"n_vcs": 4})
         assert Point.from_json(p.to_json()) == p
 
     def test_round_trip_through_json_text(self):
@@ -30,26 +32,26 @@ class TestPointJson:
         assert Point.from_json(json.loads(blob)) == p
 
     def test_kwargs_order_is_stable(self):
-        a = Point("x", (("a", 1), ("b", 2)), "uniform", 0.1)
-        b = Point("x", (("b", 2), ("a", 1)), "uniform", 0.1)
+        a = Point("x", Synthetic("uniform", 0.1), {"a": 1, "b": 2})
+        b = Point("x", Synthetic("uniform", 0.1), {"b": 2, "a": 1})
         assert Point.from_json(a.to_json()) == Point.from_json(b.to_json())
         assert (json.dumps(a.to_json(), sort_keys=True)
                 == json.dumps(b.to_json(), sort_keys=True))
 
     def test_meta_defaults_empty(self):
-        p = Point.make("escapevc", "uniform", 0.05)
-        assert p.meta == ()
+        p = Point("escapevc", Synthetic("uniform", 0.05))
+        assert p.to_json()["meta"] == []
         assert Point.from_json({"scheme": "escapevc",
                                 "scheme_kwargs": [], "pattern": "uniform",
                                 "rate": 0.05}) == p
 
     def test_make_stress_and_app_patterns(self):
-        s = Point.make_stress("fastpass", max_cycles=1000, n_vcs=1)
+        s = stress_point("fastpass", {"n_vcs": 1}, max_cycles=1000)
         assert s.pattern == "stress:protocol"
-        assert dict(s.meta)["max_cycles"] == 1000
+        assert s.workload == Stress(1000)
         a = Point.make_app("spin", "FFT", txns=50)
         assert a.pattern == "app:FFT"
-        assert dict(a.meta)["txns"] == 50
+        assert a.workload == App("FFT", 50, 400000)
 
 
 class TestExecution:
@@ -70,7 +72,7 @@ class TestExecution:
             assert s.ejected == p.ejected
 
     def test_single_point_short_circuits(self, small_cfg):
-        pts = [Point.make("escapevc", "uniform", 0.03)]
+        pts = [Point("escapevc", Synthetic("uniform", 0.03))]
         results = parallel_sweep(pts, small_cfg, processes=8)
         assert len(results) == 1
         assert results[0].ejected > 0
@@ -80,7 +82,7 @@ class TestSeededPoints:
     def test_make_seeded_carries_seed_in_meta(self):
         p = Point.make_seeded("fastpass", "uniform", 0.05, seed=11,
                               n_vcs=4)
-        assert dict(p.meta) == {"seed": 11}
+        assert p.seed == 11
         assert dict(p.scheme_kwargs) == {"n_vcs": 4}
         q = Point.from_json(p.to_json())
         assert q == p
@@ -113,12 +115,9 @@ class TestReplicaSignature:
     def test_closed_loop_points_never_batch(self):
         assert self._sig(Point.make_app("escapevc", "pagerank",
                                         txns=5)) is None
-        assert self._sig(Point.make_stress("escapevc")) is None
+        assert self._sig(stress_point("escapevc", {})) is None
 
     def test_metrics_points_never_batch(self, monkeypatch):
-        p = Point("escapevc", (), "uniform", 0.05,
-                  (("metrics", 100), ("seed", 1)))
-        assert self._sig(p) is None
         monkeypatch.setenv("REPRO_METRICS", "50")
         assert self._sig(Point.make_seeded("escapevc", "uniform", 0.05,
                                            seed=1)) is None
@@ -126,12 +125,12 @@ class TestReplicaSignature:
     def test_non_integer_metrics_env_names_the_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_METRICS", "yes")
         with pytest.raises(ValueError, match="REPRO_METRICS.*'yes'"):
-            self._sig(Point.make("escapevc", "uniform", 0.05))
+            self._sig(Point("escapevc", Synthetic("uniform", 0.05)))
 
     def test_fault_points_batch_by_plan(self):
         from repro.fault.plan import FaultPlan
         plan = FaultPlan(rate=0.002, start=100, stop=400, seed=3)
-        mk = lambda seed, pl: Point.make_fault(
-            "escapevc", "uniform", 0.05, plan=pl, seed=seed)
+        mk = lambda seed, pl: Point(
+            "escapevc", Synthetic("uniform", 0.05), seed=seed, faults=pl)
         assert self._sig(mk(1, plan)) == self._sig(mk(2, plan))
         assert self._sig(mk(1, plan)) != self._sig(mk(1, None))

@@ -16,10 +16,12 @@ import pytest
 
 from repro.campaign.cache import point_key
 from repro.config import SimConfig
+from repro.experiments.table1 import stress_point
 from repro.fault.plan import FaultPlan, fault_storm, link_cut
 from repro.network.topology import PORT_E
 from repro.scenario.spec import get_scenario
 from repro.sim.parallel import Point
+from repro.sim.workload import IrregularSchedule, Scenario, Synthetic
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "point_json.json"
 CFG = SimConfig(rows=4, cols=4)
@@ -31,37 +33,39 @@ BURSTY = get_scenario("bursty")
 
 #: row id -> the point, built the way the code that emits it does
 POINTS = {
-    "synthetic": lambda: Point.make("escapevc", "transpose", 0.05),
-    "synthetic_kwargs": lambda: Point.make("fastpass", "uniform", 0.1,
-                                           n_vcs=2),
+    "synthetic": lambda: Point("escapevc", Synthetic("transpose", 0.05)),
+    "synthetic_kwargs": lambda: Point("fastpass", Synthetic("uniform", 0.1),
+                                      {"n_vcs": 2}),
     "seeded": lambda: Point.make_seeded("fastpass", "uniform", 0.05,
                                         seed=11, n_vcs=4),
-    "fault_plan_stop": lambda: Point.make_fault(
-        "escapevc", "uniform", 0.05, plan=CUT, traffic_stop=300),
-    "fault_noplan_stop": lambda: Point.make_fault(
-        "fastpass", "uniform", 0.05, plan=FaultPlan(), traffic_stop=300,
-        n_vcs=2),
-    "fault_plan_seed": lambda: Point.make_fault(
-        "escapevc", "uniform", 0.05, plan=STORM, seed=2),
-    "fault_plan_stop_seed": lambda: Point.make_fault(
-        "baseline", "shuffle", 0.08, plan=STORM, traffic_stop=500, seed=4),
-    "scenario": lambda: Point.make_scenario("escapevc", BURSTY),
-    "scenario_seed": lambda: Point.make_scenario("fastpass", BURSTY,
-                                                 seed=1, n_vcs=2),
-    "scenario_scaled_seed": lambda: Point.make_scenario(
-        "spin", BURSTY.scaled(1.5), seed=2),
-    "scenario_seed_faults_stop": lambda: Point.make_scenario(
-        "escapevc", get_scenario("ramp"), seed=3, plan=CUT,
+    "fault_plan_stop": lambda: Point(
+        "escapevc", Synthetic("uniform", 0.05), faults=CUT,
+        traffic_stop=300),
+    "fault_noplan_stop": lambda: Point(
+        "fastpass", Synthetic("uniform", 0.05), {"n_vcs": 2},
+        faults=FaultPlan(), traffic_stop=300),
+    "fault_plan_seed": lambda: Point(
+        "escapevc", Synthetic("uniform", 0.05), seed=2, faults=STORM),
+    "fault_plan_stop_seed": lambda: Point(
+        "baseline", Synthetic("shuffle", 0.08), seed=4, faults=STORM,
+        traffic_stop=500),
+    "scenario": lambda: Point("escapevc", Scenario(BURSTY)),
+    "scenario_seed": lambda: Point("fastpass", Scenario(BURSTY),
+                                   {"n_vcs": 2}, seed=1),
+    "scenario_scaled_seed": lambda: Point(
+        "spin", Scenario(BURSTY.scaled(1.5)), seed=2),
+    "scenario_seed_faults_stop": lambda: Point(
+        "escapevc", Scenario(get_scenario("ramp")), seed=3, faults=CUT,
         traffic_stop=400),
     "app": lambda: Point.make_app("fastpass", "Radix", txns=24, n_vcs=4),
     "app_explicit": lambda: Point.make_app("escapevc", "FFT", txns=10,
                                            seed=3, max_cycles=5000),
-    "stress": lambda: Point.make_stress("escapevc"),
-    "stress_kwargs": lambda: Point.make_stress("fastpass",
-                                               max_cycles=120000, n_vcs=1),
-    "irregular": lambda: Point.make_irregular("ring:6"),
-    "irregular_partitions": lambda: Point.make_irregular("torus:3x4",
-                                                         partitions=2),
+    "stress": lambda: stress_point("escapevc", {}),
+    "stress_kwargs": lambda: stress_point("fastpass", {"n_vcs": 1},
+                                          max_cycles=120000),
+    "irregular": lambda: Point("fastpass", IrregularSchedule("ring:6", 4)),
+    "irregular_partitions": lambda: Point(
+        "fastpass", IrregularSchedule("torus:3x4", 2)),
 }
 
 
