@@ -31,26 +31,21 @@ from repro.sim.parallel import Point
 _code_version: str | None = None
 
 
-def salted_sources() -> list[tuple[str, Path]]:
-    """``(relative name, path)`` of every source file the code-version
-    salt hashes, in order.  The orchestration layers are left out: they
-    decide where and when a point runs, never what it computes (the
-    fabric's bit-identity is differentially enforced), so touching them
-    must keep the cache warm."""
-    import repro
-    root = Path(repro.__file__).parent
-    named = ((p.relative_to(root).as_posix(), p)
-             for p in sorted(root.rglob("*.py")))
-    return [(rel, p) for rel, p in named
-            if not rel.startswith(("campaign/", "fabric/"))]
-
-
 def code_version() -> str:
     """Hash of the simulator source (everything except this package)."""
     global _code_version
     if _code_version is None:
+        import repro
+        root = Path(repro.__file__).parent
         h = hashlib.sha256()
-        for rel, path in salted_sources():
+        for path in sorted(root.rglob("*.py")):
+            rel = path.relative_to(root).as_posix()
+            # Orchestration layers are excluded from the salt: they decide
+            # where and when a point runs, never what it computes (the
+            # fabric's bit-identity is differentially enforced), so
+            # touching them must keep the cache warm.
+            if rel.startswith(("campaign/", "fabric/")):
+                continue
             h.update(rel.encode())
             h.update(path.read_bytes())
         _code_version = h.hexdigest()[:16]

@@ -178,12 +178,10 @@ def cached_sweep_latency(scheme_name: str, scheme_kwargs: dict,
 
 
 def app_point(scheme_name: str, scheme_kwargs: dict, benchmark: str,
-              quick: bool, seed: int = 1,
-              max_cycles: int = 400000) -> Point:
+              quick: bool) -> Point:
     """One closed-loop application point (Fig. 10/12/13b); runs under
     :func:`app_config`."""
     return Point.make_app(scheme_name, benchmark, txns=app_txns(quick),
-                          seed=seed, max_cycles=max_cycles,
                           **scheme_kwargs)
 
 

@@ -32,16 +32,13 @@ def metrics_setting() -> int:
 
 
 def _setup(point, cfg: SimConfig):
-    """The point's scheme instance, and ``cfg`` under its fault plan."""
+    """The point's scheme instance, ``cfg`` under its fault plan, and its
+    seed: ``point.seed``, else ``cfg.seed``."""
     from repro.schemes import get_scheme
     scheme = get_scheme(point.scheme, **dict(point.scheme_kwargs))
     if point.faults:
         cfg = cfg.with_(fault_plan=point.faults)
-    return scheme, cfg
-
-
-def _seed(point, cfg: SimConfig) -> int:
-    return cfg.seed if point.seed is None else point.seed
+    return scheme, cfg, cfg.seed if point.seed is None else point.seed
 
 
 def _fold(point, seeds, cfg: SimConfig, spec=None) -> list[RunResult]:
@@ -65,9 +62,9 @@ class Synthetic:
 
     def run(self, point, cfg: SimConfig) -> RunResult:
         from repro.sim.runner import run_point
-        scheme, cfg = _setup(point, cfg)
-        return run_point(scheme, self.pattern, self.rate, cfg,
-                         seed=point.seed, traffic_stop=point.traffic_stop,
+        scheme, cfg, seed = _setup(point, cfg)
+        return run_point(scheme, self.pattern, self.rate, cfg, seed=seed,
+                         traffic_stop=point.traffic_stop,
                          metrics=metrics_setting())
 
     def run_replicas(self, point, seeds, cfg: SimConfig) -> list[RunResult]:
@@ -100,9 +97,9 @@ class App:
     def run(self, point, cfg: SimConfig) -> RunResult:
         from repro.sim.engine import Simulation
         from repro.traffic.workloads import workload_traffic
-        scheme, cfg = _setup(point, cfg)
+        scheme, cfg, seed = _setup(point, cfg)
         traffic = workload_traffic(self.benchmark, txns_per_core=self.txns,
-                                   seed=_seed(point, cfg))
+                                   seed=seed)
         sim = Simulation(cfg, scheme, traffic)
         res = sim.run_to_completion(max_cycles=self.max_cycles)
         res.extra["benchmark"] = self.benchmark
@@ -135,9 +132,8 @@ class Stress:
     def run(self, point, cfg: SimConfig) -> RunResult:
         from repro.sim.engine import Simulation
         from repro.traffic.workloads import deadlock_traffic
-        scheme, cfg = _setup(point, cfg)
-        sim = Simulation(cfg, scheme,
-                         deadlock_traffic(seed=_seed(point, cfg)))
+        scheme, cfg, seed = _setup(point, cfg)
+        sim = Simulation(cfg, scheme, deadlock_traffic(seed=seed))
         res = sim.run_to_completion(max_cycles=self.max_cycles)
         res.extra["traffic_done"] = sim.traffic.done()
         res.extra["completed"] = sim.traffic.completed
@@ -173,8 +169,8 @@ class Scenario:
 
     def run(self, point, cfg: SimConfig) -> RunResult:
         from repro.scenario.runner import run_scenario
-        scheme, cfg = _setup(point, cfg)
-        return run_scenario(scheme, self.spec, cfg, seed=point.seed,
+        scheme, cfg, seed = _setup(point, cfg)
+        return run_scenario(scheme, self.spec, cfg, seed=seed,
                             traffic_stop=point.traffic_stop,
                             metrics=metrics_setting())
 

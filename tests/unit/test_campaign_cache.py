@@ -121,19 +121,28 @@ class TestKeyFormatIsFrozen:
 
 
 class TestSaltCoverage:
-    def test_every_workload_run_is_salted(self):
+    def test_every_workload_run_is_salted(self, monkeypatch):
         """What a point computes is its workload's ``run``; the source
         of each kind's body must be hashed into the code-version salt,
         or a change to it would be served stale results."""
         import inspect
         import typing
 
-        from repro.campaign.cache import salted_sources
+        from repro.campaign import cache
         from repro.sim.workload import Workload
-        salted = {path.resolve() for _rel, path in salted_sources()}
+        hashed = set()
+        read_bytes = Path.read_bytes
+
+        def spy(path):
+            hashed.add(path.resolve())
+            return read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        monkeypatch.setattr(cache, "_code_version", None)
+        cache.code_version()
         for kind in typing.get_args(Workload):
             source = Path(inspect.getsourcefile(kind.run)).resolve()
-            assert source in salted, f"{kind.__name__}.run in {source}"
+            assert source in hashed, f"{kind.__name__}.run in {source}"
 
 
 class TestFaultKeys:
