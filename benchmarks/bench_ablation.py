@@ -14,6 +14,7 @@ worth regenerating:
 from repro.config import SimConfig
 from repro.experiments.common import cached_points
 from repro.sim.parallel import Point
+from repro.sim.workload import Synthetic
 from benchmarks.conftest import report
 
 
@@ -28,7 +29,7 @@ def bench_vc_count(once, benchmark):
     def sweep():
         counts = (1, 2, 4)
         results = cached_points(
-            [Point.make("fastpass", "transpose", 0.12, n_vcs=vcs)
+            [Point("fastpass", Synthetic("transpose", 0.12), {"n_vcs": vcs})
              for vcs in counts], _cfg())
         return [(vcs, res.avg_latency,
                  res.fastpass_delivered / max(1, res.ejected))
@@ -46,7 +47,7 @@ def bench_vc_count(once, benchmark):
 def bench_slot_length(once, benchmark):
     def sweep():
         formula = _cfg(n_vns=1, n_vcs=4).with_(n_vns=1).fastpass_slot()
-        point = Point.make("fastpass", "transpose", 0.14, n_vcs=4)
+        point = Point("fastpass", Synthetic("transpose", 0.14), {"n_vcs": 4})
         rows = []
         # K is a config field, so every slot length is its own cfg (and
         # its own cached_points call)
@@ -68,8 +69,9 @@ def bench_slot_length(once, benchmark):
 def bench_lanes_contribution(once, benchmark):
     def pair():
         return cached_points(
-            [Point.make("fastpass", "transpose", 0.14, n_vcs=4),
-             Point.make("baseline", "transpose", 0.14, n_vns=1, n_vcs=4)],
+            [Point("fastpass", Synthetic("transpose", 0.14), {"n_vcs": 4}),
+             Point("baseline", Synthetic("transpose", 0.14),
+                   {"n_vns": 1, "n_vcs": 4})],
             _cfg())
 
     fp, plain = once(pair)
