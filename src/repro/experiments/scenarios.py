@@ -22,7 +22,7 @@ from repro.experiments.common import (cached_points, fmt_table, fnum,
                                       mean_result, synthetic_config)
 from repro.scenario.spec import SCENARIOS, get_scenario
 from repro.sim.parallel import Point
-from repro.sim.workload import IrregularSchedule, Scenario
+from repro.sim.workload import Irregular, Scenario
 
 #: scheme set for scenario simulations (paper's headline pair)
 SCHEMES = [
@@ -66,7 +66,7 @@ def run(quick: bool = True, scenarios=None, topologies=None,
             })
 
     irregular = []
-    topo_points = [Point("fastpass", IrregularSchedule(t, p))
+    topo_points = [Point("fastpass", Irregular(t, p))
                    for t in topo_names for p in PARTITIONS]
     for point, res in zip(topo_points,
                           cached_points(topo_points, cfg)):

@@ -37,8 +37,8 @@ def deadlock_scenario_config() -> SimConfig:
 
 def stress_point(scheme_name: str, scheme_kwargs: dict,
                  max_cycles: int = 80000) -> Point:
-    """The adversarial protocol-pressure probe as a campaign point,
-    under seed 7 (:func:`repro.traffic.workloads.deadlock_traffic`'s)."""
+    """The adversarial protocol-pressure probe as a campaign point; its
+    seed, 7, is the one every run of the probe uses."""
     return Point(scheme_name, Stress(max_cycles), scheme_kwargs, seed=7)
 
 

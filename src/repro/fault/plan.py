@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 #: permanent directed-link failure (``duration`` ignored, always forever)
 LINK_FAIL = "link_fail"
@@ -213,6 +214,11 @@ class FaultPlan:
     def token(self) -> str:
         """Canonical string form — stable across processes, used as the
         campaign cache-key component for fault points."""
+        return self._token
+
+    # cached: every cache lookup re-renders a fault point's wire form
+    @cached_property
+    def _token(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True,
                           separators=(",", ":"))
 

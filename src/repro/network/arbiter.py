@@ -41,12 +41,6 @@ step first.
 from __future__ import annotations
 
 
-def rotation_start(rr: int, n: int) -> int:
-    """Rotation offset of one step: the occupied list is left-rotated by
-    ``rr % n`` before the visit, and ``rr`` advances by one."""
-    return rr % n
-
-
 def granted_order(occupied: list, rr: int) -> tuple[list, int]:
     """Visit order of one switch-allocation step.
 

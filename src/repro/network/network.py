@@ -26,7 +26,7 @@ from repro.network.link import Link
 from repro.network.ni import NetworkInterface
 from repro.network.router import Router
 from repro.network.routing import route_table
-from repro.network.topology import OPPOSITE, PORT_LOCAL
+from repro.network.topology import OPPOSITE
 from repro.network.validate import check_invariants
 from repro.network.watchdog import Watchdog
 from repro.sim.stats import StatsCollector

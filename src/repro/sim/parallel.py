@@ -57,8 +57,8 @@ class Point:
                     **scheme_kwargs) -> "Point":
         """A synthetic point pinned to a seed; its seed replicas fold
         into one task while keeping their own cache keys."""
-        return Point(scheme, Synthetic(pattern, rate),
-                     tuple(sorted(scheme_kwargs.items())), seed=seed)
+        return Point(scheme, Synthetic(pattern, rate), scheme_kwargs,
+                     seed=seed)
 
     @staticmethod
     def make_app(scheme: str, benchmark: str, txns: int, seed: int = 1,

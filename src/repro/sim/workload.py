@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, ClassVar
 
 from repro.config import RunResult, SimConfig
@@ -31,22 +32,25 @@ def metrics_setting() -> int:
                          f"cycles, got {raw!r}") from None
 
 
+def _faulted(point, cfg: SimConfig) -> SimConfig:
+    """``cfg`` under the point's fault plan."""
+    return cfg.with_(fault_plan=point.faults) if point.faults else cfg
+
+
 def _setup(point, cfg: SimConfig):
     """The point's scheme instance, ``cfg`` under its fault plan, and its
     seed: ``point.seed``, else ``cfg.seed``."""
     from repro.schemes import get_scheme
     scheme = get_scheme(point.scheme, **dict(point.scheme_kwargs))
-    if point.faults:
-        cfg = cfg.with_(fault_plan=point.faults)
-    return scheme, cfg, cfg.seed if point.seed is None else point.seed
+    seed = cfg.seed if point.seed is None else point.seed
+    return scheme, _faulted(point, cfg), seed
 
 
 def _fold(point, seeds, cfg: SimConfig, spec=None) -> list[RunResult]:
     from repro.sim.runner import run_replicas
-    if point.faults:
-        cfg = cfg.with_(fault_plan=point.faults)
-    return run_replicas(point.scheme, point.pattern, point.rate, cfg,
-                        seeds, scheme_kwargs=dict(point.scheme_kwargs),
+    return run_replicas(point.scheme, point.pattern, point.rate,
+                        _faulted(point, cfg), seeds,
+                        scheme_kwargs=dict(point.scheme_kwargs),
                         traffic_stop=point.traffic_stop, spec=spec)
 
 
@@ -155,12 +159,17 @@ class Scenario:
     def pattern(self) -> str:
         return f"scenario:{self.spec.name}"
 
-    @property
+    # cached: every cache lookup re-renders the point's wire form
+    @cached_property
     def rate(self) -> float:
         return self.spec.mean_rate()
 
+    @cached_property
+    def _token(self) -> str:
+        return self.spec.token()
+
     def wire_meta(self) -> tuple:
-        return (("scenario", self.spec.token()),)
+        return (("scenario", self._token),)
 
     @classmethod
     def decode(cls, name: str, rate: float, meta: dict) -> "Scenario":
@@ -179,7 +188,7 @@ class Scenario:
 
 
 @dataclass(frozen=True)
-class IrregularSchedule:
+class Irregular:
     """Derive, verify and characterise FastPass partitions of a named
     graph, ``irregular:<topology>``.  The schedule is topology-intrinsic:
     ``cfg`` keys the point but does not shape it."""
@@ -200,8 +209,7 @@ class IrregularSchedule:
                 ("slot_cycles", self.slot_cycles))
 
     @classmethod
-    def decode(cls, name: str, rate: float,
-               meta: dict) -> "IrregularSchedule":
+    def decode(cls, name: str, rate: float, meta: dict) -> "Irregular":
         return cls(name, meta.pop("partitions"), meta.pop("slot_cycles"))
 
     def run(self, point, cfg: SimConfig) -> RunResult:
@@ -213,11 +221,11 @@ class IrregularSchedule:
         return res
 
 
-Workload = Synthetic | App | Stress | Scenario | IrregularSchedule
+Workload = Synthetic | App | Stress | Scenario | Irregular
 
 #: pattern prefix -> kind; an unprefixed pattern is :class:`Synthetic`
 KINDS: dict[str, type] = {k.kind: k for k in
-                          (App, Stress, Scenario, IrregularSchedule)}
+                          (App, Stress, Scenario, Irregular)}
 
 #: the kinds whose seed replicas fold into one task
 FOLDABLE = (Synthetic, Scenario)

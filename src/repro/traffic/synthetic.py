@@ -41,11 +41,6 @@ def _bits(n: int) -> int:
     return b
 
 
-def dest_uniform(src: int, n: int, rng) -> int:
-    d = int(rng.integers(0, n - 1))
-    return d if d < src else d + 1
-
-
 def dest_transpose(src: int, n: int, rows: int, cols: int) -> int:
     x, y = src % cols, src // cols
     if rows != cols:

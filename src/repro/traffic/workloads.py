@@ -45,7 +45,7 @@ WORKLOADS: dict[str, dict] = {
 }
 
 
-def deadlock_traffic(seed: int = 7) -> CoherenceTraffic:
+def deadlock_traffic(seed: int) -> CoherenceTraffic:
     """The adversarial protocol-pressure load (Table I's behavioural
     check, Fig. 13c): deep bursts, one-deep service queues, forwards."""
     return CoherenceTraffic(txns_per_core=60, seed=seed, mshrs=32, think=1,

@@ -9,7 +9,8 @@
   regenerates every one of them.
 """
 
-from repro.experiments.table1 import deadlock_scenario_config
+from repro.experiments.table1 import (deadlock_scenario_config,
+                                     stress_point)
 from repro.schemes import get_scheme
 from repro.sim.engine import Simulation
 from repro.traffic.workloads import deadlock_traffic
@@ -18,9 +19,10 @@ MAX_CYCLES = 80000
 
 
 def run_scenario(scheme_name, **scheme_kwargs):
+    seed = stress_point(scheme_name, scheme_kwargs).seed
     sim = Simulation(deadlock_scenario_config(),
                      get_scheme(scheme_name, **scheme_kwargs),
-                     deadlock_traffic())
+                     deadlock_traffic(seed))
     res = sim.run_to_completion(MAX_CYCLES)
     return sim, res
 

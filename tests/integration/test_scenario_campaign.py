@@ -21,7 +21,7 @@ from repro.scenario.runner import run_scenario
 from repro.scenario.spec import SCENARIOS, PhaseSpec, ScenarioSpec
 from repro.sim.parallel import Point
 from repro.sim.runner import run_replicas
-from repro.sim.workload import IrregularSchedule, Scenario
+from repro.sim.workload import Irregular, Scenario
 
 ALIGNED = SCENARIOS["bursty"]
 MISALIGNED = ScenarioSpec("offgrid", (PhaseSpec(duration=300, rate=0.05),
@@ -96,7 +96,7 @@ class TestReplicaFoldGuard:
 
 class TestIrregularPoints:
     def test_irregular_point_through_worker(self):
-        point = Point("fastpass", IrregularSchedule("torus:4x4", 4, 32))
+        point = Point("fastpass", Irregular("torus:4x4", 4, 32))
         res = execute_point(point, _cfg())
         assert res.extra["topology"] == "torus:4x4"
         assert res.extra["covers_all"]
@@ -104,7 +104,7 @@ class TestIrregularPoints:
         assert res.extra["delivery_bound"] > 0
 
     def test_irregular_signature_is_scalar(self):
-        point = Point("fastpass", IrregularSchedule("ring:8", 2))
+        point = Point("fastpass", Irregular("ring:8", 2))
         assert replica_signature(point) is None
 
 

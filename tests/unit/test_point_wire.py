@@ -21,7 +21,7 @@ from repro.fault.plan import FaultPlan, fault_storm, link_cut
 from repro.network.topology import PORT_E
 from repro.scenario.spec import get_scenario
 from repro.sim.parallel import Point
-from repro.sim.workload import IrregularSchedule, Scenario, Synthetic
+from repro.sim.workload import Irregular, Scenario, Synthetic
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "point_json.json"
 CFG = SimConfig(rows=4, cols=4)
@@ -63,9 +63,9 @@ POINTS = {
     "stress": lambda: stress_point("escapevc", {}),
     "stress_kwargs": lambda: stress_point("fastpass", {"n_vcs": 1},
                                           max_cycles=120000),
-    "irregular": lambda: Point("fastpass", IrregularSchedule("ring:6", 4)),
+    "irregular": lambda: Point("fastpass", Irregular("ring:6", 4)),
     "irregular_partitions": lambda: Point(
-        "fastpass", IrregularSchedule("torus:3x4", 2)),
+        "fastpass", Irregular("torus:3x4", 2)),
 }
 
 
