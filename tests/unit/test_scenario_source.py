@@ -27,6 +27,35 @@ def drain_fills(t, until):
     return dict(t._by_cycle)
 
 
+def generated_stream(t, cycles, rows=4, cols=4):
+    """The ``(cycle, src, dst, mclass)`` stream ``t.generate`` hands to
+    the NIs over cycles ``[0, cycles)``, on a stub network whose NIs
+    record what they are given (no routers, no simulation)."""
+    out = []
+
+    def source(pkt):
+        out.append((pkt.gen_cycle, pkt.src, pkt.dst, pkt.mclass))
+
+    net = stub_net(rows, cols)
+    net.nis = [SimpleNamespace(source=source)
+               for _ in range(rows * cols)]
+    net.fault_exposed, net._inj_active, net.obs = False, set(), None
+    net.pending_total = 0
+    t.bind(net)
+    for now in range(cycles):
+        t.generate(net, now)
+    return out
+
+
+def fill_stream(t, cycles, rows=4, cols=4):
+    """The same stream read straight off the fills, building no packets:
+    equal to :func:`generated_stream` while nothing stops generation."""
+    t.bind(stub_net(rows, cols))
+    by_cycle = drain_fills(t, cycles)
+    return [(cycle, *ev) for cycle in sorted(by_cycle) if cycle < cycles
+            for ev in by_cycle[cycle]]
+
+
 class TestFillClamping:
     def test_fill_clamps_at_phase_boundary(self):
         spec = ScenarioSpec("clamp", (PhaseSpec(duration=300, rate=0.05),
