@@ -388,8 +388,9 @@ class CampaignExecutor:
         self.progress = progress
         #: group points differing only in their seed into replica
         #: batches (results stay bit-identical and individually cached;
-        #: REPRO_NO_BATCH=1 is the environment escape hatch).  SoA-engined
-        #: points fold too: their kernels share one dense-table build.
+        #: REPRO_NO_BATCH=1 is the environment escape hatch).  A fold
+        #: shares nothing between its replicas: it is a unit of
+        #: execution, sized per worker (sim/batch/engine.py).
         self.auto_batch = auto_batch
         self.summary: dict = {}
 

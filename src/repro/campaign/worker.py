@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from repro.config import RunResult, SimConfig
 from repro.sim.parallel import Point
-from repro.sim.workload import FOLDABLE, metrics_setting
+from repro.sim.workload import OpenLoop, metrics_setting
 
 
 def execute_point(point: Point, cfg: SimConfig) -> RunResult:
@@ -17,9 +17,10 @@ def execute_point(point: Point, cfg: SimConfig) -> RunResult:
 
 def replica_signature(point: Point):
     """The grouping key for replica batching — the point minus its seed —
-    or None when it must run scalar: a kind that does not fold, or
-    ``REPRO_METRICS`` set (one artifact per point, scalar path only)."""
-    if not isinstance(point.workload, FOLDABLE) or metrics_setting():
+    or None when it must run scalar: a kind that does not fold (only
+    :class:`OpenLoop` kinds do), or ``REPRO_METRICS`` set (one artifact
+    per point, scalar path only)."""
+    if not isinstance(point.workload, OpenLoop) or metrics_setting():
         return None
     return (point.scheme, point.scheme_kwargs, point.workload, point.faults,
             point.traffic_stop)

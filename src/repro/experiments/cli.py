@@ -434,7 +434,7 @@ def _chaos_commands(sub) -> None:
 
 def _scenarios_run(parser, args) -> int:
     from repro.experiments import scenarios
-    from repro.scenario.spec import SCENARIOS
+    from repro.traffic.spec import SCENARIOS
 
     bad = [n for n in args.scenarios
            if n not in SCENARIOS and not n.endswith(".json")]

@@ -37,14 +37,16 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
                              "(0 = no sampling; default 100)")
 
 
-def _run_instrumented(args):
+def _run_instrumented(parser, args):
     from repro.obs import attach_observability, write_metrics
     cfg = SimConfig(rows=args.rows, cols=args.cols, seed=args.seed,
                     warmup_cycles=args.warmup,
                     measure_cycles=args.measure)
-    sim = Simulation(cfg, get_scheme(args.scheme),
-                     SyntheticTraffic(args.pattern, args.rate,
-                                      seed=args.seed))
+    try:
+        traffic = SyntheticTraffic(args.pattern, args.rate, seed=args.seed)
+    except ValueError as exc:       # a rate that is not a probability
+        parser.error(f"--rate {args.rate:g}: {exc}")
+    sim = Simulation(cfg, get_scheme(args.scheme), traffic)
     obs = attach_observability(sim.net, sample_every=args.sample_every)
     res = sim.run()
     name = f"{args.scheme}_{args.pattern}_r{args.rate:g}"
@@ -53,7 +55,7 @@ def _run_instrumented(args):
 
 
 def _report(parser, args) -> int:
-    sim, obs, res, artifact = _run_instrumented(args)
+    sim, obs, res, artifact = _run_instrumented(parser, args)
     reg = obs.registry
     counters = reg.to_json()["counters"]
     print(f"== {args.scheme} {args.pattern} rate={args.rate:g} "
@@ -89,7 +91,7 @@ def _report(parser, args) -> int:
 
 def _export(parser, args) -> int:
     from repro.obs import snapshot_json, to_prometheus
-    sim, obs, res, artifact = _run_instrumented(args)
+    sim, obs, res, artifact = _run_instrumented(parser, args)
     if args.format == "prometheus":
         text = to_prometheus(obs.registry)
     else:

@@ -4,7 +4,7 @@ Three families, all cache-first (the scenario token and the topology ride
 in the point's identity, so the content-addressed run cache makes reruns
 free):
 
-* **scenario points** — every built-in :data:`~repro.scenario.spec.
+* **scenario points** — every built-in :data:`~repro.traffic.spec.
   SCENARIOS` spec (bursty/MMPP, shifting hotspots, mixed lanes, ramp)
   under each scheme, seed-replicated; the seeds of one spec fold into
   one replica batch exactly like plain synthetic points.
@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from repro.experiments.common import (cached_points, fmt_table, fnum,
                                       mean_result, synthetic_config)
-from repro.scenario.spec import SCENARIOS, get_scenario
 from repro.sim.parallel import Point
 from repro.sim.workload import Irregular, Scenario
+from repro.traffic.spec import SCENARIOS, get_scenario
 
 #: scheme set for scenario simulations (paper's headline pair)
 SCHEMES = [

@@ -1,9 +1,7 @@
-"""Scenario-level runners: scalar runs, trace recording, trace replay.
-
-These mirror :func:`repro.sim.runner.run_point` exactly — same
-construction order, same ``extra`` keys — because ``ReplicaBatch.run``
-reconstructs those extras from the traffic source and the results must
-be bit-identical whichever execution path a campaign picks.
+"""Trace recording and replay on the one open-loop run body,
+:func:`repro.sim.runner.run_open_loop` — the same construction order and
+``extra`` keys as every synthetic and scenario point, so a recorded run,
+its replay and the unrecorded point produce identical payloads.
 """
 
 from __future__ import annotations
@@ -11,40 +9,12 @@ from __future__ import annotations
 from pathlib import Path
 
 from repro.config import RunResult, SimConfig
-from repro.scenario.source import ScenarioTraffic
-from repro.scenario.spec import ScenarioSpec
 from repro.scenario.trace import TraceRecorder, TraceReplay
 from repro.schemes.base import Scheme, get_scheme
 from repro.sim.engine import Simulation
-
-
-def run_scenario(scheme: Scheme | str, spec: ScenarioSpec, cfg: SimConfig,
-                 seed: int | None = None,
-                 traffic_stop: int | None = None,
-                 metrics: bool | int = False) -> RunResult:
-    """One (scheme, scenario) simulation on the standard seam.
-
-    Only ``extra["rate"]``/``extra["pattern"]`` are added (mirroring
-    ``run_point`` and ``ReplicaBatch.run``) so scalar and batched
-    executions of the same scenario point produce identical payloads.
-    """
-    if isinstance(scheme, str):
-        scheme = get_scheme(scheme)
-    traffic = ScenarioTraffic(spec,
-                              seed=cfg.seed if seed is None else seed,
-                              stop=traffic_stop)
-    sim = Simulation(cfg, scheme, traffic)
-    obs = None
-    if metrics:
-        from repro.obs import attach_for_run
-        obs = attach_for_run(sim.net, metrics)
-    res = sim.run()
-    res.extra["rate"] = traffic.rate
-    res.extra["pattern"] = traffic.pattern
-    res.engine_used = sim.engine_used
-    if obs is not None:
-        obs.archive_run(res, f"{scheme.label}_scenario_{spec.name}")
-    return res
+from repro.sim.runner import run_open_loop
+from repro.sim.workload import Scenario
+from repro.traffic.spec import ScenarioSpec
 
 
 def record_scenario(scheme: Scheme | str, spec: ScenarioSpec,
@@ -62,13 +32,11 @@ def record_scenario(scheme: Scheme | str, spec: ScenarioSpec,
     if isinstance(scheme, str):
         scheme = get_scheme(scheme)
     use_seed = cfg.seed if seed is None else seed
-    traffic = ScenarioTraffic(spec, seed=use_seed, stop=traffic_stop)
+    traffic = Scenario(spec).traffic(use_seed, traffic_stop)
     sim = Simulation(cfg, scheme, traffic)
     rec = TraceRecorder(sim.net, label=spec.name, seed=use_seed)
-    res = sim.run()
+    res = run_open_loop(sim)
     rec.detach()
-    res.extra["rate"] = traffic.rate
-    res.extra["pattern"] = traffic.pattern
     path = rec.write(out, scenario=spec.name, scenario_sha=spec.sha(),
                      rate=traffic.rate, scheme=scheme.label)
     return res, path
@@ -81,9 +49,4 @@ def replay_trace(scheme: Scheme | str, trace: str | Path | TraceReplay,
         scheme = get_scheme(scheme)
     traffic = trace if isinstance(trace, TraceReplay) \
         else TraceReplay.from_file(trace)
-    sim = Simulation(cfg, scheme, traffic)
-    res = sim.run()
-    res.extra["rate"] = traffic.rate
-    res.extra["pattern"] = traffic.pattern
-    res.engine_used = sim.engine_used
-    return res
+    return run_open_loop(Simulation(cfg, scheme, traffic))

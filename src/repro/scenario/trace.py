@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from repro.network.packet import N_CLASSES
 from repro.obs import attach_observability
 from repro.traffic.synthetic import SyntheticTraffic
 
@@ -95,6 +96,13 @@ class TraceRecorder:
 
 
 # ----------------------------------------------------------------------
+def _is_event(event) -> bool:
+    """Four ints, a cycle that is reachable, a valid message class."""
+    return (isinstance(event, list) and len(event) == 4
+            and all(type(v) is int for v in event)
+            and event[0] >= 0 and 0 <= event[3] < N_CLASSES)
+
+
 def load_trace(path: str | Path) -> tuple[dict, list]:
     """Read a trace artifact; raises :class:`TraceSchemaError` for
     anything this build cannot faithfully replay."""
@@ -123,11 +131,16 @@ def load_trace(path: str | Path) -> tuple[dict, list]:
             if not line.strip():
                 continue
             try:
-                cycle, src, dst, mclass = json.loads(line)
-            except (json.JSONDecodeError, ValueError) as e:
+                event = json.loads(line)
+            except json.JSONDecodeError as e:
                 raise TraceSchemaError(
                     f"{path}:{lineno}: bad event line: {e}") from e
-            events.append((int(cycle), int(src), int(dst), int(mclass)))
+            if not _is_event(event):
+                raise TraceSchemaError(
+                    f"{path}:{lineno}: bad event line: {line.strip()!r} is "
+                    f"not [cycle >= 0, src, dst, mclass 0-{N_CLASSES - 1}] "
+                    f"of ints")
+            events.append(tuple(event))
     declared = header.get("events")
     if declared is not None and declared != len(events):
         raise TraceSchemaError(
@@ -145,9 +158,7 @@ class TraceReplay(SyntheticTraffic):
     ``generate`` fast path never refills — it only pops the staged
     events, preserving the recorded per-cycle order exactly (which is
     what makes pid allocation, and therefore the whole run, bit-identical
-    to the recording).  Trace points never fold into replica batches
-    (their pattern carries a ``:``), so the frozen chunk bookkeeping is
-    never consulted.
+    to the recording).
     """
 
     def __init__(self, header: dict, events: list):
@@ -167,7 +178,6 @@ class TraceReplay(SyntheticTraffic):
 
     def bind(self, net) -> None:
         self._net = net
-        self._fixed_dst = None
         mesh = self.header.get("mesh")
         if mesh is not None and tuple(mesh) != (net.mesh.rows,
                                                 net.mesh.cols):

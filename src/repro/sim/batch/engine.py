@@ -9,10 +9,11 @@ memoised pure functions, so the replicas share them exactly as any other
 builds in the process do; the fold itself adds nothing to construction
 (DESIGN §12 keeps the record of when it did).
 
-Bit-identity with a scalar ``run_point`` per seed is by construction:
-each replica executes the unmodified datapath of whichever engine its
-config selects, on its own mutable state (routers, NIs, stats, RNG
-stream).
+Bit-identity with the scalar run per seed is by construction: each
+replica executes the unmodified datapath of whichever engine its config
+selects, on its own mutable state (routers, NIs, stats, RNG stream), and
+its result is stamped by the scalar body's own
+:func:`~repro.sim.runner.stamp`.
 """
 
 from __future__ import annotations
@@ -20,38 +21,22 @@ from __future__ import annotations
 from repro.config import RunResult, SimConfig
 from repro.schemes import get_scheme
 from repro.sim.engine import Simulation
-from repro.traffic.synthetic import SyntheticTraffic
+from repro.sim.runner import stamp
 
 
 class ReplicaBatch:
-    """R seed replicas of one (scheme, pattern, rate) point."""
+    """R seed replicas of one open-loop point (a ``workload`` with a
+    ``traffic(seed, stop)`` source, :class:`~repro.sim.workload.OpenLoop`)."""
 
-    def __init__(self, cfg: SimConfig, scheme: str, pattern: str,
-                 rate: float, seeds, scheme_kwargs: dict | None = None,
-                 traffic_stop: int | None = None, spec=None):
+    def __init__(self, cfg: SimConfig, scheme: str, workload, seeds,
+                 scheme_kwargs: dict | None = None,
+                 traffic_stop: int | None = None):
         kwargs = dict(scheme_kwargs or {})
-        if spec is not None:
-            from repro.scenario.source import ScenarioTraffic
-
-            def make_traffic(seed):
-                return ScenarioTraffic(spec, seed=seed, stop=traffic_stop)
-        else:
-            def make_traffic(seed):
-                return SyntheticTraffic(pattern, rate, seed=seed,
-                                        stop=traffic_stop)
         self.sims: list[Simulation] = [
-            Simulation(cfg, get_scheme(scheme, **kwargs), make_traffic(seed))
+            Simulation(cfg, get_scheme(scheme, **kwargs),
+                       workload.traffic(seed, traffic_stop))
             for seed in seeds]
 
     def run(self) -> list[RunResult]:
         """Run every replica; returns per-seed RunResults in order."""
-        results = []
-        for sim in self.sims:
-            res = sim._run_open_loop()
-            res.extra["rate"] = sim.traffic.rate
-            res.extra["pattern"] = sim.traffic.pattern
-            # Attribution metadata, not a result field: travels as a plain
-            # attribute so cache keys and bit-identity stay engine-blind.
-            res.engine_used = sim.engine_used
-            results.append(res)
-        return results
+        return [stamp(sim, sim._run_open_loop()) for sim in self.sims]

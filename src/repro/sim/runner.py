@@ -12,7 +12,18 @@ def run_point(scheme: Scheme | str, pattern: str, rate: float,
               cfg: SimConfig, seed: int | None = None,
               traffic_stop: int | None = None,
               metrics: bool | int = False) -> RunResult:
-    """One (scheme, pattern, injection-rate) simulation.
+    """One (scheme, pattern, injection-rate) simulation."""
+    if isinstance(scheme, str):
+        scheme = get_scheme(scheme)
+    traffic = SyntheticTraffic(pattern, rate,
+                               seed=cfg.seed if seed is None else seed,
+                               stop=traffic_stop)
+    return run_open_loop(Simulation(cfg, scheme, traffic), metrics=metrics)
+
+
+def run_open_loop(sim: Simulation, metrics: bool | int = False) -> RunResult:
+    """The one open-loop run body: synthetic and scenario points, trace
+    recording and replay all end here.
 
     ``metrics`` turns on the observability subsystem for this run: True
     attaches the standard metric set, a positive integer additionally
@@ -21,50 +32,47 @@ def run_point(scheme: Scheme | str, pattern: str, rate: float,
     counters) recorded in ``res.extra["metrics"]`` — results stay
     bit-identical either way (observability is result-neutral).
     """
-    if isinstance(scheme, str):
-        scheme = get_scheme(scheme)
-    traffic = SyntheticTraffic(pattern, rate,
-                               seed=cfg.seed if seed is None else seed,
-                               stop=traffic_stop)
-    sim = Simulation(cfg, scheme, traffic)
     obs = None
     if metrics:
         from repro.obs import attach_for_run
         obs = attach_for_run(sim.net, metrics)
-    res = sim.run()
-    res.extra["rate"] = rate
-    res.extra["pattern"] = pattern
-    # Attribution metadata as a plain attribute (NOT a RunResult field or
-    # extra entry): results and cache keys must stay engine-blind.
-    res.engine_used = sim.engine_used
+    res = stamp(sim, sim.run())
     if obs is not None:
-        obs.archive_run(res, f"{scheme.label}_{pattern}_r{rate:g}")
+        t = sim.traffic
+        obs.archive_run(res, f"{sim.scheme.label}_{t.pattern}_r{t.rate:g}"
+                        .replace(":", "_"))
     return res
 
 
-def run_replicas(scheme: str, pattern: str, rate: float, cfg: SimConfig,
-                 seeds, scheme_kwargs: dict | None = None,
-                 traffic_stop: int | None = None,
-                 spec=None) -> list[RunResult]:
-    """Run one point under several seeds as one seed fold.
+def stamp(sim: Simulation, res: RunResult) -> RunResult:
+    """What an open-loop result carries beyond the kernel's fields: the
+    traffic's ``extra["rate"]`` / ``extra["pattern"]``, and the engine
+    that drove it — a plain attribute, NOT a RunResult field or extra
+    entry: results and cache keys must stay engine-blind."""
+    res.extra["rate"] = sim.traffic.rate
+    res.extra["pattern"] = sim.traffic.pattern
+    res.engine_used = sim.engine_used
+    return res
 
-    Semantically ``[run_point(scheme, pattern, rate, cfg, seed=s) for s
-    in seeds]`` — each returned :class:`RunResult` is bit-identical to
-    the scalar run with that seed (proven by the differential tests);
-    the fold is a unit of campaign execution, not an optimisation.
-    ``scheme`` is a registry name: every replica needs its own scheme
-    instance, so an already-built :class:`Scheme` object cannot be
-    shared the way ``run_point`` accepts one.
 
-    Pass a :class:`~repro.scenario.spec.ScenarioSpec` as ``spec`` to
-    fold scenario replicas instead of plain synthetic ones (``pattern``
-    and ``rate`` are then taken from the spec).
+def run_replicas(scheme: str, workload, cfg: SimConfig, seeds,
+                 scheme_kwargs: dict | None = None,
+                 traffic_stop: int | None = None) -> list[RunResult]:
+    """Run one open-loop point under several seeds as one seed fold.
+
+    ``workload`` is a :class:`~repro.sim.workload.OpenLoop` (a
+    ``Synthetic`` or a ``Scenario``).  Each returned :class:`RunResult`
+    is bit-identical to the scalar run with that seed (proven by the
+    differential tests); the fold is a unit of campaign execution, not
+    an optimisation.  ``scheme`` is a registry name: every replica needs
+    its own scheme instance, so an already-built :class:`Scheme` object
+    cannot be shared the way ``run_point`` accepts one.
     """
     from repro.sim.batch.engine import ReplicaBatch
-    batch = ReplicaBatch(cfg, scheme, pattern, rate,
+    batch = ReplicaBatch(cfg, scheme, workload,
                          [cfg.seed if s is None else s for s in seeds],
                          scheme_kwargs=scheme_kwargs,
-                         traffic_stop=traffic_stop, spec=spec)
+                         traffic_stop=traffic_stop)
     return batch.run()
 
 

@@ -1,10 +1,12 @@
 """What a campaign point runs: one small frozen family of workloads.
 
 Each kind's ``run(point, cfg)`` is the whole body of a
-:class:`~repro.sim.parallel.Point` (the open-loop kinds also fold seed
-replicas, ``run_replicas``) and each writes its own wire ``pattern`` /
-``rate`` / ``meta``; :func:`decode` is the one place a pattern prefix
-is read back.  This module is under ``sim/``, so the cache salt hashes
+:class:`~repro.sim.parallel.Point` and each writes its own wire
+``pattern`` / ``rate`` / ``meta``; :func:`decode` is the one place a
+pattern prefix is read back.  The two open-loop kinds are one
+:class:`OpenLoop`: a synthetic pattern is the one-phase schedule, a
+scenario its spec, and both run (and fold seed replicas) through the
+same body.  This module is under ``sim/``, so the cache salt hashes
 it: a change to what a point computes misses the cache (DESIGN §8).
 """
 
@@ -18,7 +20,8 @@ from typing import TYPE_CHECKING, ClassVar
 from repro.config import RunResult, SimConfig
 
 if TYPE_CHECKING:
-    from repro.scenario.spec import ScenarioSpec
+    from repro.traffic.spec import ScenarioSpec
+    from repro.traffic.synthetic import SyntheticTraffic
 
 
 def metrics_setting() -> int:
@@ -46,33 +49,42 @@ def _setup(point, cfg: SimConfig):
     return scheme, _faulted(point, cfg), seed
 
 
-def _fold(point, seeds, cfg: SimConfig, spec=None) -> list[RunResult]:
-    from repro.sim.runner import run_replicas
-    return run_replicas(point.scheme, point.pattern, point.rate,
-                        _faulted(point, cfg), seeds,
-                        scheme_kwargs=dict(point.scheme_kwargs),
-                        traffic_stop=point.traffic_stop, spec=spec)
+class OpenLoop:
+    """What :class:`Synthetic` and :class:`Scenario` share: open-loop
+    traffic from a phase schedule (``spec``; None is the one-phase
+    schedule of ``pattern`` at ``rate``), one run body, one seed fold."""
+
+    def traffic(self, seed: int, stop: int | None = None
+                ) -> SyntheticTraffic:
+        from repro.traffic.synthetic import SyntheticTraffic
+        return SyntheticTraffic(self.pattern, self.rate, seed=seed,
+                                stop=stop, spec=self.spec)
+
+    def run(self, point, cfg: SimConfig) -> RunResult:
+        from repro.sim.engine import Simulation
+        from repro.sim.runner import run_open_loop
+        scheme, cfg, seed = _setup(point, cfg)
+        sim = Simulation(cfg, scheme, self.traffic(seed, point.traffic_stop))
+        return run_open_loop(sim, metrics=metrics_setting())
+
+    def run_replicas(self, point, seeds, cfg: SimConfig) -> list[RunResult]:
+        from repro.sim.runner import run_replicas
+        return run_replicas(point.scheme, self, _faulted(point, cfg), seeds,
+                            scheme_kwargs=dict(point.scheme_kwargs),
+                            traffic_stop=point.traffic_stop)
 
 
 @dataclass(frozen=True)
-class Synthetic:
+class Synthetic(OpenLoop):
     """Open-loop synthetic traffic; the wire pattern is ``pattern``."""
+
+    spec: ClassVar[None] = None
 
     pattern: str
     rate: float
 
     def wire_meta(self) -> tuple:
         return ()
-
-    def run(self, point, cfg: SimConfig) -> RunResult:
-        from repro.sim.runner import run_point
-        scheme, cfg, seed = _setup(point, cfg)
-        return run_point(scheme, self.pattern, self.rate, cfg, seed=seed,
-                         traffic_stop=point.traffic_stop,
-                         metrics=metrics_setting())
-
-    def run_replicas(self, point, seeds, cfg: SimConfig) -> list[RunResult]:
-        return _fold(point, seeds, cfg)
 
 
 @dataclass(frozen=True)
@@ -146,7 +158,7 @@ class Stress:
 
 
 @dataclass(frozen=True)
-class Scenario:
+class Scenario(OpenLoop):
     """A declarative scenario, ``scenario:<name>`` at its mean rate.  The
     spec's full token rides in the meta, so the cache keys on its
     content, not its name."""
@@ -173,18 +185,8 @@ class Scenario:
 
     @classmethod
     def decode(cls, name: str, rate: float, meta: dict) -> "Scenario":
-        from repro.scenario.spec import ScenarioSpec
+        from repro.traffic.spec import ScenarioSpec
         return cls(ScenarioSpec.from_token(meta.pop("scenario")))
-
-    def run(self, point, cfg: SimConfig) -> RunResult:
-        from repro.scenario.runner import run_scenario
-        scheme, cfg, seed = _setup(point, cfg)
-        return run_scenario(scheme, self.spec, cfg, seed=seed,
-                            traffic_stop=point.traffic_stop,
-                            metrics=metrics_setting())
-
-    def run_replicas(self, point, seeds, cfg: SimConfig) -> list[RunResult]:
-        return _fold(point, seeds, cfg, spec=self.spec)
 
 
 @dataclass(frozen=True)
@@ -226,9 +228,6 @@ Workload = Synthetic | App | Stress | Scenario | Irregular
 #: pattern prefix -> kind; an unprefixed pattern is :class:`Synthetic`
 KINDS: dict[str, type] = {k.kind: k for k in
                           (App, Stress, Scenario, Irregular)}
-
-#: the kinds whose seed replicas fold into one task
-FOLDABLE = (Synthetic, Scenario)
 
 
 def decode(pattern: str, rate: float, meta: dict):

@@ -1,4 +1,5 @@
-"""The declarative scenario DSL.
+"""The declarative scenario DSL: the phase schedule every open-loop
+source runs.
 
 A *scenario* describes a time-varying traffic requirement as data — the
 idiom real NoC evaluation flows use (traffic requirements expressed as
@@ -8,7 +9,9 @@ Bernoulli rate).  A :class:`ScenarioSpec` is an ordered list of
 cycles, the Table-II pattern, the offered rate, an optional hotspot
 destination skew, and an optional two-state MMPP (on/off burst)
 modulation of the rate.  After the last phase the schedule wraps around,
-so one spec drives open-loop runs of any length.
+so one spec drives open-loop runs of any length.  The paper's case —
+one Table II pattern at one Bernoulli rate — is the one-phase schedule
+:class:`~repro.traffic.synthetic.SyntheticTraffic` builds by default.
 
 Specs are plain frozen dataclasses with a lossless canonical JSON form:
 ``to_json``/``from_json`` round-trip exactly, and :meth:`ScenarioSpec
@@ -34,7 +37,10 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from repro.traffic.synthetic import PATTERNS
+#: Table II's patterns plus Bit Rotation / Bit Complement (Fig. 7) and
+#: Bit Reverse; :mod:`repro.traffic.synthetic` holds their destinations.
+PATTERNS = ("uniform", "transpose", "shuffle", "bit_rotation",
+            "bit_complement", "bit_reverse")
 
 
 @dataclass(frozen=True)

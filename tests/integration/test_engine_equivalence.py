@@ -170,15 +170,15 @@ def test_soa_transpose_and_seeds():
 # results: they sit on the same TrafficSource seam, so any divergence
 # means an engine is consuming traffic state out of order.
 
-from repro.scenario.source import ScenarioTraffic  # noqa: E402
-from repro.scenario.spec import SCENARIOS  # noqa: E402
+from repro.sim.workload import Scenario  # noqa: E402
+from repro.traffic.spec import SCENARIOS  # noqa: E402
 from repro.scenario.trace import TraceReplay  # noqa: E402
 
 
 def _run_scenario(scheme, spec, seed, engine, cfg=None, naive=False):
     cfg = (cfg or _cfg()).with_(engine=engine)
     sim = Simulation(cfg, get_scheme(scheme),
-                     ScenarioTraffic(spec, seed=seed))
+                     Scenario(spec).traffic(seed))
     sim.net.force_naive_step = naive
     return sim.run(), sim
 

@@ -21,6 +21,7 @@ from repro.fault.plan import LINK_FLAP, FaultEvent, FaultPlan
 from repro.schemes import get_scheme
 from repro.sim.batch.engine import ReplicaBatch
 from repro.sim.runner import run_point, run_replicas
+from repro.sim.workload import Synthetic
 
 SEEDS = [3, 5, 7, 11]
 
@@ -85,7 +86,7 @@ def _check(cfg, scheme, kwargs, rate, seeds, batched, label,
 ])
 def test_batch_matches_scalar(scheme, kwargs, rate, engine):
     cfg = _cfg(engine=engine)
-    batched = ReplicaBatch(cfg, scheme, "uniform", rate, SEEDS,
+    batched = ReplicaBatch(cfg, scheme, Synthetic("uniform", rate), SEEDS,
                            scheme_kwargs=kwargs).run()
     _check(cfg, scheme, kwargs, rate, SEEDS, batched,
            f"{scheme}@{rate} {engine}")
@@ -104,7 +105,7 @@ def test_batch_matches_scalar_with_bounces(monkeypatch, engine):
     from repro.network.ni import NetworkInterface
     monkeypatch.setattr(NetworkInterface, "CONSUME_RATE", 0)
     cfg = _cfg(engine=engine, ej_queue_pkts=1)
-    batch = ReplicaBatch(cfg, "fastpass", "uniform", 0.30, SEEDS,
+    batch = ReplicaBatch(cfg, "fastpass", Synthetic("uniform", 0.30), SEEDS,
                          scheme_kwargs={"n_vcs": 2})
     batched = batch.run()
     assert sum(s.net.fastpass.engine.bounced
@@ -127,7 +128,7 @@ def test_batch_matches_scalar_under_faults(scheme, kwargs, engine):
         rate=0.002, start=100, stop=400, seed=3)
     cfg = _cfg(engine=engine, paranoia=0).with_(fault_plan=plan)
     seeds = SEEDS[:3]
-    batched = run_replicas(scheme, "uniform", 0.08, cfg, seeds,
+    batched = run_replicas(scheme, Synthetic("uniform", 0.08), cfg, seeds,
                            scheme_kwargs=kwargs, traffic_stop=500)
     used = engine if engine != "soa" else (
         "active (soa fallback: fault injection mutates timers and "
@@ -140,5 +141,6 @@ def test_batch_matches_scalar_under_faults(scheme, kwargs, engine):
 
 def test_run_replicas_defaults_seed_from_config():
     cfg = _cfg(seed=9, paranoia=0)
-    batched = run_replicas("baseline", "uniform", 0.05, cfg, [None, 9])
+    batched = run_replicas("baseline", Synthetic("uniform", 0.05), cfg,
+                           [None, 9])
     assert_results_equal(batched[0], batched[1], "default-seed")

@@ -17,11 +17,10 @@ from repro.campaign.executor import CampaignExecutor, group_items
 from repro.campaign.worker import (execute_group, execute_point,
                                    replica_signature)
 from repro.config import SimConfig
-from repro.scenario.runner import run_scenario
-from repro.scenario.spec import SCENARIOS, PhaseSpec, ScenarioSpec
 from repro.sim.parallel import Point
 from repro.sim.runner import run_replicas
 from repro.sim.workload import Irregular, Scenario
+from repro.traffic.spec import SCENARIOS, PhaseSpec, ScenarioSpec
 
 ALIGNED = SCENARIOS["bursty"]
 MISALIGNED = ScenarioSpec("offgrid", (PhaseSpec(duration=300, rate=0.05),
@@ -65,10 +64,11 @@ class TestReplicaFoldGuard:
 
     def test_aligned_fold_is_bit_identical_to_scalar(self):
         seeds = [3, 4, 5]
-        batched = run_replicas("fastpass", "x", 0.0, _cfg(), seeds=seeds,
-                               spec=ALIGNED)
+        batched = run_replicas("fastpass", Scenario(ALIGNED), _cfg(),
+                               seeds=seeds)
         for seed, res in zip(seeds, batched):
-            scalar = run_scenario("fastpass", ALIGNED, _cfg(), seed=seed)
+            scalar = execute_point(
+                Point("fastpass", Scenario(ALIGNED), seed=seed), _cfg())
             _same_result(res, scalar, f"seed={seed}")
 
     def test_execute_group_matches_execute_point(self):
@@ -89,8 +89,8 @@ class TestReplicaFoldGuard:
                               auto_batch=True)
         out = ex.run(pts)
         for seed, res in zip(seeds, out):
-            scalar = run_scenario("fastpass", MISALIGNED, _cfg(),
-                                  seed=seed)
+            scalar = execute_point(
+                Point("fastpass", Scenario(MISALIGNED), seed=seed), _cfg())
             _same_result(res, scalar, f"executor seed={seed}")
 
 

@@ -10,8 +10,8 @@ from types import SimpleNamespace
 from hypothesis import given, settings, strategies as st
 
 from repro.network.topology import Mesh
-from repro.scenario.source import ScenarioTraffic
-from repro.scenario.spec import BurstSpec, PhaseSpec, ScenarioSpec
+from repro.sim.workload import Scenario
+from repro.traffic.spec import BurstSpec, PhaseSpec, ScenarioSpec
 
 bursts = st.builds(
     BurstSpec,
@@ -53,7 +53,7 @@ specs = st.builds(
 
 
 def _bound(spec, seed):
-    t = ScenarioTraffic(spec, seed=seed)
+    t = Scenario(spec).traffic(seed)
     t.bind(SimpleNamespace(mesh=Mesh(4, 4)))
     return t
 

@@ -64,6 +64,8 @@ class TestUsageErrors:
         # the live view is `fabric status URL`
         (["campaign", "status", "--url", "http://127.0.0.1:1"],
          "unrecognized arguments: --url"),
+        (["obs", "report", "--rate", "1.5"],
+         "--rate 1.5: phase rate must be in [0, 1]"),
     ])
     def test_exits_2(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:

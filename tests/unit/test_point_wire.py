@@ -19,9 +19,9 @@ from repro.config import SimConfig
 from repro.experiments.table1 import stress_point
 from repro.fault.plan import FaultPlan, fault_storm, link_cut
 from repro.network.topology import PORT_E
-from repro.scenario.spec import get_scenario
 from repro.sim.parallel import Point
 from repro.sim.workload import Irregular, Scenario, Synthetic
+from repro.traffic.spec import get_scenario
 
 FIXTURE = Path(__file__).resolve().parents[1] / "data" / "point_json.json"
 CFG = SimConfig(rows=4, cols=4)

@@ -1,12 +1,13 @@
-"""Unit tests for the scenario traffic source (fill semantics)."""
+"""Unit tests for scenario-driven traffic (fill semantics of the one
+open-loop source, :class:`~repro.traffic.synthetic.SyntheticTraffic`)."""
 
 from types import SimpleNamespace
 
 import pytest
 
 from repro.network.topology import Mesh
-from repro.scenario.source import ScenarioTraffic
-from repro.scenario.spec import BurstSpec, PhaseSpec, ScenarioSpec
+from repro.sim.workload import Scenario
+from repro.traffic.spec import BurstSpec, PhaseSpec, ScenarioSpec
 
 
 def stub_net(rows=4, cols=4):
@@ -15,7 +16,7 @@ def stub_net(rows=4, cols=4):
 
 
 def bound(spec, seed=1, rows=4, cols=4):
-    t = ScenarioTraffic(spec, seed=seed)
+    t = Scenario(spec).traffic(seed)
     t.bind(stub_net(rows, cols))
     return t
 
@@ -126,11 +127,11 @@ class TestPatternsAndHotspots:
         spec = ScenarioSpec("big", (
             PhaseSpec(duration=256, rate=0.1, hotspot_frac=0.5,
                       hotspots=((40, 1.0),)),))
-        t = ScenarioTraffic(spec)
+        t = Scenario(spec).traffic(1)
         with pytest.raises(ValueError, match="out of range"):
             t.bind(stub_net(4, 4))
         # but fine on a mesh large enough
-        ScenarioTraffic(spec).bind(stub_net(8, 8))
+        Scenario(spec).traffic(1).bind(stub_net(8, 8))
 
 
 class TestBurstModulation:
@@ -183,6 +184,6 @@ class TestDeterminism:
 
     def test_pattern_and_rate_surface(self):
         spec = ScenarioSpec("meta", (PhaseSpec(duration=256, rate=0.1),))
-        t = ScenarioTraffic(spec)
+        t = Scenario(spec).traffic(1)
         assert t.pattern == "scenario:meta"
         assert t.rate == pytest.approx(spec.mean_rate())

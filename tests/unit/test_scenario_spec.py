@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.scenario.spec import (SCENARIOS, BurstSpec, PhaseSpec,
+from repro.traffic.spec import (SCENARIOS, BurstSpec, PhaseSpec,
                                  ScenarioSpec, get_scenario)
 
 

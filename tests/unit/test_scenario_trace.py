@@ -1,14 +1,15 @@
 """Unit tests for trace record/replay artifacts and schema handling."""
 
 import json
+import re
 
 import pytest
 
 from repro.config import SimConfig
 from repro.scenario.runner import record_scenario, replay_trace
-from repro.scenario.spec import PhaseSpec, ScenarioSpec
 from repro.scenario.trace import (TRACE_SCHEMA, TraceReplay,
                                   TraceSchemaError, load_trace)
+from repro.traffic.spec import PhaseSpec, ScenarioSpec
 
 
 def small_spec():
@@ -92,12 +93,19 @@ class TestSchemaErrors:
             load_trace(cut)
 
     def test_bad_event_line(self, trace_path, tmp_path):
+        """Every event line is four ints, a cycle >= 0 and a valid
+        message class; anything else names its ``path:line`` — a negative
+        cycle would load and never replay, class 9 would fail mid-run."""
         lines = trace_path.read_text().splitlines()
-        lines[1] = "[1, 2]"
         bad = tmp_path / "badev.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
-        with pytest.raises(TraceSchemaError, match="bad event line"):
-            load_trace(bad)
+        for event in ("[1, 2]", "5", "[1,2,3,null]", '[1,2,3,"x"]',
+                      "[-5,1,2,0]", "[3,1,2,9]", "[1,2,3,true]",
+                      "[1.0,2,3,0]", "[1,2,3"):
+            lines[1] = event
+            bad.write_text("\n".join(lines) + "\n")
+            with pytest.raises(TraceSchemaError,
+                               match=re.escape(f"{bad}:2: bad event")):
+                load_trace(bad)
 
 
 class TestReplaySource:

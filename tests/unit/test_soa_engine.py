@@ -141,8 +141,10 @@ class TestCampaignIntegration:
         dense-table build — and ``engine_used`` attributes each result
         to the kernel."""
         from repro.sim.batch.engine import ReplicaBatch
-        batch = ReplicaBatch(_cfg(engine="soa"), "fastpass", "uniform",
-                             0.05, [3, 5], scheme_kwargs={"n_vcs": 2})
+        from repro.sim.workload import Synthetic
+        batch = ReplicaBatch(_cfg(engine="soa"), "fastpass",
+                             Synthetic("uniform", 0.05), [3, 5],
+                             scheme_kwargs={"n_vcs": 2})
         k0, k1 = (s.net.soa for s in batch.sims)
         assert k0 is not None and k1 is not None and k0 is not k1
         assert k0.tables is k1.tables

@@ -62,8 +62,13 @@ class TestPatternFunctions:
 
 class TestSyntheticTraffic:
     def test_unknown_pattern_rejected(self):
-        with pytest.raises(ValueError):
-            SyntheticTraffic("zipf", 0.1)
+        """An unknown pattern, and a rate that is not a probability (1.5
+        would inject at every node every cycle, -0.1 never), fail at
+        construction."""
+        for pattern, rate in (("zipf", 0.1), ("uniform", 1.5),
+                              ("uniform", -0.1)):
+            with pytest.raises(ValueError):
+                SyntheticTraffic(pattern, rate)
 
     def test_all_declared_patterns_construct(self):
         for p in PATTERNS:

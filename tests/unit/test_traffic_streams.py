@@ -26,8 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.scenario.source import ScenarioTraffic
-from repro.scenario.spec import SCENARIOS
+from repro.sim.workload import Scenario
+from repro.traffic.spec import SCENARIOS
 from repro.traffic.synthetic import PATTERNS, SyntheticTraffic
 from tests.integration.test_scenario_campaign import MISALIGNED
 from tests.unit.test_scenario_source import fill_stream, generated_stream
@@ -51,7 +51,7 @@ def sources() -> dict:
         partial(SyntheticTraffic, "uniform", 0.30, seed=SEED, stop=700), 8)
     for spec in (*SCENARIOS.values(), MISALIGNED):
         out[f"8x8/scenario/{spec.name}"] = (
-            partial(ScenarioTraffic, spec, seed=SEED), 8)
+            partial(Scenario(spec).traffic, SEED), 8)
     return out
 
 
