@@ -65,9 +65,8 @@ class FastFlowEngine:
             pkt.fp_upgrade = now
         pkt.hops += dist
         self.forward_launched += 1
-        net.in_transit += 1
+        net.depart(now)
         net.schedule(now + dist, self._arrive_forward, pkt, prime)
-        net.last_progress = now
         return now + pkt.size
 
     # ------------------------------------------------------------------
@@ -81,9 +80,8 @@ class FastFlowEngine:
             router = net.routers[pkt.dst]
             stall = max(0, router.eject_busy_until - now)
             router.eject_busy_until = now + pkt.size + stall
-            net.in_transit -= 1
+            net.arrive(now)
             ni.eject(pkt, now)
-            net.last_progress = now
             return
         # Full ejection queue: reserve it and bounce to the prime (Fig. 3).
         queue.reserve(pkt)
@@ -119,6 +117,5 @@ class FastFlowEngine:
 
     def _arrive_return(self, now: int, pkt, prime: int) -> None:
         self.returned += 1
-        self.net.in_transit -= 1
+        self.net.arrive(now)
         self.net.nis[prime].accept_bounced(pkt, now)
-        self.net.last_progress = now

@@ -157,8 +157,8 @@ class FastPassManager:
             q = ni.inj[cls]
             if q and self._eligible(q[0], prime, tcol, now, slot_end):
                 pkt = q[0]
-                return pkt, lambda q=q, pkt=pkt: self._take_injection(ni,
-                                                                      q, pkt)
+                return pkt, lambda q=q, pkt=pkt: self._take_injection(
+                    ni, q, pkt, now)
         # 2. Input-port VC slots, round-robin.  Only occupied slots can
         # match, so scan those — ordered by their flat index relative to
         # the rr pointer, which reproduces the full flat scan exactly.
@@ -194,24 +194,11 @@ class FastPassManager:
         return None
 
     # -- removal callbacks ---------------------------------------------------
-    def _take_injection(self, ni, q, pkt) -> None:
-        q.remove(pkt)
-        ni.inj_count -= 1
-        net = self.net
-        net.inj_total -= 1
-        pkt.net_entry = net.cycle
-        pkt.rejected = False
-        net.stats.injected += 1
+    def _take_injection(self, ni, q, pkt, now: int) -> None:
+        ni.take(q, pkt, now)
         self.upgrades_from_injection += 1
-        obs = net.obs
-        if obs is not None:
-            # Mirrors stats.injected: an upgrade straight from the
-            # injection queues counts as the packet's network entry.
-            obs.emit("injected", net.cycle, pkt.pid,
-                     src=ni.id, dst=pkt.dst, vn=pkt.vn)
 
     def _take_slot(self, ni, router, slot, pkt, now: int) -> None:
-        router.disturb()           # the upgrade empties (or refills) a slot
         if self.slot_sink is not None:
             self.slot_sink.append((router, slot))
         rejected = self._pending_rejected(ni)
@@ -219,16 +206,11 @@ class FastPassManager:
             # Green path: the bounced packet moves into the freed VC slot;
             # the upstream credit is NOT returned (the slot stays occupied
             # — it is refilled, not vacated, and its waiters keep waiting).
-            ni.inj[MessageClass.REQUEST].remove(rejected)
-            ni.inj_count -= 1
-            self.net.inj_total -= 1
-            slot.pkt = rejected
-            slot.ready_at = now + 1
-            slot.free_at = 1 << 60
+            ni.dequeue(ni.inj[MessageClass.REQUEST], rejected)
+            slot.fill(rejected, now + 1)
         else:
             # Credit freed as soon as the FastPass-Packet departs.
-            slot.vacate(now + pkt.size)
-            self.net.buffered -= 1
+            self.net.unbuffer(slot, now + pkt.size)
 
     def _pending_rejected(self, ni):
         for pkt in ni.inj[MessageClass.REQUEST]:

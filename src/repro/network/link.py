@@ -11,6 +11,8 @@ suppression).
 
 from __future__ import annotations
 
+INF = 1 << 60     # a claimed slot's free_at: no credit before its vacate
+
 
 class ReservationConflict(Exception):
     """Two FastFlow reservations overlapped: the non-overlap invariant of
@@ -111,8 +113,8 @@ class VCSlot:
       failed arbitration because this VC was occupied (``None`` when
       nobody waits).  :meth:`vacate` — the only way a slot is emptied —
       tells them when the credit comes back.  A slot that is *refilled*
-      without being vacated (FastPass green path, SPIN rotation, SWAP
-      exchange) returns no credit and keeps its waiters.
+      (:meth:`fill` without a vacate: FastPass green path, SPIN rotation,
+      SWAP exchange) returns no credit and keeps its waiters.
     * ``owner`` — the router this slot belongs to (``None`` for a slot
       outside any router's VC array, e.g. MinBD's side buffer).
     """
@@ -137,10 +139,22 @@ class VCSlot:
     def is_free(self, now: int) -> bool:
         return self.pkt is None and self.free_at <= now
 
+    def fill(self, pkt, ready_at: int) -> None:
+        """Put ``pkt`` here, head ready at ``ready_at``, claimed until the
+        next :meth:`vacate`; a parked owner is woken first.  A newly
+        occupied slot still needs ``Router.admit``; a refill does not."""
+        owner = self.owner
+        if owner is not None and owner._parked_sw >= 0:
+            owner.disturb()
+        self.pkt = pkt
+        self.ready_at = ready_at
+        self.free_at = INF
+
     def vacate(self, free_at: int) -> None:
         """Empty the slot; its credit reaches upstream at ``free_at``.
 
-        Every waiter's retry memo — and the wake cycle of its router, if
+        A parked owner is woken first, as in :meth:`fill`.  Every
+        waiter's retry memo — and the wake cycle of its router, if
         parked — is lowered to ``free_at``, the first cycle the slot can
         be claimed.  ``retry_at`` is only a skip hint and a parked
         router's early step is a plain (replayed) no-op step, so a
@@ -149,6 +163,9 @@ class VCSlot:
         pre-emption pushes back afterwards — costs one arbitration and
         changes nothing.
         """
+        owner = self.owner
+        if owner is not None and owner._parked_sw >= 0:
+            owner.disturb()
         self.pkt = None
         self.free_at = free_at
         waiters = self.waiters

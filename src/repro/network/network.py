@@ -208,12 +208,32 @@ class Network:
         self._con_active.add(rid)
 
     def active_routers(self) -> list:
-        """Routers that currently hold packets, ascending id — every
-        router with a non-empty ``occupied`` list (or side buffer) is in
-        the active set, so scheme scans over this list see exactly what a
-        full sweep would."""
+        """Routers that currently hold packets, ascending id, each woken
+        from any park — every router with a non-empty ``occupied`` list
+        (or side buffer) is in the active set, so scheme scans over this
+        list see exactly what a full sweep would, in the order it would."""
         routers = self.routers
-        return [routers[rid] for rid in sorted(self._r_active)]
+        active = [routers[rid] for rid in sorted(self._r_active)]
+        for router in active:
+            router.disturb()
+        return active
+
+    # -- packet motion: where schemes touch the books ----------------------
+    def unbuffer(self, slot, free_at: int) -> None:
+        """``slot``'s packet leaves the buffers other than by a hop (a
+        scheme's ejection, a bypass, an upgrade); credit at ``free_at``."""
+        slot.vacate(free_at)
+        self.buffered -= 1
+
+    def depart(self, now: int) -> None:
+        """A packet starts a bypass transit (lane, express path, NI bypass)."""
+        self.in_transit += 1
+        self.last_progress = now
+
+    def arrive(self, now: int) -> None:
+        """A bypass transit ends; the caller ejects or requeues the packet."""
+        self.in_transit -= 1
+        self.last_progress = now
 
     # -- event wheel -------------------------------------------------------
     def schedule(self, cycle: int, fn, *args) -> None:

@@ -14,7 +14,8 @@ it has more to do (the consumer contract is on :meth:`NetworkInterface
 .consume_step`).  The queue
 occupancies feed the network-wide incremental counters (``pending_total``,
 ``inj_total``, ``limbo``), so every enqueue/dequeue below is paired with a
-counter update.
+counter update; a packet that leaves an injection queue other than through
+the local port (a lane upgrade, a bypass) does so through :meth:`take`.
 """
 
 from __future__ import annotations
@@ -200,6 +201,25 @@ class NetworkInterface:
                          src=self.id, dst=pkt.dst, vn=pkt.vn)
             break
 
+    def dequeue(self, q, pkt) -> None:
+        """Remove ``pkt`` from injection queue ``q`` (one of ``inj``)."""
+        q.remove(pkt)
+        self.inj_count -= 1
+        self.net.inj_total -= 1
+
+    def take(self, q, pkt, now: int) -> None:
+        """``pkt`` leaves injection queue ``q`` for the network other than
+        by the local port (an upgrade, a bypass): injected at ``now``."""
+        self.dequeue(q, pkt)
+        pkt.net_entry = now
+        pkt.rejected = False
+        net = self.net
+        net.stats.injected += 1
+        obs = net.obs
+        if obs is not None:
+            obs.emit("injected", now, pkt.pid,
+                     src=self.id, dst=pkt.dst, vn=pkt.vn)
+
     # -- ejection ----------------------------------------------------------
     def can_eject(self, pkt, now: int) -> bool:
         return self.ej[pkt.mclass].can_accept(pkt)
@@ -273,11 +293,9 @@ class NetworkInterface:
         Returns True if a slot was freed.
         """
         q = self.inj[MessageClass.REQUEST]
-        for i, pkt in enumerate(q):
+        for pkt in q:
             if not pkt.rejected:
-                del q[i]
-                self.inj_count -= 1
-                self.net.inj_total -= 1
+                self.dequeue(q, pkt)     # the loop returns below, unresumed
                 self.net.limbo += 1
                 self.dropped += 1
                 self.net.stats.dropped += 1

@@ -27,12 +27,12 @@ until one of them is vacated.  Heads at their ejection port never park
 (queue capacity is not timer-predictable).  A skipped step would only
 have advanced the round-robin offset and rotated the occupied list, so
 the wake path replays the skipped steps in closed form and the observable
-state is bit-identical to stepping every cycle.  Any outside agent that
-mutates a router's slots (or reads the occupied list order) must call
-:meth:`disturb` first; :meth:`admit` and :meth:`blocked_heads` do so
-themselves, and the fault injector disturbs every router on topology
-changes (reroute install/heal can unblock a head earlier than its parked
-bound), which covers every scheme in the tree.
+state is bit-identical to stepping every cycle.  A parked router must be
+woken (:meth:`disturb`) before its slots change or its occupied order is
+read; ``VCSlot.fill``/``vacate``, :meth:`admit`, :meth:`blocked_heads` and
+``Network.active_routers`` do it themselves, so no scheme calls it (the
+fault injector disturbs every router on a topology change: a reroute can
+unblock a head earlier than its parked bound).
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from __future__ import annotations
 from bisect import insort
 
 from repro.network.arbiter import granted_order, skipped_rotation
-from repro.network.link import VCSlot
+from repro.network.link import INF, VCSlot
 from repro.network.routing import vn_vc_ranges
 from repro.network.topology import PORT_LOCAL
-
-INF = 1 << 60
 
 
 class Router:
@@ -312,8 +310,10 @@ class Router:
                         fa = dslot.free_at
                         if fa <= now:
                             if inline_xfer:
-                                # Inlined ``_transfer`` + downstream
-                                # ``admit`` (base datapath only).
+                                # Inlined ``_transfer`` (base datapath
+                                # only): the one measured copy of
+                                # ``VCSlot.fill`` + ``admit`` + ``vacate``
+                                # + ``Link.start_transfer``.
                                 dslot.pkt = pkt
                                 dslot.ready_at = now + hop_latency
                                 dslot.free_at = INF
@@ -387,29 +387,14 @@ class Router:
 
     # -- helpers ----------------------------------------------------------
     def _transfer(self, slot, pkt, link, dslot, now: int) -> None:
-        dslot.pkt = pkt
-        dslot.ready_at = now + self._hop_latency
-        dslot.free_at = INF
-        # Inlined ``admit`` on the downstream router (one call per hop).
-        nbr = self.neighbors[link.src_port]
-        if nbr._parked_sw >= 0:
-            nbr.disturb()
-        nbr.occupied.append(dslot)
-        net = self.net
-        rid = nbr.id
-        act = net._r_active
-        if rid not in act:
-            act.add(rid)
-            todo = net._stepping
-            if todo is not None and rid > todo[net._step_idx]:
-                insort(todo, rid, net._step_idx + 1)
+        """One hop of ``pkt`` from ``slot`` over ``link`` into ``dslot``
+        (:meth:`step` inlines it for the base datapath)."""
+        dslot.fill(pkt, now + self._hop_latency)
+        self.neighbors[link.src_port].admit(dslot)
         size = pkt.size
         slot.vacate(now + size + 1)    # tail drain + credit return
         self.in_busy[slot.port] = now + size
-        # Inlined Link.start_transfer (one call per hop adds up).
-        link.busy_until = now + size
-        link.inflight = [dslot, slot, now + size]
-        link.util_flits += size
+        link.start_transfer(now, size, dslot, slot)
         pkt.hops += 1
 
     def _try_eject(self, slot, pkt, now: int) -> bool:

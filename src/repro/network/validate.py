@@ -36,8 +36,10 @@ def check_invariants(net) -> None:
        consume phase: an NI with a non-empty ejection queue, or whose
        processor model has a service entry due, is in ``_con_active``;
     7. parking: a parked router still holds packets and its wake cycle
-       is in the future — a violation means some code path mutated a
-       parked router's slots without calling ``disturb()`` first;
+       is in the future — a violation means a parked router's slot was
+       emptied without waking it, i.e. other than through
+       :meth:`~repro.network.link.VCSlot.vacate` (which, like
+       :meth:`~repro.network.link.VCSlot.fill`, wakes a parked owner);
     8. skipped heads: every head that a retry memo or a park is skipping
        this cycle is re-arbitrated read-only and must have no legal move
        — a violation means a wakeup was lost (a slot emptied without
@@ -164,8 +166,8 @@ def _check_parked(net, router, now: int) -> None:
         # A head's own timers cannot be compared against the wake cycle:
         # the parked bound may come from downstream evidence (credits,
         # busy links) that is larger than the head's own timers and has
-        # moved on since the parking scan.  The reachable hazard — a
-        # vacate that skipped disturb() — still shows up as an empty slot.
+        # moved on since the parking scan.  The reachable hazard — a slot
+        # emptied without waking its owner — still shows up as an empty slot.
         if slot.pkt is None:
             raise InvariantViolation(
                 f"router {router.id} parked on an empty slot (port "

@@ -22,7 +22,6 @@ def find_blocked_cycle(net, now: int, min_blocked: int = 1):
     # hold packets, so the scan skips the idle mesh.
     nodes = {}
     for router in net.active_routers():
-        router.disturb()       # materialise any parked rotation state
         for slot in router.occupied:
             pkt = slot.pkt
             if pkt is None or now - slot.ready_at < min_blocked:

@@ -66,7 +66,6 @@ class DRAIN(Scheme):
         moves = []     # (src_slot, dst_slot, pkt, next_router)
         routers = net.active_routers()
         for router in routers:
-            router.disturb()   # the scan reads occupied order and ejects
             nxt = net.routers[self._ring_next[router.id]]
             ni = net.nis[router.id]
             for slot in router.occupied:
@@ -74,8 +73,7 @@ class DRAIN(Scheme):
                 if pkt is None:
                     continue
                 if pkt.dst == router.id and ni.can_eject(pkt, now):
-                    slot.vacate(now + pkt.size + 1)
-                    net.buffered -= 1
+                    net.unbuffer(slot, now + pkt.size + 1)
                     ni.eject(pkt, now)
                     net.last_progress = now
                     continue
@@ -92,9 +90,7 @@ class DRAIN(Scheme):
             router.occupied = [s for s in router.occupied
                                if s.pkt is not None]
         for slot, dslot, pkt, nxt in moves:
-            dslot.pkt = pkt
-            dslot.ready_at = now + 1
-            dslot.free_at = 1 << 60
+            dslot.fill(pkt, now + 1)
             nxt.admit(dslot)
             pkt.hops += 1
             pkt.deflections += 1

@@ -52,8 +52,7 @@ class MinBDRouter(Router):
                 # ejections per router per cycle straight into the queue.
                 ni = self.net.nis[self.id]
                 if ejected < 2 and ni.can_eject(pkt, now):
-                    slot.vacate(now + 1)
-                    self.net.buffered -= 1
+                    self.net.unbuffer(slot, now + 1)
                     ni.eject(pkt, now)
                     ejected += 1
                     moved_any = True
@@ -71,8 +70,7 @@ class MinBDRouter(Router):
                     continue
                 # Absorb into the side buffer instead of deflecting.
                 if self.side.pkt is None and slot is not self.side:
-                    self.side.pkt = pkt
-                    self.side.ready_at = now + 1
+                    self.side.fill(pkt, now + 1)
                     slot.vacate(now + 1)
                     moved_any = True
                     continue
@@ -83,12 +81,10 @@ class MinBDRouter(Router):
             link = self.links_out[out]
             dslot = None
             for d in self.neighbors[out].slots[link.dst_port]:
-                if d.pkt is None and d.free_at <= now:
+                if d.is_free(now):
                     dslot = d
                     break
-            dslot.pkt = pkt
-            dslot.ready_at = now + 2
-            dslot.free_at = 1 << 60
+            dslot.fill(pkt, now + 2)
             self.neighbors[out].admit(dslot)
             slot.vacate(now + pkt.size + 1)
             link.busy_until = now + pkt.size
@@ -118,7 +114,7 @@ class MinBDRouter(Router):
             if link is None or link.busy_until > now:
                 continue
             for d in self.neighbors[out].slots[link.dst_port]:
-                if d.pkt is None and d.free_at <= now:
+                if d.is_free(now):
                     return out
         return None
 

@@ -63,15 +63,13 @@ class Pitstop(Scheme):
             return
         slot, pkt = victim
         if slot is not None:
-            slot.vacate(now + pkt.size + 1)
-            net.buffered -= 1
+            net.unbuffer(slot, now + pkt.size + 1)
         dist = net.mesh.hops(router.id, pkt.dst)
         eta = now + dist + pkt.size + BYPASS_OVERHEAD
         self._busy_until = eta
         self.bypasses += 1
-        net.in_transit += 1
+        net.depart(now)
         net.schedule(eta, self._deliver, net, pkt)
-        net.last_progress = now
 
     # ------------------------------------------------------------------
     def _pick_victim(self, net, router, now: int):
@@ -84,11 +82,8 @@ class Pitstop(Scheme):
         ni = net.nis[router.id]
         for q in ni.inj:
             if q and now - q[0].gen_cycle >= BLOCK_THRESHOLD:
-                pkt = q.popleft()
-                ni.inj_count -= 1
-                net.inj_total -= 1
-                pkt.net_entry = now
-                net.stats.injected += 1
+                pkt = q[0]
+                ni.take(q, pkt, now)
                 return None, pkt
         return None
 
@@ -100,6 +95,5 @@ class Pitstop(Scheme):
             self._busy_until = now + 4
             net.schedule(now + 4, self._deliver, net, pkt)
             return
-        net.in_transit -= 1
+        net.arrive(now)
         ni.eject(pkt, now)
-        net.last_progress = now

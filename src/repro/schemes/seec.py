@@ -62,7 +62,6 @@ class SEEC(Scheme):
         self.seeks = 0
         self.seek_failures = 0
         self.expressed = 0
-        self._net = net
 
     # ------------------------------------------------------------------
     def post_cycle(self, net, now: int) -> None:
@@ -100,16 +99,14 @@ class SEEC(Scheme):
             # bandwidth is exactly SEEC's seeker overhead.)
             self.seek_failures += 1
             return
-        slot.vacate(depart + pkt.size)
-        net.buffered -= 1
+        net.unbuffer(slot, depart + pkt.size)
         pkt.was_fastpass = True
         if pkt.fp_upgrade < 0:
             pkt.fp_upgrade = depart
         pkt.hops += dist
         self.expressed += 1
-        net.in_transit += 1
+        net.depart(now)
         net.schedule(depart + dist, self._arrive, net, pkt)
-        net.last_progress = now
 
     def _arrive(self, now: int, net, pkt) -> None:
         ni = net.nis[pkt.dst]
@@ -117,9 +114,8 @@ class SEEC(Scheme):
             router = net.routers[pkt.dst]
             router.eject_busy_until = max(router.eject_busy_until,
                                           now) + pkt.size
-            net.in_transit -= 1
+            net.arrive(now)
             ni.eject(pkt, now)
-            net.last_progress = now
             return
         # Destination full: retry shortly (SEEC re-seeks from the NI).
         net.schedule(now + 8, self._arrive, net, pkt)

@@ -86,20 +86,14 @@ class SPIN(Scheme):
     # ------------------------------------------------------------------
     def _spin(self, now: int, cyc) -> None:
         """Synchronously rotate the packets of ``cyc`` one hop forward."""
-        routers = self._net.routers
-        for rid, _slot in cyc:
-            routers[rid].disturb()     # rotation rewrites parked slots
         slots = [slot for (_rid, slot) in cyc]
         pkts = [s.pkt for s in slots]
         if any(p is None for p in pkts):
             return  # the loop resolved on its own; abort the spin
         n = len(slots)
         for i in range(n):
-            dst_slot = slots[(i + 1) % n]
             pkt = pkts[i]
-            dst_slot.pkt = pkt
-            dst_slot.ready_at = now + 2
-            dst_slot.free_at = 1 << 60
+            slots[(i + 1) % n].fill(pkt, now + 2)
             pkt.hops += 1
         self.spins += 1
         # All slots stay occupied (a rotation), so the occupied lists of

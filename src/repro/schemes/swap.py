@@ -75,7 +75,7 @@ class SWAP(Scheme):
             # Prefer a genuinely free VC (plain forced move).
             for vc in vcs:
                 d = dslots[vc]
-                if d.pkt is None and d.free_at <= now:
+                if d.is_free(now):
                     self._move(router, slot, nbr, d, now)
                     return True
         # No free VC anywhere: swap with the first occupied candidate.
@@ -95,21 +95,16 @@ class SWAP(Scheme):
     @staticmethod
     def _move(router, slot, nbr, dslot, now: int) -> None:
         pkt = slot.pkt
-        dslot.pkt = pkt
-        dslot.ready_at = now + 2
-        dslot.free_at = 1 << 60
+        dslot.fill(pkt, now + 2)
         nbr.admit(dslot)
         slot.vacate(now + pkt.size + 1)
         pkt.hops += 1
 
     @staticmethod
     def _swap(router, slot, nbr, dslot, now: int) -> None:
-        nbr.disturb()      # the exchange rewrites a slot nbr may be parked on
         a, b = slot.pkt, dslot.pkt
-        dslot.pkt = a
-        dslot.ready_at = now + 2
+        dslot.fill(a, now + 2)
         a.hops += 1
-        slot.pkt = b
-        slot.ready_at = now + 2
+        slot.fill(b, now + 2)
         b.hops += 1
         b.deflections += 1      # the displaced packet was misrouted

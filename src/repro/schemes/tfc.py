@@ -28,7 +28,7 @@ class TFCRouter(Router):
         nbr = self.neighbors[link.src_port]
         free = 0
         for s in nbr.slots[link.dst_port]:
-            if s.pkt is None and s.free_at <= now:
+            if s.is_free(now):
                 free += 1
                 if free >= 2:
                     dslot.ready_at = now + 1

@@ -10,16 +10,15 @@ and the per-counter values must agree with the engine's own
 :class:`~repro.sim.stats.StatsCollector` and per-NI tallies.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.config import SimConfig
 from repro.obs import Observability
-from repro.schemes import get_scheme
+from repro.schemes import get_scheme, scheme_names
 from repro.sim.engine import Simulation
 from repro.traffic.synthetic import PATTERNS, SyntheticTraffic
 
-scheme_names = st.sampled_from(
-    ["escapevc", "spin", "drain", "minbd", "fastpass"])
+schemes = st.sampled_from(sorted(scheme_names()))
 patterns = st.sampled_from(sorted(PATTERNS))
 rates = st.floats(min_value=0.01, max_value=0.25)
 seeds = st.integers(min_value=0, max_value=2 ** 16)
@@ -40,7 +39,7 @@ def _counters(obs):
     return obs.registry.to_json()["counters"]
 
 
-@given(scheme=scheme_names, pattern=patterns, rate=rates, seed=seeds)
+@given(scheme=schemes, pattern=patterns, rate=rates, seed=seeds)
 @settings(max_examples=20, deadline=None)
 def test_counter_algebra_closes(scheme, pattern, rate, seed):
     sim, obs = _instrumented(scheme, pattern, rate, seed)
@@ -54,7 +53,11 @@ def test_counter_algebra_closes(scheme, pattern, rate, seed):
     assert in_limbo == net.limbo
 
 
-@given(scheme=scheme_names, rate=rates, seed=seeds)
+@given(scheme=schemes, rate=rates, seed=seeds)
+# Pitstop bypasses straight from an injection queue; that network entry
+# must reach the bus too (this example reads 946 events against 955
+# injected when it does not).
+@example(scheme="pitstop", rate=0.3, seed=1)
 @settings(max_examples=15, deadline=None)
 def test_counters_track_engine_accounting(scheme, rate, seed):
     """Every bus-fed counter equals the engine's independent tally."""
