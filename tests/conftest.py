@@ -193,9 +193,7 @@ def park(net: Network, router, slot, pkt: Packet, ready_at: int = 0) -> None:
     the active set, and the ``buffered`` counter consistent — otherwise
     the active-set engine never steps the router and the paranoia audit
     (rightly) reports corruption."""
-    slot.pkt = pkt
-    slot.ready_at = ready_at
-    slot.free_at = 1 << 60
+    slot.fill(pkt, ready_at)
     router.admit(slot)
     net.buffered += 1
 
