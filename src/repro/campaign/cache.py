@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import tempfile
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 from repro.config import RunResult, SimConfig
@@ -52,7 +53,21 @@ def code_version() -> str:
     return _code_version
 
 
-_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _canonical_encoder():
+    """``JSONEncoder(sort_keys=True, separators=(",", ":")).encode``,
+    whose output every cache key is made of, without its per-call cost:
+    ``encode`` builds a new C encoder on every call, this builds one.
+    No circular-reference markers: a key payload is plain nested data,
+    and the output is the same with or without them."""
+    enc = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+    iterencode = c_make_encoder(
+        None, enc.default, encode_basestring_ascii, None,
+        enc.key_separator, enc.item_separator, enc.sort_keys,
+        enc.skipkeys, enc.allow_nan)
+    return lambda obj: "".join(iterencode(obj, 0))
+
+
+_canonical = _canonical_encoder()
 
 
 @functools.lru_cache(maxsize=256)
@@ -93,34 +108,78 @@ def result_to_json(res: RunResult) -> dict:
     return d
 
 
-_RESULT_FIELDS = {f.name for f in dataclasses.fields(RunResult)}
+#: RunResult's fields in the order ``result_to_json`` writes them
+_FIELD_ORDER = [f.name for f in dataclasses.fields(RunResult)]
+_ATTRIBUTED_ORDER = [*_FIELD_ORDER, "engine_used"]
+_RESULT_FIELDS = set(_FIELD_ORDER)
 
 
 def result_from_json(d: dict) -> RunResult:
-    kwargs = dict(d)            # the caller's dict is never mutated
-    engine = kwargs.pop("engine_used", None)
-    try:
-        res = RunResult(**kwargs)
-    except TypeError:
-        # Written by a build whose RunResult had other fields: drop the
-        # unknown ones.  A missing ``scheme`` still raises.
-        res = RunResult(**{k: v for k, v in kwargs.items()
-                           if k in _RESULT_FIELDS})
+    if list(d) in (_FIELD_ORDER, _ATTRIBUTED_ORDER):
+        # Exactly what ``result_to_json`` writes: the values are
+        # RunResult's positional arguments (a unit test pins that every
+        # field is one), which skips the copy and the name matching of
+        # ``**kwargs``.  ``__init__`` stays: it keeps the attributes in
+        # CPython's compact per-instance layout, where assigning
+        # ``__dict__`` wholesale gives every held result a dict of its
+        # own (~1.4 KB more per result).
+        res = RunResult(*tuple(d.values())[:len(_FIELD_ORDER)])
+        engine = d.get("engine_used")
+    else:
+        kwargs = dict(d)        # the caller's dict is never mutated
+        engine = kwargs.pop("engine_used", None)
+        try:
+            res = RunResult(**kwargs)
+        except TypeError:
+            # Written by a build whose RunResult had other fields: drop
+            # the unknown ones.  A missing ``scheme`` still raises.
+            res = RunResult(**{k: v for k, v in kwargs.items()
+                               if k in _RESULT_FIELDS})
     if engine is not None:
         res.engine_used = engine
     return res
+
+
+#: bytes per read of an entry; line 1 of an entry is ~0.5 KB
+_READ_SIZE = 4096
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _read_line(path: str | Path) -> bytes:
+    """The first line of the file at ``path``, newline included; all of
+    it if it has none.  One descriptor and no buffered file object: a
+    hit is one ``open``, one ``read`` (more only when the first read
+    holds no newline) and one ``close``."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = [os.read(fd, _READ_SIZE)]
+        while chunks[-1] and b"\n" not in chunks[-1]:
+            chunks.append(os.read(fd, _READ_SIZE))
+    finally:
+        os.close(fd)
+    data = b"".join(chunks)
+    end = data.find(b"\n")
+    return data if end < 0 else data[:end + 1]
 
 
 def _read_result(path: str | Path) -> dict:
     """The result object of the entry at ``path``: its first line.  An
     entry written before the two-line layout is one object with no
     newline, and the result is its ``"result"``; it is read, never
-    rewritten.  A malformed entry raises ``ValueError``, ``KeyError`` or
+    rewritten.  Line 1 starts with its value, as every entry is written.
+    A malformed entry raises ``ValueError``, ``KeyError`` or
     ``TypeError``."""
-    with open(path, "rb") as fh:
-        line = fh.readline()
-    obj = json.loads(line.decode())
-    if line[-1:] != b"\n":
+    text = _read_line(path).decode()
+    try:
+        obj, end = _scan_json(text, 0)
+    except StopIteration:
+        raise ValueError(f"{path}: line 1 does not start with JSON") \
+            from None
+    # What ``json.loads`` checks after the value: nothing but JSON
+    # whitespace may follow it on the line.
+    if text[end:].strip(" \t\n\r"):
+        raise ValueError(f"{path}: extra data after the result")
+    if text[-1:] != "\n":
         obj = obj["result"]
     if type(obj) is not dict:
         raise TypeError(f"{path}: the result is not an object")

@@ -132,10 +132,12 @@ class OpenRun:
         are in ``self.results`` on return; a key this run has already
         seen is neither registered nor submitted again."""
         ex, cache, store = self.ex, self.ex.cache, self.ex.store
-        keys = [cache_mod.point_key(p, cfg, self._salt) for p in points]
+        results, waiting = self.results, self._waiting
+        key_of, salt = cache_mod.point_key, self._salt
+        keys = [key_of(p, cfg, salt) for p in points]
         new: dict[str, Point] = {}
         for key, point in zip(keys, points):
-            if key not in self.results and key not in self._waiting:
+            if key not in results and key not in waiting:
                 new.setdefault(key, point)
         if not new:
             return keys
@@ -143,31 +145,32 @@ class OpenRun:
         if store is not None:
             store.register(list(new.items()))
         hits: dict[str, RunResult] = {}
-        if cache is not None:
-            for key in new:
-                hit = cache.get(key) if key not in adopted else None
-                if hit is not None:
-                    hits[key] = hit
-                    if store is not None:
-                        store.mark(key, "done")
-        self.results.update(hits)
-        pending = [(k, p) for k, p in new.items()
-                   if k not in hits and k not in adopted]
-        grouped = group_items(pending, self._auto_batch, ex.workers()) \
-            if pending else []
-        self.batched += sum(len(g) for g in grouped if len(g) > 1)
+        pending = []
+        for key, point in new.items():
+            if key in adopted:
+                continue
+            hit = cache.get(key) if cache is not None else None
+            if hit is None:
+                pending.append((key, point))
+                continue
+            hits[key] = hit
+            if store is not None:
+                store.mark(key, "done")
+        results.update(hits)
         self.state.total += len(new)
         self.state.cached += len(hits)
-        if grouped or adopted:
+        if pending or adopted:
+            grouped = group_items(pending, self._auto_batch, ex.workers())
+            self.batched += sum(len(g) for g in grouped if len(g) > 1)
             if self._life is None:
                 self._life, self._transport = self._connect(
                     None if self.live else len(grouped))
-                self._life.seed_results(self.results)
+                self._life.seed_results(results)
             else:
                 self._life.seed_results(hits)
             self._life.submit(grouped, cfg, store)
-            self._waiting.update(k for k, _ in pending)
-            self._waiting |= adopted
+            waiting.update(k for k, _ in pending)
+            waiting |= adopted
         self.report()
         return keys
 

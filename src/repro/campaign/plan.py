@@ -54,17 +54,17 @@ def _stream(run, ready: deque) -> None:
     """Feed ``run`` (an :class:`~repro.campaign.executor.OpenRun`) until
     every series has returned."""
     waiting: list[_Series] = []
+    results = run.results
 
     def settled(series: _Series) -> None:
-        if series.resume([run.results[k] for k in series.keys]):
+        if series.resume([results[k] for k in series.keys]):
             ready.append(series)
 
     while ready or waiting:
         while ready:
             series = ready.popleft()
             series.keys = run.enqueue(*series.frontier)
-            series.missing = {k for k in series.keys
-                              if k not in run.results}
+            series.missing = {k for k in series.keys if k not in results}
             if series.missing:
                 waiting.append(series)
             else:

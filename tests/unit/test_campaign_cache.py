@@ -104,6 +104,10 @@ class TestKeyFormatIsFrozen:
             Point("fastpass", Synthetic("uniform", 0.1), seed=2,
                   faults=plan, traffic_stop=500),
             Point("x", SelfTest("ok", 1.0, 'quo"te\\ü')),
+            Point("fastpass", Synthetic("uniform", 0.1),
+                  {"label": "Zürich — λ✓", "tiny": 1e-07,
+                   "sum": 0.1 + 0.2, "big": 1e16,
+                   "flag": True, "none": None}),
         ]
         cfgs = [small_cfg, SimConfig(),
                 small_cfg.with_(fault_plan=plan),
@@ -192,6 +196,39 @@ class TestResultJson:
         blob["from_the_future"] = 1
         assert result_from_json(blob).scheme == "Test"
 
+    @pytest.mark.parametrize("engine", [None, "active"])
+    def test_positional_build_equals_keyword_build(self, engine):
+        """A line with exactly RunResult's fields (plus ``engine_used``),
+        in the order ``result_to_json`` writes them, is built from its
+        values positionally; that equals the ``**fields`` build."""
+        res = _res(avg_latency=float("nan"), reg_latency=float("nan"))
+        res.extra["rate"] = 0.1
+        if engine is not None:
+            res.engine_used = engine
+        line = json.loads(json.dumps(result_to_json(res)))
+        fields = {k: v for k, v in line.items() if k != "engine_used"}
+        built, ref = result_from_json(line), RunResult(**fields)
+        assert type(built) is RunResult
+        assert list(vars(built)) == list(vars(ref)) + \
+            (["engine_used"] if engine else [])
+        for f in dataclasses.fields(RunResult):
+            a, b = getattr(built, f.name), getattr(ref, f.name)
+            assert a == b or (math.isnan(a) and math.isnan(b)), f.name
+        assert getattr(built, "engine_used", None) == engine
+        built.scheme = "other"      # the caller's dict is not aliased
+        assert line["scheme"] == "Test"
+
+    def test_fields_are_the_positional_parameters(self):
+        """What lets ``result_from_json`` pass a line's values
+        positionally: a change to RunResult that breaks it (a custom
+        ``__init__``, an ``init=False`` or keyword-only field) must fail
+        here, not drift silently."""
+        import inspect
+        names = [f.name for f in dataclasses.fields(RunResult)]
+        params = inspect.signature(RunResult).parameters.values()
+        assert [p.name for p in params] == names
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+
     def test_engine_attribution_round_trips(self):
         res = _res()
         res.engine_used = "soa"
@@ -240,9 +277,14 @@ class TestRunCache:
         b'{"result": {"bogus_only": 1}}',
         b'[1, 2]\n{"key": "k"}\n',
         b'{"scheme": "Test", "inj\n{"key": "k"}\n',
+        json.dumps(result_to_json(_res())).encode()
+        + b' stray\n{"key": "k"}\n',
+        json.dumps({"result": result_to_json(_res())}).encode() + b"}",
     ], ids=["not-utf8", "truncated-object", "empty", "no-result",
             "not-an-object", "result-without-scheme",
-            "first-line-not-an-object", "truncated-first-line"])
+            "first-line-not-an-object", "truncated-first-line",
+            "stray-bytes-after-the-result",
+            "stray-bytes-after-a-parent-layout-entry"])
     def test_corrupt_entry_is_a_miss(self, tmp_path, small_cfg, blob):
         cache = RunCache(tmp_path, salt="s")
         p = Point("fastpass", Synthetic("uniform", 0.1))
@@ -253,6 +295,36 @@ class TestRunCache:
         assert cache.get(key) is None
         assert cache.misses == 1 and cache.hits == 0
         cache.engine_counts()       # `campaign status` survives it too
+
+    def test_result_line_longer_than_one_read_hits(self, tmp_path,
+                                                    small_cfg):
+        from repro.campaign import cache as cache_mod
+        cache = RunCache(tmp_path, salt="s")
+        p = Point("fastpass", Synthetic("uniform", 0.1))
+        key = cache.key_for(p, small_cfg)
+        res = _res()
+        res.extra["blob"] = "x" * (64 * 1024 + 7)
+        res.engine_used = "active"
+        cache.put(key, p, small_cfg, res)
+        with open(cache._path(key), "rb") as fh:
+            assert len(fh.readline()) > 16 * cache_mod._READ_SIZE
+        hit = cache.get(key)
+        assert hit == res and hit.engine_used == "active"
+        assert cache.hits == 1 and cache.misses == 0
+
+    def test_every_get_reads_the_entry_afresh(self, tmp_path, small_cfg):
+        """No memo across calls: a rewritten entry is served as
+        rewritten, a deleted one is a miss."""
+        cache = RunCache(tmp_path, salt="s")
+        p = Point("fastpass", Synthetic("uniform", 0.1))
+        key = cache.key_for(p, small_cfg)
+        cache.put(key, p, small_cfg, _res(ejected=10))
+        assert cache.get(key).ejected == 10
+        cache.put(key, p, small_cfg, _res(ejected=11))
+        assert cache.get(key).ejected == 11
+        os.unlink(cache._path(key))
+        assert cache.get(key) is None
+        assert cache.hits == 2 and cache.misses == 1
 
     def test_entry_is_result_line_then_provenance(self, tmp_path, small_cfg):
         cache = RunCache(tmp_path, salt="s")
