@@ -10,7 +10,7 @@ regenerated.
 """
 
 from repro import SimConfig, Simulation, SyntheticTraffic, get_scheme
-from repro.sim.trace import PacketTracer
+from repro.obs.events import PacketTracer
 
 
 def main() -> None:

@@ -17,6 +17,44 @@ cover every directed channel exactly once — the partitions.
 from __future__ import annotations
 
 
+def build_graph(name: str) -> "nx.Graph":
+    """A named topology family: ``ring:N``, ``mesh:RxC``, ``torus:RxC``,
+    ``hypercube:D``, ``star:N``.  All have bidirectional channels only,
+    the §III-F applicability condition."""
+    import networkx as nx
+
+    kind, _, arg = name.partition(":")
+    try:
+        if kind == "ring":
+            n = int(arg)
+            if n < 3:
+                raise ValueError("ring needs >= 3 nodes")
+            return nx.cycle_graph(n)
+        if kind in ("mesh", "torus"):
+            r, c = (int(x) for x in arg.split("x"))
+            if r < 2 or c < 2:
+                raise ValueError(f"{kind} needs >= 2x2")
+            g = nx.grid_2d_graph(r, c, periodic=(kind == "torus"))
+            return nx.convert_node_labels_to_integers(g, ordering="sorted")
+        if kind == "hypercube":
+            d = int(arg)
+            if d < 1:
+                raise ValueError("hypercube needs dimension >= 1")
+            return nx.hypercube_graph(d) if d > 1 else nx.path_graph(2)
+        if kind == "star":
+            n = int(arg)
+            if n < 3:
+                raise ValueError("star needs >= 3 nodes")
+            return nx.star_graph(n - 1)   # n nodes total, hub = 0
+    except (ValueError, TypeError) as e:
+        if "needs" in str(e):
+            raise
+        raise ValueError(f"bad topology spec {name!r}: {e}") from e
+    raise ValueError(
+        f"unknown topology family {kind!r} in {name!r}; "
+        "use ring:N, mesh:RxC, torus:RxC, hypercube:D, star:N")
+
+
 def holistic_path(graph: "nx.Graph") -> list[tuple[int, int]]:
     """The directed Eulerian circuit over both directions of every channel.
 

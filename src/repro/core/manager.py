@@ -79,7 +79,7 @@ class FastPassManager:
         if now < self._min_free:
             return      # every lane is mid-flight: nothing to scan
         net = self.net
-        if net.inj_total == 0 and net.buffered == 0:
+        if not net.holds_packets():
             return      # no packet anywhere: every prime's scan is empty
         obs = net.obs
         if now >= self._slot_end:
@@ -145,13 +145,12 @@ class FastPassManager:
         Returns ``(pkt, remove_callback)`` or None.
         """
         net = self.net
+        # Fast path: nothing queued and nothing buffered at the prime,
+        # so the scans below would find nothing.
+        if not net.node_holds_packets(prime):
+            return None
         ni = net.nis[prime]
         router = net.routers[prime]
-        # Fast path: nothing queued and nothing buffered at the prime —
-        # (every slot holding a packet is in the occupied list, so an
-        # empty list means the VC scan below would find nothing).
-        if ni.inj_count == 0 and not router.occupied:
-            return None
         # 1. Injection buffers, request queue first (Qn 2 / Qn 6).
         for cls in self._cls_order:
             q = ni.inj[cls]

@@ -459,15 +459,16 @@ def _scenarios_sweep(parser, args) -> int:
 
 def _scenarios_record(parser, args) -> int:
     from repro.experiments.common import synthetic_config
-    from repro.scenario import get_scenario, record_scenario
+    from repro.sim.runner import record_scenario
+    from repro.traffic.spec import get_scenario
     spec = get_scenario(args.scenario)
     cfg = synthetic_config(quick=not args.full)
     out = args.out or f"trace_{spec.name}_{spec.sha()}.jsonl"
-    res, path = record_scenario(args.scheme, spec, cfg, out,
-                                seed=args.seed)
+    res, path, events = record_scenario(args.scheme, spec, cfg, out,
+                                        seed=args.seed)
     print(f"recorded {spec.name} ({args.scheme}, seed {args.seed}) "
           f"to {path}")
-    print(f"  events={len(open(path).readlines()) - 1} "
+    print(f"  events={len(events)} "
           f"delivered={res.ejected} avg_latency={res.avg_latency:.2f}")
     print(f"  replay with: repro-experiments scenarios replay {path}")
     return 0
@@ -475,8 +476,8 @@ def _scenarios_record(parser, args) -> int:
 
 def _scenarios_replay(parser, args) -> int:
     from repro.experiments.common import synthetic_config
-    from repro.scenario import replay_trace
-    from repro.scenario.trace import TraceSchemaError
+    from repro.sim.runner import replay_trace
+    from repro.traffic.trace import TraceSchemaError
     cfg = synthetic_config(quick=not args.full)
     try:
         res = replay_trace(args.scheme, args.trace, cfg)

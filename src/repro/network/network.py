@@ -353,6 +353,17 @@ class Network:
             step()
 
     # -- queries ---------------------------------------------------------------
+    def holds_packets(self) -> bool:
+        """Any packet in an NI injection queue or a router buffer — all
+        that a scan over queues and VC slots can find (transits and the
+        source backlog excluded)."""
+        return self.inj_total > 0 or self.buffered > 0
+
+    def node_holds_packets(self, rid: int) -> bool:
+        """NI ``rid`` has a queued injection or router ``rid`` an
+        occupied VC slot (every slot holding a packet is listed)."""
+        return self.nis[rid].inj_count > 0 or bool(self.routers[rid].occupied)
+
     def packets_in_flight(self) -> int:
         """Packets currently inside routers or NI queues (excl. pending).
 

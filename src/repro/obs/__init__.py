@@ -5,6 +5,8 @@ The public surface:
 * :class:`~repro.obs.bus.EventBus` — per-kind subscriber lists with an
   allocation-light emit; the datapath's emit points are guarded by one
   ``net.obs is None`` test, so an unattached network pays nothing.
+* :class:`~repro.obs.events.EventLog` — the one recording subscriber;
+  :class:`~repro.obs.events.PacketTracer` is a per-packet view over one.
 * :class:`~repro.obs.registry.MetricsRegistry` — named counters, gauges,
   histograms (Prometheus-flavoured, dependency-free).
 * :class:`~repro.obs.sampler.TimeSeriesSampler` — periodic gauge series.

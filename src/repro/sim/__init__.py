@@ -25,7 +25,7 @@ _LAZY = {
     "sweep_latency": "repro.sim.runner",
     "saturation_throughput": "repro.sim.runner",
     "parallel_sweep": "repro.sim.parallel",
-    "PacketTracer": "repro.sim.trace",
+    "PacketTracer": "repro.obs.events",
 }
 
 

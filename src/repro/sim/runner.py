@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 from repro.config import RunResult, SimConfig
 from repro.schemes.base import Scheme, get_scheme
 from repro.sim.engine import Simulation
+from repro.traffic.spec import ScenarioSpec
 from repro.traffic.synthetic import SyntheticTraffic
 
 
@@ -42,6 +45,51 @@ def run_open_loop(sim: Simulation, metrics: bool | int = False) -> RunResult:
         obs.archive_run(res, f"{sim.scheme.label}_{t.pattern}_r{t.rate:g}"
                         .replace(":", "_"))
     return res
+
+
+def record_scenario(scheme: Scheme | str, spec: ScenarioSpec,
+                    cfg: SimConfig, out: str | Path,
+                    seed: int | None = None,
+                    traffic_stop: int | None = None
+                    ) -> tuple[RunResult, Path, list]:
+    """Run a scenario once while recording its generation stream, and
+    write the versioned trace artifact to ``out``.  Returns the result,
+    the path and the recorded ``(cycle, src, dst, mclass)`` events.
+
+    Recording is a bus subscription — result-neutral — so the returned
+    result equals the unrecorded run bit for bit, and replaying the
+    trace reproduces both (the replay contract, DESIGN §16).
+    """
+    from repro.obs.events import EventLog
+    from repro.sim.workload import Scenario
+    from repro.traffic.trace import write_trace
+    if isinstance(scheme, str):
+        scheme = get_scheme(scheme)
+    use_seed = cfg.seed if seed is None else seed
+    traffic = Scenario(spec).traffic(use_seed, traffic_stop)
+    sim = Simulation(cfg, scheme, traffic)
+    log = EventLog(sim.net, ("generated",))
+    res = run_open_loop(sim)
+    log.detach()
+    events = [(cycle, f["src"], f["dst"], f["mclass"])
+              for cycle, _pid, _kind, f in log.records]
+    header = {"mesh": [cfg.rows, cfg.cols], "label": spec.name,
+              "seed": use_seed, "scenario": spec.name,
+              "scenario_sha": spec.sha(), "rate": traffic.rate,
+              "scheme": scheme.label}
+    return res, write_trace(out, header, events), events
+
+
+def replay_trace(scheme: Scheme | str, trace, cfg: SimConfig) -> RunResult:
+    """Replay a recorded trace — a path or a
+    :class:`~repro.traffic.trace.TraceReplay` — as the run's traffic
+    source."""
+    from repro.traffic.trace import TraceReplay
+    if isinstance(scheme, str):
+        scheme = get_scheme(scheme)
+    traffic = trace if isinstance(trace, TraceReplay) \
+        else TraceReplay.from_file(trace)
+    return run_open_loop(Simulation(cfg, scheme, traffic))
 
 
 def stamp(sim: Simulation, res: RunResult) -> RunResult:

@@ -1,4 +1,4 @@
-"""Deterministic traffic trace record / replay.
+"""The ``repro-trace`` format: deterministic traffic record / replay.
 
 A *trace* is the exact generation stream of one run — every ``generated``
 event the obs bus saw, in emission order — written once to a versioned
@@ -20,9 +20,9 @@ evolves through identical states, and finishes with results
 bit-identical to the recorded run — on every engine, because the engines
 are themselves bit-identical given the same generation stream.
 
-Schema versioning fails loudly: a trace whose header carries an
-unsupported ``schema`` raises :class:`TraceSchemaError` naming both
-versions, never a silent misread.
+Anything this build cannot faithfully replay fails loudly with
+:class:`TraceSchemaError` — an unsupported ``schema`` names both
+versions — never a silent misread.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import json
 from pathlib import Path
 
 from repro.network.packet import N_CLASSES
-from repro.obs import attach_observability
 from repro.traffic.synthetic import SyntheticTraffic
 
 #: current trace schema; bump on any incompatible layout change.
@@ -40,67 +39,37 @@ TRACE_FORMAT = "repro-trace"
 
 
 class TraceSchemaError(ValueError):
-    """The trace file is not readable by this build."""
+    """The trace file is not readable by this build, or not replayable
+    on the network it was given."""
 
 
-# ----------------------------------------------------------------------
-class TraceRecorder:
-    """Record every ``generated`` event of one network to a trace.
-
-    A plain bus subscriber (same pattern as :class:`PacketTracer`):
-    attaches observability if the network has none, installs no
-    monkey-patches, and is result-neutral — recording a run does not
-    change it.
-    """
-
-    def __init__(self, net, label: str = "trace", seed: int | None = None):
-        self.net = net
-        self.label = label
-        self.seed = seed
-        self.mesh = (net.mesh.rows, net.mesh.cols)
-        self.events: list[tuple[int, int, int, int]] = []
-        obs = net.obs
-        if obs is None:
-            obs = attach_observability(net)
-        self.obs = obs
-        self._fn = self._on_generated
-        obs.bus.subscribe("generated", self._fn)
-
-    def _on_generated(self, cycle, pid, fields):
-        self.events.append(
-            (cycle, fields["src"], fields["dst"], fields["mclass"]))
-
-    def detach(self) -> None:
-        self.obs.bus.unsubscribe("generated", self._fn)
-
-    def header(self, **extra) -> dict:
-        out = {"format": TRACE_FORMAT, "schema": TRACE_SCHEMA,
-               "mesh": list(self.mesh), "label": self.label,
-               "events": len(self.events)}
-        if self.seed is not None:
-            out["seed"] = self.seed
-        out.update(extra)
-        return out
-
-    def write(self, path: str | Path, **extra) -> Path:
-        """Write the JSONL artifact (header line + one line per event)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(json.dumps(self.header(**extra), sort_keys=True))
+def write_trace(path: str | Path, header: dict, events) -> Path:
+    """Write the JSONL artifact: ``header`` stamped with the format
+    marker, the schema and the event count, then one line per
+    ``(cycle, src, dst, mclass)`` event."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header = {**header, "format": TRACE_FORMAT, "schema": TRACE_SCHEMA,
+              "events": len(events)}
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header, sort_keys=True))
+        fh.write("\n")
+        for ev in events:
+            fh.write(json.dumps(list(ev), separators=(",", ":")))
             fh.write("\n")
-            for ev in self.events:
-                fh.write(json.dumps(list(ev), separators=(",", ":")))
-                fh.write("\n")
-        return path
+    return path
 
 
-# ----------------------------------------------------------------------
 def _is_event(event) -> bool:
     """Four ints, a cycle that is reachable, a valid message class."""
     return (isinstance(event, list) and len(event) == 4
             and all(type(v) is int for v in event)
             and event[0] >= 0 and 0 <= event[3] < N_CLASSES)
+
+
+def _is_mesh(mesh) -> bool:
+    return (isinstance(mesh, list) and len(mesh) == 2
+            and all(type(v) is int and v > 0 for v in mesh))
 
 
 def load_trace(path: str | Path) -> tuple[dict, list]:
@@ -126,6 +95,11 @@ def load_trace(path: str | Path) -> tuple[dict, list]:
                 f"{path}: trace schema {schema} is not supported by this "
                 f"build (reads schema {TRACE_SCHEMA}); re-record the "
                 f"trace or use a matching build")
+        mesh = header.get("mesh")
+        if mesh is not None and not _is_mesh(mesh):
+            raise TraceSchemaError(
+                f"{path}: header mesh {mesh!r} is not [rows, cols] of "
+                f"positive ints")
         events = []
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
@@ -149,7 +123,6 @@ def load_trace(path: str | Path) -> tuple[dict, list]:
     return header, events
 
 
-# ----------------------------------------------------------------------
 class TraceReplay(SyntheticTraffic):
     """Replay a recorded trace as a traffic source.
 
@@ -181,7 +154,7 @@ class TraceReplay(SyntheticTraffic):
         mesh = self.header.get("mesh")
         if mesh is not None and tuple(mesh) != (net.mesh.rows,
                                                 net.mesh.cols):
-            raise ValueError(
+            raise TraceSchemaError(
                 f"trace was recorded on a {mesh[0]}x{mesh[1]} mesh; "
                 f"replaying on {net.mesh.rows}x{net.mesh.cols} would not "
                 f"be the same run")
@@ -189,6 +162,6 @@ class TraceReplay(SyntheticTraffic):
         for events in self._by_cycle.values():
             for src, dst, _cls in events:
                 if not (0 <= src < n and 0 <= dst < n):
-                    raise ValueError(
+                    raise TraceSchemaError(
                         f"trace event {src}->{dst} out of range for "
                         f"{n} routers")

@@ -172,7 +172,7 @@ def test_soa_transpose_and_seeds():
 
 from repro.sim.workload import Scenario  # noqa: E402
 from repro.traffic.spec import SCENARIOS  # noqa: E402
-from repro.scenario.trace import TraceReplay  # noqa: E402
+from repro.traffic.trace import TraceReplay  # noqa: E402
 
 
 def _run_scenario(scheme, spec, seed, engine, cfg=None, naive=False):
@@ -222,8 +222,8 @@ def test_scenario_under_transient_faults_matches():
 def test_trace_replay_matches_across_engines(tmp_path):
     """Record once, then replay the identical stream through every
     engine — the recorded run and all three replays must agree."""
-    from repro.scenario.runner import record_scenario, replay_trace
-    rec_res, path = record_scenario("fastpass", SCENARIOS["bursty"],
+    from repro.sim.runner import record_scenario, replay_trace
+    rec_res, path, _events = record_scenario("fastpass", SCENARIOS["bursty"],
                                     _cfg(), tmp_path / "t.jsonl", seed=9)
     act_res = replay_trace("fastpass", path, _cfg().with_(engine="active"))
     soa_res = replay_trace("fastpass", path, _cfg().with_(engine="soa"))

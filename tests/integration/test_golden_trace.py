@@ -14,10 +14,10 @@ from pathlib import Path
 import pytest
 
 from repro.config import SimConfig
-from repro.scenario.runner import replay_trace
-from repro.scenario.trace import TraceSchemaError, load_trace
 from repro.schemes import get_scheme
 from repro.sim.engine import Simulation
+from repro.sim.runner import replay_trace
+from repro.traffic.trace import TraceReplay, TraceSchemaError, load_trace
 
 GOLDEN = Path(__file__).resolve().parents[1] / "data" / "golden_trace.jsonl"
 
@@ -52,7 +52,6 @@ def test_replay_reproduces_pinned_stats(engine):
 
 
 def test_replay_reproduces_pinned_stats_naive():
-    from repro.scenario.trace import TraceReplay
     sim = Simulation(_cfg(), get_scheme("fastpass"),
                      TraceReplay.from_file(GOLDEN))
     sim.net.force_naive_step = True

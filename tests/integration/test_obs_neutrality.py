@@ -20,7 +20,7 @@ from repro.fault.plan import fault_storm
 from repro.obs import Observability
 from repro.schemes import get_scheme
 from repro.sim.engine import Simulation
-from repro.sim.trace import PacketTracer
+from repro.obs.events import PacketTracer
 from repro.traffic.synthetic import SyntheticTraffic
 
 from tests.integration.test_engine_equivalence import assert_results_equal

@@ -11,6 +11,7 @@ the batch engine, the grouping signature, and the executor's auto-fold.
 
 import dataclasses
 import math
+import warnings
 
 from repro.campaign.context import get_context
 from repro.campaign.executor import CampaignExecutor, group_items
@@ -123,11 +124,18 @@ class TestScenarioCli:
         assert "run cache" in out
 
     def test_record_replay_cli_round_trip(self, tmp_path, capsys):
+        """Recording leaks no file handle and counts the events it
+        wrote; the replay reads them back."""
         from repro.experiments import cli
         out = tmp_path / "t.jsonl"
-        assert cli.main(["scenarios", "record", "bursty", "--out",
-                         str(out), "--seed", "5"]) == 0
-        assert out.exists()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["scenarios", "record", "bursty", "--out",
+                             str(out), "--seed", "5"]) == 0
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+        lines = len(out.read_text().splitlines())
+        assert f"events={lines - 1} " in capsys.readouterr().out
         assert cli.main(["scenarios", "replay", str(out)]) == 0
         text = capsys.readouterr().out
         assert "delivered" in text

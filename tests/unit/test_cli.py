@@ -113,6 +113,29 @@ class TestCampaignCommands:
         assert [r["scale"] for r in payload["rows"]] == [0.5, 1.0] * 2
 
 
+GOLDEN_TRACE = Path(__file__).resolve().parents[1] / "data" \
+    / "golden_trace.jsonl"
+
+
+class TestTraceCommands:
+    @pytest.mark.parametrize("mesh, event, message", [
+        (None, None, "recorded on a 4x4 mesh"),
+        ([8, 8], [3, 70, 2, 0], "trace event 70->2 out of range"),
+        (8, [3, 1, 2, 0], "header mesh 8 is not [rows, cols]"),
+    ], ids=["other-mesh", "out-of-range", "mesh-not-a-pair"])
+    def test_unreplayable_trace_exits_2(self, mesh, event, message,
+                                        tmp_path, capsys):
+        path = GOLDEN_TRACE
+        if event is not None:
+            path = tmp_path / "t.jsonl"
+            header = {"format": "repro-trace", "schema": 1, "mesh": mesh,
+                      "label": "x", "events": 1}
+            path.write_text(f"{json.dumps(header)}\n{json.dumps(event)}\n")
+        assert main(["scenarios", "replay", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot replay: ") and message in err
+
+
 class TestFabricFlag:
     """``--fabric N`` runs through a loopback session wherever it is
     accepted, and the result is the local executor's to the byte."""
@@ -174,7 +197,8 @@ def test_fabric_work_refused_at_the_door_exits_2(capsys):
 def test_one_figure_imports_no_other():
     """The registry is names; importing a figure loads only its own
     dependencies (checked in a fresh interpreter)."""
-    unwanted = {"repro.scenario", "repro.power", "repro.obs"} | {
+    unwanted = {"repro.traffic.trace", "repro.obs.events", "repro.power",
+                "repro.obs"} | {
         f"repro.experiments.{name}" for name in ALL if name != "fig7"}
     code = ("import sys, repro.campaign, repro.experiments.fig7; "
             f"print(sorted({unwanted!r} & set(sys.modules)))")

@@ -127,8 +127,7 @@ class TestChannelCoverage:
     @pytest.mark.parametrize("parts", [1, 2, 4])
     def test_segments_cover_every_directed_channel_once(self, topology,
                                                         parts):
-        from repro.scenario.irregular import build_graph
-        g = build_graph(topology)
+        g = irregular.build_graph(topology)
         segs, routers_of = irregular.derive_partitions(g, parts)
         want = {(u, v) for u, v in g.edges()} \
             | {(v, u) for u, v in g.edges()}

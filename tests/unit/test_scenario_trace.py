@@ -1,15 +1,16 @@
 """Unit tests for trace record/replay artifacts and schema handling."""
 
+import hashlib
 import json
 import re
 
 import pytest
 
 from repro.config import SimConfig
-from repro.scenario.runner import record_scenario, replay_trace
-from repro.scenario.trace import (TRACE_SCHEMA, TraceReplay,
-                                  TraceSchemaError, load_trace)
+from repro.sim.runner import record_scenario, replay_trace
 from repro.traffic.spec import PhaseSpec, ScenarioSpec
+from repro.traffic.trace import (TRACE_SCHEMA, TraceReplay,
+                                 TraceSchemaError, load_trace)
 
 
 def small_spec():
@@ -24,12 +25,22 @@ def cfg4():
 
 @pytest.fixture
 def trace_path(tmp_path):
-    _res, path = record_scenario("fastpass", small_spec(), cfg4(),
-                                 tmp_path / "t.jsonl", seed=7)
+    _res, path, _events = record_scenario("fastpass", small_spec(), cfg4(),
+                                          tmp_path / "t.jsonl", seed=7)
     return path
 
 
 class TestArtifact:
+    def test_writer_bytes_pinned(self, trace_path):
+        """The writer's exact bytes — key order, separators, one event
+        per line — so a change to the on-disk format is never a side
+        effect."""
+        data = trace_path.read_bytes()
+        assert (len(data), data.count(b"\n")) == (2545, 192)
+        assert hashlib.sha256(data).hexdigest() == (
+            "2efd2c8258b7e7c21e971b8b4aba6f57"
+            "e4e18be583e6e2c21c50b3d3a97d3bec")
+
     def test_header_fields(self, trace_path):
         header, events = load_trace(trace_path)
         assert header["format"] == "repro-trace"
@@ -110,8 +121,8 @@ class TestSchemaErrors:
 
 class TestReplaySource:
     def test_replay_reproduces_recorded_run(self, tmp_path):
-        res, path = record_scenario("fastpass", small_spec(), cfg4(),
-                                    tmp_path / "t.jsonl", seed=11)
+        res, path, _events = record_scenario(
+            "fastpass", small_spec(), cfg4(), tmp_path / "t.jsonl", seed=11)
         rep = replay_trace("fastpass", path, cfg4())
         assert rep.ejected == res.ejected
         assert rep.avg_latency == res.avg_latency

@@ -3,7 +3,7 @@
 from repro.config import SimConfig
 from repro.schemes import get_scheme
 from repro.sim.engine import Simulation
-from repro.sim.trace import PacketTracer
+from repro.obs.events import PacketTracer
 from repro.traffic.synthetic import SyntheticTraffic
 
 
