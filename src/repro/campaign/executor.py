@@ -5,10 +5,9 @@ the three steps of an :class:`OpenRun` — enqueue, wait, close:
 
 * **cache-first** — points whose content address is already in the run
   cache are returned instantly and never recomputed;
-* **replica batching** — points that differ only in their seed are
-  folded into :class:`~repro.sim.batch.engine.ReplicaBatch` tasks, one
-  piece per worker (scalar-bit-identical results, cached under their
-  unchanged per-point keys); ``REPRO_NO_BATCH=1`` disables the folding;
+* **seed groups** — points that differ only in their seed share a
+  task, one piece per worker (:func:`group_items`); each point in a task
+  still runs alone and is cached under its own key;
 * what is still pending goes to a :class:`~repro.campaign.lifecycle
   .Lifecycle`, which owns attempts, backoff, deadlines and settlement
   (DESIGN §8 "Task lifecycle"); a failed point yields a placeholder and
@@ -42,9 +41,8 @@ from repro.campaign.lifecycle import Lifecycle
 from repro.campaign.queue import RetryPolicy
 from repro.campaign.worker import execute_task, replica_signature
 
-#: replicas per batch.  Bounds the memory footprint of one
-#: worker (R full networks) and keeps a crash/timeout from voiding too
-#: many points at once; larger seed sets split into several batches.
+#: points per seed-group task.  Keeps a crash/timeout from voiding too
+#: many points at once; larger seed sets split into several tasks.
 BATCH_CAP = 16
 
 
@@ -65,20 +63,21 @@ class Progress:
         return self.cached + self.done + self.failed
 
 
-def group_items(pending: list, auto_batch: bool,
-                workers: int = 1) -> list[list]:
-    """Partition ``[(key, Point), ...]`` into units of worker execution:
-    seed replicas sharing a :func:`~repro.campaign.worker
-    .replica_signature` fold into groups, everything else stays a
-    singleton.  A group of R replicas is cut into ``ceil(R / workers)``
-    -sized pieces (never above :data:`BATCH_CAP`), so one series' seeds
-    still reach every worker — pieces, not singletons: each forked child
-    re-pays the first-run memo building (DESIGN §12).  Per-point cache
-    keys are untouched — only the unit of execution changes."""
+def group_items(pending: list, workers: int = 1) -> list[list]:
+    """Partition ``[(key, Point), ...]`` into tasks: seed replicas
+    sharing a :func:`~repro.campaign.worker.replica_signature` form
+    groups, everything else stays a singleton.  A group of R replicas is
+    cut into ``ceil(R / workers)``-sized pieces (never above
+    :data:`BATCH_CAP`), so one series' seeds still reach every worker —
+    pieces, not singletons: each forked child re-pays the first-run memo
+    building (DESIGN §12).  Per-point cache keys are untouched — only
+    the unit of execution changes.  ``benchmarks/e2e`` calls this as
+    ``group_items(pending, True)``, which lands on ``workers`` as 1;
+    the next change to the benchmark drops the ``True``."""
     singles: list[list] = []
     groups: dict = {}
     for key, point in pending:
-        sig = replica_signature(point) if auto_batch else None
+        sig = replica_signature(point)
         if sig is None:
             singles.append([(key, point)])
         else:
@@ -122,8 +121,6 @@ class OpenRun:
         cache = ex.cache
         self._salt = cache.salt if cache is not None \
             else cache_mod.code_version()
-        self._auto_batch = ex.auto_batch and \
-            os.environ.get("REPRO_NO_BATCH") != "1"
         if ex.store is not None:
             ex.store.reset_running(exclude=live_keys)
 
@@ -160,7 +157,7 @@ class OpenRun:
         self.state.total += len(new)
         self.state.cached += len(hits)
         if pending or adopted:
-            grouped = group_items(pending, self._auto_batch, ex.workers())
+            grouped = group_items(pending, ex.workers())
             self.batched += sum(len(g) for g in grouped if len(g) > 1)
             if self._life is None:
                 self._life, self._transport = self._connect(
@@ -238,12 +235,11 @@ class OpenRun:
 def run_campaign(ex, points: list[Point], connect, adopted=frozenset(),
                  live_keys=(), plan=None) -> list[RunResult]:
     """What every executor's ``run`` does, for executor ``ex`` (its
-    ``cfg``, ``cache``, ``store``, ``progress``, ``auto_batch``,
-    ``workers()``): open a run, enqueue ``points`` as one frontier under
-    ``ex.cfg``, let ``plan(run)`` — if given — enqueue and wait for
-    further frontiers of its own (:mod:`repro.campaign.plan`), wait for
-    the rest, close.  Results of ``points`` in input order, ``ex.summary``
-    filled in."""
+    ``cfg``, ``cache``, ``store``, ``progress``, ``workers()``): open a
+    run, enqueue ``points`` as one frontier under ``ex.cfg``, let
+    ``plan(run)`` — if given — enqueue and wait for further frontiers of
+    its own (:mod:`repro.campaign.plan`), wait for the rest, close.
+    Results of ``points`` in input order, ``ex.summary`` filled in."""
     run = OpenRun(ex, connect, adopted, live_keys, live=plan is not None)
     try:
         keys = run.enqueue(points, ex.cfg)
@@ -382,19 +378,13 @@ class CampaignExecutor:
     def __init__(self, cfg: SimConfig, cache=None, store=None,
                  processes: int | None = None,
                  retry: RetryPolicy | None = None,
-                 progress=None, auto_batch: bool = True):
+                 progress=None):
         self.cfg = cfg
         self.cache = cache
         self.store = store
         self.processes = processes
         self.retry = retry or RetryPolicy()
         self.progress = progress
-        #: group points differing only in their seed into replica
-        #: batches (results stay bit-identical and individually cached;
-        #: REPRO_NO_BATCH=1 is the environment escape hatch).  A fold
-        #: shares nothing between its replicas: it is a unit of
-        #: execution, sized per worker (sim/batch/engine.py).
-        self.auto_batch = auto_batch
         self.summary: dict = {}
 
     def run(self, points: list[Point], plan=None) -> list[RunResult]:

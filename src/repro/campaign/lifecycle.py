@@ -74,7 +74,7 @@ class Lifecycle:
     # -- feeding ---------------------------------------------------------
     def submit(self, grouped_items: list[list], cfg, store=None) -> None:
         """Queue tasks: ``grouped_items`` is a list of item lists, each
-        ``[(key, Point), ...]`` — singletons or replica groups, exactly
+        ``[(key, Point), ...]`` — singletons or seed groups, exactly
         as :func:`repro.campaign.executor.group_items` produces them."""
         with self._lock:
             for items in grouped_items:

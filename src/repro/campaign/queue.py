@@ -310,7 +310,7 @@ class LeaseQueue:
         return by
 
     def point_counts(self) -> dict[str, int]:
-        """Like :meth:`counts`, but in points (a replica-batch task of R
+        """Like :meth:`counts`, but in points (a seed-group task of R
         seeds is R points) — the unit campaign progress is measured in."""
         by = {"pending": 0, "leased": 0, "done": 0, "failed": 0}
         for tid, state in self._state.items():

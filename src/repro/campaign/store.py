@@ -112,7 +112,7 @@ class CampaignStore:
 
     def mark_many(self, keys, status: str) -> None:
         """One transaction for a whole task's transition (lease grants
-        and re-queues touch every key of a replica batch at once)."""
+        and re-queues touch every key of a seed-group task at once)."""
         if status not in STATUSES:
             raise ValueError(f"unknown status {status!r}")
         now = time.time()

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from repro.config import RunResult, SimConfig
 from repro.sim.parallel import Point
-from repro.sim.workload import OpenLoop, metrics_setting
+from repro.sim.workload import OpenLoop
 
 
 def execute_point(point: Point, cfg: SimConfig) -> RunResult:
@@ -16,30 +16,26 @@ def execute_point(point: Point, cfg: SimConfig) -> RunResult:
 
 
 def replica_signature(point: Point):
-    """The grouping key for replica batching — the point minus its seed —
-    or None when it must run scalar: a kind that does not fold (only
-    :class:`OpenLoop` kinds do), or ``REPRO_METRICS`` set (one artifact
-    per point, scalar path only)."""
-    if not isinstance(point.workload, OpenLoop) or metrics_setting():
+    """The seed-group key (the point minus its seed) that
+    :func:`~repro.campaign.executor.group_items` cuts tasks along, or
+    None for a kind whose points run one per task (only
+    :class:`OpenLoop` kinds group)."""
+    if not isinstance(point.workload, OpenLoop):
         return None
     return (point.scheme, point.scheme_kwargs, point.workload, point.faults,
             point.traffic_stop)
 
 
-def execute_group(points: list[Point], cfg: SimConfig) -> list[RunResult]:
-    """Run seed replicas sharing a :func:`replica_signature` as one
-    fold; results, in input order, are bit-identical to
-    :func:`execute_point` on each point alone."""
-    first = points[0]
-    return first.workload.run_replicas(first, [p.seed for p in points], cfg)
-
-
 def execute_task(points: list[Point], cfg: SimConfig) -> list[RunResult]:
-    """Run one task — a single point, or a seed fold — the same way on
+    """Run one task — a list of points, each alone — the same way on
     every transport (in-process, forked child, fabric worker)."""
-    if len(points) == 1:
-        return [execute_point(points[0], cfg)]
-    return execute_group(points, cfg)
+    return [execute_point(p, cfg) for p in points]
+
+
+def execute_group(points: list[Point], cfg: SimConfig) -> list[RunResult]:
+    """:func:`execute_task` under the name ``benchmarks/e2e`` wraps and
+    calls; the next change to the benchmark drops it."""
+    return execute_task(points, cfg)
 
 
 def failed_result(point: Point, error: str) -> RunResult:

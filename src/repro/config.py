@@ -56,13 +56,10 @@ class SimConfig:
     pitstop_token_cycles: int = 8   # cycles the bypass token rests per router
 
     # Engine selection ---------------------------------------------------
-    #: cycle-engine: ``"active"`` (active-set scalar loop, the default),
-    #: ``"naive"`` (the all-components sweep, for differential tests), or
-    #: ``"soa"`` (the vectorized structure-of-arrays kernel — requires
-    #: numpy; falls back to the scalar loop for schemes/features the
-    #: arrays cannot express).  All engines are bit-identical by
-    #: construction and differential test, so the engine choice is
-    #: excluded from campaign cache keys.
+    #: cycle-engine: ``"active"`` (active-set scalar loop, the default)
+    #: or ``"naive"`` (the all-components sweep, for differential tests).
+    #: The two are bit-identical by construction and differential test,
+    #: so the engine choice is excluded from campaign cache keys.
     engine: str = "active"
 
     # Robustness surface ------------------------------------------------
@@ -95,10 +92,10 @@ class SimConfig:
         if self.fastpass_slot_cycles is not None \
                 and self.fastpass_slot_cycles < 1:
             raise ValueError("FastPass slot must be positive")
-        if self.engine not in ("active", "naive", "soa"):
+        if self.engine not in ("active", "naive"):
             raise ValueError(
                 f"unknown engine {self.engine!r}; "
-                "choose from 'active', 'naive', 'soa'")
+                "choose from 'active', 'naive'")
         if self.paranoia < 0:
             raise ValueError("paranoia interval must be non-negative")
         if self.liveness_bound_cycles < 0:

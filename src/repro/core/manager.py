@@ -62,10 +62,6 @@ class FastPassManager:
         self._last_phase = -1
         self.upgrades = 0
         self.upgrades_from_injection = 0
-        #: SoA-kernel hook: a shared list ``_take_slot`` appends its
-        #: ``(router, slot)`` to, so the kernel can re-mirror exactly the
-        #: slots an upgrade mutated.  ``None`` — and free — otherwise.
-        self.slot_sink = None
         #: injection-queue scan order: request queue first (Qn 2 / Qn 6)
         self._cls_order = [MessageClass.REQUEST] + \
             [m for m in MessageClass if m != MessageClass.REQUEST]
@@ -189,7 +185,7 @@ class FastPassManager:
                         self._scan_rr[c] = start + off + 1
                         return pkt, \
                             lambda slot=slot, pkt=pkt: self._take_slot(
-                                ni, router, slot, pkt, now)
+                                ni, slot, pkt, now)
         return None
 
     # -- removal callbacks ---------------------------------------------------
@@ -197,9 +193,7 @@ class FastPassManager:
         ni.take(q, pkt, now)
         self.upgrades_from_injection += 1
 
-    def _take_slot(self, ni, router, slot, pkt, now: int) -> None:
-        if self.slot_sink is not None:
-            self.slot_sink.append((router, slot))
+    def _take_slot(self, ni, slot, pkt, now: int) -> None:
         rejected = self._pending_rejected(ni)
         if rejected is not None:
             # Green path: the bounced packet moves into the freed VC slot;

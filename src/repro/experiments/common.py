@@ -125,7 +125,7 @@ def rule_series(rule, scheme_name: str, scheme_kwargs: dict, pattern: str,
     :mod:`repro.sim.runner`: every rate the rule yields becomes one
     frontier — the synthetic point at that rate, or, with ``seeds``, its
     repeat under every seed (built with :meth:`Point.make_seeded`, so
-    the uncached repeats fold into replica batches while each keeps its
+    the uncached repeats share seed-group tasks while each keeps its
     own cache key — DESIGN §12) — and the rule is sent that rate's
     result (the :func:`mean_result` over the repeats).  Returns what the
     rule returns."""

@@ -6,8 +6,8 @@ free):
 
 * **scenario points** — every built-in :data:`~repro.traffic.spec.
   SCENARIOS` spec (bursty/MMPP, shifting hotspots, mixed lanes, ramp)
-  under each scheme, seed-replicated; the seeds of one spec fold into
-  one replica batch exactly like plain synthetic points.
+  under each scheme, seed-replicated; the seeds of one spec share one
+  task exactly like plain synthetic points.
 * **irregular points** — the §III-F Eulerian-circuit partition sweep:
   ring/star/torus/hypercube families plus 16x16 and 32x32 mesh graphs,
   across partition counts, each point deriving, verifying and

@@ -12,7 +12,7 @@ thread) exposes two faces:
 * the **work-queue API** workers pull from —
 
   - ``POST /lease``     ``{env, worker, max_tasks}`` → granted leases
-    (each a task: one point or one replica batch, plus its config), or
+    (each a task: one point or one seed group, plus its config), or
     ``idle``/``shutdown``; a worker whose ``env``
     (:func:`~repro.fabric.protocol.environment`) differs from the
     coordinator's own gets a 409 naming every differing field;

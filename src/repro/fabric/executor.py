@@ -161,13 +161,12 @@ class FabricExecutor:
     the fleet, the retry policy and the lease TTL."""
 
     def __init__(self, cfg, session: FabricSession, cache=None,
-                 store=None, progress=None, auto_batch: bool = True):
+                 store=None, progress=None):
         self.cfg = cfg
         self.session = session
         self.cache = cache
         self.store = store
         self.progress = progress
-        self.auto_batch = auto_batch
         self.summary: dict = {}
 
     def run(self, points: list, plan=None) -> list:

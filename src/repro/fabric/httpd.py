@@ -21,7 +21,7 @@ import traceback
 import urllib.error
 import urllib.request
 
-#: request body ceiling — a completion payload for a 16-replica batch of
+#: request body ceiling — a completion payload for a 16-point task of
 #: full RunResults is ~100 KB; 64 MB leaves room for metrics artifacts.
 MAX_BODY = 64 * 1024 * 1024
 

@@ -14,8 +14,8 @@ costs nothing extra.
 A lease is ``(lease id, task, deadline)``: the unit of work plus the time
 by which the worker must have completed it.  A task is
 :class:`repro.campaign.queue.Task`, the unit every transport executes —
-a single point, or a group of seed replicas that the worker runs as one
-fold — so the fabric changes *who* executes, never *what* is executed.
+a single point, or a group of seed replicas that the worker runs one by
+one — so the fabric changes *who* executes, never *what* is executed.
 """
 
 from __future__ import annotations

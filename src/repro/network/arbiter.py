@@ -1,17 +1,16 @@
 """The switch-allocation arbitration order, in one place.
 
-Both cycle engines — the scalar :meth:`repro.network.router.Router.step`
-and the vectorized SoA kernel (:mod:`repro.sim.soa`) — must grant the
-switch in **exactly** the same order, or they stop being bit-identical.
-That order used to be implicit in the scalar loop; it is now specified
-here and both engines call these helpers.
+:meth:`repro.network.router.Router.step` grants the switch in **exactly**
+this order under both cycle engines (active-set and naive), or they stop
+being bit-identical.  That order used to be implicit in the loop; it is
+now specified here and the router calls these helpers.
 
 The full priority spec
 ----------------------
 
 1.  Routers arbitrate independently; within a cycle they are stepped in
     ascending router id (the naive sweep order, which the active-set
-    engine and the SoA kernel both reproduce).
+    engine reproduces).
 2.  Within a router, the occupied VC slots are visited in *rotated list
     order*: the occupied list left-rotated by ``rr % len(occupied)``,
     where ``rr`` is the router's monotonically increasing round-robin
@@ -30,7 +29,7 @@ The full priority spec
 5.  A head whose first move is the local port only ever tries ejection,
     never the network ports.
 
-A *skipped* step (router parked, or deferred by the SoA kernel) would
+A *skipped* step (a parked router's) would
 only have advanced ``rr`` and rotated the list; :func:`skipped_rotation`
 replays ``k`` such steps in closed form.  The replay is valid only while
 the occupied list membership is unchanged since the skip began — any

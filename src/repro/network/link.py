@@ -25,7 +25,7 @@ class Link:
     __slots__ = (
         "src", "src_port", "dst", "dst_port",
         "busy_until", "fp_windows", "inflight",
-        "util_flits", "fp_flits", "dirty_sink",
+        "util_flits", "fp_flits",
     )
 
     def __init__(self, src: int, src_port: int, dst: int, dst_port: int):
@@ -41,11 +41,6 @@ class Link:
         #: cumulative flit-cycles carried: regular traffic / FastFlow lanes
         self.util_flits = 0
         self.fp_flits = 0
-        #: SoA-kernel hook: a shared list this link appends itself to when
-        #: a reservation mutates timers behind the kernel's arrays (FastFlow
-        #: pre-emption below).  ``None`` — and therefore free — on the
-        #: scalar engines.
-        self.dirty_sink = None
 
     # ------------------------------------------------------------------
     def prune(self, now: int) -> None:
@@ -76,10 +71,6 @@ class Link:
                     f"[{ws},{we})")
         self.fp_windows.append((start, end))
         self.fp_flits += end - start
-        if self.dirty_sink is not None:
-            # The window (and any pre-emption below) changes state the SoA
-            # kernel mirrors in arrays; queue this link for a resync.
-            self.dirty_sink.append(self)
         if self.inflight is not None:
             dst_slot, src_slot, t_end = self.inflight
             if t_end > start:
@@ -120,7 +111,7 @@ class VCSlot:
     """
 
     __slots__ = ("pkt", "ready_at", "free_at", "retry_at", "retry_pid",
-                 "port", "vc", "gidx", "waiters", "owner")
+                 "port", "vc", "waiters", "owner")
 
     def __init__(self, port: int, vc: int, owner=None):
         self.pkt = None
@@ -130,9 +121,6 @@ class VCSlot:
         self.retry_pid = -1
         self.port = port
         self.vc = vc
-        #: flat (router, port, vc) index into the SoA kernel's arrays,
-        #: assigned at kernel attach; unused by the scalar engines
-        self.gidx = -1
         self.waiters = None
         self.owner = owner
 

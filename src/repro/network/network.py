@@ -62,8 +62,8 @@ class Network:
         self.mesh = mesh
         self.routing_fn = routing_fn
         self.scheme = scheme
-        #: candidate moves of every router (read by ``Router.moves``, the
-        #: inlined probe in ``Router.step`` and the SoA dense tables)
+        #: candidate moves of every router (read by ``Router.moves`` and
+        #: the inlined probe in ``Router.step``)
         self.routes = route_table(router_cls.move_rule, routing_fn,
                                   cfg.n_vns, cfg.n_vcs, mesh.rows, mesh.cols)
         self.cycle = 0
@@ -80,13 +80,6 @@ class Network:
         #: every cycle like the original loop (active-set bookkeeping is
         #: still maintained, so the two modes can be switched freely)
         self.force_naive_step = False
-        #: attached :class:`repro.sim.soa.kernel.SoAKernel` or None.  When
-        #: set, :meth:`step` hands the whole cycle to the kernel (the
-        #: scalar object graph stays authoritative and in sync — the
-        #: kernel writes through).  Unlike ``force_naive_step`` this must
-        #: not be toggled mid-run: the kernel's arrays track the network
-        #: from the cycle it is attached.
-        self.soa = None
 
         # -- incremental occupancy accounting (audited by `paranoia`) ----
         #: packets in router VC slots or side buffers
@@ -261,8 +254,6 @@ class Network:
     def step(self) -> None:
         if self.force_naive_step:
             self._step_naive()
-        elif self.soa is not None:
-            self.soa.step()
         else:
             self._step_active()
 

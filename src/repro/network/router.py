@@ -193,8 +193,7 @@ class Router:
         if not occ:
             net.sleep_router(self.id)
             return
-        # Visit order per the shared arbitration spec (repro.network
-        # .arbiter); the SoA kernel calls the same function.
+        # Visit order per the arbitration spec (repro.network.arbiter).
         occ, self.rr = granted_order(occ, self.rr)
         taken = 0  # bitmask of output ports granted this cycle
         survivors = []

@@ -20,30 +20,15 @@ from repro.network.topology import Mesh
 def build_network(cfg: SimConfig, scheme) -> Network:
     """Construct a network configured for ``scheme``.
 
-    The immutable structures a network reads — the route table, the
-    FastPass TDM geometry, the SoA dense tables — come from memoised pure
-    functions (:func:`repro.network.routing.route_table` and friends), so
-    every build after the first of its kind in a process shares them.
+    The immutable structures a network reads — the route table and the
+    FastPass TDM geometry — come from memoised pure functions
+    (:func:`repro.network.routing.route_table` and friends), so every
+    build after the first of its kind in a process shares them.
     """
     cfg = scheme.configure(cfg)
-    router_cls = scheme.router_cls
-    soa_fallback = None
-    use_soa = False
-    if cfg.engine == "soa":
-        from repro.sim import soa
-        soa.require_numpy()
-        soa_fallback = soa.fallback_reason(cfg, scheme)
-        if soa_fallback is None:
-            use_soa = True
-            router_cls = soa.hooked_router_cls(router_cls)
     net = Network(cfg, Mesh(cfg.rows, cfg.cols), ROUTERS[scheme.routing],
-                  router_cls=router_cls, scheme=scheme)
-    #: why an engine="soa" request fell back to scalar (None otherwise)
-    net.soa_fallback = soa_fallback
+                  router_cls=scheme.router_cls, scheme=scheme)
     scheme.build(net)
-    if use_soa:
-        from repro.sim.soa import attach
-        attach(net)
     return net
 
 
@@ -63,30 +48,17 @@ class Simulation:
 
     @property
     def engine_used(self) -> str:
-        """Which cycle engine drives this run: ``naive``, ``active``,
-        ``soa`` or ``active (soa fallback: <reason>)``.
+        """Which cycle engine drives this run: ``naive`` or ``active``.
 
         Deliberately a property over live network state, not a RunResult
-        field: every engine is bit-identical, so results (and the
+        field: both engines are bit-identical, so results (and the
         campaign cache keys) must not depend on engine ids.
         """
-        net = self.net
-        if net.soa is not None:
-            return "soa"
-        if net.force_naive_step:
-            return "naive"
-        if net.soa_fallback is not None:
-            return f"active (soa fallback: {net.soa_fallback})"
-        return "active"
+        return "naive" if self.net.force_naive_step else "active"
 
     # ------------------------------------------------------------------
     def run(self) -> RunResult:
         """Open-loop run: warmup, measure, drain; aggregate statistics."""
-        return self._run_open_loop()
-
-    def _run_open_loop(self) -> RunResult:
-        # The body of :meth:`run`, entered directly by ReplicaBatch so a
-        # profiler wrapping the public method sees each replica once.
         cfg = self.cfg
         net = self.net
         stats = net.stats

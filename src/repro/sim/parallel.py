@@ -5,7 +5,7 @@ sweep: a scheme plus the typed workload it runs
 (:mod:`repro.sim.workload`).  ``parallel_sweep`` is the campaign
 executor (:mod:`repro.campaign.executor`) without a result cache:
 crash isolation, retries and timeouts come from its one task lifecycle,
-and points that differ only in their seed fold into one task.
+and points that differ only in their seed share one task.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ class Point:
     @staticmethod
     def make_seeded(scheme: str, pattern: str, rate: float, seed: int,
                     **scheme_kwargs) -> "Point":
-        """A synthetic point pinned to a seed; its seed replicas fold
-        into one task while keeping their own cache keys."""
+        """A synthetic point pinned to a seed; its seed replicas share
+        one task while keeping their own cache keys."""
         return Point(scheme, Synthetic(pattern, rate), scheme_kwargs,
                      seed=seed)
 

@@ -103,27 +103,6 @@ def stamp(sim: Simulation, res: RunResult) -> RunResult:
     return res
 
 
-def run_replicas(scheme: str, workload, cfg: SimConfig, seeds,
-                 scheme_kwargs: dict | None = None,
-                 traffic_stop: int | None = None) -> list[RunResult]:
-    """Run one open-loop point under several seeds as one seed fold.
-
-    ``workload`` is a :class:`~repro.sim.workload.OpenLoop` (a
-    ``Synthetic`` or a ``Scenario``).  Each returned :class:`RunResult`
-    is bit-identical to the scalar run with that seed (proven by the
-    differential tests); the fold is a unit of campaign execution, not
-    an optimisation.  ``scheme`` is a registry name: every replica needs
-    its own scheme instance, so an already-built :class:`Scheme` object
-    cannot be shared the way ``run_point`` accepts one.
-    """
-    from repro.sim.batch.engine import ReplicaBatch
-    batch = ReplicaBatch(cfg, scheme, workload,
-                         [cfg.seed if s is None else s for s in seeds],
-                         scheme_kwargs=scheme_kwargs,
-                         traffic_stop=traffic_stop)
-    return batch.run()
-
-
 def drive_rule(rule, run_fn):
     """Run a rule generator serially: every rate it yields is answered
     with ``run_fn(rate)``; returns what the rule returns.  (The campaign

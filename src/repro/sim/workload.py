@@ -5,9 +5,9 @@ Each kind's ``run(point, cfg)`` is the whole body of a
 ``pattern`` / ``rate`` / ``meta``; :func:`decode` is the one place a
 pattern prefix is read back.  The two open-loop kinds are one
 :class:`OpenLoop`: a synthetic pattern is the one-phase schedule, a
-scenario its spec, and both run (and fold seed replicas) through the
-same body.  This module is under ``sim/``, so the cache salt hashes
-it: a change to what a point computes misses the cache (DESIGN §8).
+scenario its spec, and both run through the same body.  This module
+is under ``sim/``, so the cache salt hashes it: a change to what a
+point computes misses the cache (DESIGN §8).
 """
 
 from __future__ import annotations
@@ -35,24 +35,21 @@ def metrics_setting() -> int:
                          f"cycles, got {raw!r}") from None
 
 
-def _faulted(point, cfg: SimConfig) -> SimConfig:
-    """``cfg`` under the point's fault plan."""
-    return cfg.with_(fault_plan=point.faults) if point.faults else cfg
-
-
 def _setup(point, cfg: SimConfig):
     """The point's scheme instance, ``cfg`` under its fault plan, and its
     seed: ``point.seed``, else ``cfg.seed``."""
     from repro.schemes import get_scheme
     scheme = get_scheme(point.scheme, **dict(point.scheme_kwargs))
     seed = cfg.seed if point.seed is None else point.seed
-    return scheme, _faulted(point, cfg), seed
+    if point.faults:
+        cfg = cfg.with_(fault_plan=point.faults)
+    return scheme, cfg, seed
 
 
 class OpenLoop:
     """What :class:`Synthetic` and :class:`Scenario` share: open-loop
     traffic from a phase schedule (``spec``; None is the one-phase
-    schedule of ``pattern`` at ``rate``), one run body, one seed fold."""
+    schedule of ``pattern`` at ``rate``) and one run body."""
 
     def traffic(self, seed: int, stop: int | None = None
                 ) -> SyntheticTraffic:
@@ -66,12 +63,6 @@ class OpenLoop:
         scheme, cfg, seed = _setup(point, cfg)
         sim = Simulation(cfg, scheme, self.traffic(seed, point.traffic_stop))
         return run_open_loop(sim, metrics=metrics_setting())
-
-    def run_replicas(self, point, seeds, cfg: SimConfig) -> list[RunResult]:
-        from repro.sim.runner import run_replicas
-        return run_replicas(point.scheme, self, _faulted(point, cfg), seeds,
-                            scheme_kwargs=dict(point.scheme_kwargs),
-                            traffic_stop=point.traffic_stop)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 naive all-components sweep.
 
 Every scheme runs the same seeded workload twice — once through the
-active-set fast path (the default) and once with ``force_naive_step``
-pinned on — and the two :class:`~repro.config.RunResult` objects must
+active-set fast path (the default) and once under ``engine="naive"``,
+which pins ``force_naive_step`` on — and the two :class:`~repro.config.RunResult` objects must
 agree on every field.  The paranoia audit stays on throughout, so the
 incremental occupancy counters are also cross-checked against a full
 rescan while both engines run.
@@ -28,11 +28,16 @@ def _cfg():
                      paranoia=50)
 
 
-def _run(name, pattern, rate, seed, naive):
-    sim = Simulation(_cfg(), get_scheme(name),
+def _run_engine(name, pattern, rate, seed, engine, cfg=None, **kwargs):
+    cfg = (cfg or _cfg()).with_(engine=engine)
+    sim = Simulation(cfg, get_scheme(name, **kwargs),
                      SyntheticTraffic(pattern, rate, seed=seed))
-    sim.net.force_naive_step = naive
-    return sim.run()
+    return sim.run(), sim
+
+
+def _run(name, pattern, rate, seed, naive):
+    return _run_engine(name, pattern, rate, seed,
+                       "naive" if naive else "active")[0]
 
 
 def _same(a, b):
@@ -77,110 +82,65 @@ def test_naive_flag_actually_switches_paths(monkeypatch):
     assert calls
 
 
-# -- SoA kernel differentials --------------------------------------------
+# -- Saturated and bounce corners ----------------------------------------
 #
-# The SoA engine is a write-through overlay over the scalar object graph,
-# so its results must match both scalar engines bit-for-bit wherever it
-# engages — and where it cannot engage (unsupported scheme, fault plan)
-# the silent fallback must land on the active-set path with, again,
-# identical results.
+# Blocked regimes — saturation, and FastPass's bounce protocol — are where
+# parking, retry memos and credit wakeups skip the most work, so the two
+# engines are compared there too.
 
-def _run_engine(name, pattern, rate, seed, engine, cfg=None, **kwargs):
-    cfg = (cfg or _cfg()).with_(engine=engine)
-    sim = Simulation(cfg, get_scheme(name, **kwargs),
-                     SyntheticTraffic(pattern, rate, seed=seed))
-    return sim.run(), sim
+def _engines_agree(name, pattern, rate, seed, cfg=None, **kwargs):
+    """Run both engines; assert bit-identity; return both simulations."""
+    act_res, act_sim = _run_engine(name, pattern, rate, seed, "active",
+                                   cfg, **kwargs)
+    naive_res, naive_sim = _run_engine(name, pattern, rate, seed, "naive",
+                                       cfg, **kwargs)
+    assert naive_sim.engine_used == "naive"
+    assert_results_equal(act_res, naive_res,
+                         f"{name}/{pattern}@{rate} seed={seed}")
+    assert act_res.ejected > 0
+    return act_sim, naive_sim
 
 
 @pytest.mark.parametrize("name", ["fastpass", "escapevc", "spin"])
-@pytest.mark.parametrize("rate", [0.02, 0.1, 0.3])
-def test_soa_matches_naive_and_active(name, rate):
-    """SoA vs active-set vs naive on the supported schemes, low load
-    through saturation — plus ``spin``, whose out-of-band probe state
-    the kernel refuses: it must fall back and still match."""
-    seed = 5
-    soa_res, soa_sim = _run_engine(name, "uniform", rate, seed, "soa")
-    act_res, _ = _run_engine(name, "uniform", rate, seed, "active")
-    naive_res = _run(name, "uniform", rate, seed, naive=True)
-    label = f"{name}/uniform@{rate}"
-    assert_results_equal(soa_res, act_res, f"{label} soa vs active")
-    assert_results_equal(soa_res, naive_res, f"{label} soa vs naive")
-    if name == "spin":
-        assert soa_sim.net.soa is None
-        assert "fallback" in soa_sim.engine_used
-    else:
-        assert soa_sim.engine_used == "soa"
-        assert soa_sim.net.soa is not None
-        assert soa_sim.net.soa.cycles > 0, "kernel never stepped"
+def test_saturated_uniform_active_matches_naive(name):
+    _engines_agree(name, "uniform", 0.3, 5)
 
 
-def test_soa_matches_scalar_with_bounces(monkeypatch):
+@pytest.mark.parametrize("name", ["baseline", "fastpass", "escapevc"])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_saturated_transpose_active_matches_naive(name, seed):
+    _engines_agree(name, "transpose", 0.3, seed)
+
+
+def test_bounces_active_matches_naive(monkeypatch):
     """A FastPass run in which the bounce protocol demonstrably fires
-    (zero consume bandwidth + single-entry ejection queues), forcing the
-    kernel through its manager-absorb and scalar-fallback corners."""
+    (zero consume bandwidth + single-entry ejection queues)."""
     from repro.network.ni import NetworkInterface
     monkeypatch.setattr(NetworkInterface, "CONSUME_RATE", 0)
     cfg = _cfg().with_(ej_queue_pkts=1)
-    soa_res, soa_sim = _run_engine("fastpass", "uniform", 0.3, 5, "soa",
-                                   cfg=cfg, n_vcs=2)
-    act_res, _ = _run_engine("fastpass", "uniform", 0.3, 5, "active",
-                             cfg=cfg, n_vcs=2)
-    assert soa_sim.engine_used == "soa"
-    assert soa_sim.net.fastpass.engine.bounced > 0, "no bounces provoked"
-    assert_results_equal(soa_res, act_res, "soa bounces")
-
-
-def test_soa_falls_back_under_transient_faults():
-    """A fault plan mutates link timers and routes out of band, so
-    ``engine="soa"`` must silently run the scalar path — reported via
-    ``engine_used`` — with bit-identical results."""
-    from repro.fault.plan import LINK_FLAP, FaultEvent, FaultPlan
-    plan = FaultPlan(
-        events=(FaultEvent(LINK_FLAP, at=150, router=5, port=2,
-                           duration=120),),
-        rate=0.002, start=100, stop=400, seed=3)
-    cfg = _cfg().with_(fault_plan=plan, paranoia=0)
-    soa_res, soa_sim = _run_engine("fastpass", "uniform", 0.08, 5,
-                                   "soa", cfg=cfg)
-    act_res, _ = _run_engine("fastpass", "uniform", 0.08, 5,
-                             "active", cfg=cfg)
-    assert soa_sim.net.soa is None
-    assert "fallback" in soa_sim.engine_used
-    assert_results_equal(soa_res, act_res, "soa fault fallback")
-
-
-def test_soa_transpose_and_seeds():
-    """Pattern and seed sweep on the supported schemes at a blocked
-    rate — the regime the kernel's screen actually exercises."""
-    for name in ("baseline", "fastpass", "escapevc"):
-        for seed in (3, 11):
-            soa_res, soa_sim = _run_engine(name, "transpose", 0.3,
-                                           seed, "soa")
-            act_res, _ = _run_engine(name, "transpose", 0.3,
-                                     seed, "active")
-            assert soa_sim.engine_used == "soa"
-            assert_results_equal(soa_res, act_res,
-                                 f"{name}/transpose seed={seed}")
+    act_sim, naive_sim = _engines_agree("fastpass", "uniform", 0.3, 5,
+                                        cfg=cfg, n_vcs=2)
+    bounced = act_sim.net.fastpass.engine.bounced
+    assert bounced > 0, "no bounces provoked"
+    assert naive_sim.net.fastpass.engine.bounced == bounced
 
 
 # -- Scenario-source differentials ---------------------------------------
 #
 # Every scenario source (bursty/MMPP, hotspot shift, mixed lanes) and the
-# trace-replay source must drive all three engines to bit-identical
+# trace-replay source must drive both engines to bit-identical
 # results: they sit on the same TrafficSource seam, so any divergence
 # means an engine is consuming traffic state out of order.
 
 from repro.sim.workload import Scenario  # noqa: E402
 from repro.traffic.spec import SCENARIOS  # noqa: E402
-from repro.traffic.trace import TraceReplay  # noqa: E402
 
 
-def _run_scenario(scheme, spec, seed, engine, cfg=None, naive=False):
+def _run_scenario(scheme, spec, seed, engine, cfg=None):
     cfg = (cfg or _cfg()).with_(engine=engine)
     sim = Simulation(cfg, get_scheme(scheme),
                      Scenario(spec).traffic(seed))
-    sim.net.force_naive_step = naive
-    return sim.run(), sim
+    return sim.run()
 
 
 @pytest.mark.parametrize("scenario",
@@ -188,20 +148,15 @@ def _run_scenario(scheme, spec, seed, engine, cfg=None, naive=False):
 def test_scenario_sources_match_across_engines(scenario):
     spec = SCENARIOS[scenario]
     seed = 7
-    soa_res, soa_sim = _run_scenario("fastpass", spec, seed, "soa")
-    act_res, _ = _run_scenario("fastpass", spec, seed, "active")
-    naive_res, _ = _run_scenario("fastpass", spec, seed, "active",
-                                 naive=True)
-    assert_results_equal(soa_res, act_res, f"{scenario} soa vs active")
-    assert_results_equal(soa_res, naive_res, f"{scenario} soa vs naive")
-    assert soa_res.ejected > 0
-    assert soa_sim.engine_used == "soa"
-    assert soa_sim.net.soa is not None and soa_sim.net.soa.cycles > 0
+    act_res = _run_scenario("fastpass", spec, seed, "active")
+    naive_res = _run_scenario("fastpass", spec, seed, "naive")
+    assert_results_equal(act_res, naive_res, f"{scenario} active vs naive")
+    assert act_res.ejected > 0
 
 
 def test_scenario_under_transient_faults_matches():
-    """A scenario source driven through a transient fault plan: SoA must
-    fall back, and all three paths must still agree bit for bit."""
+    """A scenario source driven through a transient fault plan: both
+    engines must still agree bit for bit."""
     from repro.fault.plan import LINK_FLAP, FaultEvent, FaultPlan
     plan = FaultPlan(
         events=(FaultEvent(LINK_FLAP, at=150, router=5, port=2,
@@ -209,30 +164,19 @@ def test_scenario_under_transient_faults_matches():
         rate=0.002, start=100, stop=400, seed=3)
     cfg = _cfg().with_(fault_plan=plan, paranoia=0)
     spec = SCENARIOS["bursty"]
-    soa_res, soa_sim = _run_scenario("fastpass", spec, 5, "soa", cfg=cfg)
-    act_res, _ = _run_scenario("fastpass", spec, 5, "active", cfg=cfg)
-    naive_res, _ = _run_scenario("fastpass", spec, 5, "active", cfg=cfg,
-                                 naive=True)
-    assert soa_sim.net.soa is None
-    assert "fallback" in soa_sim.engine_used
-    assert_results_equal(soa_res, act_res, "scenario faults soa vs active")
-    assert_results_equal(soa_res, naive_res, "scenario faults vs naive")
+    act_res = _run_scenario("fastpass", spec, 5, "active", cfg=cfg)
+    naive_res = _run_scenario("fastpass", spec, 5, "naive", cfg=cfg)
+    assert_results_equal(act_res, naive_res, "scenario faults vs naive")
 
 
 def test_trace_replay_matches_across_engines(tmp_path):
-    """Record once, then replay the identical stream through every
-    engine — the recorded run and all three replays must agree."""
+    """Record once, then replay the identical stream through both
+    engines — the recorded run and both replays must agree."""
     from repro.sim.runner import record_scenario, replay_trace
     rec_res, path, _events = record_scenario("fastpass", SCENARIOS["bursty"],
                                     _cfg(), tmp_path / "t.jsonl", seed=9)
     act_res = replay_trace("fastpass", path, _cfg().with_(engine="active"))
-    soa_res = replay_trace("fastpass", path, _cfg().with_(engine="soa"))
-    naive_sim = Simulation(_cfg(), get_scheme("fastpass"),
-                           TraceReplay.from_file(path))
-    naive_sim.net.force_naive_step = True
-    naive_res = naive_sim.run()
-    naive_res.extra["rate"] = naive_sim.traffic.rate
-    naive_res.extra["pattern"] = naive_sim.traffic.pattern
+    naive_res = replay_trace("fastpass", path, _cfg().with_(engine="naive"))
     # The recorded run labels itself "scenario:..." while replays say
     # "trace:..." — everything else must match bit for bit.
     for f in dataclasses.fields(act_res):
@@ -242,7 +186,6 @@ def test_trace_replay_matches_across_engines(tmp_path):
             f"replay vs recorded: field {f.name!r} differs"
     assert {k: v for k, v in act_res.extra.items() if k != "pattern"} \
         == {k: v for k, v in rec_res.extra.items() if k != "pattern"}
-    assert_results_equal(soa_res, act_res, "replay soa vs active")
     assert_results_equal(naive_res, act_res, "replay naive vs active")
     assert act_res.ejected > 0
 
@@ -282,16 +225,3 @@ def test_closed_loop_active_matches_naive(name, kwargs, app, monkeypatch):
     assert_results_equal(fast, slow, f"{name}/app:{app}")
     assert slow_calls == slow.cycles * 64
     assert 0 < fast_calls < slow_calls / 10, (fast_calls, slow_calls)
-
-
-def test_soa_kernel_fast_paths_engage():
-    """The perf-bearing fast paths must demonstrably fire: cycles where
-    the whole router phase is screened out, injection-step skips, and
-    scalar materialisation staying the exception, not the rule."""
-    _, sim = _run_engine("fastpass", "uniform", 0.1, 5, "soa")
-    k = sim.net.soa
-    assert k.cycles > 0
-    assert k.skipped > 0, "screen never skipped a router phase"
-    assert k.inject_skips > 0, "injection screen never engaged"
-    assert k.materialized < k.cycles * sim.net.mesh.n_routers, \
-        "every router materialised every cycle — the screen is dead"

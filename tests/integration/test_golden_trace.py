@@ -14,10 +14,8 @@ from pathlib import Path
 import pytest
 
 from repro.config import SimConfig
-from repro.schemes import get_scheme
-from repro.sim.engine import Simulation
 from repro.sim.runner import replay_trace
-from repro.traffic.trace import TraceReplay, TraceSchemaError, load_trace
+from repro.traffic.trace import TraceSchemaError, load_trace
 
 GOLDEN = Path(__file__).resolve().parents[1] / "data" / "golden_trace.jsonl"
 
@@ -43,21 +41,12 @@ def test_fixture_is_well_formed():
     assert len(events) == header["events"] > 0
 
 
-@pytest.mark.parametrize("engine", ["active", "soa"])
+@pytest.mark.parametrize("engine", ["active", "naive"])
 def test_replay_reproduces_pinned_stats(engine):
     res = replay_trace("fastpass", GOLDEN, _cfg().with_(engine=engine))
     assert res.ejected == PINNED_DELIVERED
     assert res.avg_latency == PINNED_AVG_LATENCY
     assert res.throughput == PINNED_THROUGHPUT
-
-
-def test_replay_reproduces_pinned_stats_naive():
-    sim = Simulation(_cfg(), get_scheme("fastpass"),
-                     TraceReplay.from_file(GOLDEN))
-    sim.net.force_naive_step = True
-    res = sim.run()
-    assert res.ejected == PINNED_DELIVERED
-    assert res.avg_latency == PINNED_AVG_LATENCY
 
 
 def test_schema_bump_fails_loudly(tmp_path):

@@ -111,8 +111,7 @@ class TestKeyFormatIsFrozen:
         ]
         cfgs = [small_cfg, SimConfig(),
                 small_cfg.with_(fault_plan=plan),
-                small_cfg.with_(engine="naive"),
-                small_cfg.with_(engine="soa")]
+                small_cfg.with_(engine="naive")]
         for cfg in cfgs:
             for point in points:
                 for salt in ("s", 'sa"lt', code_version()):
@@ -231,10 +230,10 @@ class TestResultJson:
 
     def test_engine_attribution_round_trips(self):
         res = _res()
-        res.engine_used = "soa"
+        res.engine_used = "naive"
         back = result_from_json(
             json.loads(json.dumps(result_to_json(res))))
-        assert back.engine_used == "soa"
+        assert back.engine_used == "naive"
         # Results that never ran through an engine-aware path stay
         # attribute-free, so comparisons remain engine-blind.
         plain = result_from_json(result_to_json(_res()))
@@ -372,7 +371,7 @@ class TestRunCache:
 
     def test_engine_counts_breakdown(self, tmp_path, small_cfg):
         cache = RunCache(tmp_path, salt="s")
-        for i, engine in enumerate(["soa", "soa", "active", None]):
+        for i, engine in enumerate(["naive", "naive", "active", None]):
             p = Point("fastpass", Synthetic("uniform", 0.1 + i * 0.01))
             res = _res()
             if engine is not None:
@@ -382,4 +381,4 @@ class TestRunCache:
             else:
                 cache.put(cache.key_for(p, small_cfg), p, small_cfg, res)
         assert cache.engine_counts() == {
-            "soa": 2, "active": 1, "unrecorded": 1}
+            "naive": 2, "active": 1, "unrecorded": 1}

@@ -208,8 +208,8 @@ class TestDriverWait:
 
 
 class TestReplicaBatching:
-    """Seed-only-differing points fold into lock-step batch tasks with
-    unchanged per-point cache keys and bit-identical results."""
+    """Seed-only-differing points share tasks with unchanged per-point
+    cache keys and bit-identical results."""
 
     def _seeded(self, rates=(0.02,), seeds=(1, 2, 3)):
         return [Point.make_seeded("escapevc", "uniform", r, seed=s)
@@ -218,7 +218,7 @@ class TestReplicaBatching:
     def test_grouped_by_signature(self):
         pending = [(f"k{i}", p)
                    for i, p in enumerate(self._seeded(rates=(0.02, 0.05)))]
-        tasks = group_items(pending, True)
+        tasks = group_items(pending)
         assert sorted(len(items) for items in tasks) == [3, 3]
         assert sorted(kp for items in tasks for kp in items) == \
             sorted(pending)
@@ -229,13 +229,13 @@ class TestReplicaBatching:
         pending = [(f"k{i}", p)
                    for i, p in enumerate(self._seeded(seeds=range(6)))]
         assert sorted(len(items)
-                      for items in group_items(pending, True)) == [2, 4]
+                      for items in group_items(pending)) == [2, 4]
 
     def test_groups_are_cut_one_piece_per_worker(self, monkeypatch):
         """``workers`` cuts a seed group so one series feeds every
         worker — pieces of ``ceil(R / workers)``, never singletons for
         their own sake, never above ``BATCH_CAP``; without it (and with
-        ``workers=1``, i.e. ``--jobs 1``) the fold is what it was."""
+        ``workers=1``, i.e. ``--jobs 1``) a group is one task."""
         import repro.campaign.executor as executor
         pending = [(f"k{i}", p)
                    for i, p in enumerate(self._seeded(seeds=range(4)))]
@@ -245,19 +245,24 @@ class TestReplicaBatching:
             assert [kp for items in tasks for kp in items] == pending
             return [len(items) for items in tasks]
 
-        assert sizes(True) == sizes(True, 1) == [4]
-        assert sizes(True, 2) == [2, 2]
-        assert sizes(True, 3) == [2, 2]
-        assert sizes(True, 8) == [1, 1, 1, 1]
-        assert sizes(False, 2) == [1, 1, 1, 1]
+        assert sizes() == sizes(1) == [4]
+        assert sizes(2) == [2, 2]
+        assert sizes(3) == [2, 2]
+        assert sizes(8) == [1, 1, 1, 1]
         monkeypatch.setattr(executor, "BATCH_CAP", 1)
-        assert sizes(True, 2) == [1, 1, 1, 1]
+        assert sizes(2) == [1, 1, 1, 1]
+
+    def test_benchmark_call_shape_is_one_worker(self):
+        """``benchmarks/e2e/workloads.py`` calls ``group_items(pending,
+        True)``; ``True`` lands on ``workers`` as 1."""
+        pending = [(f"k{i}", p)
+                   for i, p in enumerate(self._seeded(seeds=range(4)))]
+        assert group_items(pending, True) == group_items(pending)
 
     def test_non_replicable_points_stay_singletons(self):
         pts = [Point.make_app("escapevc", "pagerank", txns=5, seed=1),
                stress_point("escapevc", {})]
-        tasks = group_items([(f"k{i}", p) for i, p in enumerate(pts)],
-                            True)
+        tasks = group_items([(f"k{i}", p) for i, p in enumerate(pts)])
         assert [len(items) for items in tasks] == [1, 1]
 
     def test_results_match_scalar_and_are_cached_per_point(
@@ -277,18 +282,6 @@ class TestReplicaBatching:
         rerun = again.run(points)
         assert again.summary["cached"] == 3
         assert [r.ejected for r in rerun] == [r.ejected for r in got]
-
-    def test_env_escape_hatch_disables_batching(self, small_cfg,
-                                                monkeypatch):
-        monkeypatch.setenv("REPRO_NO_BATCH", "1")
-        ex = CampaignExecutor(small_cfg, processes=1)
-        ex.run(self._seeded(seeds=(1, 2)))
-        assert ex.summary["batched"] == 0
-
-    def test_auto_batch_false_disables_batching(self, small_cfg):
-        ex = CampaignExecutor(small_cfg, processes=1, auto_batch=False)
-        ex.run(self._seeded(seeds=(1, 2)))
-        assert ex.summary["batched"] == 0
 
     def test_pool_size_respects_affinity(self, monkeypatch):
         """The fork pool never launches more workers than the affinity

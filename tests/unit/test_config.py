@@ -58,6 +58,12 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(fastpass_slot_cycles=0)
 
+    def test_engine_names_validated(self):
+        for name in ("active", "naive"):
+            assert SimConfig(engine=name).engine == name
+        with pytest.raises(ValueError, match="'active', 'naive'"):
+            SimConfig(engine="soa")
+
 
 class TestRunResult:
     def test_defaults(self):

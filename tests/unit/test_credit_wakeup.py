@@ -103,9 +103,7 @@ class TestSubscription:
         hslot, head, held = blockade(net)
         step_to(net, 10)
         assert_asleep(net, hslot, held)
-        holder = net.routers[1]
-        net.fastpass._take_slot(net.nis[1], holder, held[1], held[1].pkt,
-                                net.cycle)
+        net.fastpass._take_slot(net.nis[1], held[1], held[1].pkt, net.cycle)
         assert held[1].pkt is None and held[1].free_at == 11
         assert hslot.retry_at == 11 and net.routers[0]._wake_at == 11
         assert_moves_exactly_at(net, head, 11)
@@ -139,8 +137,7 @@ class TestRefillIsNotAVacate:
         bounced = Packet(1, 3, MessageClass.REQUEST, 0)
         net.in_transit += 1          # as if on its returning path
         net.fastpass.engine._arrive_return(net.cycle, bounced, 1)
-        net.fastpass._take_slot(ni, net.routers[1], held[0], held[0].pkt,
-                                net.cycle)
+        net.fastpass._take_slot(ni, held[0], held[0].pkt, net.cycle)
         assert held[0].pkt is bounced
         assert_asleep(net, hslot, held)          # not woken ...
         # ... and not lost: the refill moves on at cycle 11, which is a

@@ -117,15 +117,23 @@ class TestReplicaSignature:
                                         txns=5)) is None
         assert self._sig(stress_point("escapevc", {})) is None
 
-    def test_metrics_points_never_batch(self, monkeypatch):
+    def test_metrics_reach_every_point_of_a_task(self, monkeypatch,
+                                                 small_cfg):
+        """``REPRO_METRICS`` does not split seed groups: every point of a
+        multi-point task still archives its own metrics."""
+        from repro.campaign.worker import execute_task
         monkeypatch.setenv("REPRO_METRICS", "50")
-        assert self._sig(Point.make_seeded("escapevc", "uniform", 0.05,
-                                           seed=1)) is None
+        pts = [Point.make_seeded("escapevc", "uniform", 0.05, seed=s)
+               for s in (1, 2)]
+        assert self._sig(pts[0]) == self._sig(pts[1]) is not None
+        results = execute_task(pts, small_cfg)
+        assert all("metrics" in r.extra for r in results)
 
     def test_non_integer_metrics_env_names_the_variable(self, monkeypatch):
+        from repro.sim.workload import metrics_setting
         monkeypatch.setenv("REPRO_METRICS", "yes")
         with pytest.raises(ValueError, match="REPRO_METRICS.*'yes'"):
-            self._sig(Point("escapevc", Synthetic("uniform", 0.05)))
+            metrics_setting()
 
     def test_fault_points_batch_by_plan(self):
         from repro.fault.plan import FaultPlan

@@ -112,21 +112,14 @@ class TestCacheKeysCannotLeak:
         (("baseline", {}, 4), ("tfc", {}, 4)),
     ], ids=["escapevc-vcs", "fastpass-vcs", "escapevc-mesh",
             "fastpass-mesh", "routing-fn"])
-    @pytest.mark.parametrize("engine", ["active", "soa"])
-    def test_neighbouring_derivations(self, first, second, engine):
-        from repro.sim.soa import SUPPORTED_SCHEMES
-        from repro.sim.soa.tables import verify_tables
+    def test_neighbouring_derivations(self, first, second):
         nets = []
         for name, kwargs, n in (first, second, first):
-            cfg = SimConfig(rows=n, cols=n, engine=engine)
+            cfg = SimConfig(rows=n, cols=n)
             net = build_network(cfg, get_scheme(name, **kwargs))
             nets.append(net)
             assert_moves_match_direct_evaluation(net)
             assert len(net.routes.rows) == n * n
-            if engine == "soa" and name in SUPPORTED_SCHEMES:
-                assert verify_tables(net, net.soa.tables) > 0
-                assert net.soa.tables.R == n * n
-                assert net.soa.tables.V == net.cfg.total_vcs
             if name == "fastpass":
                 mgr = net.fastpass
                 assert mgr.schedule.K == net.cfg.fastpass_slot()
@@ -140,9 +133,6 @@ class TestCacheKeysCannotLeak:
             assert a.fastpass.schedule is a_again.fastpass.schedule
             assert a.fastpass._rt is a_again.fastpass._rt
             assert a.fastpass._rt is not b.fastpass._rt
-        if a.soa is not None:
-            assert a.soa.tables is a_again.soa.tables
-            assert b.soa is None or a.soa.tables is not b.soa.tables
 
 
 class TestDegradedModeBypassesTheTable:
