@@ -89,6 +89,10 @@ class SimConfig:
                            "drain_cycles", "watchdog_cycles"):
             if getattr(self, field_name) < 0:
                 raise ValueError(f"{field_name} must be non-negative")
+        for field_name in ("swap_duty_cycles", "pitstop_token_cycles",
+                           "drain_period_cycles"):
+            if getattr(self, field_name) < 1:
+                raise ValueError(f"{field_name} must be at least 1")
         if self.fastpass_slot_cycles is not None \
                 and self.fastpass_slot_cycles < 1:
             raise ValueError("FastPass slot must be positive")

@@ -126,8 +126,7 @@ class FastPassManager:
             return False
         # Lane-schedule degradation: a prime never launches onto a lane
         # whose forward or return path crosses a dead link, or whose
-        # lookahead signal is currently dropped (schemes declare the
-        # capability via fault_caps.lane_skip).
+        # lookahead signal is currently dropped.
         faults = self.net.faults
         if faults is not None and not faults.lane_ok(prime, pkt.dst, now,
                                                      pkt.size):

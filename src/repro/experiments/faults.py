@@ -7,8 +7,8 @@ modes per (scheme, load):
 * ``none``  — healthy network, liveness audit armed: FastPass must show
   zero violations of the delivery bound;
 * ``cut``   — one permanent directed-link failure at mid-measurement on
-  a central link.  Schemes declaring ``fault_caps.reroute`` must deliver
-  every measured packet around the cut; schemes without it (the plain
+  a central link.  Schemes that declare ``reroutes`` must deliver every
+  measured packet around the cut; schemes without it (the plain
   baseline) are expected to wedge, terminate via the watchdog, and leave
   a JSON post-mortem under ``<results>/diagnostics/``;
 * ``storm`` — a Poisson storm of transient faults (flaps, port stalls,

@@ -14,15 +14,17 @@ timing machinery wherever possible so the hot path stays untouched:
   confirm a lane is clear — :meth:`lane_ok` reports such lanes unusable
   and the prime skips the launch (the conservative hardware reaction).
 
-Graceful degradation: when the scheme declares
-``fault_caps.reroute`` (see :class:`repro.schemes.base.FaultCaps`), every
-change to the set of dead links rebuilds a :class:`RerouteTable` —
-shortest-path next-hops over the surviving directed channel graph — and
-installs it as ``net.reroute``, which :meth:`repro.network.router.Router.
-moves` consults in place of the static routing function.  Schemes without
-the capability keep their static routes; packets whose only productive
-port died simply stop progressing, which is exactly the condition the
-watchdog post-mortem and the liveness auditor are there to certify.
+Graceful degradation: when the scheme declares ``reroutes`` (see
+:class:`repro.schemes.base.Scheme`), every change to the set of dead
+links rebuilds a :class:`RerouteTable` — shortest-path next-hops over the
+surviving directed channel graph — and installs it as ``net.reroute``,
+which :meth:`repro.network.router.Router.moves` consults in place of the
+static routing function; then :meth:`repro.network.network.Network.
+topology_changed` drops the state computed under the old links.  Schemes
+without the capability keep their static routes; packets whose only
+productive port died simply stop progressing, which is exactly the
+condition the watchdog post-mortem and the liveness auditor are there to
+certify.
 """
 
 from __future__ import annotations
@@ -214,17 +216,12 @@ class FaultInjector:
     def _topology_changed(self, now: int) -> None:
         """Rebuild degraded routing state after the dead-link set moved."""
         net = self.net
-        scheme = net.scheme
-        caps = getattr(scheme, "fault_caps", None)
-        if caps is not None and caps.reroute:
+        if net.scheme is not None and net.scheme.reroutes:
             net.reroute = RerouteTable(self.mesh, self.dead_links) \
                 if self.dead_links else None
-        # Any parked router must re-evaluate: a healed link or a fresh
-        # reroute can unblock a head earlier than its parked bound.
-        for router in net.routers:
-            router.disturb()
-            for slot in router.occupied:
-                slot.retry_at = 0       # arb bounds pre-date the change
+        # A healed link or a fresh reroute can unblock a head earlier
+        # than its parked bound.
+        net.topology_changed()
 
     def _mark_exposed(self) -> None:
         """Tag every packet currently in the network as fault-exposed, so

@@ -41,20 +41,23 @@ def _fire_postmortem(net, now: int, report) -> None:
 class Network:
     """A complete NoC instance.
 
-    The per-cycle order of operations is:
+    The per-cycle order of operations (:meth:`step`) is:
 
-    1. scheme ``pre_cycle`` hook (FastPass management, SPIN probes, ...),
-    2. scheduled events (FastFlow arrivals, MSHR regenerations, ...),
-    3. NI injection (inject-active NIs, ascending id),
-    4. router switch allocation (active routers, ascending id),
-    5. NI consumption (consume-active NIs / processor models),
-    6. scheme ``post_cycle`` hook and the watchdog.
+    1. fault activations and recoveries,
+    2. scheme ``pre_cycle`` hook (FastPass management, DRAIN, ...),
+    3. scheduled events (FastFlow arrivals, MSHR regenerations, ...),
+    4. traffic generation,
+    5. NI injection (inject-active NIs, ascending id),
+    6. router switch allocation (active routers, ascending id),
+    7. NI consumption (consume-active NIs / processor models),
+    8. scheme ``post_cycle`` hook (SPIN probes, SWAP, ...), then the
+       sampler, the audits and the watchdog.
 
-    Scheme hooks run on the cadence the scheme declares via
-    :meth:`repro.schemes.base.Scheme.hook_cadence` (every cycle, every N
-    cycles, or never) — the declared cadence must match the hook's own
-    internal ``now % N`` guard, which is what keeps the active engine and
-    the naive loop (hooks invoked unconditionally) bit-identical.
+    The network alone decides when a scheme hook runs: on every cycle
+    that is a multiple of the period the scheme declares
+    (``pre_cycle_every`` / ``post_cycle_every``; 1 = every cycle, 0 =
+    never), under both engines.  The engines differ only in which NIs
+    and routers phases 5-7 visit.
     """
 
     def __init__(self, cfg, mesh, routing_fn, router_cls=Router, scheme=None):
@@ -129,10 +132,11 @@ class Network:
             self, cfg.watchdog_cycles,
             on_fire=_fire_postmortem if cfg.postmortem else None)
         self.traffic = None
+        #: hook periods declared by the scheme (0 = never)
+        self._pre_every = self._post_every = 0
         if scheme is not None:
-            self._pre_every, self._post_every = scheme.hook_cadence(cfg)
-        else:
-            self._pre_every = self._post_every = 0
+            self._pre_every = scheme.pre_cycle_every
+            self._post_every = scheme.post_cycle_every
 
         # Robustness surface (see repro.fault).  All attributes exist even
         # when the features are off, so hot-path checks are plain
@@ -140,7 +144,7 @@ class Network:
         #: FaultInjector when the config carries a fault plan
         self.faults = None
         #: RerouteTable around dead links (installed by the injector when
-        #: the scheme declares the capability); consulted by Router.moves
+        #: the scheme ``reroutes``); consulted by Router.moves
         self.reroute = None
         #: LivenessAuditor when cfg.liveness_audit is set
         self.auditor = None
@@ -211,6 +215,16 @@ class Network:
             router.disturb()
         return active
 
+    def topology_changed(self) -> None:
+        """The live links or the routes changed (a fault, a recovery, a
+        new reroute table): a head's moves may differ from now on, so
+        every parked router wakes and every arbitration retry bound,
+        computed under the old topology, is dropped."""
+        for router in self.routers:
+            router.disturb()
+            for slot in router.occupied:
+                slot.retry_at = 0
+
     # -- packet motion: where schemes touch the books ----------------------
     def unbuffer(self, slot, free_at: int) -> None:
         """``slot``'s packet leaves the buffers other than by a hop (a
@@ -252,30 +266,38 @@ class Network:
 
     # -- main loop -----------------------------------------------------------
     def step(self) -> None:
-        if self.force_naive_step:
-            self._step_naive()
-        else:
-            self._step_active()
-
-    def _step_active(self) -> None:
+        """One cycle, in the phase order of the class docstring.  The
+        active engine visits only the active NIs and routers, ascending
+        id; the naive one (``force_naive_step``) visits all of them.
+        Wake/sleep bookkeeping runs inside the components either way, so
+        the engines can be switched mid-run."""
         now = self.cycle
+        naive = self.force_naive_step
         if self.faults is not None:
             self.faults.step(now)
         pre = self._pre_every
-        if pre and (pre == 1 or now % pre == 0):
+        if pre and now % pre == 0:
             self.scheme.pre_cycle(self, now)
         self._run_events(now)
         if self.traffic is not None:
             self.traffic.generate(self, now)
+        nis = self.nis
         if not self.suspended:
-            if self._inj_active:
-                nis = self.nis
+            if naive:
+                for ni in nis:
+                    ni.inject_step(now)
+            elif self._inj_active:
                 for nid in sorted(self._inj_active):
                     ni = nis[nid]
                     if now >= ni._inj_skip:
                         ni.inject_step(now)
             self.switch_cycles += 1
-            if self._r_active:
+            if naive:
+                for router in self.routers:
+                    self._step_pos = router.id
+                    router.step(now)
+                self._step_pos = -1
+            elif self._r_active:
                 routers = self.routers
                 todo = self._stepping = sorted(self._r_active)
                 i = 0
@@ -286,43 +308,15 @@ class Network:
                         router.step(now)
                     i += 1
                 self._stepping = None
-        if self._con_active:
-            nis = self.nis
+        if naive:
+            for ni in nis:
+                ni.consume_step(now)
+        elif self._con_active:
             for nid in sorted(self._con_active):
                 nis[nid].consume_step(now)
         post = self._post_every
-        if post and (post == 1 or now % post == 0):
+        if post and now % post == 0:
             self.scheme.post_cycle(self, now)
-        self._step_tail(now)
-
-    def _step_naive(self) -> None:
-        """The original all-components loop.  Wake/sleep and counter
-        bookkeeping still run inside the components, so the two modes stay
-        interchangeable mid-run; hooks are invoked unconditionally as
-        before (their internal guards make that equivalent)."""
-        now = self.cycle
-        if self.faults is not None:
-            self.faults.step(now)
-        if self.scheme is not None:
-            self.scheme.pre_cycle(self, now)
-        self._run_events(now)
-        if self.traffic is not None:
-            self.traffic.generate(self, now)
-        if not self.suspended:
-            for ni in self.nis:
-                ni.inject_step(now)
-            self.switch_cycles += 1
-            for router in self.routers:
-                self._step_pos = router.id
-                router.step(now)
-            self._step_pos = -1
-        for ni in self.nis:
-            ni.consume_step(now)
-        if self.scheme is not None:
-            self.scheme.post_cycle(self, now)
-        self._step_tail(now)
-
-    def _step_tail(self, now: int) -> None:
         obs = self.obs
         if obs is not None:
             se = obs.sample_every

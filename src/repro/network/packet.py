@@ -30,14 +30,9 @@ SINK_CLASSES = frozenset(
     {MessageClass.RESPONSE, MessageClass.UNBLOCK, MessageClass.DMA}
 )
 
-_CLASS_FLITS = {
-    MessageClass.REQUEST: 1,
-    MessageClass.RESPONSE: 5,
-    MessageClass.FORWARD: 1,
-    MessageClass.WRITEBACK: 5,
-    MessageClass.UNBLOCK: 1,
-    MessageClass.DMA: 5,
-}
+#: packet size in flits, indexed by class number (128-bit flits, 64B
+#: data): 1-flit control classes, 5-flit data classes
+_CLASS_FLITS = (1, 5, 1, 5, 1, 5)
 
 
 def flits_for_class(mclass: int) -> int:
@@ -86,13 +81,13 @@ class Packet:
         Packet._next_pid += 1
         self.src = src
         self.dst = dst
-        self.mclass = int(mclass)
-        self.size = size if size is not None else flits_for_class(mclass)
+        self.mclass = mclass = int(mclass)
+        self.size = size if size is not None else _CLASS_FLITS[mclass]
         self.gen_cycle = gen_cycle
         self.net_entry = -1
         self.eject_cycle = -1
         self.hops = 0
-        self.vn = int(mclass)       # default VN assignment: one per class
+        self.vn = mclass            # default VN assignment: one per class
         self.rejected = False       # bounced FastPass-Packet (never droppable)
         self.fp_upgrade = -1
         self.was_fastpass = False

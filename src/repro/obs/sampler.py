@@ -1,8 +1,8 @@
 """Periodic time-series sampling of gauge metrics.
 
-The sampler is invoked from the network's cycle-tail hook every
-``sample_every`` cycles (see :meth:`repro.network.network.Network.
-_step_tail`) and appends the current reading of each registered scalar
+The sampler is invoked at the tail of the network's cycle every
+``sample_every`` cycles (see :meth:`repro.network.network.Network.step`)
+and appends the current reading of each registered scalar
 gauge to an in-memory series.
 
 Result-neutrality / parked-router contract: a sample is a pure *read* —

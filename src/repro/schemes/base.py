@@ -14,26 +14,6 @@ from repro.network.router import Router
 
 
 @dataclass(frozen=True)
-class FaultCaps:
-    """What a scheme can do when the fault injector degrades the network.
-
-    * ``reroute`` — the scheme tolerates its packets being steered by a
-      :class:`~repro.fault.injector.RerouteTable` around dead links;
-    * ``lane_skip`` — the scheme's bypass machinery (FastPass lanes) can
-      skip launches whose path crosses a dead or lookahead-compromised
-      segment instead of launching blind.
-
-    Schemes without ``reroute`` keep their static routes under faults;
-    packets whose only productive port died stall, the watchdog fires,
-    and the post-mortem documents why — that *is* the declared behavior,
-    not a bug.
-    """
-
-    reroute: bool = False
-    lane_skip: bool = False
-
-
-@dataclass(frozen=True)
 class Table1Row:
     """The qualitative properties compared in the paper's Table I."""
 
@@ -66,9 +46,12 @@ class Scheme:
     routing = "adaptive"
     router_cls = Router
     table1: Table1Row | None = None
-    #: graceful-degradation capabilities under fault injection; the plain
-    #: baseline declares none and is expected to wedge on a dead link
-    fault_caps = FaultCaps()
+    #: under fault injection, steer this scheme's packets around dead
+    #: links (:class:`~repro.fault.injector.RerouteTable`).  Without it a
+    #: scheme keeps its static routes: packets whose only productive port
+    #: died stall, the watchdog fires and the post-mortem says why — the
+    #: declared behaviour, not a bug (the plain baseline wedges).
+    reroutes = False
     #: structural parameters used by the power/area model
     n_vns = 6
     n_vcs = 2
@@ -88,33 +71,18 @@ class Scheme:
     def build(self, net) -> None:
         """Called once after the network is wired."""
 
-    #: hook cadence declarations consumed by :meth:`hook_cadence` —
-    #: ``None`` auto-detects (1 if the hook is overridden, else 0/never);
-    #: a scheme whose hook self-gates on ``now % N`` declares ``N`` so the
-    #: active engine can skip the no-op calls entirely
-    pre_cycle_every: int | None = None
-    post_cycle_every: int | None = None
+    #: hook periods, read once by the network: ``pre_cycle`` /
+    #: ``post_cycle`` run on every cycle that is a multiple of N (cycle 0
+    #: included); 1 = every cycle, 0 = never.  A hook keeps no period
+    #: guard of its own.
+    pre_cycle_every = 0
+    post_cycle_every = 0
 
     def pre_cycle(self, net, now: int) -> None:
         pass
 
     def post_cycle(self, net, now: int) -> None:
         pass
-
-    def hook_cadence(self, cfg) -> tuple[int, int]:
-        """``(pre_every, post_every)``: how often the active-set engine
-        must invoke the per-cycle hooks.  0 = never, 1 = every cycle,
-        N = when ``now % N == 0``.  A declared N **must** match the hook's
-        own internal guard — the naive loop calls hooks unconditionally,
-        and the two modes are required to stay bit-identical."""
-        cls = type(self)
-        pre = cls.pre_cycle_every
-        if pre is None:
-            pre = 1 if cls.pre_cycle is not Scheme.pre_cycle else 0
-        post = cls.post_cycle_every
-        if post is None:
-            post = 1 if cls.post_cycle is not Scheme.post_cycle else 0
-        return pre, post
 
     # -- labels --------------------------------------------------------------
     @property

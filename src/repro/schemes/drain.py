@@ -21,6 +21,7 @@ class DRAIN(Scheme):
     routing = "adaptive"
     n_vns = 6
     n_vcs = 2
+    pre_cycle_every = 1
 
     table1 = Table1Row(
         no_detection=True,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from repro.network.router import Router
 from repro.network.routing import route_adaptive, route_west_first
 from repro.network.topology import PORT_LOCAL
-from repro.schemes.base import FaultCaps, Scheme, Table1Row, register
+from repro.schemes.base import Scheme, Table1Row, register
 
 LOCAL_MOVE = ((PORT_LOCAL, ()),)
 
@@ -77,7 +77,7 @@ class EscapeVC(Scheme):
     name = "escapevc"
     routing = "adaptive"   # unused: the router computes its own moves
     router_cls = EscapeVCRouter
-    fault_caps = FaultCaps(reroute=True)
+    reroutes = True
     n_vns = 6
     n_vcs = 2
 

@@ -9,16 +9,18 @@ from the lanes (Sec. III-C3), not from VNs or turn restrictions.
 from __future__ import annotations
 
 from repro.core.manager import FastPassManager
-from repro.schemes.base import FaultCaps, Scheme, Table1Row, register
+from repro.schemes.base import Scheme, Table1Row, register
 
 
 @register
 class FastPass(Scheme):
     name = "fastpass"
     routing = "adaptive"
-    #: reroute covers the regular (buffered) datapath; lane_skip makes the
-    #: primes refuse lanes crossing dead or lookahead-dropped segments
-    fault_caps = FaultCaps(reroute=True, lane_skip=True)
+    #: rerouting covers the regular (buffered) datapath; the primes refuse
+    #: lanes crossing dead or lookahead-dropped segments on their own
+    #: (:meth:`repro.fault.injector.FaultInjector.lane_ok`)
+    reroutes = True
+    pre_cycle_every = 1
     n_vns = 1
     n_vcs = 4   # the paper evaluates 1, 2 and 4 VCs per input buffer
 

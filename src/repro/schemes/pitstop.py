@@ -47,13 +47,12 @@ class Pitstop(Scheme):
         self._token = 0
         self._busy_until = 0
 
-    def hook_cadence(self, cfg) -> tuple[int, int]:
-        return 0, cfg.pitstop_token_cycles
+    def configure(self, cfg):
+        # the token rests this long at each router (a config knob)
+        self.post_cycle_every = cfg.pitstop_token_cycles
+        return super().configure(cfg)
 
     def post_cycle(self, net, now: int) -> None:
-        cfg = net.cfg
-        if now % cfg.pitstop_token_cycles:
-            return
         self._token = (self._token + 1) % net.mesh.n_routers
         if self._busy_until > now:
             return   # the single bypass path is occupied

@@ -29,8 +29,6 @@ from repro.schemes.base import Scheme, Table1Row, register
 
 #: a head packet must be blocked this long before a seeker is sent
 SEEK_THRESHOLD = 24
-#: how often each router may originate a seeker (cycles)
-SEEK_INTERVAL = 8
 
 
 @register
@@ -39,7 +37,8 @@ class SEEC(Scheme):
     routing = "adaptive"
     n_vns = 1
     n_vcs = 2
-    post_cycle_every = SEEK_INTERVAL
+    #: how often each router may originate a seeker (cycles)
+    post_cycle_every = 8
 
     table1 = Table1Row(
         no_detection=True,
@@ -65,8 +64,6 @@ class SEEC(Scheme):
 
     # ------------------------------------------------------------------
     def post_cycle(self, net, now: int) -> None:
-        if now % SEEK_INTERVAL:
-            return
         for router in net.active_routers():
             blocked = router.blocked_heads(now, SEEK_THRESHOLD)
             if not blocked:

@@ -14,22 +14,21 @@ threshold and the loop length.
 from __future__ import annotations
 
 from repro.network.watchdog import find_blocked_cycle
-from repro.schemes.base import FaultCaps, Scheme, Table1Row, register
+from repro.schemes.base import Scheme, Table1Row, register
 
 
 @register
 class SPIN(Scheme):
     name = "spin"
     routing = "adaptive"
-    fault_caps = FaultCaps(reroute=True)
+    reroutes = True
     n_vns = 6
     n_vcs = 2
 
     #: how often the detector scans (cycles); the real SPIN probes
     #: continuously in hardware — scanning every few cycles is equivalent
     #: at far lower simulation cost.
-    CHECK_INTERVAL = 16
-    post_cycle_every = CHECK_INTERVAL
+    post_cycle_every = 16
 
     table1 = Table1Row(
         no_detection=False,
@@ -56,7 +55,7 @@ class SPIN(Scheme):
     PROBE_FREEZE = 4
 
     def post_cycle(self, net, now: int) -> None:
-        if now % self.CHECK_INTERVAL or now < self._pending_until:
+        if now < self._pending_until:
             return
         threshold = net.cfg.spin_detection_threshold
         # Probe overhead: every router suspecting deadlock (a head blocked

@@ -42,12 +42,12 @@ class SWAP(Scheme):
     def build(self, net) -> None:
         self.swaps = 0
 
-    def hook_cadence(self, cfg) -> tuple[int, int]:
-        return 0, cfg.swap_duty_cycles
+    def configure(self, cfg):
+        # the swap duty period is a config knob (Table II)
+        self.post_cycle_every = cfg.swap_duty_cycles
+        return super().configure(cfg)
 
     def post_cycle(self, net, now: int) -> None:
-        if now == 0 or now % net.cfg.swap_duty_cycles:
-            return
         for router in net.active_routers():
             blocked = router.blocked_heads(now, BLOCK_THRESHOLD)
             if not blocked:

@@ -67,19 +67,24 @@ def test_active_matches_naive(name, pattern, rate, seed):
 
 def test_naive_flag_actually_switches_paths(monkeypatch):
     """Guard against the differential test silently comparing the fast
-    path with itself."""
-    from repro.network.network import Network
+    path with itself: only the naive engine visits every NI's consume
+    step on every cycle."""
+    from repro.network.ni import NetworkInterface
 
-    calls = []
-    orig = Network._step_naive
+    orig = NetworkInterface.consume_step
+    visits = {}
 
-    def spy(self):
-        calls.append(True)
-        orig(self)
+    def spy(self, now):
+        visits[engine] = visits.get(engine, 0) + 1
+        orig(self, now)
 
-    monkeypatch.setattr(Network, "_step_naive", spy)
-    _run("baseline", "uniform", 0.05, 3, naive=True)
-    assert calls
+    monkeypatch.setattr(NetworkInterface, "consume_step", spy)
+    cycles = {}
+    for engine in ("active", "naive"):
+        sim = _run_engine("baseline", "uniform", 0.05, 3, engine)[1]
+        cycles[engine] = sim.net.cycle * len(sim.net.nis)
+    assert visits["naive"] == cycles["naive"]
+    assert visits["active"] < cycles["active"]
 
 
 # -- Saturated and bounce corners ----------------------------------------
@@ -123,6 +128,26 @@ def test_bounces_active_matches_naive(monkeypatch):
     bounced = act_sim.net.fastpass.engine.bounced
     assert bounced > 0, "no bounces provoked"
     assert naive_sim.net.fastpass.engine.bounced == bounced
+
+
+@pytest.mark.parametrize("name", ["fastpass", "spin"])
+def test_engine_switch_mid_run_matches_active(name):
+    """``force_naive_step`` is read every cycle: flipping it every 37
+    cycles, hooks included, changes no result."""
+    expect = _run(name, "uniform", 0.1, 3, naive=False)
+    sim = Simulation(_cfg(), get_scheme(name),
+                     SyntheticTraffic("uniform", 0.1, seed=3))
+    net = sim.net
+    step = net.step
+
+    def flipping_step():
+        if net.cycle % 37 == 0:
+            net.force_naive_step = not net.force_naive_step
+        step()
+
+    net.step = flipping_step
+    assert_results_equal(sim.run(), expect, f"{name} switched mid-run")
+    assert net.cycle > 2 * 37
 
 
 # -- Scenario-source differentials ---------------------------------------

@@ -58,6 +58,14 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(fastpass_slot_cycles=0)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("field_name", [
+        "swap_duty_cycles", "pitstop_token_cycles", "drain_period_cycles"])
+    def test_validation_rejects_hook_period_below_one(self, field_name,
+                                                      value):
+        with pytest.raises(ValueError, match=field_name):
+            SimConfig(**{field_name: value})
+
     def test_engine_names_validated(self):
         for name in ("active", "naive"):
             assert SimConfig(engine=name).engine == name

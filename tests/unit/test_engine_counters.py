@@ -10,8 +10,7 @@ import pytest
 
 from repro.network.packet import MessageClass, Packet
 from repro.network.validate import InvariantViolation, check_invariants
-from repro.schemes import get_scheme
-from repro.schemes.base import Scheme
+from repro.schemes import get_scheme, scheme_names
 from repro.sim.engine import Simulation
 from repro.traffic.synthetic import SyntheticTraffic
 from tests.conftest import make_network, park
@@ -157,38 +156,33 @@ class TestActiveSetLifecycle:
 
 
 class TestHookCadence:
-    def test_plain_scheme_never_hooked(self, small_cfg):
-        assert Scheme().hook_cadence(small_cfg) == (0, 0)
+    """The network alone decides when a scheme hook runs: on every
+    multiple of the declared period (cycle 0 included), under both
+    engines; SWAP's and Pitstop's periods come from the config."""
 
-    def test_override_autodetects_every_cycle(self, small_cfg):
-        class S(Scheme):
-            name = "s"
+    CONFIG_PERIODS = {"swap": 5, "pitstop": 3}
 
-            def pre_cycle(self, net, now):
-                pass
-
-        assert S().hook_cadence(small_cfg) == (1, 0)
-
-    def test_declared_cadence_wins(self, small_cfg):
-        class S(Scheme):
-            name = "s"
-            post_cycle_every = 16
-
-            def post_cycle(self, net, now):
-                pass
-
-        assert S().hook_cadence(small_cfg) == (0, 16)
-
-    def test_spin_declares_check_interval(self, small_cfg):
-        scheme = get_scheme("spin")
-        pre, post = scheme.hook_cadence(small_cfg)
-        assert post == type(scheme).CHECK_INTERVAL
-
-    @pytest.mark.parametrize("name", ["swap", "pitstop"])
-    def test_config_driven_cadences(self, small_cfg, name):
-        scheme = get_scheme(name)
-        cfg = scheme.configure(small_cfg)
-        pre, post = scheme.hook_cadence(cfg)
-        expected = (cfg.swap_duty_cycles if name == "swap"
-                    else cfg.pitstop_token_cycles)
-        assert post == expected
+    @pytest.mark.parametrize("name", scheme_names())
+    def test_hooks_run_on_declared_period(self, small_cfg, name):
+        cfg = small_cfg.with_(swap_duty_cycles=5, pitstop_token_cycles=3)
+        cycles = 40
+        seen = {}
+        for engine in ("active", "naive"):
+            scheme = get_scheme(name)
+            calls = seen[engine] = {"pre": [], "post": []}
+            for hook in calls:
+                def spy(net, now, _log=calls[hook],
+                        _orig=getattr(scheme, f"{hook}_cycle")):
+                    _log.append(now)
+                    _orig(net, now)
+                setattr(scheme, f"{hook}_cycle", spy)
+            sim = Simulation(cfg.with_(engine=engine), scheme,
+                             SyntheticTraffic("uniform", 0.2, seed=1))
+            sim.net.run(cycles)
+        assert seen["active"] == seen["naive"]
+        if name in self.CONFIG_PERIODS:
+            assert scheme.post_cycle_every == self.CONFIG_PERIODS[name]
+        for hook, every in (("pre", scheme.pre_cycle_every),
+                            ("post", scheme.post_cycle_every)):
+            expected = list(range(0, cycles, every)) if every else []
+            assert seen["naive"][hook] == expected, hook
