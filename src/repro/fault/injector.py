@@ -220,7 +220,7 @@ class FaultInjector:
             net.reroute = RerouteTable(self.mesh, self.dead_links) \
                 if self.dead_links else None
         # A healed link or a fresh reroute can unblock a head earlier
-        # than its parked bound.
+        # than its retry memo.
         net.topology_changed()
 
     def _mark_exposed(self) -> None:

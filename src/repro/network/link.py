@@ -106,14 +106,12 @@ class VCSlot:
       tells them when the credit comes back.  A slot that is *refilled*
       (:meth:`fill` without a vacate: FastPass green path, SPIN rotation,
       SWAP exchange) returns no credit and keeps its waiters.
-    * ``owner`` — the router this slot belongs to (``None`` for a slot
-      outside any router's VC array, e.g. MinBD's side buffer).
     """
 
     __slots__ = ("pkt", "ready_at", "free_at", "retry_at", "retry_pid",
-                 "port", "vc", "waiters", "owner")
+                 "port", "vc", "waiters")
 
-    def __init__(self, port: int, vc: int, owner=None):
+    def __init__(self, port: int, vc: int):
         self.pkt = None
         self.ready_at = 0
         self.free_at = 0
@@ -122,18 +120,14 @@ class VCSlot:
         self.port = port
         self.vc = vc
         self.waiters = None
-        self.owner = owner
 
     def is_free(self, now: int) -> bool:
         return self.pkt is None and self.free_at <= now
 
     def fill(self, pkt, ready_at: int) -> None:
         """Put ``pkt`` here, head ready at ``ready_at``, claimed until the
-        next :meth:`vacate`; a parked owner is woken first.  A newly
-        occupied slot still needs ``Router.admit``; a refill does not."""
-        owner = self.owner
-        if owner is not None and owner._parked_sw >= 0:
-            owner.disturb()
+        next :meth:`vacate`.  A newly occupied slot still needs
+        ``Router.admit``; a refill does not."""
         self.pkt = pkt
         self.ready_at = ready_at
         self.free_at = INF
@@ -141,19 +135,13 @@ class VCSlot:
     def vacate(self, free_at: int) -> None:
         """Empty the slot; its credit reaches upstream at ``free_at``.
 
-        A parked owner is woken first, as in :meth:`fill`.  Every
-        waiter's retry memo — and the wake cycle of its router, if
-        parked — is lowered to ``free_at``, the first cycle the slot can
-        be claimed.  ``retry_at`` is only a skip hint and a parked
-        router's early step is a plain (replayed) no-op step, so a
-        spurious wake — a stale waiter whose head has since left, a
+        Every waiter's retry memo is lowered to ``free_at``, the first
+        cycle the slot can be claimed.  ``retry_at`` is only a skip hint,
+        so a spurious wake — a stale waiter whose head has since left, a
         credit a competitor takes first, a ``free_at`` that FastFlow
         pre-emption pushes back afterwards — costs one arbitration and
         changes nothing.
         """
-        owner = self.owner
-        if owner is not None and owner._parked_sw >= 0:
-            owner.disturb()
         self.pkt = None
         self.free_at = free_at
         waiters = self.waiters
@@ -162,9 +150,6 @@ class VCSlot:
             for slot in waiters:
                 if slot.retry_at > free_at:
                     slot.retry_at = free_at
-                router = slot.owner
-                if router._wake_at > free_at:   # 0 unless parked
-                    router._wake_at = free_at
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"VCSlot(port={self.port}, vc={self.vc}, pkt={self.pkt})"

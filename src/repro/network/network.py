@@ -14,8 +14,8 @@ could have changed for it*, and whoever makes that change wakes it.
 Occupancy introspection (:meth:`packets_in_flight`,
 :meth:`total_backlog`) reads incrementally maintained counters instead of
 rescanning every VC slot; the ``paranoia`` audit cross-checks the
-counters against a full rescan, re-arbitrates every head a memo or a
-park is skipping, and checks the active sets' coverage.
+counters against a full rescan, re-arbitrates every head a retry memo is
+skipping, and checks the active sets' coverage.
 """
 
 from __future__ import annotations
@@ -72,10 +72,9 @@ class Network:
         self.cycle = 0
         self.last_progress = 0
         #: number of cycles in which the router (switch-allocation) phase
-        #: ran, i.e. non-suspended cycles.  Parked routers replay skipped
-        #: steps from this counter, so DRAIN's suspension windows — during
-        #: which no router steps and no round-robin state advances — are
-        #: excluded automatically.
+        #: ran, i.e. non-suspended cycles (DRAIN's suspension windows
+        #: excluded); read by the benchmark ledger
+        #: (``network.switch_cycle_share``)
         self.switch_cycles = 0
         #: set by schemes (DRAIN) to pause normal switching and injection
         self.suspended = False
@@ -108,11 +107,6 @@ class Network:
         #: still run this cycle, exactly like the naive sweep)
         self._stepping: list[int] | None = None
         self._step_idx = 0
-        #: id of the router whose step is currently running, -1 outside
-        #: the router phase — lets :meth:`Router.disturb` decide whether a
-        #: parked router's own step this cycle is already past (valid in
-        #: both the active and the naive loop)
-        self._step_pos = -1
 
         self.stats = StatsCollector()
         self._events: dict[int, list] = {}
@@ -205,23 +199,19 @@ class Network:
         self._con_active.add(rid)
 
     def active_routers(self) -> list:
-        """Routers that currently hold packets, ascending id, each woken
-        from any park — every router with a non-empty ``occupied`` list
-        (or side buffer) is in the active set, so scheme scans over this
-        list see exactly what a full sweep would, in the order it would."""
+        """Routers that currently hold packets, ascending id — every
+        router with a non-empty ``occupied`` list (or side buffer) is in
+        the active set, so scheme scans over this list see exactly what a
+        full sweep would, in the order it would."""
         routers = self.routers
-        active = [routers[rid] for rid in sorted(self._r_active)]
-        for router in active:
-            router.disturb()
-        return active
+        return [routers[rid] for rid in sorted(self._r_active)]
 
     def topology_changed(self) -> None:
         """The live links or the routes changed (a fault, a recovery, a
         new reroute table): a head's moves may differ from now on, so
-        every parked router wakes and every arbitration retry bound,
-        computed under the old topology, is dropped."""
+        every arbitration retry bound, computed under the old topology,
+        is dropped."""
         for router in self.routers:
-            router.disturb()
             for slot in router.occupied:
                 slot.retry_at = 0
 
@@ -294,18 +284,14 @@ class Network:
             self.switch_cycles += 1
             if naive:
                 for router in self.routers:
-                    self._step_pos = router.id
                     router.step(now)
-                self._step_pos = -1
             elif self._r_active:
                 routers = self.routers
                 todo = self._stepping = sorted(self._r_active)
                 i = 0
                 while i < len(todo):
                     self._step_idx = i
-                    router = routers[todo[i]]
-                    if now >= router._wake_at:   # parked guard, call-free
-                        router.step(now)
+                    routers[todo[i]].step(now)
                     i += 1
                 self._stepping = None
         if naive:

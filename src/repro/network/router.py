@@ -14,32 +14,46 @@ Every code path that hands a router a packet goes through :meth:`admit`
 (or wakes the router explicitly); :meth:`step` puts the router back to
 sleep when it runs out of work.
 
-Parking: when a step finds every head provably stuck — blocked by its own
-timers (``slot.ready_at`` / ``in_busy``), by a busy link, or by downstream
-credits (an empty VC frees at ``free_at``; an occupied VC has no time to
-offer, so the head *subscribes* to it and :meth:`VCSlot.vacate
+Arbitration order.  :meth:`Router.step` grants the switch in exactly this
+order under both cycle engines (active-set and naive), or they stop being
+bit-identical:
+
+1.  Routers arbitrate independently; within a cycle they are stepped in
+    ascending router id (the naive sweep order, which the active-set
+    engine reproduces).
+2.  Within a router, the occupied VC slots are visited in *rotated list
+    order*: the occupied list left-rotated by ``rr % len(occupied)``,
+    where ``rr`` is the router's monotonically increasing round-robin
+    offset.  ``rr`` advances by exactly one per step in which the
+    occupied list is non-empty (an empty router's step is a no-op and
+    does **not** advance ``rr``).  List order itself is arrival order:
+    packets are appended by :meth:`Router.admit` and survivors are
+    re-appended in visit order each cycle.
+3.  The first ready head in that order wins each output port for the
+    whole cycle (the ``taken`` bitmask); later heads wanting the same
+    port lose.
+4.  A head tries its candidate moves in route order (the tuple returned
+    by :meth:`Router.moves`, i.e. routing-function port order), and
+    within a move claims the **lowest-indexed** free downstream VC of
+    the move's VC range.
+5.  A head whose first move is the local port only ever tries ejection,
+    never the network ports.
+
+Skipping blocked heads.  A head that fails arbitration records a proven
+lower bound on its earliest possible move in its slot's retry memo
+(``retry_at``/``retry_pid``) and is not re-arbitrated before it.  A busy
+link or an empty downstream VC gives a time; an occupied downstream VC
+gives none, so the head *subscribes* to it and :meth:`VCSlot.vacate
 <repro.network.link.VCSlot.vacate>` — the one way a slot is emptied —
-lowers the head's retry memo and this router's wake cycle to the cycle
-the credit arrives) — a lower bound on the earliest useful cycle is known
-and the router *parks*: subsequent steps return immediately until that
-cycle.  A head behind nothing but occupied VCs waits with no bound at all
-until one of them is vacated.  Heads at their ejection port never park
-(queue capacity is not timer-predictable).  A skipped step would only
-have advanced the round-robin offset and rotated the occupied list, so
-the wake path replays the skipped steps in closed form and the observable
-state is bit-identical to stepping every cycle.  A parked router must be
-woken (:meth:`disturb`) before its slots change or its occupied order is
-read; ``VCSlot.fill``/``vacate``, :meth:`admit`, :meth:`blocked_heads` and
-``Network.active_routers`` do it themselves, so no scheme calls it (the
-fault injector disturbs every router on a topology change: a reroute can
-unblock a head earlier than its parked bound).
+lowers the memo to the cycle the credit arrives.  A skipped head is still
+visited (it keeps its place in the rotation), so skipping changes no
+grant.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 
-from repro.network.arbiter import granted_order, skipped_rotation
 from repro.network.link import INF, VCSlot
 from repro.network.routing import vn_vc_ranges
 from repro.network.topology import PORT_LOCAL
@@ -52,7 +66,7 @@ class Router:
     __slots__ = ("id", "mesh", "cfg", "net", "n_ports", "n_vcs_total",
                  "slots", "all_slots", "occupied", "links_out", "neighbors",
                  "eject_busy_until", "in_busy", "rr",
-                 "_vn_vcs", "_inj_vcs", "_row", "_mv", "_wake_at", "_parked_sw",
+                 "_vn_vcs", "_inj_vcs", "_row", "_mv",
                  "_esc_stride", "_hop_latency", "_inline_xfer", "_ni")
 
     def __init__(self, rid: int, mesh, cfg, net):
@@ -63,7 +77,7 @@ class Router:
         self.n_ports = 5
         self.n_vcs_total = cfg.total_vcs
         self.slots = [
-            [VCSlot(p, v, self) for v in range(self.n_vcs_total)]
+            [VCSlot(p, v) for v in range(self.n_vcs_total)]
             for p in range(self.n_ports)
         ]
         #: flat port-major view of ``slots`` (scan order of the FastPass
@@ -95,11 +109,6 @@ class Router:
         #: override :meth:`_transfer` and keep the dynamic call)
         self._inline_xfer = type(self)._transfer is Router._transfer
         self._ni = None        # the co-located NI, set by Network wiring
-        # Parking state: while ``_parked_sw >= 0`` the router sleeps until
-        # cycle ``_wake_at``; ``_parked_sw`` remembers ``net.switch_cycles``
-        # at park time so the skipped steps can be replayed in closed form.
-        self._wake_at = 0
-        self._parked_sw = -1
         self._vn_vcs = vn_vc_ranges(cfg.n_vns, cfg.n_vcs)
         #: injection VC preference order per VN (EscapeVC reorders it);
         #: the NI indexes this directly on the injection hot path
@@ -138,8 +147,6 @@ class Router:
         wake this router.  The single entry point for handing a router a
         packet — transfers, injections, and scheme rotations all land
         here, so the active set can never miss an arrival."""
-        if self._parked_sw >= 0:
-            self.disturb()
         self.occupied.append(slot)
         # Inlined Network.wake_router — admit rides on every transfer.
         net = self.net
@@ -151,85 +158,36 @@ class Router:
             if todo is not None and rid > todo[net._step_idx]:
                 insort(todo, rid, net._step_idx + 1)
 
-    # -- parking ----------------------------------------------------------
-    def disturb(self) -> None:
-        """Cancel a park because external state is about to change (or the
-        occupied-list order is about to be observed).  Replays the steps
-        the guard skipped so the state is exactly what per-cycle stepping
-        would have produced."""
-        if self._parked_sw < 0:
-            return
-        net = self.net
-        k = net.switch_cycles - self._parked_sw
-        todo = net._stepping
-        if todo is not None:
-            if todo[net._step_idx] < self.id:
-                k -= 1     # this cycle's own (guarded) step is still pending
-        elif 0 <= net._step_pos < self.id:
-            k -= 1         # same, in the naive sweep
-        self._unpark(k)
-
-    def _unpark(self, skipped: int) -> None:
-        """Apply the net effect of ``skipped`` guarded steps (the shared
-        arbitration spec's closed-form replay — see
-        :mod:`repro.network.arbiter`)."""
-        self._wake_at = 0
-        self._parked_sw = -1
-        if skipped <= 0:
-            return
-        occ = self.occupied
-        rot, self.rr = skipped_rotation(self.rr, len(occ), skipped)
-        if rot:
-            self.occupied = occ[rot:] + occ[:rot]
-
     # -- switch allocation ------------------------------------------------
     def step(self, now: int) -> None:
-        if now < self._wake_at:
-            return                      # parked: nothing can move yet
         net = self.net
-        if self._parked_sw >= 0:
-            self._unpark(net.switch_cycles - self._parked_sw - 1)
         occ = self.occupied
         if not occ:
             net.sleep_router(self.id)
             return
-        # Visit order per the arbitration spec (repro.network.arbiter).
-        occ, self.rr = granted_order(occ, self.rr)
+        # Visit order: rule 2 of the arbitration order (module docstring).
+        rr = self.rr
+        start = rr % len(occ)
+        if start:
+            occ = occ[start:] + occ[:start]
+        self.rr = rr + 1
         taken = 0  # bitmask of output ports granted this cycle
         survivors = []
         survive = survivors.append
         in_busy = self.in_busy
         arb = False  # arbitration-only locals bound on first live head
-        parkable = True
-        wake = INF
         now1 = now + 1
         for slot in occ:
             pkt = slot.pkt
             if pkt is None:
                 continue
-            ready = slot.ready_at
-            if ready > now:
+            if slot.ready_at > now or in_busy[slot.port] > now:
                 survive(slot)
-                if parkable:
-                    busy = in_busy[slot.port]
-                    if busy > ready:
-                        ready = busy
-                    if ready < wake:
-                        wake = ready
                 continue
-            busy = in_busy[slot.port]
-            if busy > now:
-                survive(slot)
-                if parkable and busy < wake:
-                    wake = busy
-                continue
-            retry = slot.retry_at
-            if retry > now and slot.retry_pid == pkt.pid:
+            if slot.retry_at > now and slot.retry_pid == pkt.pid:
                 # A previous arbitration proved this head cannot move
-                # before ``retry``: skip the rescan until then.
+                # before ``retry_at``: skip the rescan until then.
                 survive(slot)
-                if parkable and retry < wake:
-                    wake = retry
                 continue
             if not arb:
                 arb = True
@@ -252,23 +210,14 @@ class Router:
             else:
                 mv = self.moves(pkt, slot)
             if mv and mv[0][0] == PORT_LOCAL:
-                eb = self.eject_busy_until
-                if eb > now:
-                    # The ejection port itself is serialising: a pure
-                    # (raise-only) timer, so the head may park on it.
+                # Ejection sets no memo: queue capacity is not
+                # timer-predictable.
+                if not self._try_eject(slot, pkt, now):
                     survive(slot)
-                    if parkable and eb < wake:
-                        wake = eb
-                    continue
-                if self._try_eject(slot, pkt, now):
-                    continue
-                # Queue capacity is not timer-predictable: no park.
-                parkable = False
-                survive(slot)
                 continue
             # Arbitration.  While trying moves, also track a provable
             # lower bound on the earliest cycle this head could possibly
-            # move, so a fully blocked router can park even mid-traffic:
+            # move, for its retry memo:
             #   * a port granted this cycle may be free again next cycle;
             #   * a busy link frees at ``busy_until``;
             #   * an empty downstream VC becomes claimable at ``free_at``;
@@ -316,8 +265,6 @@ class Router:
                                 dslot.pkt = pkt
                                 dslot.ready_at = now + hop_latency
                                 dslot.free_at = INF
-                                if nbr._parked_sw >= 0:
-                                    nbr.disturb()
                                 nbr.occupied.append(dslot)
                                 rid = nbr.id
                                 act = net._r_active
@@ -371,16 +318,9 @@ class Router:
                                     dslot.waiters = [slot]
                                 elif slot not in waiters:
                                     waiters.append(slot)
-                if parkable and bound < wake:
-                    wake = bound
         self.occupied = survivors
         if not survivors:
             net.sleep_router(self.id)
-        elif parkable and wake > now1:
-            # Every surviving head is provably stuck until at least
-            # ``wake``: sleep until then.
-            self._wake_at = wake
-            self._parked_sw = net.switch_cycles
         if taken:
             net.last_progress = now
 
@@ -435,10 +375,7 @@ class Router:
         at least ``threshold`` cycles.
 
         Callers (SPIN/SWAP/SEEC/Pitstop/DRAIN selection) go on to mutate
-        the slots they pick and are sensitive to occupied-list order, so
-        the scan cancels any park first."""
-        if self._parked_sw >= 0:
-            self.disturb()
+        the slots they pick; the result is in occupied-list order."""
         out = []
         for slot in self.occupied:
             pkt = slot.pkt

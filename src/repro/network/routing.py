@@ -152,15 +152,6 @@ class RouteTable:
     def lookup(self, rid: int, dst: int, vn: int, escape: int = 0) -> tuple:
         return self.moves[self.rows[rid][dst] + vn * 2 + escape]
 
-    def class_moves(self, cls: int, vn: int, escape: int = 0) -> tuple:
-        """The moves of direction class ``cls`` (``0 <= cls < N_CLASSES``)."""
-        return self.moves[cls * _CLASS_STRIDE + vn * 2 + escape]
-
-    def class_ids(self) -> bytes:
-        """Direction class of every ``(rid, dst)`` pair, row-major."""
-        return bytes(off // _CLASS_STRIDE
-                     for row in self.rows for off in row)
-
 
 @lru_cache(maxsize=32)
 def vn_vc_ranges(n_vns: int, n_vcs: int) -> tuple:

@@ -35,17 +35,12 @@ def check_invariants(net) -> None:
        would silently never be stepped by the active engine) — for the
        consume phase: an NI with a non-empty ejection queue, or whose
        processor model has a service entry due, is in ``_con_active``;
-    7. parking: a parked router still holds packets and its wake cycle
-       is in the future — a violation means a parked router's slot was
-       emptied without waking it, i.e. other than through
-       :meth:`~repro.network.link.VCSlot.vacate` (which, like
-       :meth:`~repro.network.link.VCSlot.fill`, wakes a parked owner);
-    8. skipped heads: every head that a retry memo or a park is skipping
-       this cycle is re-arbitrated read-only and must have no legal move
-       — a violation means a wakeup was lost (a slot emptied without
+    7. skipped heads: every head that a retry memo is skipping this
+       cycle is re-arbitrated read-only and must have no legal move — a
+       violation means a wakeup was lost (a slot emptied without
        :meth:`~repro.network.link.VCSlot.vacate`, a timer lowered behind
        the memo);
-    9. credit subscriptions: every occupied candidate VC that a
+    8. credit subscriptions: every occupied candidate VC that a
        memo-skipped head looked at (behind a link that does not itself
        cover the memo) lists that head among its ``waiters``.
 
@@ -89,8 +84,6 @@ def check_invariants(net) -> None:
             raise InvariantViolation(
                 f"router {router.id} holds work but is not in the "
                 f"router active set")
-        if router._parked_sw >= 0:
-            _check_parked(net, router, now)
         _check_skipped_heads(net, router, now)
     if buffered_scan != net.buffered:
         raise InvariantViolation(
@@ -148,45 +141,18 @@ def check_invariants(net) -> None:
             f"in_transit underflow: {net.in_transit}")
 
 
-def _check_parked(net, router, now: int) -> None:
-    """A parked router's guard state must be provably safe to sleep on."""
-    if not router.occupied:
-        raise InvariantViolation(
-            f"router {router.id} is parked but holds no packets")
-    # ``now`` may be the *next* cycle when the audit runs between steps
-    # (the cycle counter advances in the step tail), so a wake equal to
-    # ``now`` is legal — that cycle's step will unpark.  Strictly past is
-    # not: the router-phase step would already have cleared it.
-    wake = router._wake_at
-    if not net.suspended and wake < now:
-        raise InvariantViolation(
-            f"router {router.id} parked past its wake cycle "
-            f"({wake} < {now})")
-    for slot in router.occupied:
-        # A head's own timers cannot be compared against the wake cycle:
-        # the parked bound may come from downstream evidence (credits,
-        # busy links) that is larger than the head's own timers and has
-        # moved on since the parking scan.  The reachable hazard — a slot
-        # emptied without waking its owner — still shows up as an empty slot.
-        if slot.pkt is None:
-            raise InvariantViolation(
-                f"router {router.id} parked on an empty slot (port "
-                f"{slot.port} vc {slot.vc}): a mutation missed disturb()")
-
-
 def _check_skipped_heads(net, router, now: int) -> None:
     """Re-arbitrate, read-only, every head this cycle's step skips (or
     skipped — the audit may run in the cycle's tail or between cycles;
     the argument holds for both, since nothing that runs before a router
     phase makes a head movable in that same cycle: slots vacated at cycle
     ``c`` carry ``free_at > c``)."""
-    parked = router._parked_sw >= 0 and router._wake_at > now
     for slot in router.occupied:
         pkt = slot.pkt
         if pkt is None:
             continue
         memo = slot.retry_at if slot.retry_pid == pkt.pid else 0
-        if not parked and memo <= now:
+        if memo <= now:
             continue
         if slot.ready_at > now or router.in_busy[slot.port] > now:
             continue
@@ -197,8 +163,7 @@ def _check_skipped_heads(net, router, now: int) -> None:
             if router.eject_busy_until <= now \
                     and router._ni.ej[pkt.mclass].can_accept(pkt):
                 raise InvariantViolation(
-                    f"{where}: skipped until "
-                    f"{max(memo, router._wake_at)} but can eject now")
+                    f"{where}: skipped until {memo} but can eject now")
             continue
         for out, vcs in mv:
             link = router.links_out[out]
@@ -211,10 +176,10 @@ def _check_skipped_heads(net, router, now: int) -> None:
                 if dslot.pkt is None:
                     if link_free and dslot.free_at <= now:
                         raise InvariantViolation(
-                            f"{where}: skipped until "
-                            f"{max(memo, router._wake_at)} but port {out} "
-                            f"vc {vc} is claimable now — a wakeup was lost")
-                elif (memo > now and link.busy_until < memo
+                            f"{where}: skipped until {memo} but port "
+                            f"{out} vc {vc} is claimable now — a wakeup "
+                            f"was lost")
+                elif (link.busy_until < memo
                         and slot not in (dslot.waiters or ())):
                     raise InvariantViolation(
                         f"{where}: retry memo {memo} depends on occupied "

@@ -5,8 +5,8 @@ Prometheus-flavoured but dependency-free.  Metrics are registered once
 read at export/sampling time; nothing here touches simulation state, and
 gauges are *callback-backed* — they read the network's incrementally
 maintained counters (``buffered``, ``inj_total``, …) or queue lengths,
-never occupied-list order, so collecting them respects the parked-router
-replay contract (no ``disturb`` needed, bit-identical results).
+never occupied-list order, so collecting them leaves results
+bit-identical.
 """
 
 from __future__ import annotations

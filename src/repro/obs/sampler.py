@@ -5,12 +5,10 @@ The sampler is invoked at the tail of the network's cycle every
 and appends the current reading of each registered scalar
 gauge to an in-memory series.
 
-Result-neutrality / parked-router contract: a sample is a pure *read* —
-it consults the network's incrementally maintained counters and queue
-*lengths*, never occupied-list order, and mutates nothing.  Parked
-routers therefore stay parked across a sample (no ``disturb`` is
-issued), the closed-form replay is untouched, and a run with sampling on
-is bit-identical to one with it off.
+Result neutrality: a sample is a pure *read* — it consults the network's
+incrementally maintained counters and queue *lengths*, never
+occupied-list order, and mutates nothing, so a run with sampling on is
+bit-identical to one with it off.
 """
 
 from __future__ import annotations

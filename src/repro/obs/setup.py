@@ -140,8 +140,8 @@ class Observability:
 
         bus.subscribe("fault", on_fault)
 
-        # Callback gauges over the incremental counters: pure reads, no
-        # disturb, safe at any point of the cycle.
+        # Callback gauges over the incremental counters: pure reads,
+        # safe at any point of the cycle.
         g_inflight = reg.gauge(
             "noc_packets_in_flight",
             "packets inside routers or NI queues (excl. pending)",

@@ -12,9 +12,10 @@
   transactions per core through ``execute_point``, and
 * the *pre-engine* reference: fastpass(n_vcs=4) and escapevc, uniform @
   0.02/0.05/0.10/0.30, 8x8 with 200/1000/1500 windows — ``RESULT_FIELDS``
-  of each go back to the seed's naive loop, before any active-set,
-  parking or wakeup work (CHANGES.md has the comparison), and 0.02-0.10
-  is the parking regime the saturated rows above do not reach.
+  of each go back to the seed's naive loop, before any active-set or
+  wakeup work (CHANGES.md has the comparison), and 0.02-0.10 is the
+  sparse regime, where most routers sit idle or blocked, that the
+  saturated rows above do not reach.
 
 It exists because the naive oracle shares ``Router.step`` (and its retry
 memo) with the active engine: a kernel change that makes *both* wrong —
@@ -35,9 +36,8 @@ import json
 from pathlib import Path
 
 from repro.campaign.worker import execute_point
-from repro.config import RunResult
+from repro.config import RunResult, SimConfig
 from repro.experiments.common import app_config, synthetic_config
-from repro.experiments.perf import soa_config
 from repro.schemes import SCHEMES, get_scheme
 from repro.sim.parallel import Point
 from repro.sim.runner import run_point
@@ -54,6 +54,9 @@ APP_TXNS = 24
 APP_SCHEMES = (("fastpass", {"n_vcs": 4}), ("escapevc", {}), ("spin", {}))
 PRE_ENGINE_SCHEMES = (("fastpass", {"n_vcs": 4}), ("escapevc", {}))
 PRE_ENGINE_RATES = (0.02, 0.05, 0.10, 0.30)
+#: the pre-engine rows' mesh and windows, as the seed's loop ran them
+PRE_ENGINE_CFG = SimConfig(rows=8, cols=8, warmup_cycles=200,
+                           measure_cycles=1000, drain_cycles=1500)
 
 
 def synthetic_cfg():
@@ -85,7 +88,7 @@ def cases() -> list[tuple[str, object]]:
             out.append((f"pre-engine/{name}/uniform@{rate:g}",
                         lambda n=name, k=kwargs, r=rate: run_point(
                             get_scheme(n, **k), "uniform", r,
-                            soa_config(8, 8, "active"), seed=SEED)))
+                            PRE_ENGINE_CFG, seed=SEED)))
     return out
 
 

@@ -90,8 +90,8 @@ def test_naive_flag_actually_switches_paths(monkeypatch):
 # -- Saturated and bounce corners ----------------------------------------
 #
 # Blocked regimes — saturation, and FastPass's bounce protocol — are where
-# parking, retry memos and credit wakeups skip the most work, so the two
-# engines are compared there too.
+# retry memos and credit wakeups skip the most work, so the two engines
+# are compared there too.
 
 def _engines_agree(name, pattern, rate, seed, cfg=None, **kwargs):
     """Run both engines; assert bit-identity; return both simulations."""

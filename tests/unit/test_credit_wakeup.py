@@ -2,11 +2,11 @@
 
 A head whose candidate downstream VCs are all occupied has no time to
 wait for: it subscribes to those VCs and sleeps with no bound; the one way
-a slot is emptied — :meth:`VCSlot.vacate` — lowers its retry memo and its
-parked router's wake cycle to the cycle the credit arrives.  These tests
-build the blockade by hand on a 4x4 mesh (router 0's head wants to go
-East into router 1's West port, both VN-0 VCs of which are held) and then
-empty one of the two VCs through each vacate path in the tree.  The
+a slot is emptied — :meth:`VCSlot.vacate` — lowers its retry memo to the
+cycle the credit arrives.  These tests build the blockade by hand on a
+4x4 mesh (router 0's head wants to go East into router 1's West port,
+both VN-0 VCs of which are held) and then empty one of the two VCs
+through each vacate path in the tree.  The
 ``paranoia`` audit runs every cycle throughout, so every intermediate
 state also passes the skipped-head and subscription audits.
 """
@@ -52,12 +52,9 @@ def step_to(net, cycle: int) -> None:
         net.step()
 
 
-def assert_asleep(net, hslot, held) -> None:
-    """The head holds an unbounded memo, its router an unbounded park,
-    and both held VCs list it."""
+def assert_asleep(hslot, held) -> None:
+    """The head holds an unbounded memo and both held VCs list it."""
     assert hslot.retry_at == INF and hslot.retry_pid == hslot.pkt.pid
-    assert net.routers[0]._parked_sw >= 0
-    assert net.routers[0]._wake_at == INF
     assert all(hslot in slot.waiters for slot in held)
 
 
@@ -74,7 +71,7 @@ class TestSubscription:
         hslot, head, held = blockade(net)
         step_to(net, 40)
         assert head.hops == 0
-        assert_asleep(net, hslot, held)
+        assert_asleep(hslot, held)
         # once per (head slot, VC), however long it waits
         assert all(slot.waiters == [hslot] for slot in held)
 
@@ -82,11 +79,11 @@ class TestSubscription:
         net = make_network(cfg())
         hslot, head, held = blockade(net, blocker_dst=3, ready_at=30)
         step_to(net, 30)
-        assert_asleep(net, hslot, held)
+        assert_asleep(hslot, held)
         net.step()       # cycle 30: the first blocker leaves for router 2
         assert held[0].pkt is None and held[0].waiters is None
         assert held[0].free_at == 32
-        assert hslot.retry_at == 32 and net.routers[0]._wake_at == 32
+        assert hslot.retry_at == 32
         assert_moves_exactly_at(net, head, 32)
 
     def test_eject_wakes_the_waiter(self):
@@ -94,7 +91,7 @@ class TestSubscription:
         hslot, head, held = blockade(net, blocker_dst=1, ready_at=30)
         step_to(net, 31)     # cycle 30: the first blocker ejects
         assert held[0].pkt is None and held[0].free_at == 32
-        assert hslot.retry_at == 32 and net.routers[0]._wake_at == 32
+        assert hslot.retry_at == 32
         assert_moves_exactly_at(net, head, 32)
 
     def test_fastpass_upgrade_wakes_the_waiter(self):
@@ -102,10 +99,10 @@ class TestSubscription:
         net._pre_every = 0       # the manager acts only when told to
         hslot, head, held = blockade(net)
         step_to(net, 10)
-        assert_asleep(net, hslot, held)
+        assert_asleep(hslot, held)
         net.fastpass._take_slot(net.nis[1], held[1], held[1].pkt, net.cycle)
         assert held[1].pkt is None and held[1].free_at == 11
-        assert hslot.retry_at == 11 and net.routers[0]._wake_at == 11
+        assert hslot.retry_at == 11
         assert_moves_exactly_at(net, head, 11)
 
     def test_swap_forced_move_wakes_the_waiter(self):
@@ -113,13 +110,12 @@ class TestSubscription:
         net = make_network(cfg(), scheme=get_scheme("swap"))
         hslot, head, held = blockade(net)
         step_to(net, 10)
-        assert_asleep(net, hslot, held)
+        assert_asleep(hslot, held)
         holder, beyond = net.routers[1], net.routers[2]
-        holder.disturb()
         SWAP._move(holder, held[0], beyond, beyond.slots[PORT_W][0],
                    net.cycle)
         assert held[0].free_at == 12
-        assert hslot.retry_at == 12 and net.routers[0]._wake_at == 12
+        assert hslot.retry_at == 12
         assert_moves_exactly_at(net, head, 12)
 
 
@@ -139,7 +135,7 @@ class TestRefillIsNotAVacate:
         net.fastpass.engine._arrive_return(net.cycle, bounced, 1)
         net.fastpass._take_slot(ni, held[0], held[0].pkt, net.cycle)
         assert held[0].pkt is bounced
-        assert_asleep(net, hslot, held)          # not woken ...
+        assert_asleep(hslot, held)          # not woken ...
         # ... and not lost: the refill moves on at cycle 11, which is a
         # vacate, and the head follows on the cycle that credit arrives.
         step_to(net, 12)
@@ -157,7 +153,7 @@ class TestRefillIsNotAVacate:
         before = held[0].pkt
         net.scheme._spin(net.cycle, [(1, held[0]), (2, other)])
         assert held[0].pkt is not before and other.pkt is before
-        assert_asleep(net, hslot, held)          # not woken ...
+        assert_asleep(hslot, held)          # not woken ...
         # ... and not lost: the rotated-in packet is home (dst 1) and
         # ejects at cycle 12; the head follows its credit.
         step_to(net, 13)
@@ -191,8 +187,6 @@ class TestOneVacatePath:
         hslot, head, held = blockade(net)
         net.step()
         hslot.retry_at = 7          # as if an earlier credit already woke it
-        net.routers[0]._wake_at = 7
         held[0].vacate(free_at)
         net.buffered -= 1
         assert hslot.retry_at == min(7, free_at)
-        assert net.routers[0]._wake_at == min(7, free_at)

@@ -148,11 +148,7 @@ class TestActiveSetLifecycle:
             r = net.routers[rid]
             park(net, r, r.slots[0][0],
                  Packet(rid, 0, MessageClass.REQUEST, 0))
-        parked = net.routers[6]
-        parked._wake_at, parked._parked_sw = 50, net.switch_cycles
         assert [r.id for r in net.active_routers()] == [1, 6, 9]
-        # callers read occupied order and move packets: no park survives
-        assert parked._parked_sw < 0 and parked._wake_at == 0
 
 
 class TestHookCadence:

@@ -79,15 +79,3 @@ class TestCycleTailHook:
         assert len(cycles) > 10
         assert max(values) > 0          # traffic actually showed up
         assert values[-1] == sim.net.total_backlog()
-
-    def test_sampling_respects_parked_routers(self):
-        """A sample is a pure read: parked routers stay parked (their
-        wake bound is untouched) and results stay identical — the full
-        differential proof lives in test_obs_neutrality.py."""
-        net = make_network(SimConfig(rows=4, cols=4))
-        obs = Observability(sample_every=1).attach(net)
-        for _ in range(10):
-            net.step()
-        parked_before = [r._parked_sw for r in net.routers]
-        obs.sampler.sample(net.cycle)
-        assert [r._parked_sw for r in net.routers] == parked_before
