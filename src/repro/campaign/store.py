@@ -231,6 +231,8 @@ class CampaignStore:
         return out
 
     def points_with_status(self, status: str) -> list[tuple[str, Point]]:
+        """The points in one state, decoded: the store's SQL stays beside
+        its schema, so a reader never queries the table directly."""
         with self._lock:
             rows = self._con.execute(
                 "SELECT key, point FROM points WHERE status=? ORDER BY key",

@@ -90,7 +90,8 @@ class SimConfig:
             if getattr(self, field_name) < 0:
                 raise ValueError(f"{field_name} must be non-negative")
         for field_name in ("swap_duty_cycles", "pitstop_token_cycles",
-                           "drain_period_cycles"):
+                           "drain_period_cycles", "mshr_regen_cycles",
+                           "inj_queue_pkts", "ej_queue_pkts"):
             if getattr(self, field_name) < 1:
                 raise ValueError(f"{field_name} must be at least 1")
         if self.fastpass_slot_cycles is not None \

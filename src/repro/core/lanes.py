@@ -1,11 +1,13 @@
-"""FastPass-Lane geometry: forward paths, returning paths, non-overlap.
+"""FastPass-Lane geometry: forward paths and returning paths.
 
 A lane is the union of XY paths from a prime router to every router of the
 target partition (its column): the prime's row segment toward the target
 column plus the full target column.  A bounced packet returns YX — the
 same row/column corridor in the *opposite-direction* links — so forward
 lanes and returning paths can never collide as long as concurrent primes
-share no row and no column (Sec. III-E, Fig. 4).
+share no row and no column (Sec. III-E, Fig. 4).  The non-overlap and
+coverage lemmas are checked by ``tests/lemmas.py`` on every FastPass cell
+of the conformance matrix.
 """
 
 from __future__ import annotations
@@ -21,71 +23,3 @@ def forward_path(mesh: Mesh, prime: int, dst: int) -> list[tuple[int, int]]:
 def return_path(mesh: Mesh, dst: int, prime: int) -> list[tuple[int, int]]:
     """Directed links of the bounce traversal back to the prime (YX)."""
     return mesh.yx_path(dst, prime)
-
-
-def lane_links(mesh: Mesh, prime: int, target_col: int) -> set:
-    """Every directed link the lane (prime -> all of ``target_col``) uses."""
-    links = set()
-    for row in range(mesh.rows):
-        dst = mesh.rid(target_col, row)
-        if dst == prime:
-            continue
-        links.update(forward_path(mesh, prime, dst))
-    return links
-
-
-def return_links(mesh: Mesh, prime: int, target_col: int) -> set:
-    """Every directed link any bounce from ``target_col`` back to the
-    prime could use."""
-    links = set()
-    for row in range(mesh.rows):
-        dst = mesh.rid(target_col, row)
-        if dst == prime:
-            continue
-        links.update(return_path(mesh, dst, prime))
-    return links
-
-
-def verify_slot_nonoverlap(mesh: Mesh, primes: list[int],
-                           targets: list[int]) -> None:
-    """Assert the paper's collision-freedom claims for one slot:
-
-    1. forward lanes of distinct primes are pairwise link-disjoint,
-    2. returning paths of distinct primes are pairwise link-disjoint,
-    3. no returning path shares a directed link with any forward lane.
-
-    Raises ``AssertionError`` with a description on violation.
-    """
-    fwd = [lane_links(mesh, p, t) for p, t in zip(primes, targets)]
-    ret = [return_links(mesh, p, t) for p, t in zip(primes, targets)]
-    n = len(primes)
-    for i in range(n):
-        for j in range(i + 1, n):
-            both = fwd[i] & fwd[j]
-            assert not both, (
-                f"forward lanes of primes {primes[i]} and {primes[j]} "
-                f"overlap on {sorted(both)}")
-            both = ret[i] & ret[j]
-            assert not both, (
-                f"returning paths of primes {primes[i]} and {primes[j]} "
-                f"overlap on {sorted(both)}")
-    for i in range(n):
-        for j in range(n):
-            both = ret[i] & fwd[j]
-            assert not both, (
-                f"returning path of prime {primes[i]} overlaps the forward "
-                f"lane of prime {primes[j]} on {sorted(both)}")
-
-
-def lanes_cover_network(mesh: Mesh, schedule) -> bool:
-    """Check Lemma 2's precondition: over one full rotation every
-    (router, destination) pair gets a lane."""
-    covered = {rid: set() for rid in range(mesh.n_routers)}
-    for phase in range(schedule.rows):
-        for c in range(schedule.P):
-            prime = schedule.prime_of_partition(c, phase)
-            for slot in range(schedule.P):
-                tcol = schedule.target_partition(c, slot)
-                for row in range(mesh.rows):
-                    covered[prime].add(mesh.rid(tcol, row))
-    return all(len(v) == mesh.n_routers for v in covered.values())

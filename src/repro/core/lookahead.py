@@ -8,9 +8,9 @@ datapath ("FastPass uses the first 10 bits of the datapath as lookahead").
 
 The cycle-level simulator enforces the lookahead's *effect* through link
 reservation windows; this module provides the bit-accurate signal itself —
-encoding, per-hop update, and a verifier that walks a lane and checks that
-each hop's signal matches the geometry — used by the area model (signal
-width), the tests, and anyone building RTL from this reference.
+encoding and per-hop update — used by the area model (signal width), the
+lane lemma checks (``tests/lemmas.py`` walks every lane by its signals),
+and anyone building RTL from this reference.
 """
 
 from __future__ import annotations
@@ -75,20 +75,3 @@ def signals_along(mesh: Mesh, path: list[tuple[int, int]],
     for k, (_rid, port) in enumerate(path):
         out.append(Lookahead(dst=dst, out_port=port))
     return out
-
-
-def verify_signals(mesh: Mesh, path: list[tuple[int, int]], dst: int) -> None:
-    """Check that following the lookahead chain reproduces the path and
-    terminates at ``dst`` (raises AssertionError otherwise)."""
-    signals = signals_along(mesh, path, dst)
-    assert len(signals) == len(path)
-    at = path[0][0] if path else dst
-    for sig, (rid, port) in zip(signals, path):
-        assert sig.dst == dst
-        assert sig.out_port == port
-        assert rid == at
-        at = mesh.neighbor(rid, port)
-        # round-trip through the wire encoding
-        again = Lookahead.decode(sig.encode(mesh), mesh)
-        assert again == sig
-    assert at == dst

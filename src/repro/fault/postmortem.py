@@ -114,7 +114,8 @@ POSTMORTEM_SCHEMA = {
 def validate_postmortem(payload: dict) -> dict:
     """Check a post-mortem dict (or one re-read from JSON) against
     :data:`POSTMORTEM_SCHEMA`; returns the payload for chaining, raises
-    ``ValueError`` listing every problem otherwise."""
+    ``ValueError`` listing every problem otherwise.  It ships beside the
+    writer because the file is an artifact other tools read."""
     problems = []
     for key, types in POSTMORTEM_SCHEMA.items():
         if key not in payload:

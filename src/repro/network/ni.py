@@ -65,10 +65,14 @@ class NetworkInterface:
     * ``inj`` holds one bounded queue per message class;
     * ``ej`` holds one bounded queue per message class.
 
-    (No ``__slots__`` here on purpose: several tests monkeypatch NI
-    methods per instance, which needs a ``__dict__``.  The trace layer
-    used to as well; it now subscribes to the event bus instead.)
+    ``__slots__`` like the other hot classes (DESIGN §10): tests that
+    need a different processor model assign :attr:`consumer`; the trace
+    layer subscribes to the event bus.
     """
+
+    __slots__ = ("id", "cfg", "net", "router", "pending", "inj", "ej",
+                 "inj_count", "inj_busy_until", "_inj_skip", "_inj_rr",
+                 "_consumer", "dropped", "regenerated")
 
     def __init__(self, rid: int, cfg, net):
         self.id = rid

@@ -137,16 +137,5 @@ class Mesh:
             ring.extend(self.rid(x, y) for y in ys)
         return ring
 
-    def to_graph(self) -> "nx.Graph":
-        """Undirected channel graph (each edge = a bidirectional channel)."""
-        import networkx as nx    # ~170 ms: kept off every other start-up
-
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n_routers))
-        for rid in range(self.n_routers):
-            for port in self.ports_of(rid):
-                g.add_edge(rid, self.neighbor(rid, port))
-        return g
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Mesh({self.rows}x{self.cols})"

@@ -92,8 +92,8 @@ class EventBus:
         events use ``kind=`` for the fault kind).
 
         Emission never mutates simulation state — observability is
-        result-neutral by construction, and the differential tests
-        (``tests/integration/test_obs_neutrality.py``) enforce it.
+        result-neutral by construction, and the conformance matrix
+        (``tests/matrix.py``) enforces it on every native cell.
         """
         subs = self._subs.get(kind)
         if subs:

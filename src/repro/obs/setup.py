@@ -11,9 +11,9 @@ state (``net.obs is None`` — the only thing the hot path ever tests).
 
 Attach/detach is result-neutral: counters and the tracer only *read*,
 gauges read order-insensitive aggregates, and nothing on the bus mutates
-simulation state.  ``tests/integration/test_obs_neutrality.py`` proves
-runs bit-identical with observability attached vs detached on both the
-active-set and the naive engines.
+simulation state.  Every native cell of the conformance matrix
+(``tests/matrix.py``) runs once bare on the active engine and once
+instrumented on the naive one, and requires the two bit-identical.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 Routers broadcast *tokens* advertising free buffers in their neighbourhood;
 a packet holding tokens along its next hops may bypass the router pipeline.
 We model the token condition structurally: a hop is "expressed" (1 cycle
-instead of router+link) when the downstream router still has at least two
-free VCs for the packet's VN on the input port — the abundance condition
-under which TFC's tokens remain valid — and the bypass is charged only at
-low contention.  Routing is west-first (TFC relies on a deadlock-free
-algorithm) and the 6 VNs against protocol deadlock are kept (Table I *).
+instead of router+link) when the downstream input port still has at least
+two free VCs, counted over all of the port's VCs (every VN, not only the
+packet's) — the abundance condition under which TFC's tokens remain
+valid — and the bypass is charged only at low contention.  Routing is
+west-first (TFC relies on a deadlock-free algorithm) and the 6 VNs
+against protocol deadlock are kept (Table I *).
 """
 
 from __future__ import annotations

@@ -232,9 +232,7 @@ class SyntheticTraffic:
         if measured:
             self.measured_generated += len(events)
         # Inlined NI.source fast path: _fill never emits src == dst, so
-        # every event goes straight to the source queue.  A test that
-        # patches ``source`` onto the NI instance keeps the full call
-        # (which then emits 'generated' itself — no double counting).
+        # every event goes straight to the source queue.
         nis = net.nis
         exposed = net.fault_exposed
         inj_active = net._inj_active
@@ -244,9 +242,6 @@ class SyntheticTraffic:
             pkt = Packet(src, dst, cls, now)
             pkt.measured = measured
             ni = nis[src]
-            if "source" in ni.__dict__:
-                ni.source(pkt)
-                continue
             if obs is not None:
                 obs.emit("generated", now, pkt.pid,
                          src=src, dst=dst, mclass=cls)

@@ -8,8 +8,6 @@ ragged fills) must group *and* come back field-for-field equal to its
 single-point runs.
 """
 
-import dataclasses
-import math
 import warnings
 
 from repro.campaign.context import get_context
@@ -20,6 +18,7 @@ from repro.config import SimConfig
 from repro.sim.parallel import Point
 from repro.sim.workload import Irregular, Scenario
 from repro.traffic.spec import SCENARIOS, PhaseSpec, ScenarioSpec
+from tests.matrix import assert_results_equal
 
 ALIGNED = SCENARIOS["bursty"]
 MISALIGNED = ScenarioSpec("offgrid", (PhaseSpec(duration=300, rate=0.05),
@@ -29,15 +28,6 @@ MISALIGNED = ScenarioSpec("offgrid", (PhaseSpec(duration=300, rate=0.05),
 def _cfg():
     return SimConfig(rows=4, cols=4, warmup_cycles=50, measure_cycles=200,
                      drain_cycles=800, fastpass_slot_cycles=64)
-
-
-def _same_result(a, b, label):
-    for f in dataclasses.fields(a):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(va, float) and isinstance(vb, float) \
-                and math.isnan(va) and math.isnan(vb):
-            continue
-        assert va == vb, f"{label}: field {f.name!r}: {va!r} != {vb!r}"
 
 
 class TestReplicaFoldGuard:
@@ -56,7 +46,7 @@ class TestReplicaFoldGuard:
                for s in (1, 2)]
         grouped = execute_group(pts, _cfg())
         for point, res in zip(pts, grouped):
-            _same_result(res, execute_point(point, _cfg()), point.seed)
+            assert_results_equal(res, execute_point(point, _cfg()), point.seed)
 
     def test_executor_runs_misaligned_points_correctly(self):
         """End to end through the executor: three misaligned replicas
@@ -72,7 +62,7 @@ class TestReplicaFoldGuard:
             assert res.ejected > 0
             scalar = execute_point(
                 Point("fastpass", Scenario(MISALIGNED), seed=seed), _cfg())
-            _same_result(res, scalar, f"executor seed={seed}")
+            assert_results_equal(res, scalar, f"executor seed={seed}")
 
 
 class TestIrregularPoints:

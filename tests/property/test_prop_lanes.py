@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import lanes
 from repro.core.schedule import TdmSchedule
 from repro.network.topology import Mesh
+from tests import lemmas
 
 mesh_sizes = st.integers(min_value=2, max_value=9)
 
@@ -27,7 +28,7 @@ def test_forward_lanes_pairwise_disjoint(args):
     sched = TdmSchedule(n, n, 10)
     primes = sched.primes(phase)
     targets = [sched.target_partition(c, slot) for c in range(n)]
-    lanes.verify_slot_nonoverlap(mesh, primes, targets)
+    lemmas.verify_slot_nonoverlap(mesh, primes, targets)
 
 
 @given(mesh_sizes)
@@ -35,7 +36,7 @@ def test_forward_lanes_pairwise_disjoint(args):
 def test_rotation_covers_every_pair(n):
     mesh = Mesh(n, n)
     sched = TdmSchedule(n, n, 10)
-    assert lanes.lanes_cover_network(mesh, sched)
+    assert lemmas.lanes_cover_network(mesh, sched)
 
 
 @given(mesh_sizes, st.integers(min_value=0, max_value=50))

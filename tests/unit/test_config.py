@@ -66,6 +66,14 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=field_name):
             SimConfig(**{field_name: value})
 
+    @pytest.mark.parametrize("field_name", [
+        "mshr_regen_cycles", "inj_queue_pkts", "ej_queue_pkts"])
+    def test_validation_rejects_unrunnable_zero(self, field_name):
+        """At 0 a FastPass run cannot schedule its MSHR regeneration, and
+        zero-deep queues inject or eject nothing without an error."""
+        with pytest.raises(ValueError, match=field_name):
+            SimConfig(**{field_name: 0})
+
     def test_engine_names_validated(self):
         for name in ("active", "naive"):
             assert SimConfig(engine=name).engine == name

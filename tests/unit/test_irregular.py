@@ -4,7 +4,6 @@ import networkx as nx
 import pytest
 
 from repro.core import irregular
-from repro.network.topology import Mesh
 
 
 def ring_graph(n=8):
@@ -29,7 +28,7 @@ class TestHolisticPath:
         assert path[-1][1] == path[0][0]
 
     def test_works_on_mesh_graph(self):
-        g = Mesh(4, 4).to_graph()
+        g = irregular.build_graph("mesh:4x4")
         path = irregular.holistic_path(g)
         assert len(path) == 2 * g.number_of_edges()
 
@@ -140,7 +139,8 @@ class TestChannelCoverage:
 
 class TestIrregularSchedule:
     def test_covers_all_routers(self):
-        g = Mesh(3, 3).to_graph()   # odd mesh: the TDM mesh schedule works,
+        # odd mesh: the TDM mesh schedule works,
+        g = irregular.build_graph("mesh:3x3")
         sched = irregular.IrregularSchedule(g, 3, slot_cycles=16)
         assert sched.covers_all()
 

@@ -9,9 +9,9 @@ from repro.core.lookahead import (
     port_bits,
     signal_width,
     signals_along,
-    verify_signals,
 )
 from repro.network.topology import Mesh
+from tests.lemmas import verify_signals
 
 
 class TestWidths:

@@ -30,22 +30,21 @@ def drain_fills(t, until):
 
 def generated_stream(t, cycles, rows=4, cols=4):
     """The ``(cycle, src, dst, mclass)`` stream ``t.generate`` hands to
-    the NIs over cycles ``[0, cycles)``, on a stub network whose NIs
-    record what they are given (no routers, no simulation)."""
-    out = []
+    the NIs over cycles ``[0, cycles)``, read off the ``pending`` queues
+    of a real network that is never stepped (packet ids keep the
+    generation order across NIs)."""
+    from repro.config import SimConfig
+    from repro.network.network import Network
+    from repro.network.routing import ROUTERS
 
-    def source(pkt):
-        out.append((pkt.gen_cycle, pkt.src, pkt.dst, pkt.mclass))
-
-    net = stub_net(rows, cols)
-    net.nis = [SimpleNamespace(source=source)
-               for _ in range(rows * cols)]
-    net.fault_exposed, net._inj_active, net.obs = False, set(), None
-    net.pending_total = 0
+    net = Network(SimConfig(rows=rows, cols=cols), Mesh(rows, cols),
+                  ROUTERS["xy"])
     t.bind(net)
     for now in range(cycles):
         t.generate(net, now)
-    return out
+    pkts = sorted((p for ni in net.nis for p in ni.pending),
+                  key=lambda p: p.pid)
+    return [(p.gen_cycle, p.src, p.dst, p.mclass) for p in pkts]
 
 
 def fill_stream(t, cycles, rows=4, cols=4):

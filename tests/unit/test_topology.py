@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from repro.core.irregular import build_graph
 from repro.network.topology import (
     Mesh,
     OPPOSITE,
@@ -146,12 +147,13 @@ class TestHamiltonianRing:
 
 
 class TestGraphExport:
+    """A mesh's channel graph, as Sec. III-F's segmentation reads it."""
+
     def test_graph_edge_count(self):
-        m = Mesh(4, 4)
-        g = m.to_graph()
+        g = build_graph("mesh:4x4")
         # 2 * rows * cols - rows - cols bidirectional channels in a mesh
         assert g.number_of_edges() == 2 * 4 * 4 - 4 - 4
 
     def test_graph_connected(self):
-        g = Mesh(5, 3).to_graph()
+        g = build_graph("mesh:5x3")
         assert nx.is_connected(g)
