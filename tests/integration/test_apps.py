@@ -1,5 +1,5 @@
 """Integration: the application-workload pipeline (Fig. 10/12/13(b)
-substrate)."""
+substrate) across schemes."""
 
 import pytest
 
@@ -7,6 +7,10 @@ from repro.config import SimConfig
 from repro.schemes import get_scheme
 from repro.sim.engine import Simulation
 from repro.traffic.workloads import WORKLOADS, workload_traffic
+
+APP_SCHEMES = ["escapevc", "spin", "swap", "drain", "pitstop", "tfc",
+               "fastpass"]
+
 
 def run_app(scheme, bench="Volrend", txns=60, **kw):
     cfg = SimConfig(rows=4, cols=4)
@@ -17,9 +21,12 @@ def run_app(scheme, bench="Volrend", txns=60, **kw):
 
 
 class TestAllSchemesRunApps:
-    """Every scheme completing an application is a cell of the
-    conformance matrix (``tests/matrix.py``); this is FastPass across
-    every benchmark preset."""
+    @pytest.mark.parametrize("scheme", APP_SCHEMES)
+    def test_light_workload_completes(self, scheme):
+        kw = {"n_vcs": 2} if scheme == "fastpass" else {}
+        sim, res = run_app(scheme, "Volrend", **kw)
+        assert sim.traffic.done()
+        assert not res.deadlocked
 
     @pytest.mark.parametrize("bench", sorted(WORKLOADS))
     def test_fastpass_completes_every_benchmark(self, bench):

@@ -10,7 +10,6 @@ rescan while both engines run.
 """
 
 import dataclasses
-import math
 
 import pytest
 
@@ -18,6 +17,7 @@ from repro.config import SimConfig
 from repro.schemes import get_scheme, scheme_names
 from repro.sim.engine import Simulation
 from repro.traffic.synthetic import SyntheticTraffic
+from tests.matrix import assert_results_equal, same
 
 SCHEMES = sorted(scheme_names())
 
@@ -38,20 +38,6 @@ def _run_engine(name, pattern, rate, seed, engine, cfg=None, **kwargs):
 def _run(name, pattern, rate, seed, naive):
     return _run_engine(name, pattern, rate, seed,
                        "naive" if naive else "active")[0]
-
-
-def _same(a, b):
-    if isinstance(a, float) and isinstance(b, float) \
-            and math.isnan(a) and math.isnan(b):
-        return True
-    return a == b
-
-
-def assert_results_equal(fast, slow, label):
-    for f in dataclasses.fields(fast):
-        va, vb = getattr(fast, f.name), getattr(slow, f.name)
-        assert _same(va, vb), \
-            f"{label}: field {f.name!r} differs: active={va!r} naive={vb!r}"
 
 
 @pytest.mark.parametrize("name", SCHEMES)
@@ -207,7 +193,7 @@ def test_trace_replay_matches_across_engines(tmp_path):
     for f in dataclasses.fields(act_res):
         if f.name == "extra":
             continue
-        assert _same(getattr(act_res, f.name), getattr(rec_res, f.name)), \
+        assert same(getattr(act_res, f.name), getattr(rec_res, f.name)), \
             f"replay vs recorded: field {f.name!r} differs"
     assert {k: v for k, v in act_res.extra.items() if k != "pattern"} \
         == {k: v for k, v in rec_res.extra.items() if k != "pattern"}

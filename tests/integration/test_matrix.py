@@ -1,24 +1,17 @@
 """Tier-1 slice of the conformance matrix (``tests/matrix.py``): its
-sample cells, the table's own consistency, and the engine checks that
-are not plain cells."""
+pairwise sample of cells and the table's own consistency.  The engine
+checks that are not plain cells (mid-run engine switch, naive-path
+guard, provoked bounces, closed-loop consume calls, trace replay) are in
+``test_engine_equivalence.py``."""
 
 import dataclasses
 
 import pytest
 
-from repro.config import SimConfig
-from repro.network.ni import NetworkInterface
-from repro.schemes import get_scheme
-from repro.sim.engine import Simulation
-from repro.sim.runner import record_scenario, replay_trace
-from repro.traffic.coherence import NodeModel
-from repro.traffic.spec import SCENARIOS
-from repro.traffic.synthetic import SyntheticTraffic
-from repro.traffic.workloads import workload_traffic
 from tests.matrix import (AXES, DECLARED, FAULTS, NO_REROUTE, PRODUCT,
-                          REQUIRED, SAMPLE, SCHEMES, TOPOLOGIES, UNDELIVERED,
-                          WEDGES, WORKLOADS, assert_results_equal, check,
-                          covers, declared, instruments, pairs, same)
+                          SAMPLE, SCHEMES, TOPOLOGIES, UNDELIVERED, WEDGES,
+                          WORKLOADS, check, covers, declared, instruments,
+                          pairs)
 
 __all__ = ["instruments"]   # the fixture the cells take
 
@@ -64,110 +57,7 @@ def test_only_schemes_without_reroute_lose_traffic_to_a_cut():
             assert _lost(cell) <= _lost(healthy), cell
 
 
-def test_sample_holds_the_replaced_cells_and_every_pair():
-    assert set(REQUIRED) <= set(SAMPLE) and len(set(SAMPLE)) == len(SAMPLE)
+def test_sample_covers_every_pair():
+    assert len(set(SAMPLE)) == len(SAMPLE)
     assert set().union(*map(pairs, SAMPLE)) \
         == set().union(*map(pairs, PRODUCT))
-
-
-# -- Engine checks that are not plain cells --------------------------------
-
-def _cfg(**overrides):
-    return SimConfig(rows=4, cols=4, warmup_cycles=100, measure_cycles=300,
-                     drain_cycles=1200, fastpass_slot_cycles=64,
-                     paranoia=50).with_(**overrides)
-
-
-def _sim(name, rate, seed, cfg=None, **kwargs):
-    return Simulation(cfg or _cfg(), get_scheme(name, **kwargs),
-                      SyntheticTraffic("uniform", rate, seed=seed))
-
-
-def test_naive_flag_actually_switches_paths(monkeypatch):
-    """The differential does not compare the fast path with itself: only
-    the naive engine visits every NI's consume step every cycle."""
-    orig, visits, cycles = NetworkInterface.consume_step, {}, {}
-
-    def spy(self, now):
-        visits[engine] = visits.get(engine, 0) + 1
-        orig(self, now)
-
-    monkeypatch.setattr(NetworkInterface, "consume_step", spy)
-    for engine in ("active", "naive"):
-        sim = _sim("baseline", 0.05, 3, _cfg(engine=engine))
-        sim.run()
-        cycles[engine] = sim.net.cycle * len(sim.net.nis)
-    assert visits["naive"] == cycles["naive"]
-    assert visits["active"] < cycles["active"]
-
-
-@pytest.mark.parametrize("name", ["fastpass", "spin"])
-def test_engine_switch_mid_run_matches_active(name):
-    """``force_naive_step`` is read every cycle: flipping it every 37
-    cycles, hooks included, changes no result."""
-    expect = _sim(name, 0.1, 3).run()
-    sim = _sim(name, 0.1, 3)
-    net, step = sim.net, sim.net.step
-
-    def flipping_step():
-        if net.cycle % 37 == 0:
-            net.force_naive_step = not net.force_naive_step
-        step()
-
-    net.step = flipping_step
-    assert_results_equal(sim.run(), expect, f"{name} switched mid-run")
-    assert net.cycle > 2 * 37
-
-
-def test_bounces_active_matches_naive(monkeypatch):
-    """FastPass with the bounce protocol provoked (zero consume bandwidth,
-    single-entry ejection queues)."""
-    monkeypatch.setattr(NetworkInterface, "CONSUME_RATE", 0)
-    sims = [_sim("fastpass", 0.3, 5, _cfg(ej_queue_pkts=1, drain_cycles=300,
-                                          engine=engine), n_vcs=2)
-            for engine in ("active", "naive")]
-    active, naive = (sim.run() for sim in sims)
-    assert_results_equal(naive, active, "bounces")
-    bounced = [sim.net.fastpass.engine.bounced for sim in sims]
-    assert bounced[0] == bounced[1] > 0
-
-
-def test_closed_loop_consume_calls(monkeypatch):
-    """Node models in the active sets: the result of visiting all 64
-    nodes in both phases every cycle (the shared rng draws in the same
-    order), for under a tenth of the consume calls."""
-    calls, consume = [], NodeModel.consume
-
-    def counted(self, ni, now):
-        calls.append(now)
-        return consume(self, ni, now)
-
-    monkeypatch.setattr(NodeModel, "consume", counted)
-    results, counts = {}, {}
-    for engine in ("active", "naive"):
-        calls.clear()
-        sim = Simulation(SimConfig(paranoia=50, engine=engine),
-                         get_scheme("fastpass", n_vcs=4),
-                         workload_traffic("Radix", txns_per_core=6, seed=5))
-        results[engine] = sim.run_to_completion(max_cycles=40000)
-        assert sim.traffic.done()
-        counts[engine] = len(calls)
-    assert_results_equal(results["active"], results["naive"], "Radix")
-    assert counts["naive"] == results["naive"].cycles * 64
-    assert 0 < counts["active"] < counts["naive"] / 10, counts
-
-
-def test_trace_replay_matches_across_engines(tmp_path):
-    """A recorded scenario replays through both engines to the recorded
-    result ("trace:..." labels aside)."""
-    rec, path, _ = record_scenario("fastpass", SCENARIOS["bursty"], _cfg(),
-                                   tmp_path / "t.jsonl", seed=9)
-    act = replay_trace("fastpass", path, _cfg())
-    naive = replay_trace("fastpass", path, _cfg(engine="naive"))
-    for f in dataclasses.fields(act):
-        if f.name != "extra":
-            assert same(getattr(act, f.name), getattr(rec, f.name)), f.name
-    assert {k: v for k, v in act.extra.items() if k != "pattern"} \
-        == {k: v for k, v in rec.extra.items() if k != "pattern"}
-    assert_results_equal(naive, act, "replay naive vs active")
-    assert act.ejected > 0

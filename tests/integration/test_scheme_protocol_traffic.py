@@ -23,8 +23,11 @@ def run(name, kw, seed=4, txns=40):
 
 
 class TestModeratePressure:
-    """Completion without deadlock is checked per scheme by the
-    conformance matrix's application cells (``tests/matrix.py``)."""
+    @pytest.mark.parametrize("name,kw", SCHEMES)
+    def test_completes_without_deadlock(self, name, kw):
+        sim, res = run(name, kw)
+        assert sim.traffic.done(), (name, kw)
+        assert not res.deadlocked
 
     @pytest.mark.parametrize("name,kw", SCHEMES)
     def test_transaction_latency_sane(self, name, kw):

@@ -340,36 +340,18 @@ def check(cell: Cell, instruments: list) -> None:
 
 # -- The tier-1 sample ----------------------------------------------------
 
-#: the cells the hand-picked suites this matrix replaced ran (engine
-#: equivalence, observability neutrality, and the per-scheme cases of
-#: the rectangle, conservation, application and protocol suites)
-REQUIRED = tuple(
-    [Cell(s, "synthetic", "none", "4x4") for s in scheme_names()]
-    + [Cell("fastpass", w, f, t) for w, f, t in (
-        ("synthetic", "transient", "4x4"), ("scenario", "none", "4x4"),
-        ("scenario", "none", "8x8"), ("scenario", "transient", "4x4"))]
-    + [Cell(s, "app", "none", "8x8") for s in ("fastpass", "escapevc",
-                                                 "spin")]
-    + [Cell(s, "app", "none", "4x4") for s in (
-        "escapevc", "spin", "swap", "drain", "pitstop", "tfc", "fastpass")]
-    + [Cell(s, "synthetic", "none", "4x6") for s in (
-        "escapevc", "swap", "tfc", "minbd", "pitstop", "baseline",
-        "fastpass")])
-
-
 def pairs(cell: Cell) -> set:
     return set(itertools.combinations(enumerate(cell.coords), 2))
 
 
-def pairwise_sample(required=REQUIRED, product=PRODUCT) -> tuple:
-    """``required`` plus a greedy, deterministic pairwise cover of the
-    four axes: each pick covers the most pairs still uncovered per unit
-    of :attr:`Cell.cost`.  A pair counts as covered only by a native
-    cell, unless no native cell has it."""
+def pairwise_sample(product=PRODUCT) -> tuple:
+    """A greedy, deterministic pairwise cover of the four axes: each
+    pick covers the most pairs still uncovered per unit of
+    :attr:`Cell.cost`.  A pair counts as covered only by a native cell,
+    unless no native cell has it."""
     native = [c for c in product if declared(c) == NATIVE]
     todo = set().union(*map(pairs, product))
-    todo -= set().union(*(pairs(c) for c in required if c in native))
-    chosen = list(required)
+    chosen = []
     for pool in (native, product):
         while True:
             best = max(pool, key=lambda c: len(pairs(c) & todo) / c.cost)
