@@ -5,11 +5,10 @@ Public pieces:
 
 * :class:`~repro.core.schedule.TdmSchedule` — partitions, slots, phases,
   prime-router rotation (Sec. III-C1);
-* :mod:`repro.core.lanes` — lane/returning-path geometry and the
-  non-overlap verifier (Fig. 1/Fig. 4);
-* :class:`~repro.core.fastflow.FastFlowEngine` — bufferless traversals with
-  per-link time-window reservations, ejection-queue reservation and the
-  bounce protocol (Secs. III-B, III-C4, III-C5);
+* :class:`~repro.core.fastflow.FastFlowEngine` — bufferless traversals
+  along the lanes (XY out, YX back; Fig. 1/Fig. 4) with per-link
+  time-window reservations, ejection-queue reservation and the bounce
+  protocol (Secs. III-B, III-C4, III-C5);
 * :class:`~repro.core.manager.FastPassManager` — prime-router packet
   scanning/upgrading and the dynamic bubble (Sec. III-C2/C4);
 * :mod:`repro.core.irregular` — partition derivation for arbitrary
@@ -19,13 +18,11 @@ Public pieces:
 from repro.core.schedule import TdmSchedule
 from repro.core.fastflow import FastFlowEngine
 from repro.core.manager import FastPassManager
-from repro.core import lanes
 from repro.core import irregular
 
 __all__ = [
     "TdmSchedule",
     "FastFlowEngine",
     "FastPassManager",
-    "lanes",
     "irregular",
 ]

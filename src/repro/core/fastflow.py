@@ -17,11 +17,19 @@ Ejection-side behaviour (Secs. III-C4, Qn 3/4):
   and bounce it along the YX returning path to its prime router's request
   injection queue (the dynamic bubble lives in
   :meth:`repro.network.ni.NetworkInterface.accept_bounced`).
+
+Lane geometry.  A lane is the union of XY paths from a prime router to
+every router of the target partition (its column): the prime's row
+segment toward the target column plus the full target column.  A bounced
+packet returns YX (``Mesh.yx_path`` back to the prime) — the same
+row/column corridor in the *opposite-direction* links — so forward lanes
+and returning paths can never collide as long as concurrent primes share
+no row and no column (Sec. III-E, Fig. 4).  The non-overlap and coverage
+lemmas are checked by ``tests/lemmas.py`` on every FastPass cell of the
+conformance matrix.
 """
 
 from __future__ import annotations
-
-from repro.core import lanes
 
 
 class FastFlowEngine:
@@ -35,16 +43,9 @@ class FastFlowEngine:
         self.returned = 0
 
     # ------------------------------------------------------------------
-    #: slack allowed for first-fit scheduling of bounce departures
+    #: slack allowed for first-fit scheduling of bounce departures (the
+    #: round-trip budget that fits it is ``core.manager._geometry``'s)
     RETURN_SLACK = 16
-
-    def round_trip_cycles(self, prime: int, dst: int, size: int) -> int:
-        """Worst-case cycles a launch can keep lane links busy: forward
-        head time + possible bounce (with its first-fit slack) + tail
-        serialization.  Launches must fit this budget inside the slot so
-        nothing of this lane is still in flight when the links hand over
-        to another prime."""
-        return 2 * self.mesh.hops(prime, dst) + 2 * size + self.RETURN_SLACK
 
     def launch_forward(self, pkt, prime: int, now: int) -> int:
         """Send ``pkt`` bufferlessly from ``prime`` to ``pkt.dst``.
@@ -56,7 +57,7 @@ class FastFlowEngine:
         clear of the first link).
         """
         net = self.net
-        path = lanes.forward_path(self.mesh, prime, pkt.dst)
+        path = self.mesh.xy_path(prime, pkt.dst)
         for k, (rid, port) in enumerate(path):
             net.link_for(rid, port).reserve_fp(now + k, now + k + pkt.size)
         dist = len(path)
@@ -89,7 +90,7 @@ class FastFlowEngine:
         obs = net.obs
         if obs is not None:
             obs.emit("bounced", now, pkt.pid, dst=pkt.dst, prime=prime)
-        path = lanes.return_path(self.mesh, pkt.dst, prime)
+        path = self.mesh.yx_path(pkt.dst, prime)
         # Returning packets from different rows of the partition can reach
         # the shared corridor at interleaved times; delay the departure to
         # the first collision-free launch window.

@@ -251,15 +251,14 @@ class FaultInjector:
         """
         if not self.dead_links and not self.la_dropped:
             return True
-        from repro.core import lanes
-        fwd = lanes.forward_path(self.mesh, prime, dst)
+        fwd = self.mesh.xy_path(prime, dst)
         dead = self.dead_links
         if dead:
             for hop in fwd:
                 if hop in dead:
                     self.lane_skips += 1
                     return False
-            for hop in lanes.return_path(self.mesh, dst, prime):
+            for hop in self.mesh.yx_path(dst, prime):
                 if hop in dead:
                     self.lane_skips += 1
                     return False

@@ -4,12 +4,16 @@ The cycle loop is *active-set* driven: routers and NIs register for wakeup
 when they gain work (packet arrival, credit-bearing injection, event-wheel
 deliveries, scheme lane launches, non-empty ``pending``/``inj``/``ej``
 queues, a processor model's service entry coming due) and
-:meth:`Network.step` iterates only the active components — in
-ascending-id order, so results are bit-identical to the naive
-all-components loop (kept available as ``force_naive_step`` and proven
-equivalent by the differential property tests).  The contract is the same
-everywhere: *a component is visited only on a cycle in which something
-could have changed for it*, and whoever makes that change wakes it.
+:meth:`Network.step` iterates only the active components, in
+ascending-id order.  The contract is the same everywhere: *a component is
+visited only on a cycle in which something could have changed for it*,
+and whoever makes that change wakes it.
+
+The naive engine (``SimConfig.engine = "naive"``) is the same loop with
+nothing skipped (:meth:`Network._skip_nothing`), so comparing the two
+tests the whole skip machinery.  Both share ``Router.step``'s
+arbitration, its inlined transfer and the ``RouteTable``; the golden
+fixture and ``tests/unit/test_route_table.py`` cover those.
 
 Occupancy introspection (:meth:`packets_in_flight`,
 :meth:`total_backlog`) reads incrementally maintained counters instead of
@@ -56,8 +60,8 @@ class Network:
     The network alone decides when a scheme hook runs: on every cycle
     that is a multiple of the period the scheme declares
     (``pre_cycle_every`` / ``post_cycle_every``; 1 = every cycle, 0 =
-    never), under both engines.  The engines differ only in which NIs
-    and routers phases 5-7 visit.
+    never), under both engines.  The engines differ only in the
+    prologue the naive one runs before phase 1 (:meth:`_skip_nothing`).
     """
 
     def __init__(self, cfg, mesh, routing_fn, router_cls=Router, scheme=None):
@@ -78,9 +82,9 @@ class Network:
         self.switch_cycles = 0
         #: set by schemes (DRAIN) to pause normal switching and injection
         self.suspended = False
-        #: debugging/differential-test escape hatch: step every component
-        #: every cycle like the original loop (active-set bookkeeping is
-        #: still maintained, so the two modes can be switched freely)
+        #: the naive engine (the differential-test oracle): every cycle
+        #: starts with :meth:`_skip_nothing`; the books are the active
+        #: engine's, so the two can be switched mid-run
         self.force_naive_step = False
 
         # -- incremental occupancy accounting (audited by `paranoia`) ----
@@ -104,7 +108,7 @@ class Network:
         self._con_active: set[int] = set()
         #: sorted worklist during the router phase (mid-phase wakeups with
         #: a higher id than the router being stepped are inserted so they
-        #: still run this cycle, exactly like the naive sweep)
+        #: still run this cycle, exactly like an ascending sweep)
         self._stepping: list[int] | None = None
         self._step_idx = 0
 
@@ -173,9 +177,9 @@ class Network:
     def wake_router(self, rid: int) -> None:
         """Mark a router as having work.  Safe to call at any point of the
         cycle: during the router phase a wakeup with an id above the router
-        currently being stepped joins this cycle's worklist (the naive
-        sweep would still reach it); a lower id waits for the next cycle
-        (the naive sweep already passed it)."""
+        currently being stepped joins this cycle's worklist (an
+        ascending sweep would still reach it); a lower id waits for the
+        next cycle (the sweep already passed it)."""
         act = self._r_active
         if rid in act:
             return
@@ -255,14 +259,26 @@ class Network:
                 fn(now, *args)
 
     # -- main loop -----------------------------------------------------------
+    def _skip_nothing(self) -> None:
+        """The naive engine's prologue: every router and NI joins its
+        active sets and every injection skip and retry memo is dropped,
+        so this cycle visits every component and re-arbitrates every
+        head (a closed-loop source lists every core itself)."""
+        every = range(len(self.nis))
+        self._r_active.update(every)
+        self._inj_active.update(every)
+        self._con_active.update(every)
+        for ni in self.nis:
+            ni._inj_skip = 0
+        self.topology_changed()
+
     def step(self) -> None:
-        """One cycle, in the phase order of the class docstring.  The
-        active engine visits only the active NIs and routers, ascending
-        id; the naive one (``force_naive_step``) visits all of them.
-        Wake/sleep bookkeeping runs inside the components either way, so
-        the engines can be switched mid-run."""
+        """One cycle, in the phase order of the class docstring: the
+        active NIs and routers, ascending id.  The naive engine makes
+        every one of them active first."""
         now = self.cycle
-        naive = self.force_naive_step
+        if self.force_naive_step:
+            self._skip_nothing()
         if self.faults is not None:
             self.faults.step(now)
         pre = self._pre_every
@@ -273,19 +289,13 @@ class Network:
             self.traffic.generate(self, now)
         nis = self.nis
         if not self.suspended:
-            if naive:
-                for ni in nis:
-                    ni.inject_step(now)
-            elif self._inj_active:
+            if self._inj_active:
                 for nid in sorted(self._inj_active):
                     ni = nis[nid]
                     if now >= ni._inj_skip:
                         ni.inject_step(now)
             self.switch_cycles += 1
-            if naive:
-                for router in self.routers:
-                    router.step(now)
-            elif self._r_active:
+            if self._r_active:
                 routers = self.routers
                 todo = self._stepping = sorted(self._r_active)
                 i = 0
@@ -294,10 +304,7 @@ class Network:
                     routers[todo[i]].step(now)
                     i += 1
                 self._stepping = None
-        if naive:
-            for ni in nis:
-                ni.consume_step(now)
-        elif self._con_active:
+        if self._con_active:
             for nid in sorted(self._con_active):
                 nis[nid].consume_step(now)
         post = self._post_every

@@ -19,8 +19,8 @@ order under both cycle engines (active-set and naive), or they stop being
 bit-identical:
 
 1.  Routers arbitrate independently; within a cycle they are stepped in
-    ascending router id (the naive sweep order, which the active-set
-    engine reproduces).
+    ascending router id (the naive engine steps every router, the
+    active one only those with work, in the same order).
 2.  Within a router, the occupied VC slots are visited in *rotated list
     order*: the occupied list left-rotated by ``rr % len(occupied)``,
     where ``rr`` is the router's monotonically increasing round-robin

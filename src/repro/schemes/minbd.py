@@ -84,7 +84,7 @@ class MinBDRouter(Router):
                 if d.is_free(now):
                     dslot = d
                     break
-            dslot.fill(pkt, now + 2)
+            dslot.fill(pkt, now + self._hop_latency)
             self.neighbors[out].admit(dslot)
             slot.vacate(now + pkt.size + 1)
             link.busy_until = now + pkt.size

@@ -89,10 +89,11 @@ class SPIN(Scheme):
         pkts = [s.pkt for s in slots]
         if any(p is None for p in pkts):
             return  # the loop resolved on its own; abort the spin
+        hop = self._net.routers[cyc[0][0]]._hop_latency
         n = len(slots)
         for i in range(n):
             pkt = pkts[i]
-            slots[(i + 1) % n].fill(pkt, now + 2)
+            slots[(i + 1) % n].fill(pkt, now + hop)
             pkt.hops += 1
         self.spins += 1
         # All slots stay occupied (a rotation), so the occupied lists of

@@ -95,7 +95,7 @@ class SWAP(Scheme):
     @staticmethod
     def _move(router, slot, nbr, dslot, now: int) -> None:
         pkt = slot.pkt
-        dslot.fill(pkt, now + 2)
+        dslot.fill(pkt, now + router._hop_latency)
         nbr.admit(dslot)
         slot.vacate(now + pkt.size + 1)
         pkt.hops += 1
@@ -103,8 +103,9 @@ class SWAP(Scheme):
     @staticmethod
     def _swap(router, slot, nbr, dslot, now: int) -> None:
         a, b = slot.pkt, dslot.pkt
-        dslot.fill(a, now + 2)
+        hop = router._hop_latency
+        dslot.fill(a, now + hop)
         a.hops += 1
-        slot.fill(b, now + 2)
+        slot.fill(b, now + hop)
         b.hops += 1
         b.deflections += 1      # the displaced packet was misrouted

@@ -27,7 +27,9 @@ puts on the event wheel; the core side is visited by ``generate`` only
 when it is in :attr:`CoherenceTraffic.issuers` — woken by its think-time
 timer or by one of its transactions retiring.  Visits stay in ascending
 node order within each phase, so the shared ``rng`` draws in the same
-order as the visit-everything loop (which ``force_naive_step`` keeps).
+order as visiting every node, which is what the naive engine does: it
+lists every core in ``issuers`` each cycle, and makes every NI
+consume-active.
 """
 
 from __future__ import annotations
@@ -182,6 +184,16 @@ class NodeModel:
         return waiting
 
 
+def _within_two_hops(mesh, rid: int) -> list[int]:
+    """Every other node at most two hops from ``rid``, ascending id (row
+    by row, west to east) — the order ``pick_home`` indexes with its
+    rng."""
+    x, y = mesh.xy(rid)
+    return [mesh.rid(x + dx, y + dy)
+            for dy in range(-2, 3) for dx in range(abs(dy) - 2, 3 - abs(dy))
+            if (dx or dy) and mesh.in_bounds(x + dx, y + dy)]
+
+
 class CoherenceTraffic:
     """Closed-loop traffic driver (the paper's "Application Traffic")."""
 
@@ -227,11 +239,8 @@ class CoherenceTraffic:
             net.nis[rid].consumer = node
         step = max(1, n // self.params["n_hotspots"])
         self._hotspots = list(range(0, n, step))[: self.params["n_hotspots"]]
-        mesh = net.mesh
-        self._neighbourhood = [
-            [d for d in range(n) if d != rid and mesh.hops(rid, d) <= 2]
-            for rid in range(n)
-        ]
+        self._neighbourhood = [_within_two_hops(net.mesh, rid)
+                               for rid in range(n)]
 
     def measure_window(self, start: int, end: int) -> None:
         self.measure_start = start
@@ -256,11 +265,10 @@ class CoherenceTraffic:
 
     # ------------------------------------------------------------------
     def generate(self, net, now: int) -> None:
-        nodes = self.nodes
         if net.force_naive_step:
-            for node in nodes:
-                node.issue_step(net, now)
-        elif self.issuers:
+            self.issuers.update(range(len(self.nodes)))
+        if self.issuers:
+            nodes = self.nodes
             # A sorted snapshot is the whole set: nothing wakes a core
             # during this phase (requests and writebacks never go to
             # their own node, so no transaction retires here).

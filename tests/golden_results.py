@@ -17,12 +17,16 @@
   sparse regime, where most routers sit idle or blocked, that the
   saturated rows above do not reach.
 
-It exists because the naive oracle shares ``Router.step`` (and its retry
-memo) with the active engine: a kernel change that makes *both* wrong —
-a vacate site that forgets to return its credit, say — passes every
-differential test.  The fixture is the one reference that does not run
-the code under test.  Regenerate it only from a commit whose results are
-known good (it was recorded on the parent of the credit-wakeup change)::
+The differential tests compare the active engine with the naive one,
+which is the same loop with nothing skipped (no active set, retry memo
+or injection skip), so they test the skip machinery.  Both engines still
+run ``Router.step``'s arbitration, its inlined transfer and the
+``RouteTable``: a kernel change that makes *both* wrong — an arbitration
+rule broken, a transfer that stamps the wrong credit time, say — passes
+every differential test.  The fixture is the one reference that does not
+run the code under test.  Regenerate it only from a commit whose results
+are known good (it was recorded on the parent of the credit-wakeup
+change)::
 
     PYTHONPATH=src python tests/golden_results.py
 

@@ -1,12 +1,19 @@
 """Differential proof that the active-set engine is bit-identical to the
-naive all-components sweep.
+naive engine.
 
 Every scheme runs the same seeded workload twice — once through the
 active-set fast path (the default) and once under ``engine="naive"``,
-which pins ``force_naive_step`` on — and the two :class:`~repro.config.RunResult` objects must
-agree on every field.  The paranoia audit stays on throughout, so the
-incremental occupancy counters are also cross-checked against a full
-rescan while both engines run.
+which pins ``force_naive_step`` on — and the two
+:class:`~repro.config.RunResult` objects must agree on every field.  The
+naive engine is the active one with nothing skipped: every cycle it
+visits every NI and router and drops every retry memo and injection
+skip, so it re-arbitrates every head, and a wakeup the skip machinery
+loses shows up as a difference here.  The two still share
+``Router.step``'s arbitration, its inlined transfer and the
+``RouteTable``; the golden fixture and ``test_route_table.py`` check
+those.  The paranoia audit stays on throughout, so the incremental
+occupancy counters are also cross-checked against a full rescan while
+both engines run.
 """
 
 import dataclasses
@@ -71,6 +78,27 @@ def test_naive_flag_actually_switches_paths(monkeypatch):
         cycles[engine] = sim.net.cycle * len(sim.net.nis)
     assert visits["naive"] == cycles["naive"]
     assert visits["active"] < cycles["active"]
+
+
+@pytest.mark.parametrize("engine,moved", [("active", False),
+                                          ("naive", True)])
+def test_naive_engine_rearbitrates_memoised_heads(small_cfg, engine, moved):
+    """A head whose retry memo is wrong (forged: its next hop is free)
+    is skipped by the active engine and moved by the naive one, which
+    keeps no memo — so a lost wakeup cannot hide in both engines."""
+    from repro.network.packet import MessageClass, Packet
+    from repro.network.topology import PORT_W
+    from tests.conftest import make_network, park
+    net = make_network(small_cfg)
+    net.force_naive_step = engine == "naive"
+    r5 = net.routers[5]
+    slot = r5.slots[PORT_W][0]
+    pkt = Packet(4, 7, MessageClass.REQUEST, 0)     # next hop: East, free
+    park(net, r5, slot, pkt)
+    slot.retry_at, slot.retry_pid = net.cycle + 50, pkt.pid
+    net.step()
+    assert (slot.pkt is None) == moved
+    assert pkt.hops == int(moved)
 
 
 # -- Saturated and bounce corners ----------------------------------------

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.core import lanes
 from repro.core.lookahead import Lookahead, signals_along
 from repro.core.schedule import TdmSchedule
 from repro.network.topology import Mesh
 
 
 def lane_links(mesh: Mesh, prime: int, target_col: int,
-               path=lanes.forward_path) -> set:
+               path=Mesh.xy_path) -> set:
     """Every directed link the lane (prime -> all of ``target_col``)
     uses; with ``path=bounce_path``, every link a bounce back from the
     column to the prime could use."""
@@ -37,7 +36,7 @@ def lane_links(mesh: Mesh, prime: int, target_col: int,
 
 
 def bounce_path(mesh: Mesh, prime: int, dst: int) -> list:
-    return lanes.return_path(mesh, dst, prime)
+    return mesh.yx_path(dst, prime)
 
 
 def return_links(mesh: Mesh, prime: int, target_col: int) -> set:
@@ -102,8 +101,7 @@ def check_slot(n: int, phase: int, slot: int) -> None:
     for prime, tcol in zip(primes, targets):
         for dst in (mesh.rid(tcol, row) for row in range(n)):
             if dst != prime:
-                verify_signals(mesh, lanes.forward_path(mesh, prime, dst),
-                               dst)
+                verify_signals(mesh, mesh.xy_path(prime, dst), dst)
                 verify_signals(mesh, bounce_path(mesh, prime, dst), prime)
 
 

@@ -4,7 +4,6 @@ Fig. 4 claims in full generality."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core import lanes
 from repro.core.schedule import TdmSchedule
 from repro.network.topology import Mesh
 from tests import lemmas
@@ -60,7 +59,7 @@ def test_forward_path_head_advances_one_hop_per_cycle(n, data):
     dst = data.draw(st.integers(0, mesh.n_routers - 1))
     if dst == prime:
         return
-    path = lanes.forward_path(mesh, prime, dst)
+    path = mesh.xy_path(prime, dst)
     assert len(path) == mesh.hops(prime, dst)
     at = prime
     for rid, port in path:
@@ -77,7 +76,7 @@ def test_return_path_reverses_reachability(n, data):
     dst = data.draw(st.integers(0, mesh.n_routers - 1))
     if dst == prime:
         return
-    ret = lanes.return_path(mesh, dst, prime)
+    ret = mesh.yx_path(dst, prime)
     assert len(ret) == mesh.hops(prime, dst)
     at = dst
     for rid, port in ret:

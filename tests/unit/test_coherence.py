@@ -81,6 +81,20 @@ class TestAddressDistribution:
         near = sum(1 for h in homes if mesh.hops(5, h) <= 2)
         assert near > 200
 
+    @pytest.mark.parametrize("rows,cols", [(4, 4), (8, 8), (4, 6),
+                                           (16, 16)])
+    def test_neighbourhood_is_every_node_within_two_hops(self, rows, cols):
+        """The enumerated neighbourhood equals the brute-force definition,
+        list order included (``pick_home`` indexes it with its rng)."""
+        from tests.conftest import make_network
+        net = make_network(SimConfig(rows=rows, cols=cols))
+        traffic = CoherenceTraffic(txns_per_core=1, seed=1)
+        traffic.bind(net)
+        mesh, n = net.mesh, net.mesh.n_routers
+        assert traffic._neighbourhood == [
+            [d for d in range(n) if d != rid and mesh.hops(rid, d) <= 2]
+            for rid in range(n)]
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ValueError):
             CoherenceTraffic(bogus=1)

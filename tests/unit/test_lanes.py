@@ -2,10 +2,13 @@
 
 import pytest
 
-from repro.core import lanes
+from repro.config import SimConfig
 from repro.core.schedule import TdmSchedule
+from repro.network.packet import MessageClass, Packet
 from repro.network.topology import Mesh
+from repro.schemes import get_scheme
 from tests import lemmas
+from tests.conftest import make_network
 
 
 @pytest.fixture
@@ -13,14 +16,50 @@ def mesh():
     return Mesh(4, 4)
 
 
+def _fastflow(mesh):
+    cfg = SimConfig(rows=mesh.rows, cols=mesh.cols, fastpass_slot_cycles=64)
+    net = make_network(cfg, scheme=get_scheme("fastpass", n_vcs=2))
+    return net, net.fastpass.engine
+
+
+def _reserved(net, since: int) -> dict:
+    """``(router, out_port) -> window starts`` of every FastFlow
+    reservation starting at or after ``since``."""
+    out = {}
+    for link in net.links:
+        starts = [ws for ws, _we in link.fp_windows if ws >= since]
+        if starts:
+            out[(link.src, link.src_port)] = starts
+    return out
+
+
 class TestPaths:
     def test_forward_path_is_xy(self, mesh):
-        path = lanes.forward_path(mesh, mesh.rid(0, 0), mesh.rid(2, 2))
-        assert path == mesh.xy_path(mesh.rid(0, 0), mesh.rid(2, 2))
+        """A launch reserves the XY path, the k-th link k cycles on."""
+        net, eng = _fastflow(mesh)
+        prime, dst = mesh.rid(0, 0), mesh.rid(2, 2)
+        eng.launch_forward(Packet(prime, dst, MessageClass.REQUEST, 0),
+                           prime, 0)
+        assert _reserved(net, 0) == {
+            hop: [k] for k, hop in enumerate(mesh.xy_path(prime, dst))}
 
     def test_return_path_is_yx(self, mesh):
-        path = lanes.return_path(mesh, mesh.rid(2, 2), mesh.rid(0, 0))
-        assert path == mesh.yx_path(mesh.rid(2, 2), mesh.rid(0, 0))
+        """A bounce off a full ejection queue reserves the YX path back
+        to the prime."""
+        net, eng = _fastflow(mesh)
+        prime, dst = mesh.rid(0, 0), mesh.rid(2, 2)
+        q = net.nis[dst].ej[MessageClass.REQUEST]
+        while len(q.q) < q.cap:
+            q.q.append(Packet(dst - 1, dst, MessageClass.REQUEST, 0))
+        pkt = Packet(prime, dst, MessageClass.REQUEST, 0)
+        eng.launch_forward(pkt, prime, 0)
+        dist = mesh.hops(prime, dst)
+        eng._arrive_forward(dist, pkt, prime)
+        assert eng.bounced == 1
+        path = mesh.yx_path(dst, prime)
+        ret = _reserved(net, dist)
+        start = ret[path[0]][0]
+        assert ret == {hop: [start + k] for k, hop in enumerate(path)}
 
     def test_forward_and_return_disjoint_same_lane(self, mesh):
         """Within one lane, forward and returning paths never share a

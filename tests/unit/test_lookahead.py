@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.core import lanes
 from repro.core.lookahead import (
     Lookahead,
     dst_bits,
@@ -47,15 +46,15 @@ class TestSignalChain:
                                            (27, 27 + 8)])
     def test_forward_lane_signals_verify(self, prime, dst):
         mesh = Mesh(8, 8)
-        path = lanes.forward_path(mesh, prime, dst)
+        path = mesh.xy_path(prime, dst)
         verify_signals(mesh, path, dst)
 
     def test_return_path_signals_verify(self):
         mesh = Mesh(8, 8)
-        path = lanes.return_path(mesh, 63, 0)
+        path = mesh.yx_path(63, 0)
         verify_signals(mesh, path, 0)
 
     def test_one_signal_per_hop(self):
         mesh = Mesh(4, 4)
-        path = lanes.forward_path(mesh, 0, 15)
+        path = mesh.xy_path(0, 15)
         assert len(signals_along(mesh, path, 15)) == mesh.hops(0, 15)

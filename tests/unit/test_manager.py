@@ -47,7 +47,7 @@ class TestEligibility:
     def test_round_trip_must_fit_slot(self, fp_net):
         mgr = fp_net.fastpass
         pkt = Packet(0, 12, MessageClass.RESPONSE, 0)   # 3 hops, 5 flits
-        rt = mgr.engine.round_trip_cycles(0, 12, 5)
+        rt = mgr._rt[0 * mgr._nr + 12] + 2 * 5
         assert mgr._eligible(pkt, 0, 0, 0, rt)
         assert not mgr._eligible(pkt, 0, 0, 1, rt)
 

@@ -150,6 +150,41 @@ class TestSWAP:
         assert scheme.swaps >= 1
         assert slot.pkt is not pkt    # the blocked packet was pushed out
 
+    def test_forced_hops_take_the_router_hop_latency(self, small_cfg):
+        """A forced move and an exchange charge what a regular hop does:
+        router plus link latency."""
+        cfg = small_cfg.with_(router_latency=2)
+        scheme = get_scheme("swap")
+        net = make_network(cfg, scheme=scheme)
+        r5, r6 = net.routers[5], net.routers[6]
+        hop = cfg.router_latency + cfg.link_latency
+        # A regular hop 5 -> 6 (East), switched by Router.step.
+        a = Packet(4, 7, MessageClass.REQUEST, 0)
+        park(net, r5, r5.slots[4][0], a)
+        net.step()
+        (landed,) = [s for s in r6.slots[4] if s.pkt is a]
+        assert landed.ready_at == 0 + hop
+        # SWAP's forced move 5 -> 6 into a free VC.
+        now = net.cycle
+        b = Packet(4, 7, MessageClass.REQUEST, 0)
+        slot = r5.slots[1][0]
+        park(net, r5, slot, b)
+        assert scheme._force_forward(net, r5, slot, now)
+        (moved,) = [s for s in r6.slots[4] if s.pkt is b]
+        assert moved.ready_at == now + hop
+        # An exchange: both packets hop, both pay the same latency.
+        for s in r6.slots[4]:
+            if s.pkt is None:
+                park(net, r6, s, Packet(6, 15, MessageClass.REQUEST, 0))
+        c = Packet(4, 7, MessageClass.REQUEST, 0)
+        slot = r5.slots[3][0]
+        park(net, r5, slot, c)
+        landed.ready_at = moved.ready_at = now
+        assert scheme._force_forward(net, r5, slot, now)
+        (swapped,) = [s for s in r6.slots[4] if s.pkt is c]
+        assert swapped.ready_at == now + hop
+        assert slot.pkt is not c and slot.ready_at == now + hop
+
 
 class TestDRAIN:
     def test_drain_triggers_periodically(self, small_cfg):
