@@ -21,7 +21,6 @@ from functools import lru_cache
 from repro.core.fastflow import FastFlowEngine
 from repro.core.schedule import TdmSchedule
 from repro.network.packet import MessageClass
-from repro.network.topology import Mesh
 
 
 @lru_cache(maxsize=32)
@@ -29,11 +28,24 @@ def _geometry(rows: int, cols: int, slot_cycles: int, slack: int) -> tuple:
     """The TDM schedule and the hops-dependent round-trip table
     (``rt[prime * n + dst]``): pure mesh/config geometry, so every
     manager of one configuration in a process shares one copy."""
-    mesh = Mesh(rows, cols)
-    n = mesh.n_routers
     return (TdmSchedule(rows, cols, slot_cycles),
-            tuple(2 * mesh.hops(p, d) + slack
-                  for p in range(n) for d in range(n)))
+            round_trips(rows, cols, slack))
+
+
+def round_trips(rows: int, cols: int, slack: int) -> tuple:
+    """``2 * Mesh.hops(p, d) + slack`` for every pair, ``p``-major, from
+    coordinates: one row of the table per prime, its x and y terms
+    computed once per column and row."""
+    xs = range(cols)
+    ys = range(rows)
+    rt = []
+    for py in ys:
+        dy2 = [2 * abs(py - y) + slack for y in ys]
+        for px in xs:
+            dx2 = [2 * abs(px - x) for x in xs]
+            for t in dy2:
+                rt.extend([t + d for d in dx2])
+    return tuple(rt)
 
 
 class FastPassManager:

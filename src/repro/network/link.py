@@ -105,13 +105,20 @@ class VCSlot:
       nobody waits).  :meth:`vacate` — the only way a slot is emptied —
       tells them when the credit comes back.  A slot that is *refilled*
       (:meth:`fill` without a vacate: FastPass green path, SPIN rotation,
-      SWAP exchange) returns no credit and keeps its waiters.
+      SWAP exchange) returns no credit and keeps its waiters.  A waiter
+      is anything with a ``retry_at`` and an ``owner``: a router's slot,
+      or a network interface waiting on its local-port credit.
+    * ``owner`` — the router this slot belongs to (``None`` for a slot
+      outside any router's VC array: MinBD's side buffer, unit tests).
+      :meth:`fill` and :meth:`vacate` lower its wake bound
+      (``Router._wake``), so a router that only rotates its list never
+      misses a change to its slots.
     """
 
     __slots__ = ("pkt", "ready_at", "free_at", "retry_at", "retry_pid",
-                 "port", "vc", "waiters")
+                 "port", "vc", "waiters", "owner")
 
-    def __init__(self, port: int, vc: int):
+    def __init__(self, port: int, vc: int, owner=None):
         self.pkt = None
         self.ready_at = 0
         self.free_at = 0
@@ -120,6 +127,7 @@ class VCSlot:
         self.port = port
         self.vc = vc
         self.waiters = None
+        self.owner = owner
 
     def is_free(self, now: int) -> bool:
         return self.pkt is None and self.free_at <= now
@@ -127,29 +135,41 @@ class VCSlot:
     def fill(self, pkt, ready_at: int) -> None:
         """Put ``pkt`` here, head ready at ``ready_at``, claimed until the
         next :meth:`vacate`.  A newly occupied slot still needs
-        ``Router.admit``; a refill does not."""
+        ``Router.admit``; a refill does not.  The owner's wake bound drops
+        to ``ready_at``: the new head may compete from then on."""
         self.pkt = pkt
         self.ready_at = ready_at
         self.free_at = INF
+        owner = self.owner
+        if owner is not None and owner._wake > ready_at:
+            owner._wake = ready_at
 
     def vacate(self, free_at: int) -> None:
         """Empty the slot; its credit reaches upstream at ``free_at``.
 
-        Every waiter's retry memo is lowered to ``free_at``, the first
-        cycle the slot can be claimed.  ``retry_at`` is only a skip hint,
-        so a spurious wake — a stale waiter whose head has since left, a
-        credit a competitor takes first, a ``free_at`` that FastFlow
-        pre-emption pushes back afterwards — costs one arbitration and
-        changes nothing.
+        The owner's wake bound drops to 0: its list now holds an empty
+        slot to prune.  Every waiter's retry memo, and the wake bound of
+        the waiter's owner, is lowered to ``free_at``, the first cycle
+        the slot can be claimed.  Both are only skip hints, so a spurious
+        wake — a stale waiter whose head has since left, a credit a
+        competitor takes first, a ``free_at`` that FastFlow pre-emption
+        pushes back afterwards — costs one arbitration and changes
+        nothing.
         """
         self.pkt = None
         self.free_at = free_at
+        owner = self.owner
+        if owner is not None:
+            owner._wake = 0
         waiters = self.waiters
         if waiters is not None:
             self.waiters = None
-            for slot in waiters:
-                if slot.retry_at > free_at:
-                    slot.retry_at = free_at
+            for w in waiters:
+                if w.retry_at > free_at:
+                    w.retry_at = free_at
+                    owner = w.owner
+                    if owner is not None and owner._wake > free_at:
+                        owner._wake = free_at
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"VCSlot(port={self.port}, vc={self.vc}, pkt={self.pkt})"

@@ -7,7 +7,12 @@ queues, a processor model's service entry coming due) and
 :meth:`Network.step` iterates only the active components, in
 ascending-id order.  The contract is the same everywhere: *a component is
 visited only on a cycle in which something could have changed for it*,
-and whoever makes that change wakes it.
+and whoever makes that change wakes it.  Blocked work costs O(1) per
+cycle: an active router whose every head is skipped only rotates its
+list until its wake bound (``Router._wake``), and an inject-active NI
+that can neither refill nor claim a local VC is not called before its
+``retry_at``, which a vacated candidate VC lowers through the credit
+waiter protocol (:meth:`repro.network.link.VCSlot.vacate`).
 
 The naive engine (``SimConfig.engine = "naive"``) is the same loop with
 nothing skipped (:meth:`Network._skip_nothing`), so comparing the two
@@ -19,7 +24,8 @@ Occupancy introspection (:meth:`packets_in_flight`,
 :meth:`total_backlog`) reads incrementally maintained counters instead of
 rescanning every VC slot; the ``paranoia`` audit cross-checks the
 counters against a full rescan, re-arbitrates every head a retry memo is
-skipping, and checks the active sets' coverage.
+skipping, checks both skip bounds above, and checks the active sets'
+coverage.
 """
 
 from __future__ import annotations
@@ -193,7 +199,7 @@ class Network:
 
     def wake_inject(self, rid: int) -> None:
         self._inj_active.add(rid)
-        self.nis[rid]._inj_skip = 0
+        self.nis[rid].retry_at = 0
 
     def wake_consume(self, rid: int) -> None:
         """Have NI ``rid`` visited in the next consume phase (this
@@ -213,9 +219,10 @@ class Network:
     def topology_changed(self) -> None:
         """The live links or the routes changed (a fault, a recovery, a
         new reroute table): a head's moves may differ from now on, so
-        every arbitration retry bound, computed under the old topology,
-        is dropped."""
+        every arbitration retry bound and every router's wake bound,
+        computed under the old topology, is dropped."""
         for router in self.routers:
+            router._wake = 0
             for slot in router.occupied:
                 slot.retry_at = 0
 
@@ -261,15 +268,16 @@ class Network:
     # -- main loop -----------------------------------------------------------
     def _skip_nothing(self) -> None:
         """The naive engine's prologue: every router and NI joins its
-        active sets and every injection skip and retry memo is dropped,
-        so this cycle visits every component and re-arbitrates every
-        head (a closed-loop source lists every core itself)."""
+        active sets and every injection skip, retry memo and router wake
+        bound is dropped, so this cycle visits every component and
+        re-arbitrates every head (a closed-loop source lists every core
+        itself)."""
         every = range(len(self.nis))
         self._r_active.update(every)
         self._inj_active.update(every)
         self._con_active.update(every)
         for ni in self.nis:
-            ni._inj_skip = 0
+            ni.retry_at = 0
         self.topology_changed()
 
     def step(self) -> None:
@@ -292,7 +300,7 @@ class Network:
             if self._inj_active:
                 for nid in sorted(self._inj_active):
                     ni = nis[nid]
-                    if now >= ni._inj_skip:
+                    if now >= ni.retry_at:
                         ni.inject_step(now)
             self.switch_cycles += 1
             if self._r_active:
@@ -304,6 +312,12 @@ class Network:
                     routers[todo[i]].step(now)
                     i += 1
                 self._stepping = None
+        else:
+            # A suspending scheme (DRAIN) refills slots whose credit has
+            # not returned yet, behind the NIs' credit waits: none of
+            # those bounds outlives the suspension.
+            for nid in self._inj_active:
+                nis[nid].retry_at = 0
         if self._con_active:
             for nid in sorted(self._con_active):
                 nis[nid].consume_step(now)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro.network.link import INF
 from repro.network.packet import N_CLASSES, MessageClass
 
 
@@ -70,8 +71,8 @@ class NetworkInterface:
     layer subscribes to the event bus.
     """
 
-    __slots__ = ("id", "cfg", "net", "router", "pending", "inj", "ej",
-                 "inj_count", "inj_busy_until", "_inj_skip", "_inj_rr",
+    __slots__ = ("id", "cfg", "net", "router", "owner", "pending", "inj",
+                 "ej", "inj_count", "inj_busy_until", "retry_at", "_inj_rr",
                  "_consumer", "dropped", "regenerated")
 
     def __init__(self, rid: int, cfg, net):
@@ -79,6 +80,9 @@ class NetworkInterface:
         self.cfg = cfg
         self.net = net
         self.router = net.routers[rid]   # co-located router (built first)
+        #: as a credit waiter (``retry_at`` below), an NI has no router
+        #: wake bound for ``VCSlot.vacate`` to lower besides its own
+        self.owner = None
         self.pending = deque()
         self.inj = [deque() for _ in range(N_CLASSES)]
         self.ej = [EjectionQueue(cfg.ej_queue_pkts) for _ in range(N_CLASSES)]
@@ -86,12 +90,17 @@ class NetworkInterface:
         #: ``sum(len(q) for q in inj)``; audited by the paranoia checks)
         self.inj_count = 0
         self.inj_busy_until = 0
-        #: active-engine skip bound: while ``pending`` is empty and the
-        #: injection port is serialising, :meth:`inject_step` is provably a
-        #: no-op (no refill, no round-robin advance) until this cycle —
-        #: the cycle loop skips the call.  Reset whenever work arrives
-        #: (:meth:`repro.network.network.Network.wake_inject`).
-        self._inj_skip = 0
+        #: skip bound: :meth:`inject_step` is provably a no-op (no refill,
+        #: no injection, no round-robin advance) before this cycle, so the
+        #: cycle loop skips the call.  Set when no refill is possible and
+        #: either the injection port is serialising (until it is done) or
+        #: no candidate local VC is claimable (until the earliest empty
+        #: one's ``free_at``; ``INF`` if all are occupied).  In the second
+        #: case the NI is a credit waiter of every candidate VC, and
+        #: ``VCSlot.vacate`` lowers this bound as it does a head's retry
+        #: memo.  Reset whenever work arrives (``Network.wake_inject``,
+        #: :meth:`dequeue`).
+        self.retry_at = 0
         self._inj_rr = 0
         self.consumer = None   # set by the traffic model
         # Statistics of the dynamic-bubble mechanism.
@@ -142,8 +151,8 @@ class NetworkInterface:
         inj = self.inj
         # Refill the bounded per-class injection queues from the source.
         pending = self.pending
+        cap = self.cfg.inj_queue_pkts
         if pending and pending[0].gen_cycle <= now:
-            cap = self.cfg.inj_queue_pkts
             while pending and pending[0].gen_cycle <= now:
                 pkt = pending[0]
                 q = inj[pkt.mclass]
@@ -160,9 +169,13 @@ class NetworkInterface:
             if not pending:
                 net._inj_active.discard(self.id)
             return
+        # No refill is possible before something wakes this NI: the
+        # source is empty, or its head's class queue is full (only an
+        # injection, a dequeue or a take empties it).
+        stuck = not pending or len(inj[pending[0].mclass]) >= cap
         if self.inj_busy_until > now:
-            if not pending:
-                self._inj_skip = self.inj_busy_until
+            if stuck:
+                self.retry_at = self.inj_busy_until
             return
         # Round-robin across classes; claim a free local-port VC slot.
         router = self.router
@@ -191,7 +204,7 @@ class NetworkInterface:
             net.buffered += 1
             slot.pkt = pkt
             slot.ready_at = now + 1
-            slot.free_at = 1 << 60
+            slot.free_at = INF
             router.admit(slot)
             pkt.net_entry = now
             pkt.rejected = False
@@ -203,13 +216,43 @@ class NetworkInterface:
             if obs is not None:
                 obs.emit("injected", now, pkt.pid,
                          src=self.id, dst=pkt.dst, vn=pkt.vn)
-            break
+            if not self.inj_count and not pending:
+                # Emptied: leave the active set now rather than on a
+                # next call that would find nothing (new work wakes it).
+                net._inj_active.discard(self.id)
+            return
+        if stuck:
+            self._wait_for_credit()
+
+    def _wait_for_credit(self) -> None:
+        """Nothing was injected and nothing can refill: skip until the
+        earliest empty candidate VC frees, and subscribe to every
+        candidate VC, so that a vacate (or a refill followed by one)
+        wakes this NI on the cycle its credit returns."""
+        local_slots = self.router.slots[0]
+        inj_vcs = self.router._inj_vcs
+        wake = INF
+        for q in self.inj:
+            if not q:
+                continue
+            for vc in inj_vcs[q[0].vn]:
+                s = local_slots[vc]
+                if s.pkt is None and s.free_at < wake:
+                    wake = s.free_at
+                waiters = s.waiters
+                if waiters is None:
+                    s.waiters = [self]
+                elif self not in waiters:
+                    waiters.append(self)
+        self.retry_at = wake
 
     def dequeue(self, q, pkt) -> None:
-        """Remove ``pkt`` from injection queue ``q`` (one of ``inj``)."""
+        """Remove ``pkt`` from injection queue ``q`` (one of ``inj``):
+        a class head or a full queue may change, so the NI is woken."""
         q.remove(pkt)
         self.inj_count -= 1
         self.net.inj_total -= 1
+        self.retry_at = 0
 
     def take(self, q, pkt, now: int) -> None:
         """``pkt`` leaves injection queue ``q`` for the network other than

@@ -48,6 +48,23 @@ gives none, so the head *subscribes* to it and :meth:`VCSlot.vacate
 lowers the memo to the cycle the credit arrives.  A skipped head is still
 visited (it keeps its place in the rotation), so skipping changes no
 grant.
+
+Rotating without arbitrating.  While it visits every head, the full pass
+of :meth:`Router.step` also records ``_wake``: the earliest cycle at which
+any listed head could stop being skipped (the later of its ``ready_at``
+and its input port's ``in_busy``, its retry memo, or ``now + 1`` for a
+head that failed without a memo or at its ejection port).  A step before
+``_wake`` advances ``rr`` and rotates ``occupied`` exactly as the full pass
+would (every head skipped, nothing pruned) and visits no slot.  The bound
+is only ever *lowered* from outside, never trusted to stay valid:
+:meth:`VCSlot.fill <repro.network.link.VCSlot.fill>` and :meth:`admit`
+lower it to the new head's ``ready_at``, :meth:`VCSlot.vacate
+<repro.network.link.VCSlot.vacate>` zeroes it (an empty slot to prune)
+and lowers every waiter's owner to the credit's ``free_at``, and
+``Network.topology_changed`` zeroes it with the memos.  So ``ready_at``
+is lowered only through ``fill`` (or set before ``admit``), and a change
+that *raises* a timer (FastFlow pre-emption, a stalled port) can only
+make a step arbitrate early, which changes nothing.
 """
 
 from __future__ import annotations
@@ -65,7 +82,7 @@ class Router:
 
     __slots__ = ("id", "mesh", "cfg", "net", "n_ports", "n_vcs_total",
                  "slots", "all_slots", "occupied", "links_out", "neighbors",
-                 "eject_busy_until", "in_busy", "rr",
+                 "eject_busy_until", "in_busy", "rr", "_wake",
                  "_vn_vcs", "_inj_vcs", "_row", "_mv",
                  "_esc_stride", "_hop_latency", "_inline_xfer", "_ni")
 
@@ -77,7 +94,7 @@ class Router:
         self.n_ports = 5
         self.n_vcs_total = cfg.total_vcs
         self.slots = [
-            [VCSlot(p, v) for v in range(self.n_vcs_total)]
+            [VCSlot(p, v, self) for v in range(self.n_vcs_total)]
             for p in range(self.n_ports)
         ]
         #: flat port-major view of ``slots`` (scan order of the FastPass
@@ -95,6 +112,9 @@ class Router:
         # exempt.)
         self.in_busy = [0] * self.n_ports
         self.rr = rid  # rotating arbitration offset
+        #: before this cycle every listed head is skipped, so a step only
+        #: rotates (module docstring, "Rotating without arbitrating")
+        self._wake = 0
         #: this router's class row and the move list of ``net.routes``,
         #: held for the inlined probe in :meth:`step`.  The escape bit is
         #: always 0 for the base router; EscapeVC sets ``_esc_stride`` so
@@ -148,6 +168,8 @@ class Router:
         packet — transfers, injections, and scheme rotations all land
         here, so the active set can never miss an arrival."""
         self.occupied.append(slot)
+        if self._wake > slot.ready_at:
+            self._wake = slot.ready_at
         # Inlined Network.wake_router — admit rides on every transfer.
         net = self.net
         rid = self.id
@@ -168,26 +190,42 @@ class Router:
         # Visit order: rule 2 of the arbitration order (module docstring).
         rr = self.rr
         start = rr % len(occ)
+        self.rr = rr + 1
+        if now < self._wake:
+            # Every head is skipped and no slot is empty: the full pass
+            # would leave exactly this rotated list behind.
+            if start:
+                self.occupied = occ[start:] + occ[:start]
+            return
         if start:
             occ = occ[start:] + occ[:start]
-        self.rr = rr + 1
         taken = 0  # bitmask of output ports granted this cycle
         survivors = []
         survive = survivors.append
         in_busy = self.in_busy
         arb = False  # arbitration-only locals bound on first live head
         now1 = now + 1
+        wake = INF   # earliest cycle a surviving head stops being skipped
         for slot in occ:
             pkt = slot.pkt
             if pkt is None:
                 continue
-            if slot.ready_at > now or in_busy[slot.port] > now:
+            t = slot.ready_at
+            busy = in_busy[slot.port]
+            if t > now or busy > now:
                 survive(slot)
+                if busy > t:
+                    t = busy
+                if t < wake:
+                    wake = t
                 continue
-            if slot.retry_at > now and slot.retry_pid == pkt.pid:
+            t = slot.retry_at
+            if t > now and slot.retry_pid == pkt.pid:
                 # A previous arbitration proved this head cannot move
                 # before ``retry_at``: skip the rescan until then.
                 survive(slot)
+                if t < wake:
+                    wake = t
                 continue
             if not arb:
                 arb = True
@@ -214,6 +252,7 @@ class Router:
                 # timer-predictable.
                 if not self._try_eject(slot, pkt, now):
                     survive(slot)
+                    wake = now1
                 continue
             # Arbitration.  While trying moves, also track a provable
             # lower bound on the earliest cycle this head could possibly
@@ -263,9 +302,11 @@ class Router:
                                 # ``VCSlot.fill`` + ``admit`` + ``vacate``
                                 # + ``Link.start_transfer``.
                                 dslot.pkt = pkt
-                                dslot.ready_at = now + hop_latency
+                                t = dslot.ready_at = now + hop_latency
                                 dslot.free_at = INF
                                 nbr.occupied.append(dslot)
+                                if nbr._wake > t:
+                                    nbr._wake = t
                                 rid = nbr.id
                                 act = net._r_active
                                 if rid not in act:
@@ -297,7 +338,11 @@ class Router:
                     break
             if not moved:
                 survive(slot)
-                if bound > now1:
+                if bound <= now1:
+                    wake = now1
+                else:
+                    if bound < wake:
+                        wake = bound
                     slot.retry_at = bound
                     slot.retry_pid = pkt.pid
                     # Credit subscription: the memo skips this head past
@@ -319,16 +364,20 @@ class Router:
                                 elif slot not in waiters:
                                     waiters.append(slot)
         self.occupied = survivors
+        self._wake = wake
         if not survivors:
             net.sleep_router(self.id)
         if taken:
             net.last_progress = now
 
     # -- helpers ----------------------------------------------------------
-    def _transfer(self, slot, pkt, link, dslot, now: int) -> None:
-        """One hop of ``pkt`` from ``slot`` over ``link`` into ``dslot``
-        (:meth:`step` inlines it for the base datapath)."""
-        dslot.fill(pkt, now + self._hop_latency)
+    def _transfer(self, slot, pkt, link, dslot, now: int,
+                  ready_at: int = 0) -> None:
+        """One hop of ``pkt`` from ``slot`` over ``link`` into ``dslot``,
+        its head ready there at ``ready_at`` (default: after the router
+        and link latency).  :meth:`step` inlines it for the base
+        datapath."""
+        dslot.fill(pkt, ready_at or now + self._hop_latency)
         self.neighbors[link.src_port].admit(dslot)
         size = pkt.size
         slot.vacate(now + size + 1)    # tail drain + credit return

@@ -42,7 +42,15 @@ def check_invariants(net) -> None:
        the memo);
     8. credit subscriptions: every occupied candidate VC that a
        memo-skipped head looked at (behind a link that does not itself
-       cover the memo) lists that head among its ``waiters``.
+       cover the memo) lists that head among its ``waiters``;
+    9. router wake bounds: a router that will only rotate on its next
+       step (``Router._wake`` past it) lists no empty slot, and each of
+       its heads stays skipped by its own ``ready_at``, ``in_busy`` or
+       retry-memo test until at least ``_wake``;
+    10. NI credit waits: an inject-active NI whose ``retry_at`` lies in
+       the future can refill nothing, and unless its injection port is
+       what it waits for, no candidate local VC is claimable and every
+       occupied one lists it among its ``waiters``.
 
     Not checked here: that ejection-queue reservations refer to live
     packets (ids alone cannot show it; the conservation property tests
@@ -85,6 +93,7 @@ def check_invariants(net) -> None:
                 f"router {router.id} holds work but is not in the "
                 f"router active set")
         _check_skipped_heads(net, router, now)
+        _check_wake_bound(router, now)
     if buffered_scan != net.buffered:
         raise InvariantViolation(
             f"buffered counter drift: counter={net.buffered} "
@@ -112,6 +121,8 @@ def check_invariants(net) -> None:
             raise InvariantViolation(
                 f"NI {ni.id} has injection work but is not in the "
                 f"inject active set")
+        if ni.retry_at > now and ni.id in net._inj_active:
+            _check_credit_wait(ni, now)
         if ni.id not in net._con_active:
             if any(len(q) for q in ni.ej):
                 raise InvariantViolation(
@@ -185,6 +196,57 @@ def _check_skipped_heads(net, router, now: int) -> None:
                         f"{where}: retry memo {memo} depends on occupied "
                         f"port {out} vc {vc}, which does not list it as "
                         f"a waiter")
+
+
+def _check_wake_bound(router, now: int) -> None:
+    """A router whose next step only rotates (the audit may run in the
+    cycle's tail, where that step is at ``now + 1``, or between cycles)
+    must have every head skipped on every cycle before its ``_wake``."""
+    wake = router._wake
+    if wake <= now + 1:
+        return
+    for slot in router.occupied:
+        pkt = slot.pkt
+        where = f"router {router.id} port {slot.port} vc {slot.vc}"
+        if pkt is None:
+            raise InvariantViolation(
+                f"{where}: empty slot listed while the router only "
+                f"rotates until {wake}")
+        until = max(slot.ready_at, router.in_busy[slot.port])
+        if slot.retry_pid == pkt.pid and slot.retry_at > until:
+            until = slot.retry_at
+        if until < wake:
+            raise InvariantViolation(
+                f"{where} (packet {pkt.pid}): skipped only until {until} "
+                f"but the router only rotates until {wake} — a wake "
+                f"bound was not lowered")
+
+
+def _check_credit_wait(ni, now: int) -> None:
+    """An NI the cycle loop skips until ``retry_at`` can do nothing
+    before it."""
+    where = f"NI {ni.id}: skipped until {ni.retry_at}"
+    pending = ni.pending
+    if pending and len(ni.inj[pending[0].mclass]) < ni.cfg.inj_queue_pkts:
+        raise InvariantViolation(
+            f"{where} but its source queue can refill")
+    if ni.inj_busy_until >= ni.retry_at:
+        return      # it waits for its injection port
+    router = ni.router
+    for q in ni.inj:
+        if not q:
+            continue
+        for vc in router._inj_vcs[q[0].vn]:
+            slot = router.slots[0][vc]
+            if slot.pkt is None:
+                if slot.free_at <= now:
+                    raise InvariantViolation(
+                        f"{where} but local vc {vc} is claimable now — "
+                        f"a wakeup was lost")
+            elif ni not in (slot.waiters or ()):
+                raise InvariantViolation(
+                    f"{where}: it waits on occupied local vc {vc}, "
+                    f"which does not list it as a waiter")
 
 
 def _exempt(router, slot) -> bool:

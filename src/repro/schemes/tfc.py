@@ -22,18 +22,21 @@ class TFCRouter(Router):
 
     __slots__ = ()
 
-    def _transfer(self, slot, pkt, link, dslot, now: int) -> None:
-        super()._transfer(slot, pkt, link, dslot, now)
+    def _transfer(self, slot, pkt, link, dslot, now: int,
+                  ready_at: int = 0) -> None:
         # Token bypass: express the hop when the downstream input port is
         # nearly empty (tokens valid) — the head skips the pipeline stage.
-        nbr = self.neighbors[link.src_port]
+        # Decided before the hop, over the port's free VCs other than the
+        # one this packet claims, and handed to ``fill`` (which keeps the
+        # downstream router's wake bound), never written behind it.
         free = 0
-        for s in nbr.slots[link.dst_port]:
-            if s.is_free(now):
+        for s in self.neighbors[link.src_port].slots[link.dst_port]:
+            if s is not dslot and s.is_free(now):
                 free += 1
                 if free >= 2:
-                    dslot.ready_at = now + 1
-                    return
+                    ready_at = now + 1
+                    break
+        super()._transfer(slot, pkt, link, dslot, now, ready_at)
 
 
 @register

@@ -247,8 +247,13 @@ class SyntheticTraffic:
                          src=src, dst=dst, mclass=cls)
             if exposed:
                 pkt.fault_exposed = True
-            ni.pending.append(pkt)
-            ni._inj_skip = 0
+            pending = ni.pending
+            if not pending:
+                # Only a packet at the head of ``pending`` can refill, so
+                # only it wakes the NI; one queued behind a blocked head
+                # finds its NI inject-active already.
+                ni.retry_at = 0
+                inj_active.add(src)
+            pending.append(pkt)
             queued += 1
-            inj_active.add(src)
         net.pending_total += queued

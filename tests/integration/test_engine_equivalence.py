@@ -101,6 +101,29 @@ def test_naive_engine_rearbitrates_memoised_heads(small_cfg, engine, moved):
     assert pkt.hops == int(moved)
 
 
+@pytest.mark.parametrize("engine,moved", [("active", False),
+                                          ("naive", True)])
+def test_naive_engine_ignores_router_wake_bounds(small_cfg, engine, moved):
+    """A router whose wake bound is wrong (forged: its head's next hop
+    is free) only rotates under the active engine; the naive engine
+    drops every wake bound with the retry memos and moves the head."""
+    from repro.network.packet import MessageClass, Packet
+    from repro.network.topology import PORT_W
+    from tests.conftest import make_network, park
+    net = make_network(small_cfg)
+    net.force_naive_step = engine == "naive"
+    r5 = net.routers[5]
+    slot = r5.slots[PORT_W][0]
+    pkt = Packet(4, 7, MessageClass.REQUEST, 0)     # next hop: East, free
+    park(net, r5, slot, pkt)
+    r5._wake = net.cycle + 50
+    rr = r5.rr
+    net.step()
+    assert (slot.pkt is None) == moved
+    assert pkt.hops == int(moved)
+    assert r5.rr == rr + 1          # the round-robin offset moves either way
+
+
 # -- Saturated and bounce corners ----------------------------------------
 #
 # Blocked regimes — saturation, and FastPass's bounce protocol — are where

@@ -6,9 +6,10 @@ a slot is emptied — :meth:`VCSlot.vacate` — lowers its retry memo to the
 cycle the credit arrives.  These tests build the blockade by hand on a
 4x4 mesh (router 0's head wants to go East into router 1's West port,
 both VN-0 VCs of which are held) and then empty one of the two VCs
-through each vacate path in the tree.  The
+through each vacate path in the tree.  An NI whose local VCs are all
+held waits the same way (:class:`TestNICreditWait`).  The
 ``paranoia`` audit runs every cycle throughout, so every intermediate
-state also passes the skipped-head and subscription audits.
+state also passes the skipped-head, wake-bound and subscription audits.
 """
 
 import re
@@ -18,11 +19,13 @@ import pytest
 
 import repro
 from repro.config import SimConfig
+from repro.network.ni import NetworkInterface
 from repro.network.packet import MessageClass, Packet
 from repro.network.router import INF
-from repro.network.topology import PORT_W
+from repro.network.topology import PORT_LOCAL, PORT_W
 from repro.schemes import get_scheme
-from tests.conftest import make_network, park
+from repro.traffic.synthetic import SyntheticTraffic
+from tests.conftest import inject_now, make_network, park
 
 NEVER = 10 ** 6
 
@@ -190,3 +193,74 @@ class TestOneVacatePath:
         held[0].vacate(free_at)
         net.buffered -= 1
         assert hslot.retry_at == min(7, free_at)
+
+
+class TestNICreditWait:
+    """An NI that can neither refill nor claim a local VC is not called
+    until something it waits on changes: a credit it subscribed to, or
+    work that a wake brings."""
+
+    @staticmethod
+    def hold_local_vcs(net, vcs, release_at: int = NEVER) -> list:
+        """Park a packet for router 1 in each of router 0's local VCs
+        ``vcs``; the first leaves at ``release_at``, the rest never."""
+        router = net.routers[0]
+        held = [router.slots[PORT_LOCAL][vc] for vc in vcs]
+        for i, slot in enumerate(held):
+            park(net, router, slot, Packet(0, 1, MessageClass.REQUEST, 0),
+                 release_at if i == 0 else NEVER)
+        return held
+
+    @staticmethod
+    def count_calls(monkeypatch) -> list:
+        """The cycles at which NI 0's ``inject_step`` runs."""
+        calls = []
+        inject_step = NetworkInterface.inject_step
+
+        def counted(ni, now):
+            if ni.id == 0:
+                calls.append(now)
+            inject_step(ni, now)
+        monkeypatch.setattr(NetworkInterface, "inject_step", counted)
+        return calls
+
+    @pytest.mark.parametrize("engine", ["active", "naive"])
+    def test_wedged_ni_sleeps_until_its_credit_returns(self, monkeypatch,
+                                                       engine):
+        net = make_network(cfg())
+        net.force_naive_step = engine == "naive"
+        calls = self.count_calls(monkeypatch)
+        vn = Packet(0, 5, MessageClass.REQUEST, 0).vn
+        self.hold_local_vcs(net, net.routers[0]._inj_vcs[vn],
+                            release_at=30)
+        pkt = inject_now(net, 0, 5, MessageClass.REQUEST)
+        step_to(net, 40)
+        # cycle 30: the first held packet leaves; its credit is back at
+        # 32, and the request enters on that cycle under both engines
+        assert pkt.net_entry == 32
+        if engine == "active":
+            # one futile call (it subscribes) and the injection, which
+            # empties the NI and takes it out of the active set
+            assert calls == [0, 32]
+        else:
+            assert calls == list(range(40))
+
+    def test_packet_behind_a_blocked_source_head_does_not_wake(
+            self, monkeypatch):
+        net = make_network(cfg())
+        calls = self.count_calls(monkeypatch)
+        self.hold_local_vcs(net, range(net.cfg.total_vcs))
+        ni = net.nis[0]
+        traffic = SyntheticTraffic("uniform", 1.0, seed=1)  # every node,
+        traffic.bind(net)                                   # every cycle
+        net.traffic = traffic
+        step_to(net, 20)
+        # the class queue of the source's head is full: nothing refills
+        assert ni.pending
+        assert len(ni.inj[ni.pending[0].mclass]) == net.cfg.inj_queue_pkts
+        assert ni.retry_at == INF
+        called, queued = len(calls), len(ni.pending)
+        step_to(net, 40)
+        assert len(ni.pending) == queued + 20    # one new packet a cycle
+        assert len(calls) == called              # none of them woke it
+        assert ni.retry_at == INF

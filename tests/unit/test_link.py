@@ -27,6 +27,21 @@ class TestVCSlot:
         assert not s.is_free(9)
         assert s.is_free(10)
 
+    def test_fill_and_vacate_without_a_router(self):
+        """A slot outside any router's VC array (MinBD's side buffer)
+        has no owner whose wake bound to keep, and still works; so does
+        a waiter without one."""
+        s, waiter = VCSlot(1, 0), VCSlot(2, 0)
+        assert s.owner is None
+        pkt = object()
+        s.fill(pkt, 5)
+        assert (s.pkt, s.ready_at, s.is_free(100)) == (pkt, 5, False)
+        waiter.retry_at = 100
+        s.waiters = [waiter]
+        s.vacate(7)
+        assert s.pkt is None and s.free_at == 7 and s.waiters is None
+        assert waiter.retry_at == 7
+
 
 class TestReservations:
     def test_no_conflict_on_empty_link(self):

@@ -3,7 +3,9 @@ scan order guarantees of Qn 2 / Qn 6, and the green path."""
 
 import pytest
 
+from repro.core.manager import round_trips
 from repro.network.packet import MessageClass, Packet
+from repro.network.topology import Mesh
 from repro.schemes import get_scheme
 from tests.conftest import make_network, park
 
@@ -50,6 +52,16 @@ class TestEligibility:
         rt = mgr._rt[0 * mgr._nr + 12] + 2 * 5
         assert mgr._eligible(pkt, 0, 0, 0, rt)
         assert not mgr._eligible(pkt, 0, 0, 1, rt)
+
+
+@pytest.mark.parametrize("rows,cols", [(4, 4), (8, 8), (4, 6), (16, 16)])
+def test_round_trip_table_is_twice_the_hops_plus_slack(rows, cols):
+    """The coordinate-arithmetic table equals its definition, one
+    ``Mesh.hops`` per (prime, destination) pair."""
+    mesh = Mesh(rows, cols)
+    n = mesh.n_routers
+    assert round_trips(rows, cols, 7) == tuple(
+        2 * mesh.hops(p, d) + 7 for p in range(n) for d in range(n))
 
 
 class TestUpgrading:

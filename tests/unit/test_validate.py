@@ -7,6 +7,7 @@ from repro.network.validate import InvariantViolation, check_invariants
 from repro.schemes import get_scheme
 from repro.sim.engine import Simulation
 from repro.traffic.synthetic import SyntheticTraffic
+from repro.network.topology import PORT_LOCAL, PORT_W
 from tests.conftest import make_network, park
 from tests.unit.test_credit_wakeup import blockade
 
@@ -123,6 +124,76 @@ class TestSkippedHeadAudits:
         # although the port is idle and the queue has room.
         slot.retry_at, slot.retry_pid = net.cycle + 30, pkt.pid
         with pytest.raises(InvariantViolation, match="can eject now"):
+            check_invariants(net)
+
+
+class TestSkipBoundAudits:
+    """The two O(1) skips, audited: a router that only rotates has no
+    head that could move before its wake bound, and an NI the cycle loop
+    skips can neither refill nor inject, and waits on every held
+    candidate VC."""
+
+    def test_router_wake_bound_behind_a_movable_head(self, small_cfg):
+        net = make_network(small_cfg)
+        r = net.routers[5]
+        park(net, r, r.slots[PORT_W][0], Packet(4, 7, MessageClass.REQUEST, 0))
+        check_invariants(net)
+        r._wake = net.cycle + 50        # forged: the head can move now
+        with pytest.raises(InvariantViolation, match="wake bound was not"):
+            check_invariants(net)
+
+    def test_router_rotating_past_an_empty_slot(self, small_cfg):
+        net = make_network(small_cfg)
+        r = net.routers[5]
+        slot = r.slots[PORT_W][0]
+        park(net, r, slot, Packet(4, 7, MessageClass.REQUEST, 0), 60)
+        net.step()
+        assert r._wake == 60
+        # emptied behind vacate's back: nobody zeroes the bound
+        slot.pkt = None
+        net.buffered -= 1
+        with pytest.raises(InvariantViolation, match="empty slot listed"):
+            check_invariants(net)
+
+    @staticmethod
+    def _queued_request(net):
+        ni = net.nis[0]
+        pkt = Packet(0, 5, MessageClass.REQUEST, 0)
+        ni.inj[pkt.mclass].append(pkt)
+        ni.inj_count += 1
+        net.inj_total += 1
+        net.wake_inject(0)
+        return ni, pkt
+
+    def test_ni_skipped_while_its_source_can_refill(self, small_cfg):
+        net = make_network(small_cfg)
+        ni = net.nis[0]
+        ni.source(Packet(0, 5, MessageClass.REQUEST, 0))
+        ni.retry_at = net.cycle + 50    # forged
+        with pytest.raises(InvariantViolation, match="can refill"):
+            check_invariants(net)
+
+    def test_ni_skipped_while_a_local_vc_is_claimable(self, small_cfg):
+        net = make_network(small_cfg)
+        ni, _pkt = self._queued_request(net)
+        ni.retry_at = net.cycle + 50    # forged
+        with pytest.raises(InvariantViolation, match="claimable now"):
+            check_invariants(net)
+
+    def test_ni_missing_from_a_held_candidate(self, small_cfg):
+        net = make_network(small_cfg)
+        router = net.routers[0]
+        ni, pkt = self._queued_request(net)
+        held = [router.slots[PORT_LOCAL][vc]
+                for vc in router._inj_vcs[pkt.vn]]
+        for slot in held:
+            park(net, router, slot, Packet(0, 1, MessageClass.REQUEST, 0),
+                 10 ** 6)
+        net.step()
+        assert all(ni in slot.waiters for slot in held)
+        check_invariants(net)
+        held[-1].waiters = None
+        with pytest.raises(InvariantViolation, match="waiter"):
             check_invariants(net)
 
 
