@@ -275,9 +275,6 @@ class RunCache:
                 n += 1
         return n
 
-    def reset_stats(self) -> None:
-        self.hits = self.misses = 0
-
     @property
     def hit_rate(self) -> float:
         total = self.hits + self.misses

@@ -237,9 +237,6 @@ class FaultInjector:
                     pkt.fault_exposed = True
 
     # -- queries ----------------------------------------------------------
-    def link_dead(self, rid: int, port: int) -> bool:
-        return (rid, port) in self.dead_links
-
     def lane_ok(self, prime: int, dst: int, now: int, size: int) -> bool:
         """Can a FastPass lane from ``prime`` to ``dst`` be trusted now?
 

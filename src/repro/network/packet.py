@@ -103,10 +103,6 @@ class Packet:
         """End-to-end latency: generation to ejection."""
         return self.eject_cycle - self.gen_cycle
 
-    @property
-    def is_sink(self) -> bool:
-        return self.mclass in SINK_CLASSES
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Packet(pid={self.pid}, {self.src}->{self.dst}, "
                 f"cls={self.mclass}, size={self.size})")

@@ -63,10 +63,6 @@ class EventBus:
         """Register ``fn(cycle, pid, fields)`` for ``kind``."""
         self._subs.setdefault(kind, []).append(fn)
 
-    def subscribe_many(self, kinds, fn) -> None:
-        for kind in kinds:
-            self.subscribe(kind, fn)
-
     def unsubscribe(self, kind: str, fn) -> None:
         subs = self._subs.get(kind)
         if subs is not None:

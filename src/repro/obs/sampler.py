@@ -33,11 +33,6 @@ class TimeSeriesSampler:
         self._tracked.append(gauge)
         self.series[gauge.name] = ([], [])
 
-    def track_all_gauges(self) -> None:
-        for m in self.registry:
-            if isinstance(m, Gauge):
-                self.track(m)
-
     def sample(self, now: int) -> None:
         for g in self._tracked:
             cycles, values = self.series[g.name]

@@ -211,9 +211,6 @@ class ScenarioSpec:
             lo = hi
         raise AssertionError("phase walk fell off the period")  # pragma: no cover
 
-    def phase_at(self, cycle: int) -> PhaseSpec:
-        return self.phases[self.window_at(cycle)[0]]
-
     def mean_rate(self) -> float:
         """Duration-weighted long-run offered rate of the scenario."""
         total = self.total_cycles

@@ -16,8 +16,16 @@ from repro.network.topology import Mesh
 #: per-test wall-clock ceiling (seconds) when pytest-timeout is absent.
 #: CI installs pytest-timeout and passes ``--timeout`` explicitly; this
 #: SIGALRM fallback keeps a wedged simulation from hanging a local run
-#: where the plugin is not installed.  Set REPRO_TEST_TIMEOUT=0 to disable.
+#: where the plugin is not installed, and bounds each test of the mutant
+#: ledger's runs (``tests/mutants/run.py``).  Set REPRO_TEST_TIMEOUT=0 to
+#: disable.
 _FALLBACK_TIMEOUT = int(os.environ.get("REPRO_TEST_TIMEOUT", "300"))
+
+
+class PastCeiling(BaseException):
+    """A test ran past the fallback ceiling.  Not an ``Exception``, so
+    neither the ``except Exception`` handlers of the code under test nor
+    Hypothesis's can swallow it."""
 
 
 def pytest_configure(config):
@@ -37,16 +45,18 @@ def pytest_runtest_call(item):
         return
 
     def _alarm(signum, frame):
-        raise TimeoutError(
+        raise PastCeiling(
             f"test exceeded the {limit}s fallback ceiling "
             f"(REPRO_TEST_TIMEOUT)")
 
+    # Again every ``limit`` seconds: a test that outlives one raise (in a
+    # cleanup block, say) is interrupted again.
     old = signal.signal(signal.SIGALRM, _alarm)
-    signal.alarm(limit)
+    signal.setitimer(signal.ITIMER_REAL, limit, limit)
     try:
         yield
     finally:
-        signal.alarm(0)
+        signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, old)
 
 

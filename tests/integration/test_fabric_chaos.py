@@ -22,6 +22,7 @@ import multiprocessing
 import os
 import signal
 import socket
+import threading
 import time
 
 import pytest
@@ -51,8 +52,8 @@ CHAOS_POINTS = grid([("escapevc", {}), ("fastpass", {"n_vcs": 2})],
     [Point.make_seeded("fastpass", "uniform", 0.03, seed=s, n_vcs=2)
      for s in (1, 2, 3)]
 
-#: the SIGKILL differential wants a longer campaign so the kill lands
-#: mid-run with work on both sides of it
+#: the SIGKILL differential's campaign: work on both sides of the kill,
+#: which lands after the first settled point (``_crash_campaign``)
 CRASH_CFG = SimConfig(rows=4, cols=4, warmup_cycles=100,
                       measure_cycles=300, drain_cycles=800,
                       fastpass_slot_cycles=64)
@@ -207,6 +208,17 @@ def _crash_campaign(store_path: str, cache_dir: str, port: int) -> None:
     os.setpgid(0, 0)
     os.environ["REPRO_FABRIC_PATIENCE_S"] = "8"
     store = CampaignStore(store_path)
+    # The kill lands mid-run by construction, not by timing: once one
+    # point is done, the next settlement holds the coordinator until the
+    # SIGKILL, however fast the rest of the points would run.
+    mark = store.mark
+
+    def mark_one_done(key, status, *args, **kwargs):
+        if status == "done" and store.counts().get("done", 0):
+            threading.Event().wait()
+        mark(key, status, *args, **kwargs)
+
+    store.mark = mark_one_done
     cache = RunCache(cache_dir, salt="s")
     session = FabricSession(cache=cache, retry=_RETRY, lease_ttl_s=8.0,
                             port=port, workers=2)
@@ -255,13 +267,15 @@ class TestSigkillResume:
         cache = RunCache(cache_dir, salt="s")
         # Reclaim the same port, 'fabric serve --resume' style.  The
         # orphaned workers hold an inherited copy of the dead listener
-        # until their outage patience runs out, so retry the bind.
+        # until their outage patience runs out, so retry the bind.  The
+        # adopted leases' workers died with the campaign: each is
+        # re-leased when its TTL runs out.
         session = None
         deadline = time.monotonic() + 45
         while session is None:
             try:
                 session = FabricSession(cache=cache, retry=_RETRY,
-                                        lease_ttl_s=4.0, port=port,
+                                        lease_ttl_s=2.0, port=port,
                                         workers=2, resume=True)
             except OSError:
                 if time.monotonic() > deadline:

@@ -1,6 +1,8 @@
 """Integration: every scheme against the closed-loop coherence traffic at
 moderate (non-adversarial) pressure — the everyday regime of Fig. 10."""
 
+import functools
+
 import pytest
 
 from repro.config import SimConfig
@@ -13,11 +15,17 @@ SCHEMES = [("escapevc", {}), ("spin", {}), ("swap", {}), ("drain", {}),
            ("fastpass", {"n_vcs": 4})]
 
 
-def run(name, kw, seed=4, txns=40):
+def run(name, kw):
+    """One seeded run per scheme, shared by every test that reads it."""
+    return _run(name, tuple(sorted(kw.items())))
+
+
+@functools.cache
+def _run(name, kw):
     cfg = SimConfig(rows=4, cols=4, fastpass_slot_cycles=120,
                     drain_period_cycles=2000)
-    tr = CoherenceTraffic(txns_per_core=txns, seed=seed, think=60, burst=4)
-    sim = Simulation(cfg, get_scheme(name, **kw), tr)
+    tr = CoherenceTraffic(txns_per_core=40, seed=4, think=60, burst=4)
+    sim = Simulation(cfg, get_scheme(name, **dict(kw)), tr)
     res = sim.run_to_completion(max_cycles=200000)
     return sim, res
 

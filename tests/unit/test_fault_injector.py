@@ -43,7 +43,7 @@ class TestActivationWindows:
         assert not net.fault_exposed
         _run_to(net, 11)
         assert link.busy_until >= FOREVER
-        assert net.faults.link_dead(5, PORT_E)
+        assert (5, PORT_E) in net.faults.dead_links
         assert net.fault_exposed
         _run_to(net, 500)
         assert link.busy_until >= FOREVER  # never recovers
@@ -54,10 +54,10 @@ class TestActivationWindows:
         link = net.link_for(5, PORT_E)
         _run_to(net, 11)
         assert link.busy_until >= FOREVER
-        assert net.faults.link_dead(5, PORT_E)
+        assert (5, PORT_E) in net.faults.dead_links
         _run_to(net, 50)   # recovery applies at cycle until == 50
         assert link.busy_until < FOREVER
-        assert not net.faults.link_dead(5, PORT_E)
+        assert (5, PORT_E) not in net.faults.dead_links
         assert not net.fault_exposed
 
     def test_port_stall_window(self):
@@ -100,7 +100,7 @@ class TestActivationWindows:
         link = net.link_for(5, PORT_E)
         _run_to(net, 11)
         assert link.busy_until == 40          # at + duration, not forever
-        assert not net.faults.link_dead(5, PORT_E)
+        assert (5, PORT_E) not in net.faults.dead_links
 
     def test_summary_counts(self):
         plan = FaultPlan(events=(

@@ -31,15 +31,6 @@ class TestSubscription:
         bus.emit("lane_slot", 64, slot=1)
         assert pids == [-1]
 
-    def test_subscribe_many(self):
-        bus = EventBus()
-        got = []
-        bus.subscribe_many(("generated", "ejected"),
-                           lambda c, p, f: got.append(c))
-        bus.emit("generated", 1, 0)
-        bus.emit("ejected", 2, 0)
-        assert got == [1, 2]
-
     def test_unsubscribe(self):
         bus = EventBus()
         got = []

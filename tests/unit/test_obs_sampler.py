@@ -24,15 +24,6 @@ class TestSampler:
         s.sample(200)
         assert s.series["g"] == ([100, 200], [10, 20])
 
-    def test_track_all_gauges(self):
-        reg = MetricsRegistry()
-        reg.counter("not_a_gauge")
-        reg.gauge("a", "", lambda: 1)
-        reg.gauge("b", "", lambda: 2)
-        s = TimeSeriesSampler(reg)
-        s.track_all_gauges()
-        assert sorted(s.series) == ["a", "b"]
-
     def test_max_samples_cap_counts_drops(self):
         reg, g = self._reg_with_gauge(range(100))
         s = TimeSeriesSampler(reg, max_samples=3)

@@ -53,10 +53,6 @@ class TestPacket:
         pkt.eject_cycle = 42
         assert pkt.latency == 37
 
-    def test_is_sink(self):
-        assert Packet(0, 1, MessageClass.RESPONSE, 0).is_sink
-        assert not Packet(0, 1, MessageClass.REQUEST, 0).is_sink
-
     def test_slots_prevent_arbitrary_attrs(self):
         pkt = Packet(0, 1, 0, 0)
         with pytest.raises(AttributeError):

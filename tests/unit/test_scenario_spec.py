@@ -91,11 +91,6 @@ class TestPhaseClock:
         with pytest.raises(ValueError):
             two_phase().window_at(-1)
 
-    def test_phase_at(self):
-        spec = two_phase()
-        assert spec.phase_at(0).pattern == "uniform"
-        assert spec.phase_at(300).pattern == "transpose"
-
 
 class TestRates:
     def test_mean_rate_duration_weighted(self):
