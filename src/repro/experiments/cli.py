@@ -4,8 +4,8 @@ Usage (``python -m repro.experiments.cli`` is the same entry)::
 
     repro-experiments table1 fig7 --full     # or `all`; --jobs N | --fabric N
     repro-experiments campaign run|status|clean ...
-    repro-experiments fabric serve|work|status ...
-    repro-experiments chaos sweep --seed 7
+    repro-experiments fabric serve|work|status ...  # serve --resume adopts
+                                                    # a crashed run's leases
     repro-experiments scenarios run|sweep|record|replay ...
     repro-experiments faults sweep --modes cut --rates 0.05
     repro-experiments obs report|export --scheme fastpass --rate 0.1
@@ -318,8 +318,6 @@ def _print_live_status(parser, args) -> int:
     print(f"  throughput: {s.get('points_per_s', 0)} pts/s, "
           f"ETA {'?' if eta is None else f'{eta:.0f}s'}")
     print(f"  queue: {_kv(s.get('queue', {}))}")
-    if s.get("chaos"):
-        print(f"  chaos injected: {_kv(s['chaos'], every=True)}")
     workers = s.get("workers", {})
     if workers:
         print(f"  {'worker':28s} {'leases':>7s} {'points':>7s} "
@@ -395,39 +393,6 @@ def _fabric_commands(sub) -> None:
         "status", help="live status of a running coordinator")
     p_stat.add_argument("url", help="coordinator base URL")
     p_stat.set_defaults(func=_print_live_status)
-
-
-# -- chaos --------------------------------------------------------------
-
-def _chaos_sweep(parser, args) -> int:
-    from repro.chaos.sweep import format_table, run_sweep
-    report = run_sweep(seed=args.seed, levels=args.levels,
-                       workers=args.workers)
-    print(format_table(report))
-    if args.json:
-        _write_json(args.json, report, "raw survival table")
-    ok = all(row["survived"] for row in report["levels"])
-    print("chaos sweep: " + ("SURVIVED — every point settled exactly "
-                             "once, bit-identical to the local baseline"
-                             if ok else "FAILED — see table"))
-    return 0 if ok else 1
-
-
-def _chaos_commands(sub) -> None:
-    p_sweep = sub.add_parser(
-        "sweep", help="escalating chaos levels vs. a local baseline; "
-                      "prints a survival table")
-    p_sweep.add_argument("--seed", type=int, default=0,
-                         help="chaos plan seed (default: 0) — the same "
-                              "seed reproduces the same fault streams")
-    p_sweep.add_argument("--levels", type=_csv(float), default=None,
-                         help="comma-separated intensity multipliers of "
-                              "the base plan (default: 0,0.5,1,2)")
-    p_sweep.add_argument("--workers", type=int, default=2, metavar="N",
-                         help="loopback workers per level (default: 2)")
-    p_sweep.add_argument("--json", default=None, metavar="PATH",
-                         help="also dump the survival table as JSON")
-    p_sweep.set_defaults(func=_chaos_sweep)
 
 
 # -- scenarios ----------------------------------------------------------
@@ -587,8 +552,6 @@ GROUPS = {
                  _campaign_commands),
     "fabric": ("Distributed campaign fabric: a leased work queue that "
                "pulling workers execute over HTTP.", _fabric_commands),
-    "chaos": ("Transport-chaos certification for the campaign fabric.",
-              _chaos_commands),
     "scenarios": ("Declarative scenario workloads, irregular-topology "
                   "sweeps and trace record/replay, all through the "
                   "campaign cache.", _scenarios_commands),

@@ -74,7 +74,6 @@ class Coordinator(Lifecycle):
         self.state = protocol.STATE_OK       # flips to shutdown at close
         self.started = time.monotonic()
         self._dismissed: set[str] = set()    # saw the shutdown state
-        self._chaos: dict[str, dict] = {}    # worker -> injections by kind
         self._journaled: dict[int, object] = {}  # stores with journal rows
         self._server: JsonHttpServer | None = None
         self._registry = None
@@ -111,6 +110,13 @@ class Coordinator(Lifecycle):
             return [w for w, s in self._workers.items()
                     if w not in exclude and w not in self._dismissed
                     and now - s.last_seen <= PRESENT_S]
+
+    def lease_holders(self) -> set[str]:
+        """Workers holding a lease that has not yet run out."""
+        now = time.monotonic()
+        with self._lock:
+            return {lease.worker for lease in self.queue.live_leases()
+                    if lease.deadline > now}
 
     # -- crash safety (lease journal) ----------------------------------
     def tick(self) -> None:
@@ -223,10 +229,6 @@ class Coordinator(Lifecycle):
         worker = str(body.get("worker") or "anonymous")
         max_tasks = max(1, int(body.get("max_tasks", 1)))
         with self._lock:
-            chaos = body.get("chaos")
-            if isinstance(chaos, dict):   # worker ships injection totals
-                self._chaos[worker] = {str(k): int(v)
-                                       for k, v in chaos.items()}
             if self.state == protocol.STATE_SHUTDOWN:
                 self._dismissed.add(worker)
                 return {"state": protocol.STATE_SHUTDOWN}
@@ -276,17 +278,7 @@ class Coordinator(Lifecycle):
                 "queue": self.queue.counters.to_json(),
                 "workers": {w: s.to_json(now)
                             for w, s in self._workers.items()},
-                "chaos": self._chaos_totals(),
             }
-
-    def _chaos_totals(self) -> dict[str, int]:
-        """Fault injections aggregated across workers, by kind (lock
-        held) — non-empty only when workers run under a chaos plan."""
-        totals: dict[str, int] = {}
-        for counts in self._chaos.values():
-            for kind, n in counts.items():
-                totals[kind] = totals.get(kind, 0) + n
-        return {k: totals[k] for k in sorted(totals)}
 
     def _h_result(self, key: str) -> dict:
         if not re.fullmatch(r"[0-9a-f]{8,64}", key):
@@ -325,10 +317,6 @@ class Coordinator(Lifecycle):
                                 self.queue.point_counts().items()))
             reg.gauge("fabric_workers", "workers ever seen",
                       lambda: len(self._workers))
-            reg.multi_gauge("fabric_chaos_injected_total",
-                            "transport faults injected by the chaos "
-                            "layer, as reported by workers", "kind",
-                            lambda: list(self._chaos_totals().items()))
             reg.gauge("fabric_points_per_s",
                       "aggregate completion rate over the rate window",
                       lambda: self.status()["points_per_s"])

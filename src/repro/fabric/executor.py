@@ -47,18 +47,15 @@ class FabricSession:
     def __init__(self, cache=None, retry: RetryPolicy | None = None,
                  lease_ttl_s: float = 60.0, host: str = "127.0.0.1",
                  port: int = 0, workers: int = 0,
-                 campaign: str | None = None, resume: bool = False,
-                 chaos_token: str | None = None):
+                 campaign: str | None = None, resume: bool = False):
         self.coordinator = Coordinator(cache=cache, retry=retry,
                                        lease_ttl_s=lease_ttl_s,
                                        campaign=campaign)
         self.url = self.coordinator.start(host, port)
         self.resume = resume          # adopt journaled leases on run()
-        self.chaos_token = chaos_token
         self._ctx = pool_context()
         self._workers: dict[str, object] = {}      # worker_id -> Process
         self._spawned: set[str] = set()   # every local id, reaped ones too
-        self._spawns = 0              # session-local chaos salt stream
         self.respawns = 0
         for _ in range(workers):
             self.spawn_worker()
@@ -66,16 +63,10 @@ class FabricSession:
     # -- local worker supervision --------------------------------------
     def spawn_worker(self) -> str:
         wid = f"loopback-{os.getpid()}-{next(self._ids)}"
-        self._spawns += 1
-        kwargs = {"worker_id": wid, "poll_s": _POLL_S}
-        if self.chaos_token:
-            # salt by spawn index: siblings share a plan but not a
-            # fault stream, and a respawned worker gets a fresh one
-            kwargs.update(chaos_token=self.chaos_token,
-                          chaos_salt=self._spawns)
         proc = self._ctx.Process(target=worker_process_main,
                                  args=(self.url,),
-                                 kwargs=kwargs,
+                                 kwargs={"worker_id": wid,
+                                         "poll_s": _POLL_S},
                                  daemon=True)
         proc.start()
         self._workers[wid] = proc
@@ -106,6 +97,12 @@ class FabricSession:
         and exit; anything still leased is re-marked pending in its
         store so a later run resumes it.
 
+        A local worker holding a live lease is joined for up to 10 s to
+        report it.  Any other is idle (it sees the shutdown state within
+        a poll) or still computing a point whose lease already ran out
+        (its report settles nothing), so it gets a few polls and is then
+        terminated.
+
         Remote pullers — any worker this session did not spawn, so not
         a local one it reaped after a crash — are given up to
         ``linger_s`` to observe the shutdown state before the server
@@ -114,9 +111,12 @@ class FabricSession:
         of exiting cleanly.
         """
         self.coordinator.shutdown()
-        deadline = time.monotonic() + 10
+        busy = self.coordinator.lease_holders()
+        now = time.monotonic()
+        deadline, grace = now + 10, now + 3 * _POLL_S
         for wid, proc in self._workers.items():
-            proc.join(timeout=max(0.1, deadline - time.monotonic()))
+            until = deadline if wid in busy else grace
+            proc.join(timeout=max(0.1, until - time.monotonic()))
             if proc.is_alive():
                 proc.terminate()
                 proc.join(timeout=1)

@@ -27,8 +27,8 @@ MAX_BODY = 64 * 1024 * 1024
 
 #: end-to-end payload integrity: clients send a SHA-256 of the body in
 #: this header and the server rejects any body that does not match with
-#: a 400.  A bit flipped in flight (or by the chaos layer) can therefore
-#: never settle a corrupted result — the worker just retries.
+#: a 400.  A bit flipped in flight can therefore never settle a
+#: corrupted result — the worker just retries.
 CHECKSUM_HEADER = "x-body-checksum"
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",

@@ -28,11 +28,6 @@ Failure behaviour:
 Workers keep polling through idle periods (a ``serve`` session feeds the
 queue experiment by experiment) and exit only on the coordinator's
 explicit ``shutdown`` state.
-
-A worker can run under a :class:`~repro.chaos.transport.ChaosInjector`
-(``chaos=``), which sabotages its *own* HTTP requests per a seeded
-:class:`~repro.chaos.plan.ChaosPlan`; the worker treats the resulting
-failures exactly like real network trouble, which is the point.
 """
 
 from __future__ import annotations
@@ -74,8 +69,7 @@ class FabricWorker:
                  poll_s: float = 0.25, max_tasks: int = 1,
                  patience_s: float | None = None,
                  connect_backoff_s: float = 0.25,
-                 complete_retries: int = 4,
-                 chaos=None):
+                 complete_retries: int = 4):
         self.url = url.rstrip("/")
         self.worker_id = worker_id or default_worker_id()
         self.poll_s = poll_s
@@ -84,15 +78,12 @@ class FabricWorker:
             else _patience_from_env()
         self.connect_backoff_s = connect_backoff_s
         self.complete_retries = complete_retries
-        self.chaos = chaos
         self._rng = random.Random(self.worker_id)   # backoff jitter
         self.stats = {"leases": 0, "points": 0, "failures": 0,
                       "connect_failures": 0}
 
     # -- transport ------------------------------------------------------
     def _post(self, path: str, payload: dict):
-        if self.chaos is not None:
-            return self.chaos.request("POST", self.url, path, payload)
         return http_json("POST", self.url + path, payload)
 
     def _backoff(self, misses: int) -> float:
@@ -107,16 +98,14 @@ class FabricWorker:
             body = {"env": protocol.environment(),
                     "worker": self.worker_id,
                     "max_tasks": self.max_tasks}
-            if self.chaos is not None:
-                body["chaos"] = dict(self.chaos.counts)
             try:
                 resp = self._post("/lease", body)
             except HttpError as exc:
                 if exc.status != 400:
                     raise    # 404, or 409 (environment mismatch)
                 # 400 on a lease poll means the request arrived mangled
-                # (chaos truncation/corruption); the poll is stateless,
-                # so just poll again.
+                # (truncated or corrupted in flight); the poll is
+                # stateless, so just poll again.
                 resp = None
             except _TRANSIENT:
                 resp = None
@@ -202,17 +191,7 @@ class FabricWorker:
 
 
 def worker_process_main(url: str, worker_id: str | None = None,
-                        poll_s: float = 0.25, max_tasks: int = 1,
-                        chaos_token: str | None = None,
-                        chaos_salt: int = 0) -> None:
-    """Entry point for loopback worker subprocesses.  ``chaos_token``
-    (a :meth:`ChaosPlan.token`) arms the chaos layer; ``chaos_salt``
-    separates sibling workers' fault streams."""
-    chaos = None
-    if chaos_token:
-        from repro.chaos.plan import ChaosPlan
-        from repro.chaos.transport import ChaosInjector
-        chaos = ChaosInjector(ChaosPlan.from_token(chaos_token),
-                              salt=chaos_salt)
+                        poll_s: float = 0.25, max_tasks: int = 1) -> None:
+    """Entry point for loopback worker subprocesses."""
     FabricWorker(url, worker_id=worker_id, poll_s=poll_s,
-                 max_tasks=max_tasks, chaos=chaos).run()
+                 max_tasks=max_tasks).run()

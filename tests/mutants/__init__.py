@@ -108,4 +108,22 @@ MUTANTS = (
            "",
            "cac7f83: an ejection that leaves its NI out of the consume "
            "phase"),
+    Mutant("httpd-skips-checksum", "src/repro/fabric/httpd.py",
+           "        if declared is not None and declared != "
+           "body_checksum(body):\n",
+           "        if declared is not None and False:\n",
+           "30875d1: a body corrupted in flight is parsed and settled"),
+    Mutant("worker-drops-mangled-completion", "src/repro/fabric/worker.py",
+           "                if exc.status != 400:\n"
+           "                    return        # protocol-level refusal; "
+           "expiry wins\n",
+           "                return\n",
+           "30875d1: a completion refused as mangled is abandoned to "
+           "lease expiry instead of resent"),
+    Mutant("worker-raises-on-mangled-poll", "src/repro/fabric/worker.py",
+           "                if exc.status != 400:\n"
+           "                    raise    # 404, or 409 (environment "
+           "mismatch)\n",
+           "                raise\n",
+           "30875d1: a lease poll refused as mangled kills the worker"),
 )

@@ -4,9 +4,12 @@ results service, exercised over real sockets (loopback, ephemeral port).
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import subprocess
 import sys
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -16,7 +19,8 @@ from repro.campaign.executor import RetryPolicy
 from repro.config import RunResult, SimConfig
 from repro.fabric import protocol
 from repro.fabric.coordinator import Coordinator
-from repro.fabric.httpd import HttpError, http_json
+from repro.fabric.httpd import (CHECKSUM_HEADER, HttpError, body_checksum,
+                                http_json)
 from repro.sim.parallel import Point
 from repro.sim.workload import Synthetic
 
@@ -46,6 +50,31 @@ def coord():
 def submit_one(c: Coordinator, key: str = KEY):
     point = Point("fastpass", Synthetic("uniform", 0.02))
     c.submit([[(key, point)]], CFG, store=None)
+
+
+def raw_post(url: str, intended: bytes, sent: bytes,
+             shut_wr: bool = False) -> tuple[int, bytes]:
+    """POST ``sent`` under the Content-Length and checksum header of
+    ``intended``: a body mangled on the wire.  ``shut_wr`` closes the
+    write side after sending, so a short body reads as a truncation (EOF
+    before Content-Length) instead of a stalled request."""
+    split = urllib.parse.urlsplit(url)
+    conn = http.client.HTTPConnection(split.hostname, split.port,
+                                      timeout=10)
+    try:
+        conn.putrequest("POST", split.path, skip_accept_encoding=True)
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", str(len(intended)))
+        conn.putheader(CHECKSUM_HEADER, body_checksum(intended))
+        conn.putheader("Connection", "close")
+        conn.endheaders()
+        conn.send(sent)
+        if shut_wr:
+            conn.sock.shutdown(socket.SHUT_WR)
+        resp = conn.getresponse()
+        return resp.status, resp.read()
+    finally:
+        conn.close()
 
 
 class TestProbes:
@@ -219,28 +248,20 @@ class TestFramingIntegrity:
 
     def test_truncated_body_is_400(self, coord):
         _, url = coord
-        from repro.chaos.transport import _raw_post
-        from repro.fabric.httpd import body_checksum
         body = json.dumps({"worker": "w1", "env":
                            protocol.environment()}).encode()
-        status, blob = _raw_post(f"{url}/lease", body[: len(body) // 2],
-                                 declared_len=len(body),
-                                 checksum=body_checksum(body),
-                                 shut_wr=True)
+        status, blob = raw_post(f"{url}/lease", body,
+                                body[: len(body) // 2], shut_wr=True)
         assert status == 400
         assert "truncated" in json.loads(blob)["error"]
 
     def test_corrupted_body_fails_checksum_with_400(self, coord):
         _, url = coord
-        from repro.chaos.transport import _raw_post
-        from repro.fabric.httpd import body_checksum
         body = json.dumps({"worker": "w1", "env":
                            protocol.environment()}).encode()
         mangled = bytearray(body)
         mangled[5] ^= 0x40
-        status, blob = _raw_post(f"{url}/lease", bytes(mangled),
-                                 declared_len=len(body),
-                                 checksum=body_checksum(body))
+        status, blob = raw_post(f"{url}/lease", body, bytes(mangled))
         assert status == 400
         assert "checksum" in json.loads(blob)["error"]
 
@@ -249,8 +270,6 @@ class TestFramingIntegrity:
         task stays leased, and the intact retry settles it exactly
         once."""
         c, url = coord
-        from repro.chaos.transport import _raw_post
-        from repro.fabric.httpd import body_checksum
         submit_one(c)
         resp = http_json("POST", f"{url}/lease", {
             "env": protocol.environment(), "worker": "w1"})
@@ -260,9 +279,7 @@ class TestFramingIntegrity:
         body = json.dumps(payload).encode()
         mangled = bytearray(body)
         mangled[-10] ^= 0x01
-        status, _ = _raw_post(f"{url}/complete", bytes(mangled),
-                              declared_len=len(body),
-                              checksum=body_checksum(body))
+        status, _ = raw_post(f"{url}/complete", body, bytes(mangled))
         assert status == 400
         assert c.queue.counts()["leased"] == 1   # nothing settled
         out = http_json("POST", f"{url}/complete", payload)
@@ -272,9 +289,9 @@ class TestFramingIntegrity:
 
 class TestDuplicatedDelivery:
     def test_duplicated_complete_settles_exactly_once(self, coord):
-        """The chaos DUPLICATE fault deterministically reaches this
-        path: the same completion delivered twice settles once and the
-        second delivery reports 'duplicate'."""
+        """A completion delivered twice (a retry after a response lost
+        in flight) settles once, and the second delivery reports
+        'duplicate'."""
         c, url = coord
         submit_one(c)
         resp = http_json("POST", f"{url}/lease", {
@@ -289,20 +306,3 @@ class TestDuplicatedDelivery:
         assert c.queue.counts()["done"] == 1
         assert c.queue.counters.completed == 1
         assert c.queue.counters.duplicates == 1
-
-
-class TestChaosSurface:
-    def test_worker_chaos_totals_reach_status_and_metrics(self, coord):
-        c, url = coord
-        http_json("POST", f"{url}/lease", {
-            "env": protocol.environment(), "worker": "w1",
-            "chaos": {"drop": 3, "reset": 1}})
-        http_json("POST", f"{url}/lease", {
-            "env": protocol.environment(), "worker": "w2",
-            "chaos": {"drop": 2}})
-        status = http_json("GET", f"{url}/status")
-        assert status["chaos"] == {"drop": 5, "reset": 1}
-        req = urllib.request.Request(f"{url}/metrics")
-        text = urllib.request.urlopen(req, timeout=10).read().decode()
-        assert 'fabric_chaos_injected_total{kind="drop"} 5' in text
-

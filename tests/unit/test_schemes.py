@@ -4,12 +4,14 @@ import pytest
 
 from repro.config import SimConfig
 from repro.network.packet import MessageClass, Packet
+from repro.obs.events import EventLog
 from repro.schemes import SCHEMES, get_scheme, scheme_names
 from repro.schemes.base import Scheme
 from repro.schemes.escapevc import EscapeVCRouter
+from repro.schemes.pitstop import BLOCK_THRESHOLD
 from repro.sim.engine import Simulation, build_network
 from repro.traffic.synthetic import SyntheticTraffic
-from tests.conftest import inject_now, make_network, park
+from tests.conftest import drain_packet, inject_now, make_network, park
 
 
 class TestRegistry:
@@ -253,6 +255,29 @@ class TestPitstop:
         for _ in range(200):
             net.step()
         assert scheme.bypasses == 0       # the path is occupied
+
+    def test_bypass_injects_an_old_injection_queue_head(self, small_cfg):
+        """No router head is blocked, so the token holder's bypass takes
+        the head of its NI's injection queue: that packet enters the
+        network there and then, and counts and emits as injected."""
+        scheme = get_scheme("pitstop")
+        net = make_network(small_cfg, scheme=scheme)
+        log = EventLog(net, ["injected"])
+        ni = net.nis[5]
+        pkt = Packet(5, 10, MessageClass.REQUEST, 0)
+        ni.inj[pkt.mclass].append(pkt)
+        ni.inj_count += 1
+        net.inj_total += 1
+        scheme._token = 4                 # post_cycle passes it to router 5
+        now = BLOCK_THRESHOLD
+        assert not net.routers[5].blocked_heads(now, BLOCK_THRESHOLD)
+        scheme.post_cycle(net, now)
+        assert scheme.bypasses == 1 and ni.inj_count == 0
+        assert net.stats.injected == 1
+        assert [(c, pid) for c, pid, _k, _f in log.records] == \
+            [(now, pkt.pid)]
+        assert pkt.net_entry == now
+        assert drain_packet(net, pkt)
 
 
 class TestMinBD:
